@@ -25,9 +25,9 @@
 //!   relation algebra vs the eager adaptive kernels) and write the result to
 //!   `<path>` (default `BENCH_6.json`).
 //! * `--bench-daemon [--smoke] [--out <path>]` — run the E15 daemon-serving
-//!   sweep (sustained pipelined QPS of a live `pplxd` at 1/64/1024
-//!   concurrent connections, epoll event loop vs thread-per-client;
-//!   Linux-only) and write the result to `<path>` (default `BENCH_7.json`).
+//!   sweep (sustained pipelined QPS of the live `pplxd` serving loop at
+//!   1/64/1024 concurrent connections; Linux-only) and write the result to
+//!   `<path>` (default `BENCH_7.json`).
 //! * `--bench-router [--smoke] [--out <path>]` — run the E16 sharded-router
 //!   sweep (a router over N backend daemons vs one daemon under the same
 //!   pipelined QUERY load, plus a mid-bench shard kill measuring the
@@ -257,7 +257,7 @@ fn run_harness_mode(args: &[String]) -> i32 {
         let path = out.clone().unwrap_or_else(|| "BENCH_7.json".to_string());
         eprintln!(
             "running daemon-serving sweep (E15, {} mode): {:?} connections x{} pipelined, \
-             ~{} requests/cell, {} workers, {} runs/cell, epoll vs threads",
+             ~{} requests/cell, {} workers, {} runs/cell",
             if smoke { "smoke" } else { "full" },
             cfg.connections,
             cfg.pipeline,
@@ -274,12 +274,9 @@ fn run_harness_mode(args: &[String]) -> i32 {
         if let Some(summary) = doc.get("summary") {
             let f = |key| summary.get(key).and_then(xpath_bench::Json::as_f64).unwrap_or(0.0);
             eprintln!(
-                "wrote {path}: epoll {} qps vs threads {} qps at {} connections \
-                 (speedup x{})",
+                "wrote {path}: {} qps at {} connections",
                 f("daemon_epoll_pin_qps"),
-                f("daemon_threads_pin_qps"),
                 f("daemon_pin_conns"),
-                f("daemon_speedup"),
             );
         }
     }

@@ -257,7 +257,7 @@ pub const LAZY_MODES: [(KernelMode, &str); 2] = [
 ];
 
 /// Sweep dimensions of the E15 daemon-serving experiment (Linux only: the
-/// epoll arm needs `pplxd --io epoll`).
+/// daemon's serving loop is the epoll reactor).
 #[derive(Debug, Clone)]
 pub struct DaemonBenchConfig {
     /// Concurrent client connections per cell.
@@ -270,13 +270,13 @@ pub struct DaemonBenchConfig {
     pub total_requests: usize,
     /// Timed runs per cell (median recorded).
     pub runs: usize,
-    /// Worker threads of the daemon under test (both io modes).
+    /// Worker threads of the daemon under test.
     pub workers: usize,
 }
 
 impl DaemonBenchConfig {
     /// The full sweep used to produce `BENCH_7.json`: 1 / 64 / 1024
-    /// concurrent pipelined connections per io mode.
+    /// concurrent pipelined connections.
     pub fn full() -> DaemonBenchConfig {
         DaemonBenchConfig {
             connections: vec![1, 64, 1024],
@@ -299,11 +299,8 @@ impl DaemonBenchConfig {
     }
 }
 
-/// The io modes swept by E15, with their row names.
-pub const DAEMON_MODES: [(&str, &str); 2] = [
-    ("epoll", "daemon_epoll"),
-    ("threads", "daemon_threads"),
-];
+/// The row name of E15's serving loop.
+pub const DAEMON_ROW: &str = "daemon_epoll";
 
 /// Sweep dimensions of the E16 sharded-router experiment.
 #[derive(Debug, Clone)]
@@ -1441,24 +1438,22 @@ pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
 }
 
 /// Run the E15 daemon-serving sweep: sustained request throughput of a live
-/// `pplxd` daemon under 1/64/1024 concurrent pipelined connections, epoll
-/// event loop vs thread-per-client, same corpus and worker pool on both
-/// sides.  Each client writes [`DaemonBenchConfig::pipeline`]-request
-/// windows in one flush (mostly `STATS` with a `QUERY` against a preloaded
-/// document mixed in) and reads the window's responses back in order.
-/// Returns a standalone `BENCH_7.json`-shaped document whose summary
-/// carries the CI-pinned claim: `daemon_speedup` (epoll QPS over
-/// thread-per-client QPS at the 64-connection pin).
+/// `pplxd` serving loop under 1/64/1024 concurrent pipelined connections.
+/// Each client writes [`DaemonBenchConfig::pipeline`]-request windows in
+/// one flush (mostly `STATS` with a `QUERY` against a preloaded document
+/// mixed in) and reads the window's responses back in order.  Returns a
+/// standalone `BENCH_7.json`-shaped document whose summary carries the
+/// QPS at the pin connection count.
 ///
-/// Linux only: the epoll arm is `--io epoll`, which exists nowhere else.
+/// Linux only: the serving loop is the epoll reactor.
 pub fn run_daemon_bench(cfg: &DaemonBenchConfig) -> Json {
     use std::io::{BufRead, BufReader, BufWriter, Write};
     use std::net::TcpStream;
-    use xpath_corpus::server::{bind, serve_with_options, IoMode, ServeOptions};
+    use xpath_corpus::server::{bind, serve, ServeOptions};
     use xpath_corpus::Corpus;
 
     if !cfg!(target_os = "linux") {
-        panic!("the E15 daemon sweep compares --io epoll against --io threads and is Linux-only");
+        panic!("the E15 daemon sweep runs the epoll serving loop and is Linux-only");
     }
 
     // The preloaded document every QUERY in the mix runs against; small on
@@ -1492,118 +1487,112 @@ pub fn run_daemon_bench(cfg: &DaemonBenchConfig) -> Json {
 
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
     let mut rows: Vec<Json> = Vec::new();
-    // qps per (mode name, connections) cell, for the summary pins.
-    let mut cells: Vec<(&str, usize, f64)> = Vec::new();
+    // qps per connection count, for the summary pin.
+    let mut cells: Vec<(usize, f64)> = Vec::new();
 
-    for (mode_name, engine) in DAEMON_MODES {
-        let io: IoMode = mode_name.parse().expect("swept io mode exists");
-        for &conns in &cfg.connections {
-            let per_conn = (cfg.total_requests / conns.max(1)).max(cfg.pipeline);
-            let window = cfg.pipeline.min(per_conn);
-            let total = per_conn * conns;
+    for &conns in &cfg.connections {
+        let per_conn = (cfg.total_requests / conns.max(1)).max(cfg.pipeline);
+        let window = cfg.pipeline.min(per_conn);
+        let total = per_conn * conns;
 
-            let (listener, addr) = bind("127.0.0.1:0").expect("bench daemon binds");
-            let corpus = std::sync::Arc::new(Corpus::new());
-            let options = ServeOptions {
-                io,
-                workers: cfg.workers,
-                ..ServeOptions::default()
-            };
-            let server =
-                std::thread::spawn(move || serve_with_options(listener, corpus, &options));
+        let (listener, addr) = bind("127.0.0.1:0").expect("bench daemon binds");
+        let options = ServeOptions {
+            workers: cfg.workers,
+            ..ServeOptions::default()
+        };
+        let server =
+            std::thread::spawn(move || serve(listener, &Corpus::new(), &options));
 
-            // Preload the queried document before any timing.
-            let control = TcpStream::connect(addr).expect("bench control connection");
-            let mut control_reader = BufReader::new(control.try_clone().unwrap());
-            let mut control_writer = BufWriter::new(control);
-            writeln!(control_writer, "LOADTERMS bench {DOC_SHAPE}").unwrap();
-            control_writer.flush().unwrap();
-            read_response(&mut control_reader);
+        // Preload the queried document before any timing.
+        let control = TcpStream::connect(addr).expect("bench control connection");
+        let mut control_reader = BufReader::new(control.try_clone().unwrap());
+        let mut control_writer = BufWriter::new(control);
+        writeln!(control_writer, "LOADTERMS bench {DOC_SHAPE}").unwrap();
+        control_writer.flush().unwrap();
+        read_response(&mut control_reader);
 
-            // Sustained throughput: connections are established and client
-            // threads parked on a barrier before the clock starts, so the
-            // cell measures pipelined request traffic, not thread-spawn and
-            // connect setup.  Client threads are capped at 64, each
-            // multiplexing a slice of the connections — the generator must
-            // not itself become the scheduler load it is measuring on the
-            // daemon side.
-            let client_threads = conns.min(64);
-            let mut durations: Vec<Duration> = Vec::with_capacity(cfg.runs);
-            for _ in 0..cfg.runs {
-                let barrier = std::sync::Arc::new(std::sync::Barrier::new(client_threads + 1));
-                let clients: Vec<_> = (0..client_threads)
-                    .map(|k| {
-                        let barrier = std::sync::Arc::clone(&barrier);
-                        // Thread k owns connections k, k+threads, k+2*threads, …
-                        let owned = (conns - k).div_ceil(client_threads);
-                        std::thread::spawn(move || {
-                            let mut sockets: Vec<_> = (0..owned)
-                                .map(|_| {
-                                    let stream =
-                                        TcpStream::connect(addr).expect("bench client connects");
-                                    stream.set_nodelay(true).unwrap();
-                                    let reader = BufReader::new(stream.try_clone().unwrap());
-                                    (reader, BufWriter::new(stream))
-                                })
-                                .collect();
-                            barrier.wait();
-                            let mut sent = 0usize;
-                            while sent < per_conn {
-                                let burst = window.min(per_conn - sent);
-                                for (_, writer) in sockets.iter_mut() {
-                                    for i in 0..burst {
-                                        writeln!(writer, "{}", request_line(sent + i)).unwrap();
-                                    }
-                                    writer.flush().unwrap();
+        // Sustained throughput: connections are established and client
+        // threads parked on a barrier before the clock starts, so the
+        // cell measures pipelined request traffic, not thread-spawn and
+        // connect setup.  Client threads are capped at 64, each
+        // multiplexing a slice of the connections — the generator must
+        // not itself become the scheduler load it is measuring on the
+        // daemon side.
+        let client_threads = conns.min(64);
+        let mut durations: Vec<Duration> = Vec::with_capacity(cfg.runs);
+        for _ in 0..cfg.runs {
+            let barrier = std::sync::Arc::new(std::sync::Barrier::new(client_threads + 1));
+            let clients: Vec<_> = (0..client_threads)
+                .map(|k| {
+                    let barrier = std::sync::Arc::clone(&barrier);
+                    // Thread k owns connections k, k+threads, k+2*threads, …
+                    let owned = (conns - k).div_ceil(client_threads);
+                    std::thread::spawn(move || {
+                        let mut sockets: Vec<_> = (0..owned)
+                            .map(|_| {
+                                let stream =
+                                    TcpStream::connect(addr).expect("bench client connects");
+                                stream.set_nodelay(true).unwrap();
+                                let reader = BufReader::new(stream.try_clone().unwrap());
+                                (reader, BufWriter::new(stream))
+                            })
+                            .collect();
+                        barrier.wait();
+                        let mut sent = 0usize;
+                        while sent < per_conn {
+                            let burst = window.min(per_conn - sent);
+                            for (_, writer) in sockets.iter_mut() {
+                                for i in 0..burst {
+                                    writeln!(writer, "{}", request_line(sent + i)).unwrap();
                                 }
-                                for (reader, _) in sockets.iter_mut() {
-                                    for _ in 0..burst {
-                                        read_response(reader);
-                                    }
-                                }
-                                sent += burst;
+                                writer.flush().unwrap();
                             }
-                        })
+                            for (reader, _) in sockets.iter_mut() {
+                                for _ in 0..burst {
+                                    read_response(reader);
+                                }
+                            }
+                            sent += burst;
+                        }
                     })
-                    .collect();
-                barrier.wait();
-                let start = std::time::Instant::now();
-                for client in clients {
-                    client.join().expect("bench client must not panic");
-                }
-                durations.push(start.elapsed());
+                })
+                .collect();
+            barrier.wait();
+            let start = std::time::Instant::now();
+            for client in clients {
+                client.join().expect("bench client must not panic");
             }
-            durations.sort_unstable();
-            let t = durations[durations.len() / 2];
-            let qps = total as f64 / t.as_secs_f64().max(1e-9);
-
-            writeln!(control_writer, "SHUTDOWN").unwrap();
-            control_writer.flush().unwrap();
-            read_response(&mut control_reader);
-            server
-                .join()
-                .expect("daemon thread must not panic")
-                .expect("daemon shuts down cleanly");
-
-            rows.push(Json::Obj(vec![
-                ("experiment".to_string(), Json::Str("daemon_serving".into())),
-                ("engine".to_string(), Json::Str(engine.into())),
-                ("tree_size".to_string(), Json::Num(DOC_NODES as f64)),
-                ("workload_queries".to_string(), Json::Num(total as f64)),
-                ("workload_repeats".to_string(), Json::Num(window as f64)),
-                ("median_us".to_string(), Json::Num(us(t))),
-                ("connections".to_string(), Json::Num(conns as f64)),
-                ("workers".to_string(), Json::Num(cfg.workers as f64)),
-                ("qps".to_string(), Json::Num(round2(qps))),
-            ]));
-            cells.push((engine, conns, qps));
+            durations.push(start.elapsed());
         }
+        durations.sort_unstable();
+        let t = durations[durations.len() / 2];
+        let qps = total as f64 / t.as_secs_f64().max(1e-9);
+
+        writeln!(control_writer, "SHUTDOWN").unwrap();
+        control_writer.flush().unwrap();
+        read_response(&mut control_reader);
+        server
+            .join()
+            .expect("daemon thread must not panic")
+            .expect("daemon shuts down cleanly");
+
+        rows.push(Json::Obj(vec![
+            ("experiment".to_string(), Json::Str("daemon_serving".into())),
+            ("engine".to_string(), Json::Str(DAEMON_ROW.into())),
+            ("tree_size".to_string(), Json::Num(DOC_NODES as f64)),
+            ("workload_queries".to_string(), Json::Num(total as f64)),
+            ("workload_repeats".to_string(), Json::Num(window as f64)),
+            ("median_us".to_string(), Json::Num(us(t))),
+            ("connections".to_string(), Json::Num(conns as f64)),
+            ("workers".to_string(), Json::Num(cfg.workers as f64)),
+            ("qps".to_string(), Json::Num(round2(qps))),
+        ]));
+        cells.push((conns, qps));
     }
 
     // The pin lives at the largest swept cell (>= 64 connections in the
     // full sweep): the event loop's claim is scalability with connection
-    // count, and the architectural gap is widest where thread-per-client
-    // pays for one scheduler entity per connection.
+    // count.
     let pin_conns = cfg
         .connections
         .iter()
@@ -1612,15 +1601,11 @@ pub fn run_daemon_bench(cfg: &DaemonBenchConfig) -> Json {
         .max()
         .or_else(|| cfg.connections.iter().copied().max())
         .expect("at least one connection count");
-    let qps_at = |engine: &str| {
-        cells
-            .iter()
-            .find(|(e, c, _)| *e == engine && *c == pin_conns)
-            .map(|&(_, _, qps)| qps)
-            .expect("pin cell was swept")
-    };
-    let epoll_qps = qps_at("daemon_epoll");
-    let threads_qps = qps_at("daemon_threads");
+    let pin_qps = cells
+        .iter()
+        .find(|&&(c, _)| c == pin_conns)
+        .map(|&(_, qps)| qps)
+        .expect("pin cell was swept");
 
     Json::Obj(vec![
         ("schema".to_string(), Json::Str(SCHEMA.into())),
@@ -1637,16 +1622,7 @@ pub fn run_daemon_bench(cfg: &DaemonBenchConfig) -> Json {
             "summary".to_string(),
             Json::Obj(vec![
                 ("daemon_pin_conns".to_string(), Json::Num(pin_conns as f64)),
-                ("daemon_epoll_pin_qps".to_string(), Json::Num(round2(epoll_qps))),
-                (
-                    "daemon_threads_pin_qps".to_string(),
-                    Json::Num(round2(threads_qps)),
-                ),
-                // The CI-pinned claim of BENCH_7.json.
-                (
-                    "daemon_speedup".to_string(),
-                    Json::Num(round2(epoll_qps / threads_qps.max(1e-9))),
-                ),
+                ("daemon_epoll_pin_qps".to_string(), Json::Num(round2(pin_qps))),
             ]),
         ),
     ])
@@ -1670,7 +1646,7 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier, Mutex};
     use xpath_corpus::router::{FaultAction, Router, RouterConfig};
-    use xpath_corpus::server::{bind, serve_with_options, IoMode, ServeOptions};
+    use xpath_corpus::server::{bind, serve, ServeOptions};
     use xpath_corpus::Corpus;
 
     // Every document is the same medium tree: 72 subtrees of 5 nodes.  Big
@@ -1709,12 +1685,9 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
 
     let spawn_backend = || {
         let (listener, addr) = bind("127.0.0.1:0").expect("bench backend binds");
-        let corpus = Arc::new(Corpus::new());
-        let options = ServeOptions {
-            io: IoMode::Threads,
-            ..ServeOptions::default()
-        };
-        let handle = std::thread::spawn(move || serve_with_options(listener, corpus, &options));
+        let handle = std::thread::spawn(move || {
+            serve(listener, &Corpus::new(), &ServeOptions::default())
+        });
         (addr, handle)
     };
 
@@ -1820,19 +1793,20 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
             connect_timeout: Duration::from_millis(500),
             fail_threshold: 2,
             probe_interval,
-            ..RouterConfig::default()
         }));
         let (listener, addr) = bind("127.0.0.1:0").expect("bench router binds");
         let serving = Arc::clone(&router);
-        let handle =
-            std::thread::spawn(move || xpath_corpus::router::serve_router(listener, serving));
+        let handle = std::thread::spawn(move || {
+            serve(listener, &serving, &ServeOptions::default())
+        });
         (backends, router, addr, handle)
     };
     let teardown_fleet =
         |backends: Vec<(SocketAddr, std::thread::JoinHandle<std::io::Result<()>>)>,
          addr: SocketAddr,
          handle: std::thread::JoinHandle<std::io::Result<()>>| {
-            // SHUTDOWN fans out to every shard; the router then stops.
+            // The router answers SHUTDOWN, drains, then fans it out to
+            // every shard.
             control_request(addr, "SHUTDOWN");
             handle.join().unwrap().expect("router shuts down");
             for (_, backend) in backends {
@@ -2182,14 +2156,11 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
             }
         }
     }
-    // E15 daemon documents must sweep both io modes, tag every row with its
-    // connection count and throughput, and summarise the epoll-vs-threads
-    // QPS pin.
+    // E15 daemon documents must sweep the serving loop, tag every row with
+    // its connection count and throughput, and summarise the QPS pin.
     if !daemon_rows.is_empty() {
-        for (_, required) in DAEMON_MODES {
-            if !engines_seen.iter().any(|e| e == required) {
-                return Err(format!("daemon rows present but no {required:?} rows"));
-            }
+        if !engines_seen.iter().any(|e| e == DAEMON_ROW) {
+            return Err(format!("daemon rows present but no {DAEMON_ROW:?} rows"));
         }
         for (i, row) in daemon_rows.iter().enumerate() {
             for key in ["connections", "workers", "qps"] {
@@ -2202,12 +2173,7 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
                 }
             }
         }
-        for key in [
-            "daemon_pin_conns",
-            "daemon_epoll_pin_qps",
-            "daemon_threads_pin_qps",
-            "daemon_speedup",
-        ] {
+        for key in ["daemon_pin_conns", "daemon_epoll_pin_qps"] {
             let value = summary
                 .get(key)
                 .and_then(Json::as_f64)
@@ -2815,24 +2781,17 @@ mod tests {
         validate_bench_json(&text).unwrap();
         let parsed = Json::parse(&text).unwrap();
         let rows = parsed.get("results").unwrap().as_arr().unwrap();
-        // Both io modes at every swept connection count.
-        assert_eq!(
-            rows.len(),
-            DAEMON_MODES.len() * DaemonBenchConfig::smoke().connections.len()
-        );
-        for (_, name) in DAEMON_MODES {
-            assert!(
-                rows.iter().any(|r| r.get("engine").and_then(Json::as_str) == Some(name)),
-                "missing {name} rows"
-            );
-        }
+        // One serving-loop row per swept connection count.
+        assert_eq!(rows.len(), DaemonBenchConfig::smoke().connections.len());
         for row in rows {
+            assert_eq!(row.get("engine").and_then(Json::as_str), Some(DAEMON_ROW));
             assert!(row.get("qps").and_then(Json::as_f64).unwrap() > 0.0);
             assert!(row.get("connections").and_then(Json::as_f64).unwrap() >= 1.0);
         }
         let summary = parsed.get("summary").unwrap();
         assert_eq!(summary.get("daemon_pin_conns").and_then(Json::as_f64), Some(8.0));
-        assert!(summary.get("daemon_speedup").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(summary.get("daemon_epoll_pin_qps").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(summary.get("daemon_speedup").is_none(), "no threads baseline is run");
     }
 
     #[test]
@@ -2852,21 +2811,19 @@ mod tests {
         );
         let err = validate_bench_json(&doc).unwrap_err();
         assert!(err.contains("daemon_"), "{err}");
-        // A daemon document without the threads baseline is rejected.
+        // A daemon document without serving-loop rows is rejected.
         let doc = format!(
             "{{\"schema\": \"{SCHEMA}\", \"results\": [{}], \
-             \"summary\": {{\"daemon_pin_conns\": 1}}}}",
-            row("daemon_epoll"),
+             \"summary\": {{\"daemon_pin_conns\": 1, \"daemon_epoll_pin_qps\": 1}}}}",
+            row("daemon_threads"),
         );
         let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("daemon_threads"), "{err}");
+        assert!(err.contains("daemon_epoll"), "{err}");
         // A daemon row without a throughput column is rejected.
         let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}, {}], \
-             \"summary\": {{\"daemon_pin_conns\": 1, \"daemon_epoll_pin_qps\": 1, \
-             \"daemon_threads_pin_qps\": 1, \"daemon_speedup\": 1}}}}",
+            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}], \
+             \"summary\": {{\"daemon_pin_conns\": 1, \"daemon_epoll_pin_qps\": 1}}}}",
             row("daemon_epoll").replace("\"qps\": 1, ", ""),
-            row("daemon_threads"),
         );
         let err = validate_bench_json(&doc).unwrap_err();
         assert!(err.contains("qps"), "{err}");

@@ -1141,11 +1141,12 @@ mod tests {
 
     #[test]
     fn run_connect_round_trip_against_an_in_process_daemon() {
-        use xpath_corpus::server::{bind, serve};
+        use xpath_corpus::server::{bind, serve, ServeOptions};
         use xpath_corpus::Corpus;
         let (listener, addr) = bind("127.0.0.1:0").unwrap();
-        let corpus = std::sync::Arc::new(Corpus::new());
-        let server = std::thread::spawn(move || serve(listener, corpus));
+        let server = std::thread::spawn(move || {
+            serve(listener, &Corpus::new(), &ServeOptions::default())
+        });
         let addr = addr.to_string();
 
         let tmp = std::env::temp_dir().join("pplx_connect_test_doc.xml");

@@ -1,31 +1,30 @@
 //! `pplxd` — the corpus query daemon.
 //!
 //! Serves a shared [`Corpus`] over a line-based TCP protocol (see
-//! `xpath_corpus::server` for the wire format).  On Linux the default is
-//! an epoll event loop with request pipelining and per-connection
-//! backpressure; `--io threads` selects the portable one-thread-per-client
-//! fallback.  `pplx --connect host:port` is the matching client.
+//! `xpath_corpus::server` for the wire format) on an epoll event loop with
+//! request pipelining and per-connection backpressure (Linux only; on
+//! other targets `pplxd` exits with an `Unsupported` server error).
+//! `--route` serves a sharding router through the same loop.  `pplx
+//! --connect host:port` is the matching client.
 //!
 //! ```text
 //! USAGE:
 //!     pplxd [--bind ADDR] [--port N] [--budget BYTES] [--threads N]
 //!           [--engine ppl|acq|hcl|naive|auto] [--preload DIR]
-//!           [--max-line BYTES] [--io threads|epoll] [--idle-timeout SECS]
+//!           [--max-line BYTES] [--idle-timeout SECS]
 //!           [--route ADDR,ADDR,...] [--replicas N] [--shard-timeout MS]
 //!
 //! OPTIONS:
 //!     --bind ADDR      interface to bind (default 127.0.0.1)
 //!     --port N         TCP port; 0 picks an ephemeral port (default 7878)
 //!     --budget BYTES   memory budget of the session pool (default unbounded)
-//!     --threads N      worker threads: QUERYALL fan-out, and command
-//!                      execution under --io epoll (default 4)
+//!     --threads N      worker threads executing commands, also the
+//!                      QUERYALL fan-out pool; in router mode, the workers
+//!                      routing requests to shards (default 4)
 //!     --engine E       force one engine for every plan (default auto)
 //!     --preload DIR    ingest every *.xml under DIR before serving
 //!     --max-line BYTES cap on one request line (default 16 MiB); overlong
 //!                      lines answer `ERR line too long`
-//!     --io MODE        connection multiplexing: `epoll` (event loop,
-//!                      Linux-only, default on Linux) or `threads`
-//!                      (thread per client, default elsewhere)
 //!     --idle-timeout SECS  drop connections silent for SECS seconds
 //!                      (default 60; 0 disables)
 //!     --route ADDRS    run as a router over comma-separated backend
@@ -39,16 +38,17 @@
 //! On startup the daemon prints `pplxd listening on <addr>` to stdout (the
 //! CI smoke test parses this to discover the ephemeral port).
 
+use std::io::Write;
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
-use xpath_corpus::router::{serve_router, Router, RouterConfig};
-use xpath_corpus::server::{bind, serve_with_options, IoMode, ServeOptions, DEFAULT_MAX_LINE};
+use xpath_corpus::router::{Router, RouterConfig};
+use xpath_corpus::server::{bind, serve, ServeOptions, Service, DEFAULT_MAX_LINE};
 use xpath_corpus::{Corpus, CorpusConfig};
 
 const USAGE: &str = "usage: pplxd [--bind ADDR] [--port N] [--budget BYTES] \
 [--threads N] [--engine ppl|acq|hcl|naive|auto] [--preload DIR] [--max-line BYTES] \
-[--io threads|epoll] [--idle-timeout SECS] [--route ADDR,ADDR,...] [--replicas N] \
-[--shard-timeout MS]";
+[--idle-timeout SECS] [--route ADDR,ADDR,...] [--replicas N] [--shard-timeout MS]";
 
 #[derive(Debug)]
 struct Options {
@@ -59,7 +59,6 @@ struct Options {
     engine: Option<ppl_xpath::Engine>,
     preload: Option<String>,
     max_line: usize,
-    io: IoMode,
     idle_timeout: Option<std::time::Duration>,
     route: Option<Vec<String>>,
     replicas: usize,
@@ -75,7 +74,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         engine: None,
         preload: None,
         max_line: DEFAULT_MAX_LINE,
-        io: IoMode::default(),
         idle_timeout: Some(xpath_corpus::server::DEFAULT_IDLE_TIMEOUT),
         route: None,
         replicas: 2,
@@ -119,7 +117,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--preload" => options.preload = Some(value(&mut i, "--preload")?),
-            "--io" => options.io = value(&mut i, "--io")?.parse()?,
             "--max-line" => {
                 let n: usize = value(&mut i, "--max-line")?
                     .parse()
@@ -168,6 +165,43 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
+/// Bind `--bind`:`--port`, print the startup line `banner` renders from
+/// the bound address (the CI smoke tests parse it to discover an ephemeral
+/// port), and serve until a client sends `SHUTDOWN`.
+fn bind_and_serve<S: Service>(
+    service: &S,
+    options: &Options,
+    banner: impl FnOnce(SocketAddr) -> String,
+) -> ExitCode {
+    let address = format!("{}:{}", options.bind, options.port);
+    let (listener, local) = match bind(&address) {
+        Ok(bound) => bound,
+        Err(e) => {
+            eprintln!("pplxd cannot bind {address}: {e}");
+            return ExitCode::from(5);
+        }
+    };
+    println!("{}", banner(local));
+    // Line-buffered stdout may sit on the message until exit; the smoke
+    // tests read it from a pipe, so flush explicitly.
+    let _ = std::io::stdout().flush();
+    let serve_options = ServeOptions {
+        max_line: options.max_line,
+        workers: options.threads,
+        idle_timeout: options.idle_timeout,
+    };
+    match serve(listener, service, &serve_options) {
+        Ok(()) => {
+            println!("pplxd shut down");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("pplxd server error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = match parse_args(&args) {
@@ -183,48 +217,24 @@ fn main() -> ExitCode {
             eprintln!("pplxd: --preload/--budget/--engine apply to backends, not the router");
             return ExitCode::from(2);
         }
-        let address = format!("{}:{}", options.bind, options.port);
-        let (listener, local) = match bind(&address) {
-            Ok(bound) => bound,
-            Err(e) => {
-                eprintln!("pplxd cannot bind {address}: {e}");
-                return ExitCode::from(5);
-            }
-        };
-        let config = RouterConfig {
+        let router = Arc::new(Router::new(RouterConfig {
             backends: backends.clone(),
             replication: options.replicas,
             shard_timeout: options.shard_timeout,
-            max_line: options.max_line,
-            idle_timeout: options.idle_timeout,
             ..RouterConfig::default()
-        };
-        let router = Arc::new(Router::new(config));
-        println!(
-            "pplxd routing on {local} over {} shard(s)",
-            backends.len()
-        );
-        use std::io::Write;
-        let _ = std::io::stdout().flush();
-        return match serve_router(listener, router) {
-            Ok(()) => {
-                println!("pplxd shut down");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("pplxd router error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        }));
+        return bind_and_serve(&router, &options, |local| {
+            format!("pplxd routing on {local} over {} shard(s)", backends.len())
+        });
     }
 
-    let corpus = Arc::new(Corpus::with_config(CorpusConfig {
+    let corpus = Corpus::with_config(CorpusConfig {
         memory_budget: options.budget,
         threads: options.threads,
         queue_capacity: options.threads.max(1) * 2,
         engine: options.engine,
         ..CorpusConfig::default()
-    }));
+    });
     if let Some(dir) = &options.preload {
         match corpus.load_dir(std::path::Path::new(dir)) {
             Ok(names) => eprintln!("pplxd preloaded {} document(s) from {dir}", names.len()),
@@ -234,37 +244,7 @@ fn main() -> ExitCode {
             }
         }
     }
-
-    let address = format!("{}:{}", options.bind, options.port);
-    let (listener, local) = match bind(&address) {
-        Ok(bound) => bound,
-        Err(e) => {
-            eprintln!("pplxd cannot bind {address}: {e}");
-            return ExitCode::from(5);
-        }
-    };
-    println!("pplxd listening on {local}");
-    // Line-buffered stdout may sit on the message until exit; the CI smoke
-    // test reads it from a pipe, so flush explicitly.
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
-
-    let serve_options = ServeOptions {
-        max_line: options.max_line,
-        io: options.io,
-        workers: options.threads,
-        idle_timeout: options.idle_timeout,
-    };
-    match serve_with_options(listener, corpus, &serve_options) {
-        Ok(()) => {
-            println!("pplxd shut down");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("pplxd server error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    bind_and_serve(&corpus, &options, |local| format!("pplxd listening on {local}"))
 }
 
 #[cfg(test)]
@@ -285,10 +265,6 @@ mod tests {
         assert!(defaults.engine.is_none());
         assert!(defaults.preload.is_none());
         assert_eq!(defaults.max_line, DEFAULT_MAX_LINE);
-        assert_eq!(defaults.io, IoMode::default());
-        if cfg!(target_os = "linux") {
-            assert_eq!(defaults.io, IoMode::Epoll);
-        }
 
         let options = parse_args(&args(&[
             "--bind", "0.0.0.0", "--port", "0", "--budget", "1048576", "--threads", "0",
@@ -314,10 +290,7 @@ mod tests {
         );
         assert!(parse_args(&args(&["--engine", "zzz"])).unwrap_err().contains("unknown engine"));
         assert!(parse_args(&args(&["--wat"])).unwrap_err().contains("unknown argument"));
-
-        assert_eq!(parse_args(&args(&["--io", "threads"])).unwrap().io, IoMode::Threads);
-        assert_eq!(parse_args(&args(&["--io", "epoll"])).unwrap().io, IoMode::Epoll);
-        assert!(parse_args(&args(&["--io", "fibers"])).unwrap_err().contains("unknown io mode"));
+        assert!(parse_args(&args(&["--io", "threads"])).unwrap_err().contains("unknown argument"));
     }
 
     #[test]

@@ -29,11 +29,13 @@
 //!   answers tagged by document name.
 //!
 //! The [`protocol`] module is the sans-IO half of the `pplxd` wire
-//! protocol (`LOAD` / `QUERY` / `QUERYALL` / `STATS` / `EVICT` / `QUIT` /
-//! `SHUTDOWN`); the [`server`] module serves it over TCP — a portable
-//! thread-per-client loop or, on Linux, the [`reactor`] epoll event loop
-//! with request pipelining and backpressure.  The `pplxd` binary is a thin
-//! wrapper around it, and `pplx --connect host:port` is the matching
+//! protocol (`LOAD` / `QUERY` / `QUERYALL` / `MUTATE` / `STATS` / `EVICT`
+//! / `QUIT` / `SHUTDOWN`); [`server::serve`] serves it over TCP on the one
+//! serving loop, the Linux-only `reactor` epoll event loop with request
+//! pipelining and backpressure.  A [`server::Service`] says what a
+//! request does: a [`Corpus`] answers it, a [`router::Router`] routes it
+//! to backend daemons.  The `pplxd` binary is a thin wrapper around
+//! [`server::serve`], and `pplx --connect host:port` is the matching
 //! client.
 //!
 //! ```
@@ -311,9 +313,8 @@ type PlanKey = (String, String, u32);
 /// A corpus of named documents served through a memory-bounded session pool.
 ///
 /// All methods take `&self`; the type is `Send + Sync` and is meant to be
-/// shared behind an `Arc` by however many serving threads the traffic needs
-/// (the `pplxd` daemon spawns one connection-handler thread per client over
-/// one shared corpus).
+/// shared by however many serving threads the traffic needs (the `pplxd`
+/// serving loop's workers all execute against one corpus).
 #[derive(Debug)]
 pub struct Corpus {
     config: CorpusConfig,

@@ -8,12 +8,10 @@
 //! queueing rendered response bytes — framing, pipelining, response
 //! ordering and backpressure with no sockets in sight.
 //!
-//! The two IO layers sit on top:
-//!
-//! * [`crate::server`] — the portable thread-per-client loop (`--io
-//!   threads`), which uses the parse/execute/render functions directly;
-//! * [`crate::reactor`] — the Linux epoll event loop (`--io epoll`), which
-//!   drives one [`Conn`] per client.
+//! The serving loop sits on top: [`crate::server::serve`] runs the Linux
+//! epoll reactor, which drives one [`Conn`] per client and hands each
+//! parsed command to a [`crate::server::Service`] — the corpus (through
+//! [`execute_command`]) or the sharding router.
 //!
 //! # Pipelining and response ordering
 //!
@@ -422,6 +420,9 @@ pub enum ConnEvent {
     Execute {
         /// Response slot to complete.
         seq: u64,
+        /// The trimmed request line the command was parsed from (the
+        /// router forwards it to shards verbatim).
+        line: String,
         /// The parsed command.
         command: Command,
     },
@@ -619,7 +620,11 @@ impl Conn {
                 self.closing = true;
                 events.push(ConnEvent::ShutdownRequested);
             }
-            Ok(command) => events.push(ConnEvent::Execute { seq, command }),
+            Ok(command) => events.push(ConnEvent::Execute {
+                seq,
+                line: line.to_string(),
+                command,
+            }),
         }
     }
 }

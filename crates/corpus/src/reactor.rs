@@ -1,13 +1,16 @@
-//! The epoll event loop behind `pplxd --io epoll` (Linux only).
+//! The epoll event loop behind [`crate::server::serve`] (Linux only) — the
+//! one serving loop of both the `pplxd` daemon and `pplxd --route`.
 //!
 //! One reactor thread multiplexes every client socket through a
 //! level-triggered epoll set, drives one sans-IO [`Conn`] state machine per
 //! connection, and dispatches parsed commands to a fixed worker pool over
-//! the bounded MPMC [`BoundedQueue`].  Workers report results through a
-//! completion list and an `eventfd` wakeup; the reactor renders them back
-//! out strictly in request order ([`Conn::complete`] owns the ordering).
+//! the bounded MPMC [`BoundedQueue`].  Workers run each command through the
+//! [`Service`] — the corpus, or the router with its per-connection shard
+//! clients — and report results through a completion list and an `eventfd`
+//! wakeup; the reactor renders them back out strictly in request order
+//! ([`Conn::complete`] owns the ordering).
 //!
-//! Compared to the thread-per-client fallback this buys:
+//! The design buys:
 //!
 //! * **scalability** — thousands of idle connections cost one epoll
 //!   registration each, not a parked thread;
@@ -18,7 +21,8 @@
 //!   request.  Batches execute serially per connection — one in flight at
 //!   a time — so a pipelined `LOADTERMS d …; QUERY d …` burst is
 //!   sequentially consistent with itself while distinct connections
-//!   spread across the worker pool;
+//!   spread across the worker pool.  The connection's [`Service::State`]
+//!   travels with its batch, so a service needs no lock for it;
 //! * **backpressure** — when a connection exceeds its write high-water
 //!   mark or pipeline cap ([`Conn::wants_read`]), the reactor deregisters
 //!   its read interest: the kernel receive buffer and the peer's send
@@ -32,27 +36,28 @@
 //! # Shutdown
 //!
 //! On `SHUTDOWN` the reactor stops reading every connection, keeps
-//! accepting only to answer `ERR shutting down`, finishes the in-flight
-//! requests, flushes every response, then closes all sockets and joins the
-//! workers.  (The thread-per-client mode instead keeps serving existing
-//! clients until they quit; both answer late-racing clients, never drop
-//! them silently.)
+//! accepting only to answer `ERR shutting down` (a late-racing client is
+//! never dropped silently), finishes the in-flight requests, flushes every
+//! response, then closes all sockets, joins the workers and runs
+//! [`Service::shutdown`] (the router's `SHUTDOWN` fan-out to its shards).
 //!
 //! This module is the only place in the workspace allowed to contain
 //! `unsafe` (every other crate is `#![forbid(unsafe_code)]`); each unsafe
 //! block carries a `// SAFETY:` justification, enforced by `xpath-lint`.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::protocol::{execute_command, Command, Conn, ConnEvent};
+use crate::protocol::{Command, Conn, ConnEvent};
 use crate::queue::BoundedQueue;
-use crate::server::{classify_accept_error, AcceptDisposition, ACCEPT_BACKOFF};
-use crate::Corpus;
+use crate::server::{
+    classify_accept_error, AcceptDisposition, ServeOptions, Service, ACCEPT_BACKOFF,
+};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 use xpath_sync::Mutex;
+use xpath_wire::Response;
 
 /// Minimal raw bindings for the reactor's syscall surface.
 mod sys {
@@ -210,60 +215,72 @@ const EVENT_BATCH: usize = 256;
 /// Socket read chunk.
 const READ_CHUNK: usize = 16 << 10;
 
+/// One parsed request: its response slot, trimmed line, and command.
+struct Request {
+    seq: u64,
+    line: String,
+    command: Command,
+}
+
 /// One unit of work for the pool: a batch of consecutive pipelined
-/// commands from one connection, executed serially in request order.
+/// commands from one connection, executed serially in request order, with
+/// the connection's service state.
 /// Batching is both the correctness and the throughput story: one batch in
 /// flight per connection keeps a pipelined `LOADTERMS d …; QUERY d …`
 /// burst sequentially consistent with itself (one worker runs it in
 /// order), and a whole request window crosses the queue in a single
 /// handoff instead of one mutex/condvar round trip per command.  Distinct
 /// connections still spread across the pool.
-struct Job {
+struct Job<T> {
     conn_id: u64,
-    commands: Vec<(u64, Command)>,
+    state: T,
+    requests: Vec<Request>,
 }
 
-/// A finished batch on its way back to the reactor.
-struct Completion {
+/// A finished batch, with the connection's state, on its way back to the
+/// reactor.
+struct Completion<T> {
     conn_id: u64,
-    results: Vec<(u64, Result<Vec<String>, String>)>,
+    state: T,
+    results: Vec<(u64, Response)>,
 }
 
 /// One connected client: its socket, protocol state machine, the epoll
 /// interest currently registered for it, and the dispatch bookkeeping that
 /// keeps one batch in flight.
-struct Client {
+struct Client<T> {
     stream: TcpStream,
     conn: Conn,
     interest: u32,
-    /// Parsed commands not yet handed to the workers (a batch from this
+    /// Parsed requests not yet handed to the workers (a batch from this
     /// connection is still executing).
-    backlog: Vec<(u64, Command)>,
-    /// A dispatched batch has not completed yet.
-    executing: bool,
+    backlog: Vec<Request>,
+    /// The connection's service state; `None` while a dispatched batch
+    /// holds it.
+    state: Option<T>,
     /// Last observed progress — bytes read, a completion applied, or
     /// response bytes flushed.  Connections quiet past the idle window
     /// (and with nothing in flight) are dropped.
-    last_activity: std::time::Instant,
+    last_activity: Instant,
 }
 
-impl Client {
-    fn new(stream: TcpStream, max_line: usize) -> Client {
+impl<T> Client<T> {
+    fn new(stream: TcpStream, max_line: usize, state: T) -> Client<T> {
         Client {
             stream,
             conn: Conn::new(max_line),
             interest: sys::EPOLLIN | sys::EPOLLRDHUP,
             backlog: Vec::new(),
-            executing: false,
-            last_activity: std::time::Instant::now(),
+            state: Some(state),
+            last_activity: Instant::now(),
         }
     }
 
     /// Is this connection idle (no progress, nothing in flight) past the
     /// `idle` window?  A connection with an executing batch or in-flight
     /// pipeline slots is *working*, however long that takes.
-    fn idle_expired(&self, now: std::time::Instant, idle: std::time::Duration) -> bool {
-        !self.executing
+    fn idle_expired(&self, now: Instant, idle: Duration) -> bool {
+        self.state.is_some()
             && self.conn.in_flight() == 0
             && now.duration_since(self.last_activity) >= idle
     }
@@ -273,14 +290,17 @@ impl Client {
     /// The backlog is bounded by [`Conn`]'s pipeline cap.  `work.push` may
     /// block at queue capacity — that is the global backpressure bound,
     /// and workers never block on the reactor, so it cannot deadlock.
-    fn dispatch_ready(&mut self, id: u64, work: &BoundedQueue<Job>) {
-        if self.executing || self.backlog.is_empty() {
+    fn dispatch_ready(&mut self, id: u64, work: &BoundedQueue<Job<T>>) {
+        if self.backlog.is_empty() {
             return;
         }
-        self.executing = true;
+        let Some(state) = self.state.take() else {
+            return;
+        };
         work.push(Job {
             conn_id: id,
-            commands: std::mem::take(&mut self.backlog),
+            state,
+            requests: std::mem::take(&mut self.backlog),
         });
     }
 
@@ -296,19 +316,23 @@ impl Client {
     }
 }
 
-/// Serve the corpus over `listener` with the epoll reactor: `workers`
+/// Serve `service` over `listener` with the epoll reactor: `workers`
 /// command-execution threads behind a bounded queue, pipelined in-order
 /// responses, per-connection backpressure.  Connections with no progress
 /// for `idle_timeout` (and nothing in flight) are answered `ERR idle
-/// timeout` and dropped.  Returns after a client sends `SHUTDOWN` and
-/// every in-flight request has been answered and flushed.
-pub fn serve_epoll(
+/// timeout` and dropped.  Returns after a client sends `SHUTDOWN`, every
+/// in-flight request has been answered and flushed, and
+/// [`Service::shutdown`] has run.
+pub(crate) fn serve_epoll<S: Service>(
     listener: TcpListener,
-    corpus: Arc<Corpus>,
-    max_line: usize,
-    workers: usize,
-    idle_timeout: Option<std::time::Duration>,
+    service: &S,
+    options: &ServeOptions,
 ) -> io::Result<()> {
+    let ServeOptions {
+        max_line,
+        workers,
+        idle_timeout,
+    } = *options;
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
     let wake = EventFd::new()?;
@@ -321,10 +345,10 @@ pub fn serve_epoll(
     // from blocking on `push` under thousands of connections (which would
     // stall reads and writes for everyone), while still bounding memory if
     // the pool falls behind a huge connection herd.
-    let work: BoundedQueue<Job> = BoundedQueue::new((workers * 4).max(4096));
-    let completions: Mutex<Vec<Completion>> = Mutex::new(Vec::new());
+    let work: BoundedQueue<Job<S::State>> = BoundedQueue::new((workers * 4).max(4096));
+    let completions: Mutex<Vec<Completion<S::State>>> = Mutex::new(Vec::new());
 
-    let mut clients: HashMap<u64, Client> = HashMap::new();
+    let mut clients: HashMap<u64, Client<S::State>> = HashMap::new();
     let mut next_id: u64 = 0;
     let mut shutting_down = false;
     let mut outcome: io::Result<()> = Ok(());
@@ -332,11 +356,11 @@ pub fn serve_epoll(
     xpath_sync::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                while let Some(job) = work.pop() {
+                while let Some(mut job) = work.pop() {
                     let results = job
-                        .commands
-                        .into_iter()
-                        .map(|(seq, command)| (seq, execute_command(&corpus, &command)))
+                        .requests
+                        .iter()
+                        .map(|r| (r.seq, service.execute(&mut job.state, &r.line, &r.command)))
                         .collect();
                     let was_empty = {
                         let mut done = completions
@@ -345,6 +369,7 @@ pub fn serve_epoll(
                         let was_empty = done.is_empty();
                         done.push(Completion {
                             conn_id: job.conn_id,
+                            state: job.state,
                             results,
                         });
                         was_empty
@@ -366,7 +391,7 @@ pub fn serve_epoll(
             // no clients) the wait is unbounded, as before.
             let timeout_ms = match idle_timeout {
                 Some(idle) if !clients.is_empty() => {
-                    let now = std::time::Instant::now();
+                    let now = Instant::now();
                     let nearest = clients
                         .values()
                         .map(|c| {
@@ -411,7 +436,7 @@ pub fn serve_epoll(
                                 let _ = stream.set_nodelay(true);
                                 let id = next_id;
                                 next_id += 1;
-                                let client = Client::new(stream, max_line);
+                                let client = Client::new(stream, max_line, service.open());
                                 if epoll
                                     .add(client.stream.as_raw_fd(), client.interest, id)
                                     .is_ok()
@@ -457,7 +482,7 @@ pub fn serve_epoll(
                                     break;
                                 }
                                 Ok(n) => {
-                                    client.last_activity = std::time::Instant::now();
+                                    client.last_activity = Instant::now();
                                     parsed.extend(client.conn.feed(&buf[..n]));
                                     if !client.conn.wants_read() {
                                         break; // backpressure: leave the rest in the kernel
@@ -483,8 +508,8 @@ pub fn serve_epoll(
                         }
                         for event in parsed {
                             match event {
-                                ConnEvent::Execute { seq, command } => {
-                                    client.backlog.push((seq, command));
+                                ConnEvent::Execute { seq, line, command } => {
+                                    client.backlog.push(Request { seq, line, command });
                                 }
                                 ConnEvent::ShutdownRequested => {
                                     shutting_down = true;
@@ -508,8 +533,8 @@ pub fn serve_epoll(
                     for (seq, result) in completion.results {
                         client.conn.complete(seq, result);
                     }
-                    client.executing = false;
-                    client.last_activity = std::time::Instant::now();
+                    client.state = Some(completion.state);
+                    client.last_activity = Instant::now();
                     client.dispatch_ready(completion.conn_id, &work);
                     touched.insert(completion.conn_id);
                 }
@@ -519,7 +544,7 @@ pub fn serve_epoll(
             // why and dropped.  Never triggered by slow *work* — an
             // executing batch or occupied pipeline slot counts as activity.
             if let Some(idle) = idle_timeout {
-                let now = std::time::Instant::now();
+                let now = Instant::now();
                 let expired: Vec<u64> = clients
                     .iter()
                     .filter(|(_, c)| c.idle_expired(now, idle))
@@ -562,7 +587,7 @@ pub fn serve_epoll(
                         }
                         Ok(n) => {
                             client.conn.advance_output(n);
-                            client.last_activity = std::time::Instant::now();
+                            client.last_activity = Instant::now();
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -596,6 +621,9 @@ pub fn serve_epoll(
         // only on an error exit) drain harmlessly into dropped completions.
         work.close();
     });
+    if shutting_down {
+        service.shutdown();
+    }
     outcome
 }
 
@@ -603,12 +631,23 @@ pub fn serve_epoll(
 mod tests {
     use super::*;
     use crate::server::bind;
+    use crate::Corpus;
     use std::io::{BufRead, BufReader, BufWriter};
 
-    fn spawn_epoll(corpus: Arc<Corpus>) -> (std::net::SocketAddr, std::thread::JoinHandle<io::Result<()>>) {
+    /// Serve a fresh corpus with 2 workers and the given line cap and idle
+    /// timeout.
+    fn spawn_epoll(
+        max_line: usize,
+        idle_timeout: Option<Duration>,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<io::Result<()>>) {
         let (listener, addr) = bind("127.0.0.1:0").unwrap();
+        let options = ServeOptions {
+            max_line,
+            workers: 2,
+            idle_timeout,
+        };
         let handle =
-            std::thread::spawn(move || serve_epoll(listener, corpus, 1 << 20, 2, None));
+            std::thread::spawn(move || serve_epoll(listener, &Corpus::new(), &options));
         (addr, handle)
     }
 
@@ -629,12 +668,11 @@ mod tests {
         (status, payload)
     }
 
-    /// The epoll loop speaks the same protocol as the threads loop,
-    /// including pipelined bursts answered in request order.
+    /// The whole protocol over TCP, as pipelined bursts answered in request
+    /// order.
     #[test]
     fn epoll_round_trip_with_pipelining() {
-        let corpus = Arc::new(Corpus::new());
-        let (addr, server) = spawn_epoll(corpus);
+        let (addr, server) = spawn_epoll(1 << 20, None);
 
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -644,7 +682,7 @@ mod tests {
         // in request order.
         write!(
             writer,
-            "LOADTERMS d1 r(a(b))\nQUERY d1 descendant::b[. is $x] -> x\nMUTATE d1 INSERT 1 1 b\nQUERY d1 descendant::b[. is $x] -> x\nSTATS\nBOGUS\nEVICT d1\n"
+            "LOADTERMS d1 r(a(b))\nQUERY d1 descendant::b[. is $x] -> x\nMUTATE d1 INSERT 1 1 b\nQUERY d1 descendant::b[. is $x] -> x\nQUERYALL descendant::b[. is $x] -> x\nMUTATE d1 DELETE 99\nSTATS\nBOGUS\nEVICT d1\n"
         )
         .unwrap();
         writer.flush().unwrap();
@@ -665,6 +703,14 @@ mod tests {
         let (status, payload) = read_response(&mut reader);
         assert_eq!(status, "OK 3");
         assert_eq!(payload[0], "vars=x tuples=2");
+        let (status, payload) = read_response(&mut reader);
+        assert_eq!(status, "OK 3");
+        assert_eq!(payload[0], "doc=d1 tuples=2");
+        // An edit the document cannot take is an ERR with no payload: the
+        // next response still parses in sync.
+        let (status, payload) = read_response(&mut reader);
+        assert!(status.starts_with("ERR"), "{status}");
+        assert!(payload.is_empty());
         let (status, _) = read_response(&mut reader);
         assert_eq!(status, "OK 14");
         let (status, _) = read_response(&mut reader);
@@ -696,12 +742,10 @@ mod tests {
     }
 
     /// Overlong lines answer `ERR line too long` in-order and the
-    /// connection keeps serving (same contract as the threads loop).
+    /// connection keeps serving.
     #[test]
     fn epoll_overlong_lines_stay_in_sync() {
-        let corpus = Arc::new(Corpus::new());
-        let (listener, addr) = bind("127.0.0.1:0").unwrap();
-        let server = std::thread::spawn(move || serve_epoll(listener, corpus, 64, 2, None));
+        let (addr, server) = spawn_epoll(64, None);
 
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -727,8 +771,7 @@ mod tests {
     /// instead of being silently dropped.
     #[test]
     fn epoll_answers_clients_racing_shutdown() {
-        let corpus = Arc::new(Corpus::new());
-        let (addr, server) = spawn_epoll(corpus);
+        let (addr, server) = spawn_epoll(1 << 20, None);
 
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -759,22 +802,12 @@ mod tests {
     /// slot forever.
     #[test]
     fn epoll_drops_idle_connections() {
-        let corpus = Arc::new(Corpus::new());
-        let (listener, addr) = bind("127.0.0.1:0").unwrap();
-        let server = std::thread::spawn(move || {
-            serve_epoll(
-                listener,
-                corpus,
-                1 << 20,
-                2,
-                Some(std::time::Duration::from_millis(100)),
-            )
-        });
+        let (addr, server) = spawn_epoll(1 << 20, Some(Duration::from_millis(100)));
 
         // The staller: connects, says nothing.
         let staller = TcpStream::connect(addr).unwrap();
         staller
-            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
 
         // An active client keeps a request/response turn going.

@@ -7,6 +7,18 @@
 //! well-formed `ERR` or a partial result when it cannot — no matter which
 //! shards are slow, dead, or lying.
 //!
+//! # Serving
+//!
+//! The router is a [`Service`] of the daemon's own serving loop
+//! ([`crate::server::serve`]), so it gets the same pipelining,
+//! backpressure, idle timeout and
+//! [`ServeOptions`](crate::server::ServeOptions); `pplxd --threads`
+//! sizes its workers.  Each client connection owns a [`RouterConn`] — one
+//! [`ShardClient`] per backend — that travels with the connection's
+//! in-flight batch.  A slow shard therefore holds only its own client's
+//! worker.  After a client's `SHUTDOWN` drains the loop, the shutdown hook
+//! fans `SHUTDOWN` out to every shard.
+//!
 //! # Placement
 //!
 //! Documents are placed by consistent hashing (`Ring`): each backend owns
@@ -42,16 +54,14 @@
 //! deadlines — the injection path is the *production* decode path, not a
 //! mock.
 
-use crate::protocol::{parse_command, render_response, Command, DEFAULT_MAX_LINE};
-use crate::server::{classify_accept_error, AcceptDisposition, ACCEPT_BACKOFF};
+use crate::protocol::{parse_command, Command};
+use crate::server::Service;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use xpath_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use xpath_sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use xpath_wire::{read_request_line, ClientConfig, LineRead, Response, ShardClient, WireError};
+use xpath_sync::atomic::{AtomicUsize, Ordering};
+use xpath_sync::{Mutex, MutexGuard};
+use xpath_wire::{ClientConfig, Response, ShardClient, WireError};
 
 /// Points each backend owns on the hash circle.  Enough that document load
 /// spreads within a few percent of uniform across a handful of shards;
@@ -74,10 +84,6 @@ pub struct RouterConfig {
     /// How long a DOWN shard is skipped before one request is let through
     /// as a probe.
     pub probe_interval: Duration,
-    /// Cap on one client request line, in bytes.
-    pub max_line: usize,
-    /// Drop client connections silent for this long (`None` disables).
-    pub idle_timeout: Option<Duration>,
 }
 
 impl Default for RouterConfig {
@@ -89,8 +95,6 @@ impl Default for RouterConfig {
             connect_timeout: Duration::from_secs(1),
             fail_threshold: 3,
             probe_interval: Duration::from_millis(500),
-            max_line: DEFAULT_MAX_LINE,
-            idle_timeout: Some(crate::server::DEFAULT_IDLE_TIMEOUT),
         }
     }
 }
@@ -202,7 +206,6 @@ pub struct Router {
     /// Rotates the starting replica of read fan-outs for load spread.
     rotation: AtomicUsize,
     fault_hook: Mutex<Option<FaultHook>>,
-    shutdown: AtomicBool,
 }
 
 impl Router {
@@ -230,7 +233,6 @@ impl Router {
             health,
             rotation: AtomicUsize::new(0),
             fault_hook: Mutex::new(None),
-            shutdown: AtomicBool::new(false),
         }
     }
 
@@ -345,7 +347,7 @@ fn client_config(config: &RouterConfig) -> ClientConfig {
     ClientConfig {
         connect_timeout: Some(config.connect_timeout),
         read_timeout: Some(config.shard_timeout),
-        // The health machinery owns retries; a handler thread never sleeps
+        // The health machinery owns retries; a serving worker never sleeps
         // in a refused-connect loop.
         connect_retries: 0,
         backoff_initial: Duration::from_millis(5).min(backoff_max),
@@ -390,16 +392,6 @@ fn routed(
     result
 }
 
-/// What the serving loop does after answering one request.
-enum Control {
-    /// Keep reading this connection.
-    Continue,
-    /// `QUIT`: close this connection.
-    Close,
-    /// `SHUTDOWN`: stop the router (shards already notified).
-    Shutdown,
-}
-
 /// Per-client routing state: one [`ShardClient`] per backend, sharing the
 /// router's placement/health through an [`Arc<Router>`].
 pub struct RouterConn {
@@ -420,47 +412,38 @@ impl RouterConn {
         RouterConn { router, clients }
     }
 
-    /// Route one request line and return the response to write.  `QUIT` and
-    /// `SHUTDOWN` are resolved here (including the shard fan-out), so the
-    /// public result only distinguishes the payload.
+    /// Route one request line in process and return its response.
+    /// `SHUTDOWN` fans out to every shard here; over TCP the serving loop
+    /// answers it and the fan-out runs as the service's shutdown hook.
     pub fn handle_line(&mut self, line: &str) -> Response {
-        let (response, _) = self.handle_line_control(line);
-        response
+        let command = parse_command(line)?;
+        self.execute(line, &command)
     }
 
-    fn handle_line_control(&mut self, line: &str) -> (Response, Control) {
-        let command = match parse_command(line) {
-            Ok(command) => command,
-            Err(message) => return (Err(message), Control::Continue),
-        };
-        match &command {
-            Command::Quit => (Ok(vec!["bye".to_string()]), Control::Close),
+    /// Route one parsed request; `line` is what the shards are sent.
+    fn execute(&mut self, line: &str, command: &Command) -> Response {
+        match command {
+            Command::Quit => Ok(vec!["bye".to_string()]),
             Command::Shutdown => {
-                // Best effort, in parallel, DOWN shards included: a dying
-                // fleet should still be told to stop.
-                self.scatter("SHUTDOWN", &command, true);
-                (Ok(vec!["bye".to_string()]), Control::Shutdown)
+                self.shutdown_shards();
+                Ok(vec!["bye".to_string()])
             }
             Command::Load { name, .. } | Command::LoadTerms { name, .. } => {
-                let name = name.clone();
-                (self.route_load(&name, line, &command), Control::Continue)
+                self.route_load(name, line, command)
             }
-            Command::Query { name, .. } => {
-                let name = name.clone();
-                (self.route_query(&name, line, &command), Control::Continue)
-            }
-            Command::Mutate { name, .. } => {
-                let name = name.clone();
-                (self.route_mutate(&name, line, &command), Control::Continue)
-            }
-            Command::Evict(Some(name)) => {
-                let name = name.clone();
-                (self.route_evict_one(&name, line, &command), Control::Continue)
-            }
-            Command::Evict(None) => (self.route_evict_all(line, &command), Control::Continue),
-            Command::Stats => (self.route_stats(line, &command), Control::Continue),
-            Command::QueryAll { .. } => (self.route_queryall(line, &command), Control::Continue),
+            Command::Query { name, .. } => self.route_query(name, line, command),
+            Command::Mutate { name, .. } => self.route_mutate(name, line, command),
+            Command::Evict(Some(name)) => self.route_evict_one(name, line, command),
+            Command::Evict(None) => self.route_evict_all(line, command),
+            Command::Stats => self.route_stats(line, command),
+            Command::QueryAll { .. } => self.route_queryall(line, command),
         }
+    }
+
+    /// Tell every shard to stop: best effort, in parallel, DOWN shards
+    /// included — a dying fleet should still be told to stop.
+    fn shutdown_shards(&mut self) {
+        self.scatter("SHUTDOWN", &Command::Shutdown, true);
     }
 
     /// `LOAD`/`LOADTERMS`: write to every replica; success is at least one
@@ -779,128 +762,84 @@ fn split_doc_blocks(lines: &[String]) -> Vec<(String, Vec<String>)> {
     blocks
 }
 
-/// Serve one router client until `QUIT`, `SHUTDOWN`, disconnect, or idle
-/// timeout.  Returns `true` when the client requested a router shutdown.
-fn handle_router_client(stream: TcpStream, router: Arc<Router>) -> bool {
-    let Ok(read_half) = stream.try_clone() else {
-        return false;
-    };
-    let idle = router.config.idle_timeout;
-    if stream.set_read_timeout(idle).is_err() || stream.set_write_timeout(idle).is_err() {
-        return false;
-    }
-    let max_line = router.config.max_line.max(1);
-    let mut conn = RouterConn::new(Arc::clone(&router));
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let write_response = |writer: &mut BufWriter<TcpStream>, response: &Response| {
-        writer
-            .write_all(&render_response(response))
-            .and_then(|()| writer.flush())
-    };
-    loop {
-        let line = match read_request_line(&mut reader, max_line) {
-            Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::TooLong) => {
-                let response = Err(format!("line too long (max {max_line} bytes)"));
-                if write_response(&mut writer, &response).is_err() {
-                    break;
-                }
-                continue;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                let _ = write_response(
-                    &mut writer,
-                    &Err("idle timeout, closing connection".to_string()),
-                );
-                break;
-            }
-            Ok(LineRead::Eof) | Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, control) = conn.handle_line_control(&line);
-        if write_response(&mut writer, &response).is_err() {
-            break;
-        }
-        match control {
-            Control::Continue => {}
-            Control::Close => break,
-            Control::Shutdown => return true,
-        }
-    }
-    false
-}
+/// `pplxd --route`: the serving loop's workers route each request through
+/// the connection's own [`RouterConn`].
+impl Service for Arc<Router> {
+    type State = RouterConn;
 
-/// The router accept loop: thread per client, same transient-`accept()`
-/// resilience as the daemon's serving loop, until a client sends
-/// `SHUTDOWN` (which also fans out to every backend shard).
-pub fn serve_router(listener: TcpListener, router: Arc<Router>) -> std::io::Result<()> {
-    let mut addr = listener.local_addr()?;
-    if addr.ip().is_unspecified() {
-        let loopback: std::net::IpAddr = if addr.is_ipv4() {
-            std::net::Ipv4Addr::LOCALHOST.into()
-        } else {
-            std::net::Ipv6Addr::LOCALHOST.into()
-        };
-        addr.set_ip(loopback);
+    fn open(&self) -> RouterConn {
+        RouterConn::new(Arc::clone(self))
     }
-    xpath_sync::thread::scope(|scope| -> std::io::Result<()> {
-        loop {
-            let mut stream = match listener.accept().map(|(stream, _)| stream) {
-                Ok(stream) => stream,
-                Err(e) => match classify_accept_error(&e) {
-                    AcceptDisposition::Retry => continue,
-                    AcceptDisposition::RetryAfterSleep => {
-                        std::thread::sleep(ACCEPT_BACKOFF);
-                        continue;
-                    }
-                    AcceptDisposition::Fatal => return Err(e),
-                },
-            };
-            if router.shutdown.load(Ordering::SeqCst) {
-                let _ = stream.write_all(b"ERR shutting down\n");
-                return Ok(());
-            }
-            let _ = stream.set_nodelay(true);
-            let router = Arc::clone(&router);
-            scope.spawn(move || {
-                let wake = Arc::clone(&router);
-                if handle_router_client(stream, router) {
-                    wake.shutdown.store(true, Ordering::SeqCst);
-                    let _ = TcpStream::connect(addr);
-                }
-            });
-        }
-    })
+
+    fn execute(&self, conn: &mut RouterConn, line: &str, command: &Command) -> Response {
+        conn.execute(line, command)
+    }
+
+    fn shutdown(&self) {
+        RouterConn::new(Arc::clone(self)).shutdown_shards();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{bind, serve};
+    use crate::server::{bind, serve, ServeOptions};
     use crate::Corpus;
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader, BufWriter, Write};
+    use std::net::{TcpListener, TcpStream};
+    use xpath_sync::atomic::AtomicBool;
 
-    /// A backend with a short idle timeout, so a test's `SHUTDOWN`/kill is
-    /// not held open for a minute by the router's still-connected shard
-    /// clients (the staleness detection reconnects them transparently).
     fn spawn_backend() -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
         let (listener, addr) = bind("127.0.0.1:0").unwrap();
-        let corpus = Arc::new(Corpus::new());
-        let options = crate::server::ServeOptions {
-            io: crate::server::IoMode::Threads,
-            idle_timeout: Some(Duration::from_millis(300)),
-            ..crate::server::ServeOptions::default()
-        };
         let handle = std::thread::spawn(move || {
-            crate::server::serve_with_options(listener, corpus, &options)
+            serve(listener, &Corpus::new(), &ServeOptions::default())
         });
         (addr.to_string(), handle)
+    }
+
+    /// Serve `router` over TCP with `workers` workers.
+    fn spawn_router(
+        router: &Arc<Router>,
+        workers: usize,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
+        let (listener, addr) = bind("127.0.0.1:0").unwrap();
+        let router = Arc::clone(router);
+        let options = ServeOptions {
+            workers,
+            ..ServeOptions::default()
+        };
+        (addr, std::thread::spawn(move || serve(listener, &router, &options)))
+    }
+
+    /// A client connection: its reader and writer halves.
+    fn connect(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, BufWriter<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), BufWriter::new(stream))
+    }
+
+    fn read_response(reader: &mut BufReader<TcpStream>) -> (String, Vec<String>) {
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        let status = status.trim().to_string();
+        let n = status
+            .strip_prefix("OK ")
+            .map(|n| n.parse::<usize>().unwrap())
+            .unwrap_or(0);
+        let mut payload = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            payload.push(line.trim_end().to_string());
+        }
+        (status, payload)
+    }
+
+    /// Write `lines` in one flush.
+    fn send(writer: &mut BufWriter<TcpStream>, lines: &[&str]) {
+        for line in lines {
+            writeln!(writer, "{line}").unwrap();
+        }
+        writer.flush().unwrap();
     }
 
     fn fast_router(backends: Vec<String>, replication: usize) -> Router {
@@ -911,7 +850,6 @@ mod tests {
             connect_timeout: Duration::from_millis(400),
             fail_threshold: 1,
             probe_interval: Duration::from_millis(50),
-            ..RouterConfig::default()
         })
     }
 
@@ -1140,8 +1078,9 @@ mod tests {
 
         // The backend comes back on the same port…
         let listener = TcpListener::bind(addr).unwrap();
-        let corpus = Arc::new(Corpus::new());
-        let backend = std::thread::spawn(move || serve(listener, corpus));
+        let backend = std::thread::spawn(move || {
+            serve(listener, &Corpus::new(), &ServeOptions::default())
+        });
         // …and after the probe interval one request goes through as the
         // probe and flips the shard UP.
         std::thread::sleep(Duration::from_millis(120));
@@ -1229,32 +1168,11 @@ mod tests {
         let backends: Vec<_> = (0..2).map(|_| spawn_backend()).collect();
         let addrs: Vec<String> = backends.iter().map(|(a, _)| a.clone()).collect();
         let router = Arc::new(fast_router(addrs, 2));
-        let (listener, addr) = bind("127.0.0.1:0").unwrap();
-        let server = {
-            let router = Arc::clone(&router);
-            std::thread::spawn(move || serve_router(listener, router))
-        };
-
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        let mut request = |line: &str| -> (String, Vec<String>) {
-            writeln!(writer, "{line}").unwrap();
-            writer.flush().unwrap();
-            let mut status = String::new();
-            reader.read_line(&mut status).unwrap();
-            let status = status.trim().to_string();
-            let n = status
-                .strip_prefix("OK ")
-                .map(|n| n.parse::<usize>().unwrap())
-                .unwrap_or(0);
-            let mut payload = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                payload.push(line.trim_end().to_string());
-            }
-            (status, payload)
+        let (addr, server) = spawn_router(&router, 2);
+        let (mut reader, mut writer) = connect(addr);
+        let mut request = |line: &str| {
+            send(&mut writer, &[line]);
+            read_response(&mut reader)
         };
 
         let (status, payload) = request("LOAD bib <bib><book><author/></book></bib>");
@@ -1268,6 +1186,8 @@ mod tests {
         let (_, payload) = request("STATS");
         assert_eq!(payload[1], "shards_up=2");
 
+        // SHUTDOWN is answered, the router drains, and its shutdown hook
+        // stops every shard before `serve` returns.
         let (status, payload) = request("SHUTDOWN");
         assert_eq!(status, "OK 1");
         assert_eq!(payload, vec!["bye"]);
@@ -1275,5 +1195,80 @@ mod tests {
         for (_, handle) in backends {
             handle.join().unwrap().unwrap();
         }
+    }
+
+    /// A pipelined burst written in one flush through the router is
+    /// answered in request order, writes before the reads that see them.
+    #[test]
+    fn router_answers_a_pipelined_burst_in_order() {
+        let backends: Vec<_> = (0..2).map(|_| spawn_backend()).collect();
+        let addrs: Vec<String> = backends.iter().map(|(a, _)| a.clone()).collect();
+        let router = Arc::new(fast_router(addrs, 2));
+        let (addr, server) = spawn_router(&router, 2);
+        let (mut reader, mut writer) = connect(addr);
+        send(
+            &mut writer,
+            &[
+                "LOADTERMS d r(a(b))",
+                "QUERY d descendant::b[. is $x] -> x",
+                "MUTATE d INSERT 1 1 b",
+                "QUERY d descendant::b[. is $x] -> x",
+                "BOGUS",
+                "EVICT d",
+                "SHUTDOWN",
+            ],
+        );
+        assert_eq!(read_response(&mut reader).1, vec!["loaded d replicas=2/2"]);
+        assert_eq!(read_response(&mut reader).1, vec!["vars=x tuples=1", "b#2"]);
+        let (status, payload) = read_response(&mut reader);
+        assert_eq!(status, "OK 3", "{payload:?}");
+        assert_eq!(payload[0], "mutated d replicas=2/2");
+        assert_eq!(read_response(&mut reader).1[0], "vars=x tuples=2");
+        assert!(read_response(&mut reader).0.starts_with("ERR unknown command"));
+        assert_eq!(read_response(&mut reader).1, vec!["evicted=true"]);
+        assert_eq!(read_response(&mut reader).1, vec!["bye"]);
+        server.join().unwrap().unwrap();
+        for (_, handle) in backends {
+            handle.join().unwrap().unwrap();
+        }
+    }
+
+    /// With two workers, a `QUERY` held by a slow shard blocks only its own
+    /// connection: another connection's `QUERY` is answered meanwhile.
+    #[test]
+    fn slow_shard_blocks_only_its_own_connection() {
+        const DELAY: Duration = Duration::from_millis(600);
+        let backend = spawn_backend();
+        let router = Arc::new(fast_router(vec![backend.0.clone()], 1));
+        router.set_fault_hook(Arc::new(|_, command| match command {
+            Command::Query { name, .. } if name == "slow" => FaultAction::Delay(DELAY),
+            _ => FaultAction::None,
+        }));
+        assert!(DELAY < router.config().shard_timeout, "a delay, not a timeout");
+        let (addr, server) = spawn_router(&router, 2);
+        let (mut slow_reader, mut slow_writer) = connect(addr);
+        let (mut fast_reader, mut fast_writer) = connect(addr);
+        send(&mut fast_writer, &["LOADTERMS slow r(a)", "LOADTERMS fast r(b)"]);
+        read_response(&mut fast_reader);
+        read_response(&mut fast_reader);
+
+        let start = Instant::now();
+        send(&mut slow_writer, &["QUERY slow descendant::a"]);
+        // Give the slow request time to reach its worker first.
+        std::thread::sleep(Duration::from_millis(50));
+        send(&mut fast_writer, &["QUERY fast descendant::b"]);
+        assert_eq!(read_response(&mut fast_reader).1, vec!["satisfiable=true"]);
+        let fast_done = start.elapsed();
+        assert_eq!(read_response(&mut slow_reader).1, vec!["satisfiable=true"]);
+        assert!(
+            fast_done < DELAY && start.elapsed() >= DELAY,
+            "fast answered after {fast_done:?}, slow after {:?}",
+            start.elapsed()
+        );
+
+        send(&mut fast_writer, &["SHUTDOWN"]);
+        assert_eq!(read_response(&mut fast_reader).1, vec!["bye"]);
+        server.join().unwrap().unwrap();
+        backend.1.join().unwrap().unwrap();
     }
 }

@@ -1,8 +1,7 @@
 //! Multi-client daemon hammer: N concurrent clients pipeline mixed
 //! LOADTERMS / QUERY / STATS / EVICT bursts against one daemon, and every
 //! response is checked against a single-threaded oracle (the same command
-//! list executed against a private, solo [`Corpus`]).  Run for both `--io`
-//! modes.
+//! list executed against a private, solo [`Corpus`]).
 //!
 //! Determinism under concurrency: each client only ever touches its *own*
 //! documents (`c<i>_d<j>`), so its QUERY/EVICT responses are independent of
@@ -13,7 +12,7 @@
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
-use xpath_corpus::server::{bind, execute_command, parse_command, serve_with_options, IoMode, ServeOptions};
+use xpath_corpus::server::{bind, execute_command, parse_command, serve, ServeOptions};
 use xpath_corpus::Corpus;
 
 const CLIENTS: usize = 8;
@@ -137,14 +136,13 @@ fn run_client(addr: SocketAddr, client: usize, barrier: Arc<Barrier>) {
     assert_eq!(payload[0], "bye");
 }
 
-fn hammer(io: IoMode) {
+#[cfg(target_os = "linux")]
+#[test]
+fn hammer_epoll_mode() {
     let (listener, addr) = bind("127.0.0.1:0").unwrap();
-    let corpus = Arc::new(Corpus::new());
-    let options = ServeOptions {
-        io,
-        ..ServeOptions::default()
-    };
-    let server = std::thread::spawn(move || serve_with_options(listener, corpus, &options));
+    let server = std::thread::spawn(move || {
+        serve(listener, &Corpus::new(), &ServeOptions::default())
+    });
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let clients: Vec<_> = (0..CLIENTS)
@@ -167,15 +165,4 @@ fn hammer(io: IoMode) {
     assert_eq!(status, "OK 1");
     assert_eq!(payload[0], "bye");
     server.join().unwrap().unwrap();
-}
-
-#[test]
-fn hammer_threads_mode() {
-    hammer(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn hammer_epoll_mode() {
-    hammer(IoMode::Epoll);
 }

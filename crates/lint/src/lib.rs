@@ -16,8 +16,8 @@
 //!   resources.
 //! * **wire-read** — no unbounded read methods (`.read_line`,
 //!   `.read_to_end`, `.read_until`, `.read_to_string`) in non-test
-//!   `crates/corpus` code: wire input goes through `xpath_wire`'s
-//!   length-capped readers.
+//!   `crates/corpus` code: wire input goes through the length-capped
+//!   `protocol::Conn`.
 //! * **std-sync-import** — crates ported to the `xpath_sync` facade
 //!   (`crates/corpus`, `crates/pplbin`) must not name `std::sync` lock
 //!   types (`Mutex`, `Condvar`, `RwLock`, guards) in non-test code;
@@ -59,13 +59,11 @@ impl fmt::Display for Finding {
 const SANCTIONED_SPAWN_MODULES: &[&str] = &["crates/bench/src/regress.rs"];
 
 /// Crates whose non-test code must route locking through `xpath_sync`.
-const FACADE_PORTED_PREFIXES: &[&str] =
-    &["crates/corpus/src/", "crates/incr/src/", "crates/pplbin/src/"];
+const FACADE_PORTED_PREFIXES: &[&str] = &["crates/corpus/src/", "crates/pplbin/src/"];
 
 /// Crates whose request paths must not `.unwrap()`/`.expect()` lock or I/O
 /// results.
-const NO_LOCK_UNWRAP_PREFIXES: &[&str] =
-    &["crates/corpus/src/", "crates/incr/src/", "crates/wire/src/"];
+const NO_LOCK_UNWRAP_PREFIXES: &[&str] = &["crates/corpus/src/", "crates/wire/src/"];
 
 /// Where the wire-read rule applies (the daemon/router request paths).
 const BOUNDED_READ_PREFIXES: &[&str] = &["crates/corpus/src/"];
@@ -584,7 +582,7 @@ fn rule_wire_read(
             line: t.line,
             message: format!(
                 "unbounded `.{}()` on a daemon request path — wire input must go through \
-                 `xpath_wire`'s length-capped readers",
+                 the length-capped `protocol::Conn`",
                 t.text
             ),
         });
@@ -836,7 +834,7 @@ fn f(m: &Mutex<u32>) -> u32 {
             "fn f(r: &mut impl BufRead) { let mut s = String::new(); r.read_line(&mut s); }\n";
         let found = scan_source("crates/corpus/src/server.rs", bad);
         assert_eq!(rules(&found), vec!["wire-read"], "{found:?}");
-        // xpath_wire owns its bounded readers; other crates are out of scope.
+        // Other crates are out of scope.
         assert!(scan_source("crates/wire/src/lib.rs", bad).is_empty());
         // Path-qualified filesystem reads are not wire input.
         let fs_read = "fn f() { let _ = std::fs::read_to_string(\"x\"); }\n";

@@ -5,7 +5,7 @@
 //! atomic access, thread spawn/join — is a *scheduling point*.  Virtual
 //! threads are real OS threads, but a baton protocol guarantees that **at
 //! most one of them is ever runnable**: at each scheduling point the running
-//! thread consults the shared [`Kernel`], which picks the next thread to run
+//! thread consults the shared `Kernel`, which picks the next thread to run
 //! from a seeded pseudo-random stream.  Executions are therefore fully
 //! deterministic per seed: a failing interleaving found by [`explore`] can be
 //! replayed forever with [`replay`] and the same seed.

@@ -1,17 +1,15 @@
 //! The `pplxd` line-protocol wire layer, shared by every speaker of the
-//! protocol: the daemon's serving loops (`xpath_corpus::server`), the
+//! protocol: the daemon's serving loop (`xpath_corpus::server`), the
 //! sharding router (`xpath_corpus::router`), and the `pplx --connect`
 //! client.
 //!
 //! The protocol is line-based: one request line in, a status line plus
 //! zero or more payload lines out.  `OK <n>` is followed by exactly `n`
-//! payload lines; `ERR <message>` stands alone.  This crate owns the three
+//! payload lines; `ERR <message>` stands alone.  This crate owns the two
 //! transport-adjacent pieces every endpoint needs and none should
-//! reimplement:
+//! reimplement (bounded request-line reads live in the serving loop's
+//! sans-IO `xpath_corpus::protocol::Conn`):
 //!
-//! * **bounded request-line reads** — [`read_request_line`] caps memory at
-//!   `max_len` bytes no matter what the peer streams, drains overlong
-//!   lines, and keeps the connection in sync ([`LineRead`]);
 //! * **response framing** — [`render_response`] encodes a command result
 //!   into wire bytes, [`parse_status`] decodes a status line back into
 //!   a payload count or error;
@@ -28,76 +26,9 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
-
-/// Outcome of one bounded request-line read.
-#[derive(Debug)]
-pub enum LineRead {
-    /// A complete line (without the trailing newline / CRLF).
-    Line(String),
-    /// The line exceeded the cap; the remainder has been drained, the
-    /// connection is still in sync.
-    TooLong,
-    /// End of stream.
-    Eof,
-}
-
-/// Discard input up to and including the next newline.  Returns `false` at
-/// end of stream.
-fn drain_line<R: BufRead>(reader: &mut R) -> io::Result<bool> {
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(false);
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                reader.consume(pos + 1);
-                return Ok(true);
-            }
-            None => {
-                let len = available.len();
-                reader.consume(len);
-            }
-        }
-    }
-}
-
-/// Read one request line of at most `max_len` bytes (newline excluded).
-///
-/// Unlike `BufRead::lines`, memory use is bounded by `max_len` no matter
-/// what the peer sends: an overlong line is consumed (not buffered) up to
-/// its newline and reported as [`LineRead::TooLong`], leaving the stream
-/// positioned at the next request so the connection stays usable.
-pub fn read_request_line<R: BufRead>(reader: &mut R, max_len: usize) -> io::Result<LineRead> {
-    let mut buf = Vec::new();
-    // `take` bounds what read_until may buffer; one extra byte distinguishes
-    // "exactly max_len" from "longer than max_len".
-    let n = reader
-        .by_ref()
-        .take(max_len as u64 + 1)
-        .read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(LineRead::Eof);
-    }
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
-        }
-    } else if n > max_len {
-        // Overlong: skip to the end of the offending line.
-        if !drain_line(reader)? {
-            return Ok(LineRead::Eof);
-        }
-        return Ok(LineRead::TooLong);
-    }
-    // Non-UTF-8 bytes only ever reach the command parser, which will reject
-    // the verb; mangling them lossily beats killing the connection.
-    Ok(LineRead::Line(String::from_utf8_lossy(&buf).into_owned()))
-}
 
 /// Serialise one command result into wire bytes: `OK <n>` plus `n` payload
 /// lines, or a single `ERR <message>` line.
@@ -504,28 +435,8 @@ fn read_line_deadline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
     use std::net::TcpListener;
     use std::sync::mpsc;
-
-    #[test]
-    fn bounded_line_reads_cap_memory_and_stay_in_sync() {
-        let mut r = Cursor::new(b"short\r\nexactly8\nwaaaaaay too long line\nnext\ntail".to_vec());
-        let next = |r: &mut Cursor<Vec<u8>>| read_request_line(r, 8).unwrap();
-        assert!(matches!(next(&mut r), LineRead::Line(l) if l == "short"));
-        assert!(matches!(next(&mut r), LineRead::Line(l) if l == "exactly8"));
-        // The overlong line is consumed, not buffered, and the stream is
-        // positioned at the next request.
-        assert!(matches!(next(&mut r), LineRead::TooLong));
-        assert!(matches!(next(&mut r), LineRead::Line(l) if l == "next"));
-        // Final line without a newline, within the cap.
-        assert!(matches!(next(&mut r), LineRead::Line(l) if l == "tail"));
-        assert!(matches!(next(&mut r), LineRead::Eof));
-        // An overlong line that hits EOF before its newline is EOF, not a
-        // request.
-        let mut r = Cursor::new(b"0123456789 endless".to_vec());
-        assert!(matches!(read_request_line(&mut r, 8).unwrap(), LineRead::Eof));
-    }
 
     #[test]
     fn response_framing_round_trips() {

@@ -5,8 +5,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use xpath_corpus::server::{bind, serve};
+use xpath_corpus::server::{bind, serve, ServeOptions};
 use xpath_corpus::{Corpus, CorpusConfig};
 use xpath_tests::differential::{run_corpus_fuzz, FuzzConfig};
 
@@ -60,11 +59,12 @@ fn fuzz_corpus_with_single_label_alphabet() {
 #[test]
 fn daemon_round_trip_over_tcp() {
     let (listener, addr) = bind("127.0.0.1:0").unwrap();
-    let corpus = Arc::new(Corpus::with_config(CorpusConfig {
+    let corpus = Corpus::with_config(CorpusConfig {
         memory_budget: Some(1 << 16),
         ..CorpusConfig::default()
-    }));
-    let server = std::thread::spawn(move || serve(listener, corpus));
+    });
+    let server =
+        std::thread::spawn(move || serve(listener, &corpus, &ServeOptions::default()));
 
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
