@@ -9,11 +9,18 @@
 //!   `|t|ⁿ`);
 //! * `ppl_nary_output_scaling`: fixed query and width, documents with
 //!   increasing answer-set sizes (output sensitivity).
+//!
+//! `fig8_drain` isolates the second term of the bound: the `MC` table and
+//! the Fig. 8 drain of one [`AnswerStream`] over precompiled atoms, on the
+//! 2100-node random document of the serving benchmark.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppl_xpath::{Document, PplQuery};
+use xpath_ast::{parse_path, Var};
+use xpath_hcl::oracle::intern_atoms;
+use xpath_hcl::{ppl_to_hcl, AnswerStream, EquationSystem, PplBinAtoms};
 use xpath_tree::generate::{bibliography, restaurants, RESTAURANT_ATTRIBUTES};
-use xpath_workload::{bibliography_pairs_query, restaurant_query};
+use xpath_workload::{bibliography_pairs_query, corpus_documents, restaurant_query};
 
 fn ppl_nary_tree_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("ppl_nary_tree_scaling");
@@ -68,10 +75,35 @@ fn ppl_nary_output_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+fn fig8_drain(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fig8_drain");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    let (_, tree) = corpus_documents(3, 700, 2007).pop().unwrap();
+    assert_eq!(tree.len(), 2100);
+    let queries = [
+        ("union", "descendant::l0[. is $x] union descendant::l2[. is $x]"),
+        ("descendant", "descendant::l1[. is $x]"),
+    ];
+    for (name, src) in queries {
+        let hcl = ppl_to_hcl(&parse_path(src).unwrap()).unwrap();
+        let (interned, atoms) = intern_atoms(&hcl);
+        let compiled = PplBinAtoms::compile(&tree, &atoms);
+        let eq = EquationSystem::from_hcl(&interned);
+        let output = vec![Var::new("x")];
+        group.bench_function(BenchmarkId::new("t2100", name), |b| {
+            b.iter(|| AnswerStream::new(eq.clone(), compiled.clone(), output.clone()).count())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     ppl_nary_tree_scaling,
     ppl_nary_width_scaling,
-    ppl_nary_output_scaling
+    ppl_nary_output_scaling,
+    fig8_drain
 );
 criterion_main!(benches);

@@ -214,8 +214,10 @@ impl fmt::Display for QueryPlan {
     }
 }
 
-/// The cost-based engine selector.  The thresholds are tunable; the
-/// defaults are calibrated on the E10/E12 workloads.
+/// The cost-based engine selector.  The thresholds are tunable.  The `acq`
+/// rule is uncalibrated: in `BENCH_4.json` (E12, |t| = 180) auto planning
+/// took 1524.4 µs against 1175.9 µs for always-`ppl`.  EXPERIMENTS.md
+/// ("Fig. 8 answering kernel") records what removing the rule costs.
 #[derive(Debug, Clone)]
 pub struct Planner {
     /// Instances with `naive_cost()` at or below this run on the naive

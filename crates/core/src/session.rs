@@ -257,9 +257,11 @@ impl Session {
 
     /// Execute a prepared plan as a lazy stream of answer tuples.
     ///
-    /// Plans on the Fig. 8 engines stream genuinely: atom matrices are
-    /// compiled up front but the per-start-node exploration happens on
-    /// demand, so taking `k` tuples does not pay for the full answer set.
+    /// Plans on the Fig. 8 engines stream genuinely: atom matrices and the
+    /// `MC` table are computed up front, but the exploration of the query's
+    /// top-level leaves — from the image nodes of a leading atom, or from
+    /// the start nodes of any other leaf — happens on demand, so taking `k`
+    /// tuples does not pay for the full answer set.
     /// Each engine keeps the exact contract of [`Session::execute`] —
     /// `ppl` plans compile through the shared store, `hcl` plans compile
     /// cold (never touching the session cache), and `acq` and `naive`
@@ -315,9 +317,11 @@ impl Session {
 /// A lazy iterator over the answer tuples of an executed plan.
 ///
 /// Yields one `Vec<NodeId>` per answer tuple (one node per output variable,
-/// in [`AnswerIter::variables`] order).  Streams from the Fig. 8 engine are
-/// lazy and yield in discovery order; materialised fallbacks (naive plans)
-/// yield in lexicographic order.  The iterator is self-contained and `Send`.
+/// in [`AnswerIter::variables`] order).  Streams from the Fig. 8 engines
+/// (`ppl`, `hcl`) are lazy and yield in discovery order: leaf by leaf, then
+/// image or start node by node (see [`xpath_hcl::AnswerStream`]).
+/// Materialised fallbacks (`acq` and naive plans) yield in lexicographic
+/// order.  The iterator is self-contained and `Send`.
 #[derive(Debug)]
 pub struct AnswerIter {
     variables: Vec<Var>,
