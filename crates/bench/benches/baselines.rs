@@ -13,10 +13,11 @@
 //!   queries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppl_xpath::{Document, Engine, PplQuery};
+use ppl_xpath::{Engine, Session};
 use xpath_acq::{answer_acq, hcl_to_acq};
 use xpath_ast::binexpr::from_variable_free_path;
 use xpath_ast::{parse_path, Var};
+use xpath_bench::forced_plan;
 use xpath_hcl::{answer_hcl_pplbin, ppl_to_hcl};
 use xpath_pplbin::{answer_binary, unary_from_root};
 use xpath_tree::generate::{bibliography, restaurants, RESTAURANT_ATTRIBUTES};
@@ -29,17 +30,17 @@ fn naive_vs_ppl(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     // Small document so the naive engine terminates at width 2.
-    let doc = Document::from_tree(restaurants(4, &RESTAURANT_ATTRIBUTES[..4], 3));
+    let session = Session::from_tree(restaurants(4, &RESTAURANT_ATTRIBUTES[..4], 3));
     for &width in &[1usize, 2] {
         let (query, vars) = restaurant_query(width);
-        let compiled = PplQuery::compile_path(query.clone(), vars.clone()).unwrap();
+        let plan = forced_plan(&session, query.clone(), vars.clone(), Engine::Ppl);
         group.bench_with_input(BenchmarkId::new("ppl", width), &width, |b, _| {
-            b.iter(|| compiled.answers(&doc).unwrap().len())
+            b.iter(|| session.execute(&plan).unwrap().len())
         });
         group.bench_with_input(BenchmarkId::new("naive", width), &width, |b, _| {
             b.iter(|| {
                 Engine::NaiveEnumeration
-                    .answer(&doc, &query, &vars)
+                    .answer(&session, &query, &vars)
                     .unwrap()
                     .len()
             })
@@ -57,11 +58,11 @@ fn varsharing_sat(c: &mut Criterion) {
         let instance = random_3sat(vars, vars + 2, 17);
         let tree = encode_sat_tree(&instance);
         let (query, _) = encode_sat_query(&instance);
-        let doc = Document::from_tree(tree);
+        let session = Session::from_tree(tree);
         group.bench_with_input(BenchmarkId::new("naive_nonempty", vars), &vars, |b, _| {
             b.iter(|| {
                 !Engine::NaiveEnumeration
-                    .answer(&doc, &query, &[])
+                    .answer(&session, &query, &[])
                     .unwrap()
                     .is_empty()
             })
@@ -75,7 +76,7 @@ fn acq_vs_hcl(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    let doc = Document::from_tree(bibliography(80, 3));
+    let session = Session::from_tree(bibliography(80, 3));
     let ppl = parse_path(
         "descendant::book[child::author[. is $a]]/child::title[. is $t]",
     )
@@ -83,11 +84,11 @@ fn acq_vs_hcl(c: &mut Criterion) {
     let output = [Var::new("a"), Var::new("t")];
     let hcl = ppl_to_hcl(&ppl).unwrap();
     group.bench_function("hcl_fig8", |b| {
-        b.iter(|| answer_hcl_pplbin(doc.tree(), &hcl, &output).unwrap().len())
+        b.iter(|| answer_hcl_pplbin(session.tree(), &hcl, &output).unwrap().len())
     });
     group.bench_function("yannakakis", |b| {
         b.iter(|| {
-            let (cq, db) = hcl_to_acq(doc.tree(), &hcl, &output).unwrap();
+            let (cq, db) = hcl_to_acq(session.tree(), &hcl, &output).unwrap();
             answer_acq(&cq, &db).unwrap().len()
         })
     });
@@ -99,24 +100,24 @@ fn corexpath1_vs_matrix(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    let doc = Document::from_tree(bibliography(150, 3));
+    let session = Session::from_tree(bibliography(150, 3));
     let query = from_variable_free_path(
         &parse_path("child::book[child::author]/child::title").unwrap(),
     )
     .unwrap();
     group.bench_function("corexpath1_sets", |b| {
-        b.iter(|| unary_from_root(doc.tree(), &query).unwrap().len())
+        b.iter(|| unary_from_root(session.tree(), &query).unwrap().len())
     });
     group.bench_function("matrix_cubic", |b| {
         b.iter(|| {
-            answer_binary(doc.tree(), &query)
-                .successors(doc.root())
+            answer_binary(session.tree(), &query)
+                .successors(session.root())
                 .count()
         })
     });
     group.bench_function("corexpath1_full_set", |b| {
         b.iter(|| {
-            xpath_pplbin::succ_set(doc.tree(), &query, &NodeSet::full(doc.len()))
+            xpath_pplbin::succ_set(session.tree(), &query, &NodeSet::full(session.len()))
                 .unwrap()
                 .len()
         })

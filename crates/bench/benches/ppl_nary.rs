@@ -15,8 +15,9 @@
 //! 2100-node random document of the serving benchmark.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppl_xpath::{Document, PplQuery};
+use ppl_xpath::{Engine, Session};
 use xpath_ast::{parse_path, Var};
+use xpath_bench::forced_plan;
 use xpath_hcl::oracle::intern_atoms;
 use xpath_hcl::{ppl_to_hcl, AnswerStream, EquationSystem, PplBinAtoms};
 use xpath_tree::generate::{bibliography, restaurants, RESTAURANT_ATTRIBUTES};
@@ -28,11 +29,11 @@ fn ppl_nary_tree_scaling(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     let (query, vars) = bibliography_pairs_query();
-    let compiled = PplQuery::compile_path(query, vars).unwrap();
     for &books in &[20usize, 40, 80, 160] {
-        let doc = Document::from_tree(bibliography(books, 3));
-        group.bench_with_input(BenchmarkId::new("books", books), &doc, |b, d| {
-            b.iter(|| compiled.answers(d).unwrap().len())
+        let session = Session::from_tree(bibliography(books, 3));
+        let plan = forced_plan(&session, query.clone(), vars.clone(), Engine::Ppl);
+        group.bench_with_input(BenchmarkId::new("books", books), &session, |b, s| {
+            b.iter(|| s.execute(&plan).unwrap().len())
         });
     }
     group.finish();
@@ -43,12 +44,12 @@ fn ppl_nary_width_scaling(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    let doc = Document::from_tree(restaurants(40, &RESTAURANT_ATTRIBUTES, 5));
+    let session = Session::from_tree(restaurants(40, &RESTAURANT_ATTRIBUTES, 5));
     for &width in &[1usize, 3, 5, 7, 9, 11] {
         let (query, vars) = restaurant_query(width);
-        let compiled = PplQuery::compile_path(query, vars).unwrap();
-        group.bench_with_input(BenchmarkId::new("width", width), &compiled, |b, q| {
-            b.iter(|| q.answers(&doc).unwrap().len())
+        let plan = forced_plan(&session, query, vars, Engine::Ppl);
+        group.bench_with_input(BenchmarkId::new("width", width), &plan, |b, p| {
+            b.iter(|| session.execute(p).unwrap().len())
         });
     }
     group.finish();
@@ -62,15 +63,13 @@ fn ppl_nary_output_scaling(c: &mut Criterion) {
     // Same tree size, growing answer sets: more authors per book means more
     // (author, title) pairs while |t| stays comparable.
     let (query, vars) = bibliography_pairs_query();
-    let compiled = PplQuery::compile_path(query, vars).unwrap();
     for &max_authors in &[1usize, 2, 4, 8] {
-        let doc = Document::from_tree(bibliography(60, max_authors));
-        let answers = compiled.answers(&doc).unwrap().len();
-        group.bench_with_input(
-            BenchmarkId::new("answers", answers),
-            &doc,
-            |b, d| b.iter(|| compiled.answers(d).unwrap().len()),
-        );
+        let session = Session::from_tree(bibliography(60, max_authors));
+        let plan = forced_plan(&session, query.clone(), vars.clone(), Engine::Ppl);
+        let answers = session.execute(&plan).unwrap().len();
+        group.bench_with_input(BenchmarkId::new("answers", answers), &session, |b, s| {
+            b.iter(|| s.execute(&plan).unwrap().len())
+        });
     }
     group.finish();
 }

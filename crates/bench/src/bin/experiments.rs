@@ -42,12 +42,12 @@
 //!   (exit non-zero on any missing key), so CI notices when the harness or
 //!   the trajectory file rots.
 
-use ppl_xpath::{Document, Engine, PplQuery};
+use ppl_xpath::{Engine, Session};
 use std::time::Duration;
 use xpath_acq::{answer_acq, hcl_to_acq};
 use xpath_ast::binexpr::from_variable_free_path;
 use xpath_ast::{parse_path, Var};
-use xpath_bench::{fmt_us, ratio, time_median};
+use xpath_bench::{fmt_us, forced_plan, ratio, time_median};
 use xpath_fo::{fo_to_xpath, Formula};
 use xpath_hcl::oracle::intern_atoms;
 use xpath_hcl::{answer_hcl_pplbin, ppl_to_hcl, EquationSystem, Hcl};
@@ -519,23 +519,23 @@ fn e3_ppl_nary() {
     println!("-- scaling in |t| (bibliography, n = 2) --");
     println!("{:>8} | {:>8} | {:>10} | {:>8}", "|t|", "|A|", "time (us)", "growth");
     let (query, vars) = bibliography_pairs_query();
-    let compiled = PplQuery::compile_path(query, vars).unwrap();
     let mut prev: Option<Duration> = None;
     for &books in &[20usize, 40, 80, 160] {
-        let doc = Document::from_tree(bibliography(books, 3));
-        let (t, answers) = time_median(RUNS, || compiled.answers(&doc).unwrap().len());
+        let session = Session::from_tree(bibliography(books, 3));
+        let plan = forced_plan(&session, query.clone(), vars.clone(), Engine::Ppl);
+        let (t, answers) = time_median(RUNS, || session.execute(&plan).unwrap().len());
         let growth = prev.map(|p| format!("x{:.2}", ratio(t, p))).unwrap_or_else(|| "-".into());
-        println!("{:>8} | {:>8} | {} | {:>8}", doc.len(), answers, fmt_us(t), growth);
+        println!("{:>8} | {:>8} | {} | {:>8}", session.len(), answers, fmt_us(t), growth);
         prev = Some(t);
     }
 
     println!("-- scaling in tuple width n (restaurants, 40 records) --");
     println!("{:>8} | {:>8} | {:>10}", "n", "|A|", "time (us)");
-    let doc = Document::from_tree(restaurants(40, &xpath_tree::generate::RESTAURANT_ATTRIBUTES, 5));
+    let session = Session::from_tree(restaurants(40, &xpath_tree::generate::RESTAURANT_ATTRIBUTES, 5));
     for &width in &[1usize, 3, 5, 7, 9, 11] {
         let (query, vars) = restaurant_query(width);
-        let compiled = PplQuery::compile_path(query, vars).unwrap();
-        let (t, answers) = time_median(RUNS, || compiled.answers(&doc).unwrap().len());
+        let plan = forced_plan(&session, query, vars, Engine::Ppl);
+        let (t, answers) = time_median(RUNS, || session.execute(&plan).unwrap().len());
         println!("{:>8} | {:>8} | {}", width, answers, fmt_us(t));
     }
     println!("(expected: polynomial growth in n — nothing like the |t|^n of the naive engine)");
@@ -543,11 +543,11 @@ fn e3_ppl_nary() {
     println!("-- output sensitivity (bibliography, 60 books, growing |A|) --");
     println!("{:>8} | {:>8} | {:>10}", "|t|", "|A|", "time (us)");
     let (query, vars) = bibliography_pairs_query();
-    let compiled = PplQuery::compile_path(query, vars).unwrap();
     for &max_authors in &[1usize, 2, 4, 8] {
-        let doc = Document::from_tree(bibliography(60, max_authors));
-        let (t, answers) = time_median(RUNS, || compiled.answers(&doc).unwrap().len());
-        println!("{:>8} | {:>8} | {}", doc.len(), answers, fmt_us(t));
+        let session = Session::from_tree(bibliography(60, max_authors));
+        let plan = forced_plan(&session, query.clone(), vars.clone(), Engine::Ppl);
+        let (t, answers) = time_median(RUNS, || session.execute(&plan).unwrap().len());
+        println!("{:>8} | {:>8} | {}", session.len(), answers, fmt_us(t));
     }
     println!("(expected: time grows with |A| roughly linearly once |A| dominates)");
 }
@@ -555,16 +555,16 @@ fn e3_ppl_nary() {
 /// E4 — Prop. 1 / Cor. 1: the naive enumeration baseline is exponential in n.
 fn e4_naive_vs_ppl() {
     header("E4", "naive assignment enumeration vs PPL engine (crossover in tuple width)");
-    let doc = Document::from_tree(restaurants(4, &xpath_tree::generate::RESTAURANT_ATTRIBUTES[..4], 3));
-    println!("document: {} nodes", doc.len());
+    let session = Session::from_tree(restaurants(4, &xpath_tree::generate::RESTAURANT_ATTRIBUTES[..4], 3));
+    println!("document: {} nodes", session.len());
     println!("{:>3} | {:>12} | {:>12} | {:>10}", "n", "ppl (us)", "naive (us)", "naive/ppl");
     for &width in &[1usize, 2, 3] {
         let (query, vars) = restaurant_query(width);
-        let compiled = PplQuery::compile_path(query.clone(), vars.clone()).unwrap();
-        let (tp, a1) = time_median(RUNS, || compiled.answers(&doc).unwrap().len());
+        let plan = forced_plan(&session, query.clone(), vars.clone(), Engine::Ppl);
+        let (tp, a1) = time_median(RUNS, || session.execute(&plan).unwrap().len());
         let (tn, a2) = time_median(1, || {
             Engine::NaiveEnumeration
-                .answer(&doc, &query, &vars)
+                .answer(&session, &query, &vars)
                 .unwrap()
                 .len()
         });
@@ -588,11 +588,11 @@ fn e5_sat_hardness() {
         let instance = random_3sat(vars, vars + 2, 41 + vars as u64);
         let tree = encode_sat_tree(&instance);
         let (query, _) = encode_sat_query(&instance);
-        let doc = Document::from_tree(tree);
-        let rejected = PplQuery::compile_path(query.clone(), vec![]).is_err();
+        let session = Session::from_tree(tree);
+        let rejected = xpath_ast::ppl::check_ppl(&query).is_err();
         let (t, nonempty) = time_median(1, || {
             !Engine::NaiveEnumeration
-                .answer(&doc, &query, &[])
+                .answer(&session, &query, &[])
                 .unwrap()
                 .is_empty()
         });
@@ -600,7 +600,7 @@ fn e5_sat_hardness() {
         println!(
             "{:>5} | {:>8} | {} | {:>6} | {:>9}",
             vars,
-            doc.len(),
+            session.len(),
             fmt_us(t),
             nonempty,
             rejected
@@ -617,16 +617,16 @@ fn e6_acq_vs_hcl() {
     let output = [Var::new("a"), Var::new("t")];
     let hcl = ppl_to_hcl(&ppl).unwrap();
     for &books in &[20usize, 40, 80] {
-        let doc = Document::from_tree(bibliography(books, 3));
+        let session = Session::from_tree(bibliography(books, 3));
         let (th, a1) = time_median(RUNS, || {
-            answer_hcl_pplbin(doc.tree(), &hcl, &output).unwrap().len()
+            answer_hcl_pplbin(session.tree(), &hcl, &output).unwrap().len()
         });
         let (ty, a2) = time_median(RUNS, || {
-            let (cq, db) = hcl_to_acq(doc.tree(), &hcl, &output).unwrap();
+            let (cq, db) = hcl_to_acq(session.tree(), &hcl, &output).unwrap();
             answer_acq(&cq, &db).unwrap().len()
         });
         assert_eq!(a1, a2);
-        println!("{:>8} | {:>8} | {} | {}", doc.len(), a1, fmt_us(th), fmt_us(ty));
+        println!("{:>8} | {:>8} | {} | {}", session.len(), a1, fmt_us(th), fmt_us(ty));
     }
     println!("(expected: same answers; both polynomial, with constant factors favouring either depending on |db| vs the matrix precompilation)");
 }
@@ -660,7 +660,7 @@ fn e7_sharing_normalisation() {
 fn e8_fig7_translation() {
     header("E8", "Prop. 5: PPL → HCL⁻(PPLbin) translation is linear and preserves answers");
     println!("{:>8} | {:>8} | {:>12} | {:>10}", "|P|", "|HCL|", "time (us)", "answers ok");
-    let doc = Document::from_tree(bibliography(10, 3));
+    let session = Session::from_tree(bibliography(10, 3));
     for &filters in &[2usize, 5, 10, 20, 40] {
         let mut src = String::from("descendant::book");
         for i in 0..filters {
@@ -672,8 +672,8 @@ fn e8_fig7_translation() {
         // baseline is exponential in the width).
         let answers_ok = if filters <= 2 {
             let vars: Vec<Var> = (0..filters).map(|i| Var::new(&format!("v{i}"))).collect();
-            let fast = answer_hcl_pplbin(doc.tree(), &hcl, &vars).unwrap();
-            let slow = Engine::NaiveEnumeration.answer(&doc, &ppl, &vars).unwrap();
+            let fast = answer_hcl_pplbin(session.tree(), &hcl, &vars).unwrap();
+            let slow = Engine::NaiveEnumeration.answer(&session, &ppl, &vars).unwrap();
             fast.len() == slow.len()
         } else {
             true
@@ -710,17 +710,17 @@ fn e9_fo_translation_and_corexpath1() {
     )
     .unwrap();
     for &books in &[50usize, 100, 200] {
-        let doc = Document::from_tree(bibliography(books, 3));
-        let (ts, a1) = time_median(RUNS, || unary_from_root(doc.tree(), &query).unwrap().len());
+        let session = Session::from_tree(bibliography(books, 3));
+        let (ts, a1) = time_median(RUNS, || unary_from_root(session.tree(), &query).unwrap().len());
         let (tm, a2) = time_median(RUNS, || {
-            answer_binary(doc.tree(), &query)
-                .successors(doc.root())
+            answer_binary(session.tree(), &query)
+                .successors(session.root())
                 .count()
         });
         assert_eq!(a1, a2);
         println!(
             "{:>8} | {} | {} | {:>8.1}",
-            doc.len(),
+            session.len(),
             fmt_us(ts),
             fmt_us(tm),
             ratio(tm, ts)

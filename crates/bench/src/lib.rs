@@ -19,7 +19,24 @@ pub use regress::{
     RouterBenchConfig, ServeConfig,
 };
 
+use ppl_xpath::{Engine, Planner, QueryPlan, Session};
 use std::time::{Duration, Instant};
+use xpath_ast::{PathExpr, Var};
+
+/// Prepare `query` against `session` with `engine` forced, so a timed
+/// region pays execution only.  Panics if the query is outside PPL and
+/// `engine` is not `naive`.
+pub fn forced_plan(
+    session: &Session,
+    query: PathExpr,
+    output: Vec<Var>,
+    engine: Engine,
+) -> QueryPlan {
+    let src = query.to_string();
+    Planner::default()
+        .plan_with(session, query, output, Some(engine))
+        .unwrap_or_else(|e| panic!("{src:?} does not plan on {engine}: {e}"))
+}
 
 /// Measure a closure once and return its wall-clock duration together with
 /// its result.

@@ -5,11 +5,11 @@
 //! sizes, repeated to model multi-query traffic against a shared document —
 //! is answered by every engine:
 //!
-//! * `ppl_cached` — `Document::answer_batch`, compiling PPLbin matrices
-//!   through the document's `MatrixStore` (steps and hash-consed subterms
-//!   shared across queries and repeats);
-//! * `ppl_cold`   — `PplQuery::answers_cold` per query, recompiling every
-//!   matrix from scratch (the pre-cache behaviour);
+//! * `ppl_cached` — `Session::answer_batch` over forced-`ppl` plans,
+//!   compiling PPLbin matrices through the session's shared store (steps
+//!   and hash-consed subterms shared across queries and repeats);
+//! * `ppl_cold`   — forced-`hcl` plans executed one by one, recompiling
+//!   every matrix from scratch (the pre-cache behaviour);
 //! * `naive`      — `Engine::NaiveEnumeration`, the exponential Fig. 2
 //!   baseline (restricted to small trees, one workload pass);
 //! * `acq`        — Yannakakis on the ACQ image (union-free queries only).
@@ -20,12 +20,12 @@
 //! every dimension so CI can validate the emitted file in milliseconds.
 
 use crate::json::Json;
-use crate::time_median;
-use ppl_xpath::{Document, Engine, Planner, PplQuery, QueryPlan, Session};
+use crate::{forced_plan, time_median};
+use ppl_xpath::{Engine, Planner, QueryPlan, Session};
 use std::time::Duration;
 use xpath_acq::{answer_acq, hcl_to_acq};
 use xpath_ast::binexpr::from_variable_free_path;
-use xpath_ast::{parse_path, BinExpr, Var};
+use xpath_ast::{parse_path, BinExpr, PathExpr, Var};
 use xpath_pplbin::{KernelMode, MatrixStore};
 use xpath_tree::generate::{random_tree, TreeGenConfig, TreeShape};
 use xpath_tree::Tree;
@@ -418,7 +418,10 @@ const DENSE_FILTERS: [&str; 3] = [
 /// atoms), the filters repeat across queries on purpose so the hash-consing
 /// layer has shared subterms to merge, arities are mixed, and the last
 /// query exercises an HCL-level union (both branches bind `$x`).
-pub fn suite() -> Vec<PplQuery> {
+///
+/// Returns the parsed queries with their output variables;
+/// [`suite_plans`] prepares them against a session.
+pub fn suite() -> Vec<(PathExpr, Vec<Var>)> {
     let [f1, f2, f3] = DENSE_FILTERS;
     let specs: [(String, &[&str]); 6] = [
         (format!("descendant::l0[not({f1})][. is $x]"), &["x"]),
@@ -445,9 +448,18 @@ pub fn suite() -> Vec<PplQuery> {
     specs
         .iter()
         .map(|(src, vars)| {
-            PplQuery::compile(src, vars)
-                .unwrap_or_else(|e| panic!("suite query {src:?} failed to compile: {e}"))
+            let path = parse_path(src)
+                .unwrap_or_else(|e| panic!("suite query {src:?} failed to parse: {e}"));
+            (path, vars.iter().map(|n| Var::new(n)).collect())
         })
+        .collect()
+}
+
+/// The [`suite`] prepared against `session` with `engine` forced.
+pub fn suite_plans(session: &Session, engine: Engine) -> Vec<QueryPlan> {
+    suite()
+        .into_iter()
+        .map(|(path, output)| forced_plan(session, path, output, engine))
         .collect()
 }
 
@@ -648,19 +660,8 @@ fn run_planner_concurrency(cfg: &ServeConfig) -> (Vec<Json>, Vec<(String, Json)>
     // store architecture, not the engine choice.
     let serve_tree = sweep_tree(cfg.serve_tree_size);
     let serve_session = Session::from_tree(serve_tree.clone());
-    let planner = Planner::default();
     let workload: Vec<QueryPlan> = (0..cfg.repeats)
-        .flat_map(|_| suite())
-        .map(|q| {
-            planner
-                .plan_with(
-                    &serve_session,
-                    q.source().clone(),
-                    q.output().to_vec(),
-                    Some(Engine::Ppl),
-                )
-                .expect("suite query plans")
-        })
+        .flat_map(|_| suite_plans(&serve_session, Engine::Ppl))
         .collect();
 
     let mut serve_reference: Option<usize> = None;
@@ -796,33 +797,40 @@ fn run_regression_impl(
     kernels: Option<&KernelConfig>,
     serve: Option<&ServeConfig>,
 ) -> Json {
-    let suite = suite();
-    let union_free: Vec<&PplQuery> = suite
-        .iter()
-        .filter(|q| q.hcl().is_union_free())
-        .collect();
     let mut results: Vec<Json> = Vec::new();
     let mut summary: Option<(usize, f64, f64)> = None;
 
     for &size in &cfg.tree_sizes {
         let tree = sweep_tree(size);
 
-        // Workload: the suite repeated `repeats` times against one document.
-        let workload: Vec<PplQuery> = (0..cfg.repeats)
-            .flat_map(|_| suite.iter().cloned())
+        // Workload: the suite repeated `repeats` times against one document,
+        // prepared outside the timers as forced-ppl (cached) and forced-hcl
+        // (cold) plans.
+        let plan_session = Session::from_tree(tree.clone());
+        let suite = suite_plans(&plan_session, Engine::Ppl);
+        let repeated = |plans: &[QueryPlan]| -> Vec<QueryPlan> {
+            (0..cfg.repeats)
+                .flat_map(|_| plans.iter().cloned())
+                .collect()
+        };
+        let workload = repeated(&suite);
+        let cold_workload = repeated(&suite_plans(&plan_session, Engine::Hcl));
+        let union_free: Vec<&QueryPlan> = suite
+            .iter()
+            .filter(|p| p.features().union_free)
             .collect();
 
-        // ppl_cached — answer_batch over a fresh document each run, so each
+        // ppl_cached — answer_batch over a fresh session each run, so each
         // timed run pays exactly one compilation of each distinct subterm.
         let (cached_t, cached_answers) = time_median(cfg.runs, || {
-            let doc = Document::from_tree(tree.clone());
-            let answers = doc.answer_batch(&workload).expect("suite queries answer");
+            let session = Session::from_tree(tree.clone());
+            let answers = session.answer_batch(&workload).expect("suite queries answer");
             answers.iter().map(|a| a.len()).sum::<usize>()
         });
         // Cache counters for the same workload, measured outside the timer.
-        let stats_doc = Document::from_tree(tree.clone());
-        stats_doc.answer_batch(&workload).expect("suite queries answer");
-        let stats = stats_doc.cache_stats();
+        let stats_session = Session::from_tree(tree.clone());
+        stats_session.answer_batch(&workload).expect("suite queries answer");
+        let stats = stats_session.cache_stats();
         results.push(row(
             "ppl_cached",
             size,
@@ -838,10 +846,10 @@ fn run_regression_impl(
 
         // ppl_cold — per-query recompilation, same workload.
         let (cold_t, cold_answers) = time_median(cfg.runs, || {
-            let doc = Document::from_tree(tree.clone());
-            workload
+            let session = Session::from_tree(tree.clone());
+            cold_workload
                 .iter()
-                .map(|q| q.answers_cold(&doc).expect("suite queries answer").len())
+                .map(|p| session.execute(p).expect("suite queries answer").len())
                 .sum::<usize>()
         });
         assert_eq!(
@@ -864,9 +872,9 @@ fn run_regression_impl(
         let (acq_t, acq_answers) = time_median(cfg.runs, || {
             (0..cfg.repeats)
                 .flat_map(|_| union_free.iter())
-                .map(|q| {
-                    let (cq, db) =
-                        hcl_to_acq(&tree, q.hcl(), q.output()).expect("union-free image");
+                .map(|p| {
+                    let hcl = p.hcl().expect("forced-ppl plans carry their image");
+                    let (cq, db) = hcl_to_acq(&tree, hcl, p.output()).expect("union-free image");
                     answer_acq(&cq, &db).expect("acyclic query answers").len()
                 })
                 .sum::<usize>()
@@ -883,13 +891,13 @@ fn run_regression_impl(
 
         // naive — exponential baseline, one workload pass, small trees only.
         if size <= cfg.naive_max_size {
-            let doc = Document::from_tree(tree.clone());
+            let session = Session::from_tree(tree.clone());
             let (naive_t, naive_answers) = time_median(1, || {
                 suite
                     .iter()
-                    .map(|q| {
+                    .map(|p| {
                         Engine::NaiveEnumeration
-                            .answer(&doc, q.source(), q.output())
+                            .answer(&session, p.source(), p.output())
                             .expect("naive answers suite queries")
                             .len()
                     })
@@ -949,7 +957,7 @@ fn run_regression_impl(
             "tree_sizes".to_string(),
             Json::Arr(cfg.tree_sizes.iter().map(|&s| Json::Num(s as f64)).collect()),
         ),
-        ("suite_queries".to_string(), Json::Num(suite.len() as f64)),
+        ("suite_queries".to_string(), Json::Num(suite().len() as f64)),
         ("workload_repeats".to_string(), Json::Num(cfg.repeats as f64)),
         ("runs_per_cell".to_string(), Json::Num(cfg.runs as f64)),
         ("results".to_string(), Json::Arr(results)),
@@ -968,13 +976,13 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
 
     let documents = xpath_workload::corpus_documents(cfg.docs, cfg.base_size, 0xC0B5);
     let total_nodes: usize = documents.iter().map(|(_, t)| t.len()).sum();
-    let suite = suite();
-    let specs: Vec<(String, Vec<String>)> = suite
+    let parsed = suite();
+    let specs: Vec<(String, Vec<String>)> = parsed
         .iter()
-        .map(|q| {
+        .map(|(path, output)| {
             (
-                q.source().to_string(),
-                q.output().iter().map(|v| v.name().to_string()).collect(),
+                path.to_string(),
+                output.iter().map(|v| v.name().to_string()).collect(),
             )
         })
         .collect();
@@ -1074,10 +1082,6 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
 
     // The pre-corpus architecture: every request builds a fresh session —
     // plan + full matrix compilation per (document, query, repeat).
-    let parsed: Vec<(xpath_ast::PathExpr, Vec<Var>)> = suite
-        .iter()
-        .map(|q| (q.source().clone(), q.output().to_vec()))
-        .collect();
     let (cold_t, cold_answers) = time_median(cfg.runs, || {
         let planner = Planner::default();
         let mut answers = 0usize;
@@ -2369,13 +2373,13 @@ mod tests {
 
     #[test]
     fn suite_compiles_and_mixes_arities() {
-        let suite = suite();
+        let suite = suite_plans(&Session::from_tree(sweep_tree(20)), Engine::Ppl);
         assert_eq!(suite.len(), 6);
         assert!(suite.iter().any(|q| q.output().len() == 2));
         assert!(suite.iter().any(|q| q.output().len() == 1));
         // At least one union-bearing query (excluded from the ACQ engine)
         // and at least four union-free ones.
-        let union_free = suite.iter().filter(|q| q.hcl().is_union_free()).count();
+        let union_free = suite.iter().filter(|q| q.features().union_free).count();
         assert!(union_free >= 4);
         assert!(union_free < suite.len());
     }

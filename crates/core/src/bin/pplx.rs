@@ -4,7 +4,7 @@
 //! USAGE:
 //!     pplx --query <XPATH> [--vars y,z] (--file doc.xml | --terms 'a(b,c)' | --stdin)
 //!          [--engine ppl|acq|hcl|naive|auto] [--format table|csv] [--explain]
-//!          [--kernels dense|adaptive|adaptive_threaded|lazy]
+//!          [--stats] [--kernels dense|adaptive|adaptive_threaded|lazy]
 //!     pplx --batch <queries.txt> (--file doc.xml | --terms 'a(b,c)' | --stdin)
 //!          [--vars y,z] [--engine ...] [--threads N] [--format table|csv]
 //!          [--explain] [--stats] [--kernels dense|adaptive|adaptive_threaded|lazy]
@@ -38,12 +38,14 @@
 //! worker threads (default 1) hammering the same thread-safe matrix cache.
 //! The file holds one query per line; blank lines and `#` comments are
 //! skipped.  A line may override the output variables with a ` -> vars`
-//! suffix, otherwise `--vars` applies.  `--stats` appends the matrix-cache
-//! hit/miss counters and the per-kernel dispatch counts; `--kernels`
-//! selects the compilation kernels (the dense baseline exists for A/B
-//! timing against the adaptive default).
+//! suffix, otherwise `--vars` applies.
+//!
+//! In either mode `--stats` appends the matrix-cache hit/miss counters and
+//! the per-kernel dispatch counts; `--kernels` selects the compilation
+//! kernels (the dense baseline exists for A/B timing against the adaptive
+//! default).
 
-use ppl_xpath::{Document, Engine, KernelMode, Planner, QueryPlan};
+use ppl_xpath::{Engine, KernelMode, Planner, QueryPlan, Session};
 use std::io::Read;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -423,11 +425,11 @@ fn read_source_text(source: &Source) -> Result<String, CliError> {
     }
 }
 
-fn load_document(source: &Source) -> Result<Document, CliError> {
+fn load_document(source: &Source) -> Result<Session, CliError> {
     let content = read_source_text(source)?;
     match source {
-        Source::Terms(_) => Document::from_terms(&content),
-        Source::File(_) | Source::Stdin => Document::from_xml(&content),
+        Source::Terms(_) => Session::from_terms(&content),
+        Source::File(_) | Source::Stdin => Session::from_xml(&content),
     }
     .map_err(|e| CliError::Parse(e.to_string()))
 }
@@ -450,7 +452,7 @@ fn parse_batch_line(line: &str, default_vars: &[String]) -> (String, Vec<String>
 /// Prepare one query as a plan: parse, compile, and either force the chosen
 /// engine or let the planner decide (`--engine auto`).
 fn plan_query(
-    doc: &Document,
+    session: &Session,
     query: &str,
     vars: &[String],
     engine: Option<Engine>,
@@ -458,13 +460,13 @@ fn plan_query(
     let path = parse_path(query).map_err(|e| CliError::Parse(e.to_string()))?;
     let output: Vec<Var> = vars.iter().map(|n| Var::new(n)).collect();
     Planner::default()
-        .plan_with(doc.session(), path, output, engine)
+        .plan_with(session, path, output, engine)
         .map_err(|e| CliError::Parse(e.to_string()))
 }
 
 fn render_answers(
     out: &mut String,
-    doc: &Document,
+    session: &Session,
     answers: &ppl_xpath::AnswerSet,
     vars: &[String],
     format: Format,
@@ -489,13 +491,13 @@ fn render_answers(
                 answers.len(),
                 vars.join(", ")
             ));
-            out.push_str(&answers.render(doc));
+            out.push_str(&answers.render(session));
         }
         Format::Csv => {
             out.push_str(&vars.join(","));
             out.push('\n');
             for tuple in answers.tuples() {
-                let row: Vec<String> = tuple.iter().map(|n| doc.describe(*n)).collect();
+                let row: Vec<String> = tuple.iter().map(|n| session.describe(*n)).collect();
                 out.push_str(&row.join(","));
                 out.push('\n');
             }
@@ -503,22 +505,34 @@ fn render_answers(
     }
 }
 
-fn run_single(options: &Options, doc: &Document, query: &str) -> Result<String, CliError> {
-    let plan = plan_query(doc, query, &options.vars, options.engine)?;
+/// The `--stats` footer: matrix-cache counters and kernel dispatch counts.
+fn render_stats(out: &mut String, session: &Session, queries: usize, threads: usize) {
+    let stats = session.cache_stats();
+    out.push_str(&format!(
+        "# cache: {} hits, {} misses, {} matrices for {queries} queries on {threads} thread(s)\n",
+        stats.hits, stats.misses, stats.compiled,
+    ));
+    out.push_str(&format!("# kernels: {}\n", stats.kernels));
+}
+
+fn run_single(options: &Options, session: &Session, query: &str) -> Result<String, CliError> {
+    let plan = plan_query(session, query, &options.vars, options.engine)?;
     let mut out = String::new();
     if options.explain {
         out.push_str(&plan.explain());
         out.push('\n');
     }
-    let answers = doc
-        .session()
+    let answers = session
         .execute(&plan)
         .map_err(|e| CliError::Query(e.to_string()))?;
-    render_answers(&mut out, doc, &answers, &options.vars, options.format);
+    render_answers(&mut out, session, &answers, &options.vars, options.format);
+    if options.stats {
+        render_stats(&mut out, session, 1, 1);
+    }
     Ok(out)
 }
 
-fn run_batch(options: &Options, doc: &Document, path: &str) -> Result<String, CliError> {
+fn run_batch(options: &Options, session: &Session, path: &str) -> Result<String, CliError> {
     let content = std::fs::read_to_string(path)
         .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
     let mut plans: Vec<QueryPlan> = Vec::new();
@@ -529,7 +543,7 @@ fn run_batch(options: &Options, doc: &Document, path: &str) -> Result<String, Cl
             continue;
         }
         let (query, vars) = parse_batch_line(line, &options.vars);
-        let plan = plan_query(doc, &query, &vars, options.engine)
+        let plan = plan_query(session, &query, &vars, options.engine)
             .map_err(|e| CliError::Parse(format!("{path}:{}: {}", lineno + 1, e.message())))?;
         plans.push(plan);
         specs.push((query, vars));
@@ -540,8 +554,7 @@ fn run_batch(options: &Options, doc: &Document, path: &str) -> Result<String, Cl
         )));
     }
 
-    let answers = doc
-        .session()
+    let answers = session
         .answer_batch_parallel(&plans, options.threads)
         .map_err(|e| CliError::Query(e.to_string()))?;
     let mut out = String::new();
@@ -554,19 +567,10 @@ fn run_batch(options: &Options, doc: &Document, path: &str) -> Result<String, Cl
                 if plans[i].is_forced() { "forced" } else { "auto" },
             ));
         }
-        render_answers(&mut out, doc, answer, vars, options.format);
+        render_answers(&mut out, session, answer, vars, options.format);
     }
     if options.stats {
-        let stats = doc.cache_stats();
-        out.push_str(&format!(
-            "# cache: {} hits, {} misses, {} matrices for {} queries on {} thread(s)\n",
-            stats.hits,
-            stats.misses,
-            stats.compiled,
-            plans.len(),
-            options.threads,
-        ));
-        out.push_str(&format!("# kernels: {}\n", stats.kernels));
+        render_stats(&mut out, session, plans.len(), options.threads);
     }
     Ok(out)
 }
@@ -663,11 +667,11 @@ fn run(options: &Options) -> Result<String, CliError> {
         .source
         .as_ref()
         .expect("parse_args requires a source for local modes");
-    let doc = load_document(source)?;
-    doc.set_kernel_mode(options.kernels);
+    let session = load_document(source)?;
+    session.set_kernel_mode(options.kernels);
     match &options.mode {
-        Mode::Single(query) => run_single(options, &doc, query),
-        Mode::Batch(path) => run_batch(options, &doc, path),
+        Mode::Single(query) => run_single(options, &session, query),
+        Mode::Batch(path) => run_batch(options, &session, path),
         Mode::Remote(_) => unreachable!("handled above"),
     }
 }
@@ -1230,6 +1234,31 @@ mod tests {
         .unwrap();
         assert!(out.contains("evicted=true"), "{out}");
         server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn run_single_reports_cache_stats() {
+        // Regression: `--query … --stats` used to parse and then drop the
+        // flag, printing no footer.
+        let opts = parse_args(&args(&[
+            "--query",
+            "descendant::book[child::author[. is $a]]",
+            "--vars",
+            "a",
+            "--terms",
+            "bib(book(author,title),book(author,author,title))",
+            "--stats",
+        ]))
+        .unwrap();
+        let out = run(&opts).unwrap();
+        assert!(out.starts_with("3 answer tuple(s) over (a)"), "{out}");
+        assert!(out.contains("# cache: "), "{out}");
+        assert!(
+            out.contains("matrices for 1 queries on 1 thread(s)"),
+            "{out}"
+        );
+        assert!(out.contains("# kernels: steps id/iv/sp/dn "), "{out}");
+        assert!(!out.contains("steps id/iv/sp/dn 0/0/0/0"), "{out}");
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Engine selection — the four evaluation strategies behind one enum.
 //!
-//! [`Engine`] is a plain `Copy` enum naming the strategies; per-variant
-//! behaviour lives in the [`Executor`] trait objects that
-//! [`Engine::executor`] dispatches to, so adding an engine means adding an
-//! executor, not growing match arms across the crate.
+//! [`Engine`] is a plain `Copy` enum naming the strategies; one private
+//! `match` in [`Session`] runs a plan on its engine.
 //!
 //! The non-`ppl` engines exist for three reasons:
 //!
@@ -16,10 +14,9 @@
 //!
 //! [`Planner`]: crate::Planner
 
-use crate::document::Document;
-use crate::exec::{AcqExecutor, Executor, HclExecutor, NaiveExecutor, PplExecutor};
 use crate::plan::Planner;
 use crate::query::{AnswerSet, QueryError};
+use crate::session::Session;
 use std::fmt;
 use xpath_ast::{PathExpr, Var};
 
@@ -71,40 +68,34 @@ impl Engine {
         }
     }
 
-    /// The singleton [`Executor`] implementing this engine.
-    pub fn executor(self) -> &'static dyn Executor {
-        static PPL: PplExecutor = PplExecutor;
-        static HCL: HclExecutor = HclExecutor;
-        static ACQ: AcqExecutor = AcqExecutor;
-        static NAIVE: NaiveExecutor = NaiveExecutor;
+    /// One-line description shown in the `QueryPlan::explain` candidate
+    /// table.
+    pub fn describe(self) -> &'static str {
         match self {
-            Engine::Ppl => &PPL,
-            Engine::Hcl => &HCL,
-            Engine::Acq => &ACQ,
-            Engine::NaiveEnumeration => &NAIVE,
+            Engine::Ppl => "Fig. 8 over cached PPLbin matrices (Thm. 1, shared store)",
+            Engine::Hcl => "Fig. 8 with cold-compiled atoms (Thm. 1, no cache)",
+            Engine::Acq => "Yannakakis on the ACQ image (Props. 7/8/9)",
+            Engine::NaiveEnumeration => "Fig. 2 assignment enumeration (spec semantics, Θ(|t|ⁿ))",
         }
     }
 
-    /// Answer an n-ary query given as a raw Core XPath 2.0 path expression.
-    ///
-    /// A thin shim over the planner API: the query is prepared with this
-    /// engine forced ([`Planner::plan_with`]) and executed on the document's
-    /// [`Session`].  With [`Engine::NaiveEnumeration`] any Core XPath 2.0
-    /// expression (including `for` loops and variable sharing) is accepted;
-    /// the other engines require the PPL fragment and report Definition 1
-    /// diagnostics otherwise.
-    ///
-    /// [`Session`]: crate::Session
+    /// Answer an n-ary query given as a raw Core XPath 2.0 path expression
+    /// with this engine forced: the query is prepared with
+    /// [`Planner::plan_with`] and executed on `session`.  With
+    /// [`Engine::NaiveEnumeration`] any Core XPath 2.0 expression (including
+    /// `for` loops and variable sharing) is accepted; the other engines
+    /// require the PPL fragment and report Definition 1 diagnostics
+    /// otherwise.
     pub fn answer(
         self,
-        doc: &Document,
+        session: &Session,
         query: &PathExpr,
         output: &[Var],
     ) -> Result<AnswerSet, QueryError> {
         let plan = Planner::default()
-            .plan_with(doc.session(), query.clone(), output.to_vec(), Some(self))
+            .plan_with(session, query.clone(), output.to_vec(), Some(self))
             .map_err(QueryError::Ppl)?;
-        doc.session().execute(&plan)
+        session.execute(&plan)
     }
 }
 
@@ -119,8 +110,8 @@ mod tests {
     use super::*;
     use xpath_ast::parse_path;
 
-    fn doc() -> Document {
-        Document::from_terms("bib(book(author,title),book(author,author,title))").unwrap()
+    fn doc() -> Session {
+        Session::from_terms("bib(book(author,title),book(author,author,title))").unwrap()
     }
 
     #[test]
@@ -189,7 +180,7 @@ mod tests {
     fn names_round_trip_and_dispatch_matches() {
         for engine in Engine::ALL {
             assert_eq!(Engine::parse(engine.name()), Some(engine));
-            assert_eq!(engine.executor().engine(), engine);
+            assert!(!engine.describe().is_empty());
             assert_eq!(format!("{engine}"), engine.name());
         }
         assert_eq!(Engine::parse("naive_enumeration"), Some(Engine::NaiveEnumeration));

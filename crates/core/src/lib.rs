@@ -60,40 +60,20 @@
 //! assert_eq!(answers.len(), 2);
 //! ```
 //!
-//! ## Legacy API
-//!
-//! The original single-threaded-looking surface is kept as thin shims over
-//! the session machinery (same caching, same answers):
-//!
-//! ```
-//! use ppl_xpath::{Document, PplQuery};
-//!
-//! let doc = Document::from_terms(
-//!     "bib(book(author,title),book(author,author,title))",
-//! ).unwrap();
-//! let query = PplQuery::compile(
-//!     "descendant::book[child::author[. is $y] and child::title[. is $z]]",
-//!     &["y", "z"],
-//! ).unwrap();
-//! assert_eq!(query.answers(&doc).unwrap().len(), 3);
-//! ```
-//!
 //! ## What else is in the box
 //!
 //! * [`Planner`] — the cost-based engine choice (PPL membership, arity,
 //!   axis mix, acyclicity, tree size, cache warmth), with explicit
 //!   overrides for every engine.
-//! * [`Executor`] — the uniform execution trait implemented by all four
-//!   engines; [`Engine::executor`] hands out the singletons.
 //! * [`Session::answer_batch_parallel`] / [`Session::answers_stream`] —
-//!   multi-threaded batch serving and lazy tuple streaming.
-//! * [`Document::answer_batch`] — the sequential batched shim over the
-//!   shared cache; [`Document::cache_stats`] exposes the hit/miss counters;
-//!   `*_cold` methods bypass the cache.
-//! * [`BinaryQuery`] — the variable-free PPLbin engine of Theorem 2
-//!   (binary queries as Boolean matrices).
-//! * [`Engine`] — evaluate the same query with any of the four strategies,
-//!   for differential testing and the benchmark experiments.
+//!   multi-threaded batch serving and lazy tuple streaming;
+//!   [`Session::cache_stats`] exposes the matrix-cache hit/miss counters.
+//! * [`Engine`] — evaluate the same query with any of the four strategies
+//!   ([`Engine::answer`] forces one), for differential testing and the
+//!   benchmark experiments.  A forced `hcl` plan bypasses the cache.
+//! * [`SharedMatrixStore::eval`] (through [`Session::store`]) — the
+//!   variable-free PPLbin engine of Theorem 2 (binary queries as Boolean
+//!   matrices).
 //! * Re-exports of the component crates under [`components`], and a
 //!   [`prelude`] for glob imports.
 //!
@@ -105,19 +85,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod document;
 pub mod engine;
-pub mod exec;
 pub mod plan;
 pub mod query;
 pub mod session;
 
-pub use document::Document;
 pub use engine::Engine;
-pub use exec::{AcqExecutor, Executor, HclExecutor, NaiveExecutor, PplExecutor};
 pub use plan::{PlanChoice, Planner, QueryFeatures, QueryPlan};
-pub use query::{AnswerSet, BinaryQuery, CompileError, PplQuery, QueryError};
-pub use session::{AnswerIter, Session};
+pub use query::{AnswerSet, CompileError, QueryError};
+pub use session::{AnswerIter, DocumentError, Session};
 pub use xpath_pplbin::{CacheStats, KernelMode, KernelStats, MatrixStore, SharedMatrixStore};
 
 /// Re-exports of the underlying component crates for advanced users.
@@ -134,9 +110,7 @@ pub mod components {
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
-    pub use crate::{
-        AnswerSet, BinaryQuery, Document, Engine, Planner, PplQuery, QueryPlan, Session,
-    };
+    pub use crate::{AnswerSet, Engine, Planner, QueryPlan, Session};
     pub use xpath_ast::{parse_path, PathExpr, Var};
     pub use xpath_tree::{Axis, NodeId, Tree};
 }

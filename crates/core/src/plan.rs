@@ -41,6 +41,11 @@ use xpath_ast::ppl::check_ppl;
 use xpath_ast::{BinExpr, PathExpr, Var};
 use xpath_hcl::{ppl_to_hcl, Hcl};
 
+/// Default union distribution budget of `acq` plans (Prop. 9 distribution
+/// is exponential in union nesting depth; a plan exceeding its budget fails
+/// with `QueryError::Acq` instead of blowing up).
+pub const ACQ_DISJUNCT_BUDGET: usize = 256;
+
 /// Structural features of one (query, document) pair, extracted at plan
 /// time and reported by [`QueryPlan::explain`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +108,7 @@ pub struct QueryPlan {
     features: QueryFeatures,
     /// Human-readable decision trace, one rule per line.
     decision: Vec<String>,
-    /// Union distribution budget the `acq` executor honours for this plan
+    /// Union distribution budget `acq` execution honours for this plan
     /// (from [`Planner::acq_disjunct_budget`]).
     acq_disjunct_budget: usize,
 }
@@ -139,7 +144,7 @@ impl QueryPlan {
         &self.features
     }
 
-    /// Union distribution budget the `acq` executor honours for this plan
+    /// Union distribution budget `acq` execution honours for this plan
     /// (Prop. 9 distribution is exponential in union nesting depth).
     pub fn acq_disjunct_budget(&self) -> usize {
         self.acq_disjunct_budget
@@ -171,7 +176,6 @@ impl QueryPlan {
         ));
         out.push_str("candidates   :\n");
         for engine in Engine::ALL {
-            let executor = engine.executor();
             let eligible = match engine {
                 Engine::NaiveEnumeration => true,
                 _ => f.ppl,
@@ -181,7 +185,7 @@ impl QueryPlan {
                 "  {marker} {:<5} {} — {}\n",
                 engine.name(),
                 if eligible { "eligible " } else { "ineligible" },
-                executor.describe()
+                engine.describe()
             ));
         }
         out.push_str(&format!(
@@ -232,7 +236,7 @@ impl Default for Planner {
     fn default() -> Planner {
         Planner {
             naive_budget: 2_048,
-            acq_disjunct_budget: crate::exec::ACQ_DISJUNCT_BUDGET,
+            acq_disjunct_budget: ACQ_DISJUNCT_BUDGET,
         }
     }
 }
@@ -498,7 +502,7 @@ mod tests {
         let src = "descendant::book[child::author[. is $a]]/child::title[. is $t]";
         let cold = s.plan(src, &["a", "t"]).unwrap();
         assert_eq!(cold.engine(), Engine::Acq);
-        // Warm every atom through the ppl executor, then replan.
+        // Warm every atom through a forced-ppl plan, then replan.
         let forced = Planner::default()
             .plan_with(
                 &s,

@@ -1,14 +1,13 @@
-//! Compiled queries: the PPL pipeline of Theorem 1 and the PPLbin binary
-//! engine of Theorem 2.
+//! Query results and errors: the [`AnswerSet`] of an executed plan, and the
+//! errors raised while compiling ([`CompileError`]) or answering
+//! ([`QueryError`]) it.
 
-use crate::document::Document;
+use crate::session::Session;
 use std::collections::BTreeSet;
 use std::fmt;
-use xpath_ast::binexpr::{from_variable_free_path, NotVariableFree};
 use xpath_ast::ppl::PplViolation;
-use xpath_ast::{parse_path, BinExpr, ParseError, PathExpr, Var};
-use xpath_hcl::{answer_hcl_pplbin, answer_hcl_pplbin_shared, ppl_to_hcl, Hcl, HclError, TranslateError};
-use xpath_pplbin::NodeMatrix;
+use xpath_ast::{ParseError, Var};
+use xpath_hcl::{HclError, TranslateError};
 use xpath_tree::NodeId;
 
 /// Errors raised while compiling a query.
@@ -19,8 +18,6 @@ pub enum CompileError {
     /// The expression is syntactically valid Core XPath 2.0 but violates the
     /// PPL restrictions of Definition 1; each violation is reported.
     NotPpl(Vec<PplViolation>),
-    /// A binary query was requested for an expression with variables.
-    NotVariableFree(NotVariableFree),
 }
 
 impl fmt::Display for CompileError {
@@ -34,7 +31,6 @@ impl fmt::Display for CompileError {
                 }
                 Ok(())
             }
-            CompileError::NotVariableFree(e) => write!(f, "{e}"),
         }
     }
 }
@@ -61,8 +57,10 @@ pub enum QueryError {
     /// The PPL engine rejected the expression at compile time (parse error
     /// or a Definition 1 fragment violation) — the query never ran.
     Ppl(CompileError),
-    /// The HCL engine rejected the expression (cannot happen for queries
-    /// compiled through [`PplQuery::compile`], which enforce NVS(/)).
+    /// The HCL engine rejected the expression (cannot happen for plans
+    /// prepared by the [`Planner`], which enforces NVS(/)).
+    ///
+    /// [`Planner`]: crate::Planner
     Hcl(HclError),
     /// The ACQ/Yannakakis engine failed (e.g. the Prop. 9 union
     /// distribution exceeded its disjunct budget).
@@ -136,15 +134,15 @@ impl AnswerSet {
         self.tuples.iter()
     }
 
-    /// Render the answers with node labels resolved against a document —
-    /// convenient for examples and debugging.
+    /// Render the answers with node labels resolved against a session's
+    /// document — convenient for examples and debugging.
     ///
     /// Arity-0 (satisfiability) answer sets hold at most one *empty* tuple;
     /// rendering that as a bare `()` line interleaves awkwardly with
     /// `explain()` output, so the empty tuple is normalised to an explicit
     /// `(satisfiable)` marker (and an unsatisfiable 0-ary set renders as
     /// nothing, like every other empty answer set).
-    pub fn render(&self, doc: &Document) -> String {
+    pub fn render(&self, session: &Session) -> String {
         if self.arity() == 0 {
             return if self.is_empty() {
                 String::new()
@@ -158,7 +156,7 @@ impl AnswerSet {
                 .variables
                 .iter()
                 .zip(tuple)
-                .map(|(v, n)| format!("{v}={}", doc.describe(*n)))
+                .map(|(v, n)| format!("{v}={}", session.describe(*n)))
                 .collect();
             out.push_str(&format!("({})\n", cells.join(", ")));
         }
@@ -166,231 +164,82 @@ impl AnswerSet {
     }
 }
 
-/// A compiled PPL query: the full pipeline of Theorem 1.
-#[derive(Debug, Clone)]
-pub struct PplQuery {
-    source: PathExpr,
-    hcl: Hcl<BinExpr>,
-    output: Vec<Var>,
-}
-
-impl PplQuery {
-    /// Parse, check (Definition 1) and translate (Fig. 7) a query given in
-    /// Core XPath 2.0 concrete syntax, with the given output variables.
-    pub fn compile(source: &str, output: &[&str]) -> Result<PplQuery, CompileError> {
-        let path = parse_path(source)?;
-        Self::compile_path(path, output.iter().map(|n| Var::new(n)).collect())
-    }
-
-    /// Compile an already parsed path expression.
-    pub fn compile_path(path: PathExpr, output: Vec<Var>) -> Result<PplQuery, CompileError> {
-        let hcl = ppl_to_hcl(&path)?;
-        Ok(PplQuery {
-            source: path,
-            hcl,
-            output,
-        })
-    }
-
-    /// The source Core XPath 2.0 expression.
-    pub fn source(&self) -> &PathExpr {
-        &self.source
-    }
-
-    /// The output variables, in tuple order.
-    pub fn output(&self) -> &[Var] {
-        &self.output
-    }
-
-    /// The intermediate `HCL⁻(PPLbin)` expression (Fig. 7 image), exposed
-    /// for inspection and for the translation benchmarks.
-    pub fn hcl(&self) -> &Hcl<BinExpr> {
-        &self.hcl
-    }
-
-    /// `|P|` — the size of the source expression.
-    pub fn size(&self) -> usize {
-        self.source.size()
-    }
-
-    /// Answer the query on a document with the polynomial-time engine
-    /// (Fig. 8 over PPLbin atoms).
-    ///
-    /// Atom matrices are compiled through the document session's
-    /// [`SharedMatrixStore`] cache (`Document::cache_stats` exposes the
-    /// counters): answering the
-    /// same query — or any query sharing PPLbin subterms — again on the same
-    /// document skips the `|t|³` compilation.  Use
-    /// [`PplQuery::answers_cold`] to bypass the cache.
-    ///
-    /// [`SharedMatrixStore`]: xpath_pplbin::SharedMatrixStore
-    pub fn answers(&self, doc: &Document) -> Result<AnswerSet, QueryError> {
-        let tuples =
-            answer_hcl_pplbin_shared(doc.tree(), &self.hcl, &self.output, doc.session().store())
-                .map_err(QueryError::Hcl)?;
-        Ok(AnswerSet::new(self.output.clone(), tuples))
-    }
-
-    /// Answer the query without touching the document's matrix cache: every
-    /// atom is recompiled from scratch.  This is the pre-cache behaviour,
-    /// kept for differential tests and for the cold side of the benchmark
-    /// harness.
-    pub fn answers_cold(&self, doc: &Document) -> Result<AnswerSet, QueryError> {
-        let tuples =
-            answer_hcl_pplbin(doc.tree(), &self.hcl, &self.output).map_err(QueryError::Hcl)?;
-        Ok(AnswerSet::new(self.output.clone(), tuples))
-    }
-
-    /// Answer the query as a Boolean query: is the answer set non-empty for
-    /// some assignment?  (Arity-0 special case of [`PplQuery::answers`];
-    /// cached like it.)
-    pub fn is_satisfiable(&self, doc: &Document) -> Result<bool, QueryError> {
-        let tuples = answer_hcl_pplbin_shared(doc.tree(), &self.hcl, &[], doc.session().store())
-            .map_err(QueryError::Hcl)?;
-        Ok(!tuples.is_empty())
-    }
-
-    /// A human-readable explanation of the compiled pipeline: the PPL
-    /// source, its size, the HCL⁻(PPLbin) image and its atoms.
-    pub fn explain(&self) -> String {
-        let atoms = self.hcl.atoms();
-        let mut out = String::new();
-        out.push_str(&format!("PPL source   : {}\n", self.source));
-        out.push_str(&format!("source size  : {}\n", self.source.size()));
-        out.push_str(&format!(
-            "output vars  : {}\n",
-            self.output
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!("HCL⁻(PPLbin) : {}\n", self.hcl));
-        out.push_str(&format!("HCL size     : {}\n", self.hcl.size()));
-        out.push_str(&format!("PPLbin atoms : {}\n", atoms.len()));
-        for (i, a) in atoms.iter().enumerate() {
-            out.push_str(&format!("  b{i} = {a}\n"));
-        }
-        out
-    }
-}
-
-/// A compiled variable-free binary query (PPLbin, Theorem 2).
-#[derive(Debug, Clone)]
-pub struct BinaryQuery {
-    source: PathExpr,
-    bin: BinExpr,
-}
-
-impl BinaryQuery {
-    /// Parse and compile a variable-free Core XPath 2.0 expression into
-    /// PPLbin (Fig. 4).
-    pub fn compile(source: &str) -> Result<BinaryQuery, CompileError> {
-        let path = parse_path(source)?;
-        Self::compile_path(path)
-    }
-
-    /// Compile an already parsed variable-free path expression.
-    pub fn compile_path(path: PathExpr) -> Result<BinaryQuery, CompileError> {
-        let bin = from_variable_free_path(&path).map_err(CompileError::NotVariableFree)?;
-        Ok(BinaryQuery { source: path, bin })
-    }
-
-    /// The source expression.
-    pub fn source(&self) -> &PathExpr {
-        &self.source
-    }
-
-    /// The PPLbin expression.
-    pub fn binexpr(&self) -> &BinExpr {
-        &self.bin
-    }
-
-    /// Answer the binary query as a Boolean node×node matrix (Theorem 2),
-    /// through the document's matrix cache.
-    pub fn matrix(&self, doc: &Document) -> NodeMatrix {
-        doc.eval_binexpr(&self.bin)
-    }
-
-    /// Answer the binary query recompiling every subterm (cache bypassed).
-    pub fn matrix_cold(&self, doc: &Document) -> NodeMatrix {
-        xpath_pplbin::answer_binary(doc.tree(), &self.bin)
-    }
-
-    /// Answer the binary query as a pair list.
-    pub fn pairs(&self, doc: &Document) -> Vec<(NodeId, NodeId)> {
-        self.matrix(doc).pairs()
-    }
-
-    /// The nodes reachable from the document root (unary query).
-    pub fn select_from_root(&self, doc: &Document) -> Vec<NodeId> {
-        self.matrix(doc).successors(doc.root()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use xpath_ast::parse_path;
 
-    fn doc() -> Document {
-        Document::from_terms("bib(book(author,title),book(author,author,title))").unwrap()
+    fn session() -> Session {
+        Session::from_terms("bib(book(author,title),book(author,author,title))").unwrap()
+    }
+
+    /// Answer `src` with the `ppl` engine forced.
+    fn ppl(s: &Session, src: &str, vars: &[&str]) -> Result<AnswerSet, QueryError> {
+        let output: Vec<Var> = vars.iter().map(|n| Var::new(n)).collect();
+        Engine::Ppl.answer(s, &parse_path(src).unwrap(), &output)
     }
 
     #[test]
     fn compile_and_answer_the_intro_query() {
-        let d = doc();
-        let q = PplQuery::compile(
-            "descendant::book[child::author[. is $y] and child::title[. is $z]]",
-            &["y", "z"],
-        )
-        .unwrap();
-        assert_eq!(q.output().len(), 2);
-        assert_eq!(q.size(), q.source().size());
-        let ans = q.answers(&d).unwrap();
+        let s = session();
+        let src = "descendant::book[child::author[. is $y] and child::title[. is $z]]";
+        let plan = s.plan(src, &["y", "z"]).unwrap();
+        assert_eq!(plan.output().len(), 2);
+        assert_eq!(plan.features().size, plan.source().size());
+        let ans = ppl(&s, src, &["y", "z"]).unwrap();
         assert_eq!(ans.len(), 3);
         assert_eq!(ans.arity(), 2);
         assert!(!ans.is_empty());
-        let rendered = ans.render(&d);
+        let rendered = ans.render(&s);
         assert_eq!(rendered.lines().count(), 3);
         assert!(rendered.contains("$y=author#"));
-        assert!(q.is_satisfiable(&d).unwrap());
+        assert!(
+            !ppl(&s, src, &[]).unwrap().is_empty(),
+            "satisfiable as a Boolean query"
+        );
     }
 
     #[test]
     fn compile_errors_are_informative() {
-        let parse_err = PplQuery::compile("child::", &[]).unwrap_err();
+        let s = session();
+        let parse_err = s.plan("child::", &[]).unwrap_err();
         assert!(matches!(parse_err, CompileError::Parse(_)));
-        let ppl_err =
-            PplQuery::compile("for $x in child::a return child::b", &[]).unwrap_err();
+        let ppl_err = ppl(&s, "for $x in child::a return child::b", &[]).unwrap_err();
         match &ppl_err {
-            CompileError::NotPpl(v) => assert!(!v.is_empty()),
+            QueryError::Ppl(CompileError::NotPpl(v)) => assert!(!v.is_empty()),
             other => panic!("expected NotPpl, got {other:?}"),
         }
         assert!(ppl_err.to_string().contains("N(for)"));
-        let shared =
-            PplQuery::compile("child::a[. is $x]/child::b[. is $x]", &["x"]).unwrap_err();
+        let shared = ppl(&s, "child::a[. is $x]/child::b[. is $x]", &["x"]).unwrap_err();
         assert!(shared.to_string().contains("NVS(/)"));
     }
 
     #[test]
     fn explain_lists_pipeline_stages() {
-        let q = PplQuery::compile("descendant::book[child::author[. is $y]]", &["y"]).unwrap();
-        let text = q.explain();
-        assert!(text.contains("PPL source"));
+        let plan = session()
+            .plan("descendant::book[child::author[. is $y]]", &["y"])
+            .unwrap();
+        let text = plan.explain();
+        assert!(text.contains("query        : descendant::book"));
         assert!(text.contains("HCL⁻(PPLbin)"));
         assert!(text.contains("b0 ="));
     }
 
     #[test]
     fn binary_queries() {
-        let d = doc();
-        let q = BinaryQuery::compile("child::book/child::author").unwrap();
-        assert_eq!(q.pairs(&d).len(), 3);
-        assert_eq!(q.select_from_root(&d).len(), 3);
-        assert_eq!(q.matrix(&d).count_pairs(), 3);
-        assert!(q.binexpr().size() >= 2);
-        let err = BinaryQuery::compile("child::a[. is $x]").unwrap_err();
-        assert!(matches!(err, CompileError::NotVariableFree(_)));
+        // Theorem 2: a variable-free query is a Boolean node matrix,
+        // compiled once through the session store.
+        use xpath_ast::binexpr::from_variable_free_path;
+        let s = session();
+        let bin =
+            from_variable_free_path(&parse_path("child::book/child::author").unwrap()).unwrap();
+        let m = s.store().eval(s.tree(), &bin);
+        assert_eq!(m.pairs().len(), 3);
+        assert_eq!(m.successors(s.root()).count(), 3);
+        assert_eq!(m.count_pairs(), 3);
+        assert!(bin.size() >= 2);
+        let err = from_variable_free_path(&parse_path("child::a[. is $x]").unwrap()).unwrap_err();
         assert!(err.to_string().contains("N($x)"));
     }
 
@@ -398,24 +247,22 @@ mod tests {
     fn zero_ary_render_is_normalised() {
         // Regression: satisfiable 0-ary answer sets used to render as a bare
         // "()" line that interleaved awkwardly with explain() output.
-        let d = doc();
-        let q = PplQuery::compile("descendant::book[child::author]", &[]).unwrap();
-        let ans = q.answers(&d).unwrap();
+        let s = session();
+        let ans = ppl(&s, "descendant::book[child::author]", &[]).unwrap();
         assert_eq!(ans.arity(), 0);
         assert_eq!(ans.len(), 1);
-        assert_eq!(ans.render(&d), "(satisfiable)\n");
-        assert!(!ans.render(&d).contains("()"), "no bare empty-tuple line");
-        let unsat = PplQuery::compile("descendant::publisher", &[]).unwrap();
-        assert_eq!(unsat.answers(&d).unwrap().render(&d), "");
+        assert_eq!(ans.render(&s), "(satisfiable)\n");
+        assert!(!ans.render(&s).contains("()"), "no bare empty-tuple line");
+        let unsat = ppl(&s, "descendant::publisher", &[]).unwrap();
+        assert_eq!(unsat.render(&s), "");
     }
 
     #[test]
     fn unsatisfiable_queries_have_empty_answers() {
-        let d = doc();
-        let q = PplQuery::compile("descendant::publisher[. is $p]", &["p"]).unwrap();
-        let ans = q.answers(&d).unwrap();
+        let s = session();
+        let ans = ppl(&s, "descendant::publisher[. is $p]", &["p"]).unwrap();
         assert!(ans.is_empty());
-        assert!(!q.is_satisfiable(&d).unwrap());
-        assert_eq!(ans.render(&d), "");
+        assert!(ppl(&s, "descendant::publisher", &[]).unwrap().is_empty());
+        assert_eq!(ans.render(&s), "");
     }
 }

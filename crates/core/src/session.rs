@@ -1,35 +1,62 @@
 //! Thread-safe query serving: one document, many concurrent clients.
 //!
 //! A [`Session`] owns a document tree plus a sharded, lock-protected
-//! [`SharedMatrixStore`], so — unlike the historical `RefCell`-backed
-//! [`Document`](crate::Document) cache — it is `Send + Sync` and can answer queries from many
-//! threads at once while still amortising the `|t|³` PPLbin matrix
-//! compilation across all of them.  Cloning a session is cheap (two `Arc`
-//! clones) and shares both the tree and the cache.
+//! [`SharedMatrixStore`], so it is `Send + Sync` and can answer queries
+//! from many threads at once while still amortising the `|t|³` PPLbin
+//! matrix compilation across all of them.  Cloning a session is cheap (two
+//! `Arc` clones) and shares both the tree and the cache.
 //!
 //! The serving workflow is *prepare once, execute anywhere*:
 //!
 //! 1. [`Session::plan`] (or [`Planner::plan_with`]) compiles a query into an
 //!    engine-agnostic [`QueryPlan`] — parse, Definition 1 check, Fig. 7
 //!    translation, plus the planner's cost decision over the four engines;
-//! 2. [`Session::execute`] answers a plan through the [`Executor`] of its
-//!    chosen engine; [`Session::answer_batch_parallel`] fans a batch of
-//!    plans out over worker threads sharing the one matrix store;
+//! 2. [`Session::execute`] answers a plan on its chosen engine;
+//!    [`Session::answer_batch_parallel`] fans a batch of plans out over
+//!    worker threads sharing the one matrix store;
 //! 3. [`Session::answers_stream`] yields tuples lazily instead of
 //!    materialising the whole [`AnswerSet`].
 //!
-//! [`Executor`]: crate::exec::Executor
+//! Both `execute` and `answers_stream` go through one private dispatch on
+//! [`QueryPlan::engine`]: the Fig. 8 engines (`ppl` through the shared
+//! store, `hcl` compiled cold) give a lazy [`AnswerStream`]; `acq` and
+//! `naive`, whose algorithms are not incremental, give a materialised
+//! tuple set.
 
-use crate::document::DocumentError;
+use crate::engine::Engine;
 use crate::plan::{Planner, QueryPlan};
 use crate::query::{AnswerSet, CompileError, QueryError};
+use std::collections::{btree_set, BTreeSet};
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use xpath_ast::{parse_path, PathExpr, Var};
-use xpath_hcl::{stream_hcl_pplbin_shared, AnswerStream};
+use xpath_acq::{answer_acq, hcl_to_acq, hcl_to_union_acq};
+use xpath_ast::{parse_path, BinExpr, PathExpr, Var};
+use xpath_hcl::{stream_hcl_pplbin, stream_hcl_pplbin_shared, AnswerStream, Hcl};
+use xpath_naive::answer_nary;
 use xpath_pplbin::{CacheStats, KernelMode, KernelStats, SharedMatrixStore};
-use xpath_tree::{NodeId, Tree};
-use xpath_xml::{parse_with, ParseOptions};
+use xpath_tree::{NodeId, Tree, TreeError};
+use xpath_xml::{parse_with, ParseOptions, XmlError};
+
+/// Errors raised while loading a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DocumentError {
+    /// XML parsing failed.
+    Xml(XmlError),
+    /// Term-syntax parsing failed.
+    Terms(TreeError),
+}
+
+impl fmt::Display for DocumentError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DocumentError::Xml(e) => write!(f, "failed to parse XML document: {e}"),
+            DocumentError::Terms(e) => write!(f, "failed to parse term document: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for DocumentError {}
 
 /// A thread-safe serving handle over one document.
 ///
@@ -176,12 +203,45 @@ impl Session {
 
     // -- execution ----------------------------------------------------------
 
-    /// Execute a prepared plan: dispatch to the [`Executor`] of the plan's
-    /// chosen engine.
-    ///
-    /// [`Executor`]: crate::exec::Executor
+    /// Run a plan on its engine: the one dispatch behind
+    /// [`Session::execute`] and [`Session::answers_stream`].
+    fn run(&self, plan: &QueryPlan) -> Result<Tuples, QueryError> {
+        let output = plan.output();
+        let tuples = match plan.engine() {
+            Engine::Ppl => Tuples::Stream(Box::new(
+                stream_hcl_pplbin_shared(&self.tree, image(plan)?, output, &self.store)
+                    .map_err(QueryError::Hcl)?,
+            )),
+            Engine::Hcl => Tuples::Stream(Box::new(
+                stream_hcl_pplbin(&self.tree, image(plan)?, output).map_err(QueryError::Hcl)?,
+            )),
+            Engine::Acq => {
+                let hcl = image(plan)?;
+                Tuples::Set(if hcl.is_union_free() {
+                    let (cq, db) = hcl_to_acq(&self.tree, hcl, output).map_err(acq_error)?;
+                    answer_acq(&cq, &db).map_err(acq_error)?
+                } else {
+                    hcl_to_union_acq(&self.tree, hcl, output, plan.acq_disjunct_budget())
+                        .map_err(acq_error)?
+                        .answer()
+                        .map_err(acq_error)?
+                })
+            }
+            Engine::NaiveEnumeration => Tuples::Set(
+                answer_nary(&self.tree, plan.source(), output)
+                    .map_err(|e| QueryError::Naive(e.to_string()))?,
+            ),
+        };
+        Ok(tuples)
+    }
+
+    /// Execute a prepared plan on its chosen engine.
     pub fn execute(&self, plan: &QueryPlan) -> Result<AnswerSet, QueryError> {
-        plan.engine().executor().execute(self, plan)
+        let tuples = match self.run(plan)? {
+            Tuples::Stream(stream) => stream.collect(),
+            Tuples::Set(set) => set,
+        };
+        Ok(AnswerSet::new(plan.output().to_vec(), tuples))
     }
 
     /// Plan and execute in one call (auto engine choice).
@@ -261,34 +321,19 @@ impl Session {
     /// `MC` table are computed up front, but the exploration of the query's
     /// top-level leaves — from the image nodes of a leading atom, or from
     /// the start nodes of any other leaf — happens on demand, so taking `k`
-    /// tuples does not pay for the full answer set.
-    /// Each engine keeps the exact contract of [`Session::execute`] —
-    /// `ppl` plans compile through the shared store, `hcl` plans compile
-    /// cold (never touching the session cache), and `acq` and `naive`
-    /// plans, whose algorithms are not incremental (Yannakakis semijoins
-    /// with the plan's disjunct budget; assignment enumeration), are
-    /// executed by their own executor and then iterated — streaming never
+    /// tuples does not pay for the full answer set.  `acq` and `naive`
+    /// plans iterate their materialised tuple set.  Either way the plan
+    /// runs exactly as [`Session::execute`] runs it: streaming never
     /// changes a plan's answers, errors, or cache side effects.
     pub fn answers_stream(&self, plan: &QueryPlan) -> Result<AnswerIter, QueryError> {
-        use crate::engine::Engine;
-        let stream = match (plan.hcl(), plan.engine()) {
-            (Some(hcl), Engine::Ppl) => {
-                stream_hcl_pplbin_shared(&self.tree, hcl, plan.output(), &self.store)
-                    .map_err(QueryError::Hcl)?
-            }
-            (Some(hcl), Engine::Hcl) => {
-                xpath_hcl::stream_hcl_pplbin(&self.tree, hcl, plan.output())
-                    .map_err(QueryError::Hcl)?
-            }
-            _ => {
-                let set = self.execute(plan)?;
-                return Ok(AnswerIter::materialised(
-                    plan.output().to_vec(),
-                    set.tuples().to_vec(),
-                ));
-            }
+        let inner = match self.run(plan)? {
+            Tuples::Stream(stream) => AnswerIterInner::Streaming(stream),
+            Tuples::Set(set) => AnswerIterInner::Materialised(set.into_iter()),
         };
-        Ok(AnswerIter::streaming(plan.output().to_vec(), stream))
+        Ok(AnswerIter {
+            variables: plan.output().to_vec(),
+            inner,
+        })
     }
 
     // -- cache management ---------------------------------------------------
@@ -314,6 +359,30 @@ impl Session {
     }
 }
 
+/// What [`Session::run`] produced: a lazy Fig. 8 stream or a materialised
+/// tuple set.
+enum Tuples {
+    Stream(Box<AnswerStream>),
+    Set(BTreeSet<Vec<NodeId>>),
+}
+
+/// The HCL image of a plan.  Only naive plans of non-PPL queries lack one,
+/// and those never reach a Fig. 8 or `acq` engine; the Definition 1
+/// diagnostics are reported anyway rather than panicking.
+fn image(plan: &QueryPlan) -> Result<&Hcl<BinExpr>, QueryError> {
+    plan.hcl().ok_or_else(|| {
+        QueryError::Ppl(CompileError::NotPpl(
+            xpath_ast::ppl::check_ppl(plan.source())
+                .err()
+                .unwrap_or_default(),
+        ))
+    })
+}
+
+fn acq_error(e: impl fmt::Display) -> QueryError {
+    QueryError::Acq(e.to_string())
+}
+
 /// A lazy iterator over the answer tuples of an executed plan.
 ///
 /// Yields one `Vec<NodeId>` per answer tuple (one node per output variable,
@@ -331,7 +400,7 @@ pub struct AnswerIter {
 #[derive(Debug)]
 enum AnswerIterInner {
     Streaming(Box<AnswerStream>),
-    Materialised(std::vec::IntoIter<Vec<NodeId>>),
+    Materialised(btree_set::IntoIter<Vec<NodeId>>),
 }
 
 // Streams must be movable to consumer threads.
@@ -339,20 +408,6 @@ const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<AnswerIter>();
 
 impl AnswerIter {
-    fn streaming(variables: Vec<Var>, stream: AnswerStream) -> AnswerIter {
-        AnswerIter {
-            variables,
-            inner: AnswerIterInner::Streaming(Box::new(stream)),
-        }
-    }
-
-    fn materialised(variables: Vec<Var>, tuples: Vec<Vec<NodeId>>) -> AnswerIter {
-        AnswerIter {
-            variables,
-            inner: AnswerIterInner::Materialised(tuples.into_iter()),
-        }
-    }
-
     /// The output variables, in tuple order.
     pub fn variables(&self) -> &[Var] {
         &self.variables
@@ -491,34 +546,202 @@ mod tests {
 
     #[test]
     fn streaming_answers_agree_with_execute() {
+        // The one dispatch behind `execute` and `answers_stream`: for every
+        // engine both give the same answers, and exactly the Fig. 8 engines
+        // stream.
         let s = session();
-        // Forced to ppl: the auto planner routes this tiny instance to
-        // naive, which (correctly) does not stream.
-        let plan = ppl_plan(&s, "descendant::book[child::author[. is $a]]", &["a"]);
-        let set = s.execute(&plan).unwrap();
-        let iter = s.answers_stream(&plan).unwrap();
-        assert!(iter.is_streaming());
-        assert_eq!(iter.variables(), plan.output());
-        assert_eq!(iter.collect_set(), set);
-        // Prefix consumption yields distinct known tuples.
-        let mut prefix = s.answers_stream(&plan).unwrap();
-        let first = prefix.next().unwrap();
-        assert!(set.tuples().contains(&first));
-        // A forced-naive plan streams via materialisation.
-        let naive = Planner::default()
+        let src = "descendant::book[child::author[. is $a]]";
+        let mut answers = Vec::new();
+        for engine in Engine::ALL {
+            let plan = Planner::default()
+                .plan_with(
+                    &s,
+                    xpath_ast::parse_path(src).unwrap(),
+                    vec![Var::new("a")],
+                    Some(engine),
+                )
+                .unwrap();
+            let set = s.execute(&plan).unwrap();
+            let iter = s.answers_stream(&plan).unwrap();
+            assert_eq!(
+                iter.is_streaming(),
+                matches!(engine, Engine::Ppl | Engine::Hcl),
+                "{engine}"
+            );
+            assert_eq!(iter.variables(), plan.output());
+            assert_eq!(iter.collect_set(), set, "{engine}");
+            // Prefix consumption yields a known tuple.
+            let first = s.answers_stream(&plan).unwrap().next().unwrap();
+            assert!(set.tuples().contains(&first), "{engine}");
+            answers.push(set);
+        }
+        assert_eq!(answers[0].len(), 3);
+        for (engine, other) in Engine::ALL.iter().zip(&answers) {
+            assert_eq!(other, &answers[0], "{engine} disagrees with ppl");
+        }
+    }
+
+    #[test]
+    fn all_four_executors_agree_on_a_ppl_query() {
+        let s = session();
+        let src = "descendant::book[child::author[. is $y] and child::title[. is $z]]";
+        let mut answers = Vec::new();
+        for engine in Engine::ALL {
+            let plan = Planner::default()
+                .plan_with(
+                    &s,
+                    xpath_ast::parse_path(src).unwrap(),
+                    vec![Var::new("y"), Var::new("z")],
+                    Some(engine),
+                )
+                .unwrap();
+            assert_eq!(plan.engine(), engine);
+            assert!(!engine.describe().is_empty());
+            answers.push(s.execute(&plan).unwrap());
+        }
+        assert_eq!(answers[0].len(), 3);
+        for other in &answers[1..] {
+            assert_eq!(other, &answers[0]);
+        }
+    }
+
+    #[test]
+    fn acq_executor_honours_the_planner_disjunct_budget() {
+        // Regression: the budget used to be a dead field on Planner while
+        // the executor always used the 256 default.
+        let s = session();
+        let src = "descendant::author[. is $x] union descendant::title[. is $x]";
+        let tight = Planner {
+            acq_disjunct_budget: 1,
+            ..Planner::default()
+        };
+        let plan = tight
             .plan_with(
                 &s,
-                xpath_ast::parse_path("descendant::book[child::author[. is $a]]").unwrap(),
-                vec![Var::new("a")],
-                Some(Engine::NaiveEnumeration),
+                xpath_ast::parse_path(src).unwrap(),
+                vec![Var::new("x")],
+                Some(Engine::Acq),
             )
             .unwrap();
-        let fallback = s.answers_stream(&naive).unwrap();
-        assert!(
-            !fallback.is_streaming(),
-            "naive plans must not stream through the matrix engines"
+        assert_eq!(plan.acq_disjunct_budget(), 1);
+        let err = s.execute(&plan).unwrap_err();
+        assert!(matches!(err, QueryError::Acq(_)), "{err}");
+        assert!(err.to_string().contains("budget") || err.to_string().contains("disjunct"));
+    }
+
+    #[test]
+    fn acq_executor_handles_union_queries_via_distribution() {
+        let s = session();
+        let src = "descendant::author[. is $x] union descendant::title[. is $x]";
+        let output = [Var::new("x")];
+        let query = xpath_ast::parse_path(src).unwrap();
+        let acq = Engine::Acq.answer(&s, &query, &output).unwrap();
+        let naive = Engine::NaiveEnumeration
+            .answer(&s, &query, &output)
+            .unwrap();
+        assert_eq!(acq, naive);
+        assert_eq!(acq.len(), 5); // 3 authors + 2 titles
+    }
+
+    #[test]
+    fn errors_are_wrapped() {
+        assert!(matches!(
+            Session::from_xml("<a><b></a>"),
+            Err(DocumentError::Xml(_))
+        ));
+        assert!(matches!(
+            Session::from_terms("a(("),
+            Err(DocumentError::Terms(_))
+        ));
+        let err = Session::from_xml("").unwrap_err();
+        assert!(err.to_string().contains("XML"));
+    }
+
+    #[test]
+    fn from_xml_and_terms_agree() {
+        let a = Session::from_xml("<a><b/><c><d/></c></a>").unwrap();
+        let b = Session::from_terms("a(b,c(d))").unwrap();
+        assert_eq!(a.tree().to_terms(), b.tree().to_terms());
+        assert_eq!(a.len(), 4);
+        assert_eq!(a.label(a.root()), "a");
+        assert_eq!(xpath_xml::to_xml(a.tree()), "<a><b/><c><d/></c></a>");
+        assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn describe_nodes() {
+        let s = Session::from_terms("a(b,c)").unwrap();
+        assert_eq!(s.describe(s.root()), "a#0");
+        let c = s.tree().nodes_with_label_str("c")[0];
+        assert_eq!(s.describe(c), "c#2");
+    }
+
+    #[test]
+    fn cached_binexpr_evaluation_matches_cold() {
+        use xpath_ast::binexpr::from_variable_free_path;
+        let s = Session::from_terms("a(b(c),b,c)").unwrap();
+        let bin = from_variable_free_path(
+            &xpath_ast::parse_path("descendant::* except child::*").unwrap(),
+        )
+        .unwrap();
+        let warm = s.store().eval(s.tree(), &bin);
+        assert_eq!(warm, xpath_pplbin::answer_binary(s.tree(), &bin));
+        assert_eq!(s.store().eval(s.tree(), &bin), warm);
+        // Cloning a session shares its tree and cache state.
+        let clone = s.clone();
+        assert_eq!(clone.cache_stats(), s.cache_stats());
+    }
+
+    #[test]
+    fn repeated_queries_hit_the_document_cache() {
+        let s = session();
+        let plan = ppl_plan(
+            &s,
+            "descendant::book[child::author[. is $y] and child::title[. is $z]]",
+            &["y", "z"],
         );
-        assert_eq!(fallback.collect_set(), set);
+        assert_eq!(s.cache_stats().lookups(), 0);
+        let first = s.execute(&plan).unwrap();
+        let after_first = s.cache_stats();
+        assert!(after_first.misses > 0, "first run must compile matrices");
+        let second = s.execute(&plan).unwrap();
+        let after_second = s.cache_stats();
+        assert_eq!(first, second);
+        assert_eq!(
+            after_second.misses, after_first.misses,
+            "second run must not recompile"
+        );
+        assert!(after_second.hits > after_first.hits);
+        s.clear_cache();
+        assert_eq!(s.cache_stats().lookups(), 0);
+        assert_eq!(s.execute(&plan).unwrap(), first);
+    }
+
+    #[test]
+    fn answer_batch_matches_per_query_answers_and_shares_matrices() {
+        let s = session();
+        let plans = [
+            ppl_plan(&s, "descendant::book[child::author[. is $a]]", &["a"]),
+            ppl_plan(&s, "descendant::book[child::title[. is $t]]", &["t"]),
+            ppl_plan(&s, "descendant::book[child::author[. is $a]]", &["a"]),
+        ];
+        let batch = s.answer_batch(&plans).unwrap();
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch[0], batch[2], "equal queries give equal answers");
+        for (plan, got) in plans.iter().zip(&batch) {
+            let cold = Engine::Hcl
+                .answer(&s, plan.source(), plan.output())
+                .unwrap();
+            assert_eq!(&cold, got);
+        }
+        // `descendant::book` is shared by all three queries; with hash
+        // consing it is compiled exactly once.
+        let stats = s.cache_stats();
+        assert!(
+            stats.hits > 0,
+            "batch must reuse shared subterms: {stats:?}"
+        );
+        assert!(s.answer_batch(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -564,7 +787,9 @@ mod tests {
                 Some(Engine::Acq),
             )
             .unwrap();
-        assert!(matches!(s.execute(&plan), Err(QueryError::Acq(_))));
+        let err = s.execute(&plan).unwrap_err();
+        assert!(matches!(err, QueryError::Acq(_)), "{err}");
+        assert!(err.to_string().contains("budget") || err.to_string().contains("disjunct"));
         assert!(matches!(s.answers_stream(&plan), Err(QueryError::Acq(_))));
         let ok = Planner::default()
             .plan_with(

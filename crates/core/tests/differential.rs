@@ -40,31 +40,33 @@ fn query_suite() -> Vec<(&'static str, Vec<&'static str>)> {
     ]
 }
 
-fn check_all_queries(doc: &Document) {
+fn check_all_queries(session: &Session) {
     for (src, outputs) in query_suite() {
         let query = xpath_ast::parse_path(src).unwrap();
         let vars: Vec<Var> = outputs.iter().map(|n| Var::new(n)).collect();
-        let fast = Engine::Ppl.answer(doc, &query, &vars).unwrap();
-        let slow = Engine::NaiveEnumeration.answer(doc, &query, &vars).unwrap();
+        let fast = Engine::Ppl.answer(session, &query, &vars).unwrap();
+        let slow = Engine::NaiveEnumeration
+            .answer(session, &query, &vars)
+            .unwrap();
         assert_eq!(
             fast,
             slow,
             "engines disagree on {src:?} over {}",
-            doc.to_terms()
+            session.tree().to_terms()
         );
     }
 }
 
 #[test]
 fn engines_agree_on_the_bibliography_document() {
-    let doc = Document::from_tree(bibliography(4, 3));
-    check_all_queries(&doc);
+    let session = Session::from_tree(bibliography(4, 3));
+    check_all_queries(&session);
 }
 
 #[test]
 fn engines_agree_on_the_restaurant_document() {
-    let doc = Document::from_tree(restaurants(3, &["name", "city", "phone"], 2));
-    check_all_queries(&doc);
+    let session = Session::from_tree(restaurants(3, &["name", "city", "phone"], 2));
+    check_all_queries(&session);
 }
 
 #[test]
@@ -82,16 +84,16 @@ fn engines_agree_on_random_trees_of_every_shape() {
             alphabet: 3,
             seed: 0xABCD,
         });
-        let doc = Document::from_tree(tree);
-        check_all_queries(&doc);
+        let session = Session::from_tree(tree);
+        check_all_queries(&session);
     }
 }
 
 #[test]
 fn engines_agree_on_tiny_and_degenerate_trees() {
     for terms in ["a", "a(a)", "a(a,a,a)", "l0(l1(l0(l1)))"] {
-        let doc = Document::from_tree(Tree::from_terms(terms).unwrap());
-        check_all_queries(&doc);
+        let session = Session::from_tree(Tree::from_terms(terms).unwrap());
+        check_all_queries(&session);
     }
 }
 
@@ -99,16 +101,15 @@ fn engines_agree_on_tiny_and_degenerate_trees() {
 fn answer_sets_are_output_sensitive_not_domain_sized() {
     // A selective query on a larger document: the answer set stays small
     // even though |t|^n is large — the property Theorem 1 is about.
-    let doc = Document::from_tree(bibliography(40, 4));
-    let q = PplQuery::compile(
-        "descendant::book[child::author[. is $y] and child::title[. is $z]]",
-        &["y", "z"],
-    )
-    .unwrap();
-    let ans = q.answers(&doc).unwrap();
+    let session = Session::from_tree(bibliography(40, 4));
+    let q =
+        parse_path("descendant::book[child::author[. is $y] and child::title[. is $z]]").unwrap();
+    let ans = Engine::Ppl
+        .answer(&session, &q, &[Var::new("y"), Var::new("z")])
+        .unwrap();
     // One (author, title) pair per author of each book: books have
     // 1 + (i mod 4) authors.
     let expected: usize = (0..40).map(|i| 1 + (i % 4)).sum();
     assert_eq!(ans.len(), expected);
-    assert!(ans.len() < doc.len() * doc.len() / 10);
+    assert!(ans.len() < session.len() * session.len() / 10);
 }

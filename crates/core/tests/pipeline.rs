@@ -19,42 +19,45 @@ const BIB_XML: &str = r#"<?xml version="1.0"?>
 
 #[test]
 fn xml_to_answers_end_to_end() {
-    let doc = Document::from_xml(BIB_XML).unwrap();
-    assert_eq!(doc.label(doc.root()), "bib");
+    let session = Session::from_xml(BIB_XML).unwrap();
+    assert_eq!(session.label(session.root()), "bib");
 
-    let pairs = PplQuery::compile(
-        "descendant::book[child::author[. is $a] and child::title[. is $t]]",
-        &["a", "t"],
-    )
-    .unwrap();
-    let answers = pairs.answers(&doc).unwrap();
+    let answers = session
+        .answer(
+            "descendant::book[child::author[. is $a] and child::title[. is $t]]",
+            &["a", "t"],
+        )
+        .unwrap();
     assert_eq!(answers.len(), 3); // 1 + 2 author-title pairs from the books
     for tuple in answers.iter() {
-        assert_eq!(doc.label(tuple[0]), "author");
-        assert_eq!(doc.label(tuple[1]), "title");
-        assert_eq!(doc.tree().parent(tuple[0]), doc.tree().parent(tuple[1]));
-        assert_eq!(doc.label(doc.tree().parent(tuple[0]).unwrap()), "book");
+        assert_eq!(session.label(tuple[0]), "author");
+        assert_eq!(session.label(tuple[1]), "title");
+        let parent = |n: NodeId| session.tree().parent(n);
+        assert_eq!(parent(tuple[0]), parent(tuple[1]));
+        assert_eq!(session.label(parent(tuple[0]).unwrap()), "book");
     }
 
     // Including the article: select (publication, title) pairs for books OR
     // articles, exercising union with a shared variable.
-    let any_pub = PplQuery::compile(
-        "descendant::book[. is $p][child::title[. is $t]] \
-         union descendant::article[. is $p][child::title[. is $t]]",
-        &["p", "t"],
-    );
+    let any_pub = session
+        .plan(
+            "descendant::book[. is $p][child::title[. is $t]] \
+             union descendant::article[. is $p][child::title[. is $t]]",
+            &["p", "t"],
+        )
+        .unwrap();
     // Chained filters share no variables between base and test?  They do
     // here ($p in the base, $t in the test) — that is allowed; sharing the
     // *same* variable would not be.
-    let any_pub = any_pub.unwrap();
-    let ans = any_pub.answers(&doc).unwrap();
+    assert!(any_pub.features().ppl);
+    let ans = session.execute(&any_pub).unwrap();
     assert_eq!(ans.len(), 3); // two books + one article, one title each
 }
 
 #[test]
 fn binary_engines_agree_with_each_other() {
-    let doc = Document::from_xml(BIB_XML).unwrap();
-    let tree = doc.tree();
+    let session = Session::from_xml(BIB_XML).unwrap();
+    let tree = session.tree();
     for src in [
         "child::book/child::author",
         "descendant::title",
@@ -74,16 +77,15 @@ fn binary_engines_agree_with_each_other() {
         assert_eq!(reachable, expected, "{src}");
         let with_succ = has_successor_set(tree, &bin).unwrap();
         assert_eq!(with_succ, matrix.nonempty_rows(), "{src}");
-        // High-level BinaryQuery facade.
-        let facade = BinaryQuery::compile(src).unwrap();
-        assert_eq!(facade.pairs(&doc), matrix.pairs(), "{src}");
+        // The session's shared matrix store.
+        assert_eq!(session.store().eval(tree, &bin), matrix, "{src}");
     }
 }
 
 #[test]
 fn yannakakis_agrees_with_the_hcl_algorithm_on_union_free_queries() {
-    let doc = Document::from_xml(BIB_XML).unwrap();
-    let tree = doc.tree();
+    let session = Session::from_xml(BIB_XML).unwrap();
+    let tree = session.tree();
     let bin = |s: &str| from_variable_free_path(&xpath_ast::parse_path(s).unwrap()).unwrap();
     let queries: Vec<(Hcl<_>, Vec<Var>)> = vec![
         (
@@ -113,8 +115,8 @@ fn yannakakis_agrees_with_the_hcl_algorithm_on_union_free_queries() {
 
 #[test]
 fn fig7_translation_round_trip_preserves_answers() {
-    let doc = Document::from_xml(BIB_XML).unwrap();
-    let tree = doc.tree();
+    let session = Session::from_xml(BIB_XML).unwrap();
+    let tree = session.tree();
     let sources = [
         "descendant::book[child::author[. is $a] and child::title[. is $t]]",
         "descendant::author[. is $x] union descendant::title[. is $x]",
@@ -135,16 +137,17 @@ fn fig7_translation_round_trip_preserves_answers() {
 
 #[test]
 fn explain_and_render_produce_readable_reports() {
-    let doc = Document::from_xml(BIB_XML).unwrap();
-    let q = PplQuery::compile(
-        "descendant::book[child::author[. is $a] and child::title[. is $t]]",
-        &["a", "t"],
-    )
-    .unwrap();
-    let explain = q.explain();
-    assert!(explain.contains("PPL source"));
+    let session = Session::from_xml(BIB_XML).unwrap();
+    let plan = session
+        .plan(
+            "descendant::book[child::author[. is $a] and child::title[. is $t]]",
+            &["a", "t"],
+        )
+        .unwrap();
+    let explain = plan.explain();
+    assert!(explain.contains("query        : descendant::book"));
     assert!(explain.contains("PPLbin atoms"));
-    let rendered = q.answers(&doc).unwrap().render(&doc);
+    let rendered = session.execute(&plan).unwrap().render(&session);
     assert!(rendered.contains("$a=author#"));
     assert!(rendered.contains("$t=title#"));
 }
@@ -154,25 +157,26 @@ fn larger_document_smoke_test() {
     // A wider restaurant-guide document through the whole pipeline.
     let attrs = xpath_tree::generate::RESTAURANT_ATTRIBUTES;
     let tree = xpath_tree::generate::restaurants(25, &attrs, 7);
-    let doc = Document::from_tree(tree);
+    let session = Session::from_tree(tree);
     let (query, vars) = xpath_workload::restaurant_query(4);
-    let compiled = PplQuery::compile_path(query, vars).unwrap();
-    let answers = compiled.answers(&doc).unwrap();
+    let answers = Engine::Ppl.answer(&session, &query, &vars).unwrap();
     assert_eq!(answers.len(), 25);
     assert_eq!(answers.arity(), 4);
     // Selecting all 11 attributes: restaurants missing the last column drop
     // out (every 7th), so 25 - 3 = 22 rows.
     let (query11, vars11) = xpath_workload::restaurant_query(11);
-    let compiled11 = PplQuery::compile_path(query11, vars11).unwrap();
-    let answers11 = compiled11.answers(&doc).unwrap();
+    let answers11 = Engine::Ppl.answer(&session, &query11, &vars11).unwrap();
     assert_eq!(answers11.len(), 22);
     assert_eq!(answers11.arity(), 11);
 
     // Cross-check a sample of the unary projection with the binary engine.
-    let names = BinaryQuery::compile("descendant::restaurant/child::name").unwrap();
-    let name_nodes: BTreeSet<NodeId> = names
-        .select_from_root(&doc)
-        .into_iter()
+    let names =
+        from_variable_free_path(&parse_path("descendant::restaurant/child::name").unwrap())
+            .unwrap();
+    let name_nodes: BTreeSet<NodeId> = session
+        .store()
+        .eval(session.tree(), &names)
+        .successors(session.root())
         .collect();
     let projected: BTreeSet<NodeId> = answers.iter().map(|t| t[0]).collect();
     assert!(projected.is_subset(&name_nodes));

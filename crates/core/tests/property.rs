@@ -202,9 +202,9 @@ proptest! {
         } else {
             vec![Var::new("a"), Var::new("b")]
         };
-        let doc = Document::from_tree(tree);
-        let fast = Engine::Ppl.answer(&doc, &query, &outputs).unwrap();
-        let slow = Engine::NaiveEnumeration.answer(&doc, &query, &outputs).unwrap();
+        let session = Session::from_tree(tree);
+        let fast = Engine::Ppl.answer(&session, &query, &outputs).unwrap();
+        let slow = Engine::NaiveEnumeration.answer(&session, &query, &outputs).unwrap();
         prop_assert_eq!(fast, slow);
     }
 

@@ -59,7 +59,7 @@ pub mod reactor;
 pub mod router;
 pub mod server;
 
-use ppl_xpath::document::DocumentError;
+use ppl_xpath::session::DocumentError;
 use ppl_xpath::{AnswerSet, CompileError, Engine, Planner, QueryError, QueryPlan, Session};
 use queue::BoundedQueue;
 use std::collections::{BTreeMap, HashMap};
@@ -1136,7 +1136,7 @@ mod tests {
         });
         corpus.insert_terms("a", "r(l0,l1)").unwrap();
         corpus.insert_terms("b", "r(l0,l1)").unwrap();
-        // Nest unions 9 deep: 2^9 = 512 disjuncts exceed the acq executor's
+        // Nest unions 9 deep: 2^9 = 512 disjuncts exceed the acq engine's
         // Prop. 9 distribution budget (256), so execution fails per
         // document and the fan-out must surface the smallest document name.
         let mut query = String::from("descendant::l0[. is $x]");

@@ -41,7 +41,7 @@ use crate::share::{EquationSystem, ShareId, ShareNode};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fmt;
 use xpath_ast::{BinExpr, Var};
-use xpath_pplbin::{CapacityError, MatrixStore, SharedMatrixStore};
+use xpath_pplbin::{CapacityError, SharedMatrixStore};
 use xpath_tree::{NodeId, NodeSet, Tree};
 
 /// An answer tuple: one node per output variable, in the order of the output
@@ -95,37 +95,6 @@ pub fn answer_hcl_pplbin(
 ) -> Result<BTreeSet<Tuple>, HclError> {
     answer_hcl(tree, hcl, output, |t: &Tree, atoms: &[BinExpr]| {
         Ok(PplBinAtoms::compile(t, atoms))
-    })
-}
-
-/// Answer an `HCL⁻(PPLbin)` query with atoms compiled through a
-/// [`MatrixStore`], so step matrices, hash-consed subterms and successor
-/// lists shared with earlier queries over the same tree are reused instead
-/// of recompiled.  This is the cached entry point used by
-/// `ppl_xpath::Document` for repeated and batched query workloads.
-pub fn answer_hcl_pplbin_with_store(
-    tree: &Tree,
-    hcl: &Hcl<BinExpr>,
-    output: &[Var],
-    store: &mut MatrixStore,
-) -> Result<BTreeSet<Tuple>, HclError> {
-    answer_hcl(tree, hcl, output, |t: &Tree, atoms: &[BinExpr]| {
-        Ok(PplBinAtoms::try_compile_with_store(t, atoms, store)?)
-    })
-}
-
-/// Answer an `HCL⁻(PPLbin)` query with atoms compiled through a thread-safe
-/// [`SharedMatrixStore`] (`&self` — many threads can answer over the same
-/// store concurrently).  This is the entry point behind
-/// `ppl_xpath::Session`.
-pub fn answer_hcl_pplbin_shared(
-    tree: &Tree,
-    hcl: &Hcl<BinExpr>,
-    output: &[Var],
-    store: &SharedMatrixStore,
-) -> Result<BTreeSet<Tuple>, HclError> {
-    answer_hcl(tree, hcl, output, |t: &Tree, atoms: &[BinExpr]| {
-        Ok(PplBinAtoms::try_compile_with_shared(t, atoms, store)?)
     })
 }
 
@@ -187,18 +156,6 @@ pub fn stream_hcl_pplbin_shared(
     stream_hcl(tree, hcl, output, |t: &Tree, atoms: &[BinExpr]| {
         Ok(PplBinAtoms::try_compile_with_shared(t, atoms, store)?)
     })
-}
-
-/// Answer a query from pre-normalised and pre-compiled pieces.
-///
-/// Callers are responsible for having checked NVS(/) on the source
-/// expression; the algorithm is only correct on HCL⁻(L).
-pub fn answer_compiled(
-    eq: &EquationSystem,
-    atoms: &CompiledAtoms,
-    output: &[Var],
-) -> BTreeSet<Tuple> {
-    AnswerStream::new(eq.clone(), atoms.clone(), output.to_vec()).collect()
 }
 
 /// A slot of a valuation row that no variable test has bound yet.
@@ -510,9 +467,9 @@ pub struct AnswerStream {
 }
 
 impl AnswerStream {
-    /// Build a stream from pre-normalised and pre-compiled pieces (the
-    /// NVS(/) check is the caller's responsibility, as for
-    /// [`answer_compiled`]).
+    /// Build a stream from pre-normalised and pre-compiled pieces.  The
+    /// NVS(/) check is the caller's responsibility: the algorithm is only
+    /// correct on HCL⁻(L).
     pub fn new(eq: EquationSystem, atoms: CompiledAtoms, output: Vec<Var>) -> AnswerStream {
         let mc = McTable::compute(&eq, &atoms);
         let domain = atoms.domain();
@@ -924,18 +881,15 @@ mod tests {
         let output = [v("x"), v("y")];
         let cold = answer_hcl_pplbin(&tree, &hcl, &output).unwrap();
         let store = SharedMatrixStore::new(tree.len());
-        let warm = answer_hcl_pplbin_shared(&tree, &hcl, &output, &store).unwrap();
-        assert_eq!(warm, cold);
+        let shared = || -> BTreeSet<Tuple> {
+            stream_hcl_pplbin_shared(&tree, &hcl, &output, &store)
+                .unwrap()
+                .collect()
+        };
+        assert_eq!(shared(), cold);
         let misses = store.stats().misses;
-        let again = answer_hcl_pplbin_shared(&tree, &hcl, &output, &store).unwrap();
-        assert_eq!(again, cold);
+        assert_eq!(shared(), cold);
         assert_eq!(store.stats().misses, misses, "second run must be pure hits");
-        // The streaming path reuses the same shared atoms.
-        let streamed: BTreeSet<Tuple> = stream_hcl_pplbin_shared(&tree, &hcl, &output, &store)
-            .unwrap()
-            .collect();
-        assert_eq!(streamed, cold);
-        assert_eq!(store.stats().misses, misses);
     }
 
     /// Answer the PPL query `src` through Fig. 7 and the stream, over cold
@@ -1076,13 +1030,17 @@ mod tests {
             .then(Hcl::Var(v("y")));
         let output = [v("x"), v("y")];
         let cold = answer_hcl_pplbin(&tree, &hcl, &output).unwrap();
-        let mut store = MatrixStore::new(tree.len());
-        let warm = answer_hcl_pplbin_with_store(&tree, &hcl, &output, &mut store).unwrap();
-        assert_eq!(warm, cold);
+        let mut store = xpath_pplbin::MatrixStore::new(tree.len());
+        let warm = |store: &mut xpath_pplbin::MatrixStore| -> BTreeSet<Tuple> {
+            answer_hcl(&tree, &hcl, &output, |t: &Tree, atoms: &[BinExpr]| {
+                Ok(PplBinAtoms::try_compile_with_store(t, atoms, store)?)
+            })
+            .unwrap()
+        };
+        assert_eq!(warm(&mut store), cold);
         // A second pass over the same store compiles nothing new.
         let misses = store.stats().misses;
-        let again = answer_hcl_pplbin_with_store(&tree, &hcl, &output, &mut store).unwrap();
-        assert_eq!(again, cold);
+        assert_eq!(warm(&mut store), cold);
         assert_eq!(store.stats().misses, misses);
     }
 }

@@ -51,8 +51,8 @@ pub mod share;
 pub mod translate;
 
 pub use answer::{
-    answer_hcl, answer_hcl_pplbin, answer_hcl_pplbin_shared, answer_hcl_pplbin_with_store,
-    stream_hcl, stream_hcl_pplbin, stream_hcl_pplbin_shared, AnswerStream, HclError,
+    answer_hcl, answer_hcl_pplbin, stream_hcl, stream_hcl_pplbin, stream_hcl_pplbin_shared,
+    AnswerStream, HclError,
 };
 pub use lang::Hcl;
 pub use oracle::{AtomId, AxisAtoms, CompiledAtoms, PplBinAtoms};

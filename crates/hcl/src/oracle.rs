@@ -39,8 +39,8 @@ impl AtomId {
 /// Precompiled successor rows for a set of binary queries over one tree.
 ///
 /// Per-atom rows are held behind `Arc`d [`SuccessorSource`] handles so a
-/// cache (the `MatrixStore` of a `Document`, or the `SharedMatrixStore` of a
-/// `Session`) can hand out the same compiled rows to many queries — on any
+/// cache (a `MatrixStore`, or the `SharedMatrixStore` of a `Session`) can
+/// hand out the same compiled rows to many queries — on any
 /// thread — without copying them.  Under the lazy kernel mode a source
 /// computes and memoises rows the first time the Fig. 8 answering phase
 /// pulls them, so "precompiled" means the *symbolic* form is ready; the

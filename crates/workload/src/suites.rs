@@ -106,7 +106,7 @@ pub fn pplbin_suite(levels: usize) -> BinExpr {
 ///   Yannakakis semijoins);
 /// * `except`-bearing dense-filter queries (the `ppl` regime: cached dense
 ///   matrix products);
-/// * a union query (distributed by the `acq` executor, native to `ppl`);
+/// * a union query (distributed by the `acq` engine, native to `ppl`);
 /// * an arity-0 satisfiability query.
 ///
 /// Returned as `(source, output_variables)` pairs so callers can prepare

@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run -p examples --bin bibliography`
 
-use ppl_xpath::{Document, Engine, PplQuery};
+use ppl_xpath::{Engine, Planner, Session};
 use std::time::Instant;
 use xpath_acq::{answer_acq, hcl_to_acq};
 use xpath_ast::{parse_path, Var};
@@ -21,19 +21,19 @@ use xpath_tree::generate::bibliography;
 
 fn main() {
     // A bibliography with 120 books and up to 4 authors per book.
-    let doc = Document::from_tree(bibliography(120, 4));
+    let session = Session::from_tree(bibliography(120, 4));
     println!(
         "bibliography document: {} nodes, {} books, {} authors",
-        doc.len(),
-        doc.tree().nodes_with_label_str("book").len(),
-        doc.tree().nodes_with_label_str("author").len(),
+        session.len(),
+        session.tree().nodes_with_label_str("book").len(),
+        session.tree().nodes_with_label_str("author").len(),
     );
 
     // --- 1. XQuery style: nested for loops (naive engine, small subset) ---
     // The for-loop formulation is outside PPL (no for loops allowed), so it
     // runs on the specification engine.  To keep the exponential baseline
     // affordable we evaluate it on a 4-book prefix only.
-    let small = Document::from_tree(bibliography(4, 4));
+    let small = Session::from_tree(bibliography(4, 4));
     let xquery_style = parse_path(
         "for $b in descendant::book return \
            child::book[. is $b]/child::author[. is $y]\
@@ -51,13 +51,14 @@ fn main() {
     );
 
     // --- 2. PPL with variables (the paper's introduction) ------------------
-    let ppl = PplQuery::compile(
-        "descendant::book[child::author[. is $y] and child::title[. is $z]]",
-        &["y", "z"],
-    )
-    .unwrap();
+    let intro =
+        parse_path("descendant::book[child::author[. is $y] and child::title[. is $z]]").unwrap();
+    let yz = [Var::new("y"), Var::new("z")];
+    let ppl = Planner::default()
+        .plan_with(&session, intro.clone(), yz.to_vec(), Some(Engine::Ppl))
+        .unwrap();
     let started = Instant::now();
-    let pairs = ppl.answers(&doc).unwrap();
+    let pairs = session.execute(&ppl).unwrap();
     println!(
         "[2] PPL formulation, polynomial engine, 120 books: {:4} pairs in {:?}",
         pairs.len(),
@@ -65,7 +66,7 @@ fn main() {
     );
 
     // The two formulations agree on the common 10-book document.
-    let ppl_small = ppl.answers(&small).unwrap();
+    let ppl_small = Engine::Ppl.answer(&small, &intro, &yz).unwrap();
     assert_eq!(
         naive_pairs.tuples(),
         ppl_small.tuples(),
@@ -74,10 +75,10 @@ fn main() {
     println!("    (both formulations agree on the shared 4-book prefix)");
 
     // --- 3. Acyclic conjunctive query via Yannakakis -----------------------
-    let hcl = ppl.hcl().clone();
+    let hcl = ppl.hcl().expect("the intro query is in PPL");
     // The intro query translates to a union-free HCL⁻ expression, so it is a
     // single ACQ; answer it with Yannakakis and compare.
-    let (cq, db) = hcl_to_acq(doc.tree(), &hcl, &[Var::new("y"), Var::new("z")]).unwrap();
+    let (cq, db) = hcl_to_acq(session.tree(), hcl, &yz).unwrap();
     let started = Instant::now();
     let acq_answers = answer_acq(&cq, &db).unwrap();
     println!(
@@ -93,9 +94,9 @@ fn main() {
     for tuple in pairs.iter().take(5) {
         println!(
             "  author {} of book {}  ↦  title {}",
-            doc.describe(tuple[0]),
-            doc.describe(doc.tree().parent(tuple[0]).unwrap()),
-            doc.describe(tuple[1])
+            session.describe(tuple[0]),
+            session.describe(session.tree().parent(tuple[0]).unwrap()),
+            session.describe(tuple[1])
         );
     }
 }

@@ -15,18 +15,18 @@
 //!
 //! Run with: `cargo run -p examples --bin fo_completeness`
 
-use ppl_xpath::{Document, Engine};
+use ppl_xpath::{Engine, Session};
 use xpath_ast::ppl::check_ppl;
 use xpath_ast::Var;
 use xpath_fo::{fo_answer_nary, fo_to_xpath, parse_formula};
 use xpath_tree::Tree;
 
 fn main() {
-    let doc = Document::from_tree(
+    let session = Session::from_tree(
         Tree::from_terms("bib(book(author,title),book(author,author,title),article(title))")
             .unwrap(),
     );
-    println!("document: {}\n", doc.to_terms());
+    println!("document: {}\n", session.tree().to_terms());
 
     // (formula source, output variables)
     let formulas = [
@@ -52,12 +52,12 @@ fn main() {
         println!("    size {} | quantifier rank {}", phi.size(), phi.quantifier_rank());
 
         // FO side: Tarskian evaluation.
-        let fo_answers = fo_answer_nary(doc.tree(), &phi, &vars);
+        let fo_answers = fo_answer_nary(session.tree(), &phi, &vars);
 
         // XPath side: Lemma 1 translation, naive Core XPath 2.0 evaluation.
         let xpath = fo_to_xpath(&phi);
         println!("    ⟦φ⟧ = {xpath}");
-        let xp_answers = Engine::NaiveEnumeration.answer(&doc, &xpath, &vars).unwrap();
+        let xp_answers = Engine::NaiveEnumeration.answer(&session, &xpath, &vars).unwrap();
 
         let xp_set: std::collections::BTreeSet<Vec<_>> =
             xp_answers.tuples().iter().cloned().collect();
@@ -69,7 +69,7 @@ fn main() {
         } else {
             match check_ppl(&xpath) {
                 Ok(()) => {
-                    let fast = Engine::Ppl.answer(&doc, &xpath, &vars).unwrap();
+                    let fast = Engine::Ppl.answer(&session, &xpath, &vars).unwrap();
                     assert_eq!(fast.tuples().len(), fo_answers.len());
                     println!("    image is even in PPL: polynomial engine agrees too");
                 }
@@ -86,7 +86,7 @@ fn main() {
             }
         }
         for tuple in fo_answers.iter().take(3) {
-            let cells: Vec<String> = tuple.iter().map(|n| doc.describe(*n)).collect();
+            let cells: Vec<String> = tuple.iter().map(|n| session.describe(*n)).collect();
             println!("      ↦ ({})", cells.join(", "));
         }
         println!();

@@ -11,28 +11,28 @@
 //!
 //! Run with: `cargo run -p examples --bin restaurants --release`
 
-use ppl_xpath::{Document, Engine, PplQuery};
+use ppl_xpath::{Engine, Planner, Session};
 use std::time::Instant;
 use xpath_tree::generate::{restaurants, RESTAURANT_ATTRIBUTES};
 use xpath_workload::restaurant_query;
 
 fn main() {
-    let doc = Document::from_tree(restaurants(60, &RESTAURANT_ATTRIBUTES, 6));
+    let session = Session::from_tree(restaurants(60, &RESTAURANT_ATTRIBUTES, 6));
     println!(
         "restaurant guide: {} nodes, {} restaurants, {} attribute columns",
-        doc.len(),
-        doc.tree().nodes_with_label_str("restaurant").len(),
+        session.len(),
+        session.tree().nodes_with_label_str("restaurant").len(),
         RESTAURANT_ATTRIBUTES.len()
     );
     println!(
         "candidate tuple space |t|^n at n=11: {:.2e}\n",
-        (doc.len() as f64).powi(11)
+        (session.len() as f64).powi(11)
     );
 
     // The naive baseline enumerates |t|^n assignments, so it only gets a
     // small 6-restaurant document and only the first two widths — which is
     // exactly the point the paper makes.
-    let small = Document::from_tree(restaurants(6, &RESTAURANT_ATTRIBUTES, 6));
+    let small = Session::from_tree(restaurants(6, &RESTAURANT_ATTRIBUTES, 6));
 
     println!(
         "{:>3} | {:>10} | {:>12} | {:>26}",
@@ -41,16 +41,18 @@ fn main() {
     println!("{}", "-".repeat(62));
     for width in 1..=RESTAURANT_ATTRIBUTES.len() {
         let (query, vars) = restaurant_query(width);
-        let compiled = PplQuery::compile_path(query.clone(), vars.clone()).unwrap();
+        let plan = Planner::default()
+            .plan_with(&session, query.clone(), vars.clone(), Some(Engine::Ppl))
+            .unwrap();
 
         let started = Instant::now();
-        let answers = compiled.answers(&doc).unwrap();
+        let answers = session.execute(&plan).unwrap();
         let ppl_time = started.elapsed();
 
         let naive_cell = if width <= 2 {
             let started = Instant::now();
             let naive = Engine::NaiveEnumeration.answer(&small, &query, &vars).unwrap();
-            let ppl_small = compiled.answers(&small).unwrap();
+            let ppl_small = Engine::Ppl.answer(&small, &query, &vars).unwrap();
             assert_eq!(naive.len(), ppl_small.len());
             format!("{:?}", started.elapsed())
         } else {
@@ -68,12 +70,11 @@ fn main() {
 
     // Show one full-width answer with resolved attribute labels.
     let (query, vars) = restaurant_query(11);
-    let compiled = PplQuery::compile_path(query, vars).unwrap();
-    let answers = compiled.answers(&doc).unwrap();
+    let answers = Engine::Ppl.answer(&session, &query, &vars).unwrap();
     if let Some(tuple) = answers.tuples().first() {
         println!("\nexample full-width tuple:");
         for (var, node) in answers.variables().iter().zip(tuple) {
-            println!("  {var} = {}", doc.describe(*node));
+            println!("  {var} = {}", session.describe(*node));
         }
     }
 }

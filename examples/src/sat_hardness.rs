@@ -17,7 +17,7 @@
 //!
 //! Run with: `cargo run -p examples --bin sat_hardness --release`
 
-use ppl_xpath::{Document, Engine, PplQuery};
+use ppl_xpath::{Engine, QueryError, Session};
 use std::time::Instant;
 use xpath_ast::ppl::check_ppl;
 use xpath_workload::{encode_sat_query, encode_sat_tree, random_3sat};
@@ -39,7 +39,7 @@ fn main() {
         let instance = random_3sat(num_vars, num_clauses, 41 + num_vars as u64);
         let tree = encode_sat_tree(&instance);
         let (query, _assignment_vars) = encode_sat_query(&instance);
-        let doc = Document::from_tree(tree);
+        let session = Session::from_tree(tree);
 
         // The PPL checker rejects the encoding: this is the hardness side of
         // the fragment design.
@@ -50,12 +50,15 @@ fn main() {
             .collect();
         names.sort_unstable();
         names.dedup();
-        assert!(PplQuery::compile_path(query.clone(), vec![]).is_err());
+        assert!(matches!(
+            Engine::Ppl.answer(&session, &query, &[]),
+            Err(QueryError::Ppl(_))
+        ));
 
         // Non-emptiness via the naive engine (Boolean query, arity 0).
         let started = Instant::now();
         let nonempty = !Engine::NaiveEnumeration
-            .answer(&doc, &query, &[])
+            .answer(&session, &query, &[])
             .unwrap()
             .is_empty();
         let elapsed = started.elapsed();

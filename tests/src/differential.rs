@@ -26,7 +26,7 @@
 //! runs; the panic message carries the term-syntax tree and the printed
 //! query for one-line reproduction.
 
-use ppl_xpath::{Document, Engine, PplQuery};
+use ppl_xpath::{Engine, Planner, QueryPlan, Session};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -411,6 +411,16 @@ fn answer_tuples(set: &ppl_xpath::AnswerSet) -> BTreeSet<Vec<NodeId>> {
     set.tuples().iter().cloned().collect()
 }
 
+/// Prepare `query` on `session` with `engine` forced.
+fn forced_plan(
+    session: &Session,
+    query: &PathExpr,
+    outputs: &[Var],
+    engine: Engine,
+) -> Result<QueryPlan, ppl_xpath::CompileError> {
+    Planner::default().plan_with(session, query.clone(), outputs.to_vec(), Some(engine))
+}
+
 /// Check one (tree, query) pair across all four pipelines. Panics with a
 /// reproducible diagnostic on the first disagreement. Returns
 /// `(tuple_count, acq_checked)`.
@@ -429,7 +439,7 @@ pub fn check_case(tree: &Tree, query: &PathExpr, outputs: &[Var]) -> (usize, boo
         )
     });
 
-    let doc = Document::from_tree(tree.clone());
+    let session = Session::from_tree(tree.clone());
 
     // 1. Ground truth: the Fig. 2 specification semantics.
     let naive = answer_nary(tree, query, outputs)
@@ -437,7 +447,7 @@ pub fn check_case(tree: &Tree, query: &PathExpr, outputs: &[Var]) -> (usize, boo
 
     // 2. The polynomial pipeline through the public facade.
     let ppl = Engine::Ppl
-        .answer(&doc, query, outputs)
+        .answer(&session, query, outputs)
         .unwrap_or_else(|e| panic!("{e}\n{}", ctx("Engine::Ppl")));
     assert_eq!(
         answer_tuples(&ppl),
@@ -446,13 +456,13 @@ pub fn check_case(tree: &Tree, query: &PathExpr, outputs: &[Var]) -> (usize, boo
         ctx("differential")
     );
 
-    // 2b. The batched API over the now-warm document cache: the answer must
+    // 2b. The batched API over the now-warm session cache: the answer must
     //     come out of cached matrices tuple-for-tuple identical.
-    let compiled = PplQuery::compile_path(query.clone(), outputs.to_vec())
-        .unwrap_or_else(|e| panic!("{e}\n{}", ctx("PplQuery::compile_path")));
-    let batch = doc
+    let compiled = forced_plan(&session, query, outputs, Engine::Ppl)
+        .unwrap_or_else(|e| panic!("{e}\n{}", ctx("Planner::plan_with")));
+    let batch = session
         .answer_batch(std::slice::from_ref(&compiled))
-        .unwrap_or_else(|e| panic!("{e}\n{}", ctx("Document::answer_batch")));
+        .unwrap_or_else(|e| panic!("{e}\n{}", ctx("Session::answer_batch")));
     assert_eq!(
         answer_tuples(&batch[0]),
         naive,
@@ -585,10 +595,10 @@ pub struct BatchFuzzReport {
 }
 
 /// Fuzz the batched query API: for each random tree, generate a set of
-/// random PPL queries, answer the whole set at once with
-/// [`Document::answer_batch`] (shared matrix cache) and check every answer
-/// against the per-query paths — a cold-cache [`PplQuery::answers_cold`] run
-/// and the naive specification engine.
+/// random PPL queries, answer the whole set of forced-`ppl` plans at once
+/// with [`Session::answer_batch`] (shared matrix cache) and check every
+/// answer against the per-query paths — a forced-`hcl` plan (cold atoms) on
+/// a fresh session and the naive specification engine.
 pub fn run_batch_fuzz(cfg: &FuzzConfig, queries_per_tree: usize) -> BatchFuzzReport {
     assert!(queries_per_tree >= 1);
     let mut gen = QueryGen::new(cfg.seed ^ 0xBA7C4, cfg.alphabet);
@@ -597,8 +607,8 @@ pub fn run_batch_fuzz(cfg: &FuzzConfig, queries_per_tree: usize) -> BatchFuzzRep
 
     for _ in 0..cfg.cases {
         let tree = gen.gen_tree(cfg.max_tree_size);
-        let doc = Document::from_tree(tree.clone());
-        let mut compiled: Vec<PplQuery> = Vec::with_capacity(queries_per_tree);
+        let session = Session::from_tree(tree.clone());
+        let mut compiled: Vec<QueryPlan> = Vec::with_capacity(queries_per_tree);
         let mut expected: Vec<BTreeSet<Vec<NodeId>>> = Vec::with_capacity(queries_per_tree);
         for _ in 0..queries_per_tree {
             let arity = rng.gen_range(0..=cfg.max_vars.min(2));
@@ -608,13 +618,13 @@ pub fn run_batch_fuzz(cfg: &FuzzConfig, queries_per_tree: usize) -> BatchFuzzRep
             });
             expected.push(naive);
             compiled.push(
-                PplQuery::compile_path(query.clone(), outputs).unwrap_or_else(|e| {
+                forced_plan(&session, &query, &outputs, Engine::Ppl).unwrap_or_else(|e| {
                     panic!("compile failed: {e}\n  query: {query}\n  tree: {}", tree.to_terms())
                 }),
             );
         }
 
-        let batch = doc
+        let batch = session
             .answer_batch(&compiled)
             .unwrap_or_else(|e| panic!("answer_batch failed: {e}\n  tree: {}", tree.to_terms()));
         assert_eq!(batch.len(), compiled.len());
@@ -632,11 +642,11 @@ pub fn run_batch_fuzz(cfg: &FuzzConfig, queries_per_tree: usize) -> BatchFuzzRep
                 "answer_batch[{i}] disagrees with the naive engine\n{}",
                 ctx()
             );
-            // Per-query cold answering on a fresh document must agree too.
-            let cold_doc = Document::from_tree(tree.clone());
-            let cold = compiled[i]
-                .answers_cold(&cold_doc)
-                .unwrap_or_else(|e| panic!("answers_cold failed: {e}\n{}", ctx()));
+            // Per-query cold answering on a fresh session must agree too.
+            let cold_session = Session::from_tree(tree.clone());
+            let cold = Engine::Hcl
+                .answer(&cold_session, compiled[i].source(), compiled[i].output())
+                .unwrap_or_else(|e| panic!("cold answering failed: {e}\n{}", ctx()));
             assert_eq!(
                 cold, batch[i],
                 "answer_batch[{i}] disagrees with cold per-query answering\n{}",
@@ -646,7 +656,7 @@ pub fn run_batch_fuzz(cfg: &FuzzConfig, queries_per_tree: usize) -> BatchFuzzRep
         }
         report.trees += 1;
         report.queries += compiled.len();
-        if doc.cache_stats().hits > 0 {
+        if session.cache_stats().hits > 0 {
             report.cache_hits_seen += 1;
         }
     }
@@ -718,7 +728,7 @@ pub struct PlannerFuzzReport {
 /// enumeration, the plan must explain itself, and the streaming path must
 /// yield exactly the materialised answers (no duplicates, no misses).
 pub fn run_planner_fuzz(cfg: &FuzzConfig) -> PlannerFuzzReport {
-    use ppl_xpath::{Engine, Planner, QueryError, Session};
+    use ppl_xpath::QueryError;
 
     let mut gen = QueryGen::new(cfg.seed ^ 0x91A7, cfg.alphabet);
     let mut arity_rng = StdRng::seed_from_u64(cfg.seed ^ 0x91A8);
@@ -850,7 +860,6 @@ pub struct CorpusFuzzReport {
 /// onto the `ppl` engine so the matrix caches the evictor manages are
 /// actually exercised.
 pub fn run_corpus_fuzz(cfg: &FuzzConfig, docs: usize, queries: usize) -> CorpusFuzzReport {
-    use ppl_xpath::{Planner, Session};
     use xpath_corpus::{Corpus, CorpusConfig};
 
     let mut gen = QueryGen::new(cfg.seed ^ 0xC0A9, cfg.alphabet);
@@ -993,8 +1002,8 @@ pub struct LazyFuzzReport {
 /// [`SuccessorSource`]: xpath_pplbin::SuccessorSource
 pub fn run_lazy_fuzz(seed: u64, cases: usize, max_tree_size: usize, alphabet: usize) -> LazyFuzzReport {
     use xpath_ast::binexpr::from_variable_free_path;
-    use xpath_hcl::answer_hcl_pplbin_with_store;
-    use xpath_pplbin::{eval_relation, KernelMode, KernelStats, MatrixStore};
+    use xpath_hcl::stream_hcl_pplbin_shared;
+    use xpath_pplbin::{eval_relation, KernelMode, KernelStats, MatrixStore, SharedMatrixStore};
 
     let mut gen = QueryGen::new(seed, alphabet);
     let mut arity_rng = StdRng::seed_from_u64(seed ^ 0x1A2);
@@ -1064,14 +1073,19 @@ pub fn run_lazy_fuzz(seed: u64, cases: usize, max_tree_size: usize, alphabet: us
             .unwrap_or_else(|e| panic!("naive failed: {e}\n{}", qctx()));
         let hcl = ppl_to_hcl(&query).unwrap_or_else(|e| panic!("{e}\n{}", qctx()));
 
-        let mut lazy_store = MatrixStore::with_mode(n, KernelMode::Lazy);
-        let lazy = answer_hcl_pplbin_with_store(&tree, &hcl, &outputs, &mut lazy_store)
-            .unwrap_or_else(|e| panic!("lazy store answering failed: {e}\n{}", qctx()));
+        // One shard: subterms are shared exactly as in a single `MatrixStore`.
+        let answer_with = |mode: KernelMode, what: &str| {
+            let store = SharedMatrixStore::with_shards_and_mode(n, 1, mode);
+            let tuples: BTreeSet<Vec<NodeId>> =
+                stream_hcl_pplbin_shared(&tree, &hcl, &outputs, &store)
+                    .unwrap_or_else(|e| panic!("{what} store answering failed: {e}\n{}", qctx()))
+                    .collect();
+            (tuples, store)
+        };
+        let (lazy, lazy_store) = answer_with(KernelMode::Lazy, "lazy");
         assert_eq!(lazy, naive, "lazy store disagrees with the naive engine\n{}", qctx());
 
-        let mut eager_store = MatrixStore::with_mode(n, KernelMode::Adaptive);
-        let eager = answer_hcl_pplbin_with_store(&tree, &hcl, &outputs, &mut eager_store)
-            .unwrap_or_else(|e| panic!("eager store answering failed: {e}\n{}", qctx()));
+        let (eager, _) = answer_with(KernelMode::Adaptive, "eager");
         assert_eq!(lazy, eager, "lazy and eager stores disagree\n{}", qctx());
 
         report.deferred_complements += lazy_store.kernel_stats().complement_ops;

@@ -1,13 +1,13 @@
-//! Property tests (proptest shim) for the document-level matrix cache.
+//! Property tests (proptest shim) for the session-level matrix cache.
 //!
 //! For random trees and random PPL queries:
 //!
 //! * cached-store evaluation agrees tuple-for-tuple with cold evaluation,
-//! * a second run through the same `Document` is answered from the cache
+//! * a second run through the same `Session` is answered from the cache
 //!   (hit counter grows, miss counter does not),
 //! * cached PPLbin binary evaluation agrees with the cold matrix engine.
 
-use ppl_xpath::{Document, PplQuery};
+use ppl_xpath::{Engine, Planner, Session};
 use proptest::prelude::*;
 use xpath_ast::binexpr::from_variable_free_path;
 use xpath_pplbin::answer_binary;
@@ -25,24 +25,29 @@ proptest! {
         let mut gen = QueryGen::new(seed, 3);
         let tree = gen.gen_tree(max_size);
         let (query, outputs) = gen.gen_query(arity);
-        let doc = Document::from_tree(tree);
-        let compiled = PplQuery::compile_path(query, outputs).unwrap();
+        let session = Session::from_tree(tree);
+        let plan = |engine| {
+            Planner::default()
+                .plan_with(&session, query.clone(), outputs.clone(), Some(engine))
+                .unwrap()
+        };
+        let (hcl_plan, ppl_plan) = (plan(Engine::Hcl), plan(Engine::Ppl));
 
-        let cold = compiled.answers_cold(&doc).unwrap();
-        prop_assert_eq!(doc.cache_stats().lookups(), 0, "cold path must not touch the cache");
+        let cold = session.execute(&hcl_plan).unwrap();
+        prop_assert_eq!(session.cache_stats().lookups(), 0, "cold path must not touch the cache");
 
-        let warm = compiled.answers(&doc).unwrap();
+        let warm = session.execute(&ppl_plan).unwrap();
         prop_assert_eq!(&warm, &cold, "cached evaluation differs from cold evaluation");
 
-        let after_first = doc.cache_stats();
-        let again = compiled.answers(&doc).unwrap();
+        let after_first = session.cache_stats();
+        let again = session.execute(&ppl_plan).unwrap();
         prop_assert_eq!(&again, &cold, "second cached run differs");
-        let after_second = doc.cache_stats();
+        let after_second = session.cache_stats();
         prop_assert_eq!(
             after_second.misses, after_first.misses,
             "second run recompiled a matrix"
         );
-        if !compiled.hcl().atoms().is_empty() {
+        if ppl_plan.features().atoms > 0 {
             prop_assert!(
                 after_second.hits > after_first.hits,
                 "second run did not hit the cache: {:?} -> {:?}",
@@ -60,10 +65,10 @@ proptest! {
         let tree = gen.gen_tree(max_size);
         let path = gen.gen_varfree_path(3);
         let bin = from_variable_free_path(&path).unwrap();
-        let doc = Document::from_tree(tree);
-        let warm = doc.eval_binexpr(&bin);
-        prop_assert_eq!(&warm, &answer_binary(doc.tree(), &bin));
+        let session = Session::from_tree(tree);
+        let warm = session.store().eval(session.tree(), &bin);
+        prop_assert_eq!(&warm, &answer_binary(session.tree(), &bin));
         // Determinism: asking again returns the identical matrix.
-        prop_assert_eq!(&doc.eval_binexpr(&bin), &warm);
+        prop_assert_eq!(&session.store().eval(session.tree(), &bin), &warm);
     }
 }

@@ -68,7 +68,7 @@ fn fuzz_wide_alphabet_stresses_selective_queries() {
 #[test]
 fn fuzz_batch_api_agrees_with_cold_and_naive_answers() {
     // 40 random trees × 4 random queries each: the whole set is answered in
-    // one `Document::answer_batch` call over a shared matrix cache, and each
+    // one `Session::answer_batch` call over a shared matrix cache, and each
     // answer is checked against a cold per-query run and the naive engine.
     let report = run_batch_fuzz(
         &FuzzConfig {

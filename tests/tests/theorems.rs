@@ -4,7 +4,7 @@
 //! end-to-end across the workspace crates, using the naive specification
 //! evaluators as the ground truth.
 
-use ppl_xpath::{Document, Engine, PplQuery};
+use ppl_xpath::{Engine, Session};
 use std::collections::BTreeSet;
 use xpath_acq::{answer_acq, brute_force_answer, gyo_join_forest, hcl_to_acq};
 use xpath_ast::binexpr::from_variable_free_path;
@@ -78,16 +78,20 @@ fn theorem1_ppl_pipeline_is_correct() {
         ("descendant::*[not(child::*)][. is $leaf]", vec!["leaf"]),
     ];
     for tree in sample_trees() {
-        let doc = Document::from_tree(tree);
+        let session = Session::from_tree(tree);
         for (src, outputs) in &suite {
             let vars: Vec<Var> = outputs.iter().map(|n| Var::new(n)).collect();
             let path = parse_path(src).unwrap();
             assert!(check_ppl(&path).is_ok(), "{src} should be in PPL");
-            let compiled = PplQuery::compile(src, outputs).unwrap();
-            let fast: BTreeSet<Vec<NodeId>> =
-                compiled.answers(&doc).unwrap().tuples().iter().cloned().collect();
-            let slow = answer_nary(doc.tree(), &path, &vars).unwrap();
-            assert_eq!(fast, slow, "{src} on {}", doc.to_terms());
+            let fast: BTreeSet<Vec<NodeId>> = Engine::Ppl
+                .answer(&session, &path, &vars)
+                .unwrap()
+                .tuples()
+                .iter()
+                .cloned()
+                .collect();
+            let slow = answer_nary(session.tree(), &path, &vars).unwrap();
+            assert_eq!(fast, slow, "{src} on {}", session.tree().to_terms());
         }
     }
 }
@@ -151,19 +155,19 @@ fn proposition3_sat_reduction_is_faithful_and_rejected() {
         let tree = encode_sat_tree(&instance);
         let (query, vars) = encode_sat_query(&instance);
         assert!(check_ppl(&query).is_err(), "the encoding must share variables");
-        let doc = Document::from_tree(tree);
+        let session = Session::from_tree(tree);
         let nonempty = !Engine::NaiveEnumeration
-            .answer(&doc, &query, &[])
+            .answer(&session, &query, &[])
             .unwrap()
             .is_empty();
         assert_eq!(nonempty, instance.brute_force_satisfiable(), "seed {seed}");
         // Every answer over the assignment variables is a satisfying
         // assignment.
-        let answers = Engine::NaiveEnumeration.answer(&doc, &query, &vars).unwrap();
+        let answers = Engine::NaiveEnumeration.answer(&session, &query, &vars).unwrap();
         for tuple in answers.tuples() {
             let assignment: Vec<bool> = tuple
                 .iter()
-                .map(|&n| doc.label(n) == "true")
+                .map(|&n| session.label(n) == "true")
                 .collect();
             assert!(instance.evaluate(&assignment));
         }
@@ -233,13 +237,14 @@ fn proposition4_variable_free_embedding() {
 #[test]
 fn end_to_end_xml_pipeline() {
     let xml = xpath_xml::to_xml(&bibliography(8, 2));
-    let doc = Document::from_xml(&xml).unwrap();
-    let q = PplQuery::compile(
-        "descendant::book[child::author[. is $a] and child::title[. is $t]]",
-        &["a", "t"],
-    )
-    .unwrap();
-    let answers = q.answers(&doc).unwrap();
+    let session = Session::from_xml(&xml).unwrap();
+    let q = session
+        .plan(
+            "descendant::book[child::author[. is $a] and child::title[. is $t]]",
+            &["a", "t"],
+        )
+        .unwrap();
+    let answers = session.execute(&q).unwrap();
     assert!(!answers.is_empty());
     // Model checking under an explicit assignment, through the naive
     // evaluator, agrees with membership in the answer set.
@@ -248,5 +253,5 @@ fn end_to_end_xml_pipeline() {
         (Var::new("a"), first[0]),
         (Var::new("t"), first[1]),
     ]);
-    assert!(xpath_naive::boolean_query(doc.tree(), q.source(), &alpha).unwrap());
+    assert!(xpath_naive::boolean_query(session.tree(), q.source(), &alpha).unwrap());
 }
