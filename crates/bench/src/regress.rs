@@ -817,7 +817,7 @@ fn run_regression_impl(
         let cold_workload = repeated(&suite_plans(&plan_session, Engine::Hcl));
         let union_free: Vec<&QueryPlan> = suite
             .iter()
-            .filter(|p| p.features().union_free)
+            .filter(|p| p.hcl().is_some_and(|h| h.is_union_free()))
             .collect();
 
         // ppl_cached — answer_batch over a fresh session each run, so each
@@ -1081,7 +1081,8 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
     }
 
     // The pre-corpus architecture: every request builds a fresh session —
-    // plan + full matrix compilation per (document, query, repeat).
+    // plan + full matrix compilation per (document, query, repeat) — with
+    // the kernels the corpus's own sessions use.
     let (cold_t, cold_answers) = time_median(cfg.runs, || {
         let planner = Planner::default();
         let mut answers = 0usize;
@@ -1089,6 +1090,7 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
             for (path, output) in &parsed {
                 for (_, tree) in &documents {
                     let session = Session::from_tree(tree.clone());
+                    session.store().set_mode(xpath_corpus::SESSION_KERNELS);
                     let plan = planner
                         .plan_with(&session, path.clone(), output.clone(), Some(Engine::Ppl))
                         .expect("suite queries plan");
@@ -1870,7 +1872,11 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
                 let mut failed = 0usize;
                 let mut failed_after = 0usize;
                 let mut after = 0usize;
-                for i in 0..per_conn {
+                // The scripted requests, then more until this thread has
+                // issued one past the recovery gate: a fast backend can
+                // finish the script before the gate opens.
+                let mut i = 0;
+                while i < per_conn || after == 0 {
                     for (reader, writer) in sockets.iter_mut() {
                         let started = std::time::Instant::now();
                         writeln!(writer, "{}", request_line(i)).unwrap();
@@ -1895,6 +1901,7 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
                             *killed_at.lock().unwrap() = Some(std::time::Instant::now());
                         }
                     }
+                    i += 1;
                 }
                 (failed, failed_after, after)
             })
@@ -1920,7 +1927,7 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
     // dead — only every router request to it was killed).
     dead.store(false, Ordering::Relaxed);
     teardown_fleet(backends, router_addr, router_handle);
-    let kill_qps = total as f64 / kill_t.as_secs_f64().max(1e-9);
+    let kill_qps = completed.load(Ordering::Relaxed) as f64 / kill_t.as_secs_f64().max(1e-9);
     let failure_rate = kill_failed_after as f64 / kill_after_recovery as f64;
 
     let row = |engine: &str, shards: usize, t: Duration, qps: f64| {
@@ -2379,7 +2386,10 @@ mod tests {
         assert!(suite.iter().any(|q| q.output().len() == 1));
         // At least one union-bearing query (excluded from the ACQ engine)
         // and at least four union-free ones.
-        let union_free = suite.iter().filter(|q| q.features().union_free).count();
+        let union_free = suite
+            .iter()
+            .filter(|q| q.hcl().is_some_and(|h| h.is_union_free()))
+            .count();
         assert!(union_free >= 4);
         assert!(union_free < suite.len());
     }

@@ -21,10 +21,12 @@
 //! ```
 //!
 //! Queries are prepared through the planner API (`Session::plan`): parse,
-//! Definition 1 check, Fig. 7 translation, and — with `--engine auto` — a
-//! cost decision over the four engines (`ppl` cached matrices, `acq`
-//! Yannakakis, `hcl` cold Fig. 8, `naive` spec enumeration).  An explicit
-//! `--engine` forces one; the default is `ppl`, which rejects queries
+//! Definition 1 check, Fig. 7 translation, and — with `--engine auto` — the
+//! planner's choice: `ppl` (Fig. 8 over the shared store), or `naive` spec
+//! enumeration for tiny instances and queries outside PPL (refused when
+//! the enumeration estimate exceeds 10⁹).  An explicit `--engine` forces
+//! any of `ppl`, `acq` (Yannakakis), `hcl` (cold Fig. 8) or `naive`; the
+//! default is `ppl`, which rejects queries
 //! outside the PPL fragment with Definition 1 diagnostics (only `naive`
 //! accepts full Core XPath 2.0, including `for` and variable sharing).
 //! `--explain` prints the plan — shape features, the four-engine candidate
@@ -1240,9 +1242,11 @@ mod tests {
     fn run_single_reports_cache_stats() {
         // Regression: `--query … --stats` used to parse and then drop the
         // flag, printing no footer.
+        // `descendant::book[child::title]` is a composite atom, so the run
+        // compiles steps into the cache (plain step atoms are tree views).
         let opts = parse_args(&args(&[
             "--query",
-            "descendant::book[child::author[. is $a]]",
+            "descendant::book[child::title][child::author[. is $a]]",
             "--vars",
             "a",
             "--terms",
@@ -1269,7 +1273,7 @@ mod tests {
             "# author/title pairs per book\n\
              descendant::book[child::author[. is $y] and child::title[. is $z]] -> y,z\n\
              \n\
-             descendant::author[. is $a] -> a\n\
+             descendant::book[child::author]/child::author[. is $a] -> a\n\
              descendant::book[child::author]\n",
         )
         .unwrap();
@@ -1287,19 +1291,20 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert!(out.contains("# [1] descendant::book[child::author"));
         assert!(out.contains("3 answer tuple(s) over (y, z)"));
-        assert!(out.contains("# [2] descendant::author"));
+        assert!(out.contains("# [2] descendant::book[child::author]/child::author"), "{out}");
         assert!(out.contains("3 answer tuple(s) over (a)"));
         // The third line is a boolean (arity-0) query: normalised rendering.
         assert!(out.contains("# [3] "));
         assert!(out.contains("satisfiable: true"));
         assert!(!out.contains("answer tuple(s) over ()"), "{out}");
-        // `descendant::book` and `child::author` repeat across the batch, so
-        // the cache must report hits even when served on 4 threads.
+        // The composite atom `descendant::book[child::author]` repeats across
+        // the batch, so the cache must report hits even when served on 4
+        // threads.
         assert!(out.contains("# cache: "));
         assert!(!out.contains("# cache: 0 hits"), "{out}");
         assert!(out.contains("on 4 thread(s)"), "{out}");
-        // Named steps compile to CSR successor lists, so the kernel line
-        // must report sparse step dispatches.
+        // Named steps inside that atom compile to CSR successor lists, so
+        // the kernel line must report sparse step dispatches.
         assert!(out.contains("# kernels: steps id/iv/sp/dn "), "{out}");
         assert!(!out.contains("steps id/iv/sp/dn 0/0/0/0"), "{out}");
     }

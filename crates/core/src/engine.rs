@@ -9,8 +9,8 @@
 //!   tuple-for-tuple (checked extensively by the fuzz suite);
 //! * **benchmarking** — the E4/E10/E12 experiments measure the crossovers
 //!   between them;
-//! * **planning** — the [`Planner`] picks the cheapest eligible engine per
-//!   query; `--engine` flags force one.
+//! * **planning** — the [`Planner`] runs `ppl` unless the query is outside
+//!   PPL or tiny (then `naive`); `--engine` flags force any engine.
 //!
 //! [`Planner`]: crate::Planner
 
@@ -25,7 +25,7 @@ use xpath_ast::{PathExpr, Var};
 pub enum Engine {
     /// The paper's polynomial-time pipeline (Fig. 7 translation + Fig. 8
     /// answering over PPLbin matrices), compiled through the session's
-    /// shared matrix cache.
+    /// shared matrix cache; plain step atoms are views of the tree.
     Ppl,
     /// The same Fig. 8 pipeline with cold-compiled atoms (no cache) — the
     /// reference path of the differential tests.
@@ -39,7 +39,7 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// All four engines, in planner preference order.
+    /// All four engines, in the order of the explain candidate table.
     pub const ALL: [Engine; 4] = [
         Engine::Ppl,
         Engine::Acq,
@@ -72,7 +72,7 @@ impl Engine {
     /// table.
     pub fn describe(self) -> &'static str {
         match self {
-            Engine::Ppl => "Fig. 8 over cached PPLbin matrices (Thm. 1, shared store)",
+            Engine::Ppl => "Fig. 8 over the shared store (Thm. 1, step atoms as tree views)",
             Engine::Hcl => "Fig. 8 with cold-compiled atoms (Thm. 1, no cache)",
             Engine::Acq => "Yannakakis on the ACQ image (Props. 7/8/9)",
             Engine::NaiveEnumeration => "Fig. 2 assignment enumeration (spec semantics, Θ(|t|ⁿ))",

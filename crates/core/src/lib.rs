@@ -30,7 +30,7 @@
 //! ).unwrap();
 //!
 //! // Prepare once: parse, Definition 1 check, Fig. 7 translation, and the
-//! // planner's cost decision over the four engines.
+//! // planner's engine choice.
 //! let plan = session.plan(
 //!     "descendant::book[child::author[. is $y] and child::title[. is $z]]",
 //!     &["y", "z"],
@@ -62,9 +62,9 @@
 //!
 //! ## What else is in the box
 //!
-//! * [`Planner`] — the cost-based engine choice (PPL membership, arity,
-//!   axis mix, acyclicity, tree size, cache warmth), with explicit
-//!   overrides for every engine.
+//! * [`Planner`] — the engine choice (PPL membership and the naive
+//!   enumeration estimate: `ppl` unless the query is outside PPL or tiny),
+//!   with explicit overrides for every engine.
 //! * [`Session::answer_batch_parallel`] / [`Session::answers_stream`] —
 //!   multi-threaded batch serving and lazy tuple streaming;
 //!   [`Session::cache_stats`] exposes the matrix-cache hit/miss counters.
@@ -73,7 +73,7 @@
 //!   benchmark experiments.  A forced `hcl` plan bypasses the cache.
 //! * [`SharedMatrixStore::eval`] (through [`Session::store`]) — the
 //!   variable-free PPLbin engine of Theorem 2 (binary queries as Boolean
-//!   matrices).
+//!   matrices) over the session's document.
 //! * Re-exports of the component crates under [`components`], and a
 //!   [`prelude`] for glob imports.
 //!
@@ -91,7 +91,7 @@ pub mod query;
 pub mod session;
 
 pub use engine::Engine;
-pub use plan::{PlanChoice, Planner, QueryFeatures, QueryPlan};
+pub use plan::{PlanChoice, Planner, QueryFeatures, QueryPlan, NAIVE_COST_CEILING};
 pub use query::{AnswerSet, CompileError, QueryError};
 pub use session::{AnswerIter, DocumentError, Session};
 pub use xpath_pplbin::{CacheStats, KernelMode, KernelStats, MatrixStore, SharedMatrixStore};

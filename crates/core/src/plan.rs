@@ -1,42 +1,35 @@
-//! Query planning: engine-agnostic prepared plans and the cost-based
-//! engine choice.
+//! Query planning: engine-agnostic prepared plans and the engine choice.
 //!
 //! A [`QueryPlan`] is the prepared form of one query against one session:
 //! the parsed source, the output variables, the `HCL⁻(PPLbin)` image of
-//! Fig. 7 (when the query is in the PPL fragment), the structural
-//! [`QueryFeatures`] the planner extracted, and the chosen [`Engine`].
-//! Preparation is where all per-query compilation happens; executing a plan
-//! (possibly many times, possibly from many threads) only pays evaluation.
+//! Fig. 7 (when the query is in the PPL fragment), the [`QueryFeatures`]
+//! the planner read, and the chosen [`Engine`].  Preparation is where all
+//! per-query compilation happens; executing a plan (possibly many times,
+//! possibly from many threads) only pays evaluation.
 //!
-//! The [`Planner`] picks among the four engines by inspecting query shape
-//! and tree size:
+//! The [`Planner`] decides in three cases:
 //!
 //! * queries outside PPL (Definition 1) can only run on the Fig. 2
-//!   specification engine — `naive`;
+//!   specification engine — `naive` — and are refused outright when the
+//!   enumeration estimate exceeds [`NAIVE_COST_CEILING`]: Proposition 3
+//!   makes them NP-hard, so there is no polynomial fallback to offer;
 //! * tiny instances (`|t|^(n+1)·|P|` under [`Planner::naive_budget`]) run on
-//!   `naive` too: assignment enumeration is cheaper than compiling matrices;
-//! * a session already warm for every PPLbin atom of the plan always runs
-//!   `ppl` — cached matrices make answering `O(n·|C|·|t|²·|A|)` with no
-//!   compilation at all;
-//! * union-free, GYO-acyclic images whose atoms are all plain axis steps
-//!   run `acq` (Yannakakis, Props. 7/8): the binary database stays sparse
-//!   and the semijoin program touches `O(|db|·|Q|)` pairs instead of `|t|²`
-//!   rows per node;
-//! * everything else — dense (`except`-bearing) atoms, unions, wide
-//!   compositions — runs `ppl`, whose cached dense products are built for
-//!   exactly that shape.
+//!   `naive` too: assignment enumeration is cheaper than building the
+//!   Fig. 8 tables;
+//! * everything else runs `ppl`, Fig. 8 over the session's store, where
+//!   plain step atoms are views of the tree and only composite atoms pay
+//!   the Theorem 1 compile term, once per document.
 //!
 //! An explicit override (`pplx --engine hcl`, [`Planner::plan_with`]) skips
-//! the decision but still records the features, so `--explain` shows what
-//! auto would have seen.  `hcl` — the cold Fig. 8 pipeline, compiling every
-//! atom from scratch — is never chosen automatically: it is dominated by
-//! `ppl` and exists for overrides and differential testing.
+//! the decision — and the ceiling — but still records the features, so
+//! `--explain` shows what auto would have seen.  `hcl` (the cold Fig. 8
+//! pipeline) and `acq` (Yannakakis, Props. 7/8/9) are never chosen
+//! automatically: they exist for overrides and differential testing.
 
 use crate::engine::Engine;
 use crate::query::CompileError;
 use crate::session::Session;
 use std::fmt;
-use xpath_acq::gyo_join_forest;
 use xpath_ast::ppl::check_ppl;
 use xpath_ast::{BinExpr, PathExpr, Var};
 use xpath_hcl::{ppl_to_hcl, Hcl};
@@ -46,8 +39,15 @@ use xpath_hcl::{ppl_to_hcl, Hcl};
 /// with `QueryError::Acq` instead of blowing up).
 pub const ACQ_DISJUNCT_BUDGET: usize = 256;
 
-/// Structural features of one (query, document) pair, extracted at plan
-/// time and reported by [`QueryPlan::explain`].
+/// Auto planning refuses a query outside PPL whose [`naive_cost`] exceeds
+/// this estimate, rather than let one request enumerate for hours.  A forced
+/// `naive` plan still runs.
+///
+/// [`naive_cost`]: QueryFeatures::naive_cost
+pub const NAIVE_COST_CEILING: u128 = 1_000_000_000;
+
+/// The features of one (query, document) pair the planner decides on,
+/// reported by [`QueryPlan::explain`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryFeatures {
     /// `|P|` — size of the source expression.
@@ -58,21 +58,6 @@ pub struct QueryFeatures {
     pub tree_size: usize,
     /// Is the query in the PPL fragment (Definition 1)?
     pub ppl: bool,
-    /// Is the HCL⁻ image union-free (the `N(∪)` fragment of Section 6)?
-    pub union_free: bool,
-    /// Does the GYO reduction certify the ACQ image acyclic?  (Union-free
-    /// images of HCL⁻ are tree-shaped by construction — Prop. 8 — so this
-    /// is expected to hold whenever `union_free` does.)
-    pub acyclic: bool,
-    /// Distinct PPLbin atoms of the image.
-    pub atoms: usize,
-    /// Atoms that are single axis steps (the sparse/interval-friendly
-    /// shape — the "axis mix" of the plan).
-    pub step_atoms: usize,
-    /// Atoms containing an `except` complement (dense compilation).
-    pub dense_atoms: usize,
-    /// Atoms already compiled in the session's shared store at plan time.
-    pub cached_atoms: usize,
 }
 
 impl QueryFeatures {
@@ -89,7 +74,7 @@ impl QueryFeatures {
 /// How the plan's engine was selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanChoice {
-    /// The planner's cost decision.
+    /// The planner's decision.
     Auto,
     /// An explicit caller override (`--engine …`).
     Forced,
@@ -106,8 +91,8 @@ pub struct QueryPlan {
     engine: Engine,
     choice: PlanChoice,
     features: QueryFeatures,
-    /// Human-readable decision trace, one rule per line.
-    decision: Vec<String>,
+    /// Human-readable decision trace.
+    decision: String,
     /// Union distribution budget `acq` execution honours for this plan
     /// (from [`Planner::acq_disjunct_budget`]).
     acq_disjunct_budget: usize,
@@ -134,12 +119,13 @@ impl QueryPlan {
         self.engine
     }
 
-    /// Was the engine forced by the caller rather than chosen by cost?
+    /// Was the engine forced by the caller rather than chosen by the
+    /// planner?
     pub fn is_forced(&self) -> bool {
         self.choice == PlanChoice::Forced
     }
 
-    /// The structural features the planner extracted.
+    /// The features the planner read.
     pub fn features(&self) -> &QueryFeatures {
         &self.features
     }
@@ -167,19 +153,16 @@ impl QueryPlan {
                 .join(", ")
         ));
         out.push_str(&format!(
-            "shape        : |P|={} arity={} |t|={} ppl={} union_free={} acyclic={}\n",
-            f.size, f.arity, f.tree_size, f.ppl, f.union_free, f.acyclic
-        ));
-        out.push_str(&format!(
-            "atom mix     : {} atoms ({} steps, {} dense, {} cached)\n",
-            f.atoms, f.step_atoms, f.dense_atoms, f.cached_atoms
+            "shape        : |P|={} arity={} |t|={} ppl={} naive_cost={}\n",
+            f.size,
+            f.arity,
+            f.tree_size,
+            f.ppl,
+            f.naive_cost()
         ));
         out.push_str("candidates   :\n");
         for engine in Engine::ALL {
-            let eligible = match engine {
-                Engine::NaiveEnumeration => true,
-                _ => f.ppl,
-            };
+            let eligible = engine == Engine::NaiveEnumeration || f.ppl;
             let marker = if engine == self.engine { "->" } else { "  " };
             out.push_str(&format!(
                 "  {marker} {:<5} {} — {}\n",
@@ -196,9 +179,7 @@ impl QueryPlan {
                 PlanChoice::Forced => "forced by caller",
             }
         ));
-        for line in &self.decision {
-            out.push_str(&format!("decision     : {line}\n"));
-        }
+        out.push_str(&format!("decision     : {}\n", self.decision));
         if let Some(hcl) = &self.hcl {
             let atoms = hcl.atoms();
             out.push_str(&format!("HCL⁻(PPLbin) : {hcl}\n"));
@@ -218,14 +199,16 @@ impl fmt::Display for QueryPlan {
     }
 }
 
-/// The cost-based engine selector.  The thresholds are tunable.  The `acq`
-/// rule is uncalibrated: in `BENCH_4.json` (E12, |t| = 180) auto planning
-/// took 1524.4 µs against 1175.9 µs for always-`ppl`.  EXPERIMENTS.md
-/// ("Fig. 8 answering kernel") records what removing the rule costs.
+/// The engine selector: naive for queries outside PPL (up to
+/// [`NAIVE_COST_CEILING`]) and for tiny instances, `ppl` for everything
+/// else.  Warm `ppl` beat `acq` on 79 of the 80 served (query, document)
+/// pairs even before step atoms became views of the tree (EXPERIMENTS.md,
+/// "The `acq` planner rule"), so neither cache state nor query shape
+/// enters the decision.
 #[derive(Debug, Clone)]
 pub struct Planner {
     /// Instances with `naive_cost()` at or below this run on the naive
-    /// engine: enumeration is cheaper than any matrix compilation.
+    /// engine: enumeration is cheaper than building the Fig. 8 tables.
     pub naive_budget: u128,
     /// Union distribution budget when executing `acq` plans on union-bearing
     /// queries (Prop. 9 is exponential in union nesting).
@@ -256,8 +239,9 @@ impl Planner {
     ///
     /// Overriding with `ppl`, `hcl` or `acq` requires the query to be in the
     /// PPL fragment and returns the Definition 1 diagnostics otherwise;
-    /// `naive` accepts any Core XPath 2.0 expression; `None` never fails on
-    /// fragment grounds (non-PPL queries plan onto `naive`).
+    /// `naive` accepts any Core XPath 2.0 expression.  `None` plans a
+    /// non-PPL query onto `naive` unless its enumeration estimate exceeds
+    /// [`NAIVE_COST_CEILING`], which fails with [`CompileError::Refused`].
     pub fn plan_with(
         &self,
         session: &Session,
@@ -270,148 +254,62 @@ impl Planner {
             Ok(()) => Some(ppl_to_hcl(&path)?),
             Err(_) => None,
         };
-        let features = self.features(session, &path, &output, hcl.as_ref());
-
-        if let Some(forced) = engine {
-            if forced != Engine::NaiveEnumeration {
-                if let Err(violations) = ppl_check {
-                    return Err(CompileError::NotPpl(violations));
-                }
+        let features = QueryFeatures {
+            size: path.size(),
+            arity: output.len(),
+            tree_size: session.len(),
+            ppl: hcl.is_some(),
+        };
+        let naive_cost = features.naive_cost();
+        let (engine, choice, decision) = match (engine, ppl_check) {
+            (Some(forced), Err(violations)) if forced != Engine::NaiveEnumeration => {
+                return Err(CompileError::NotPpl(violations));
             }
-            return Ok(QueryPlan {
-                source: path,
-                output,
-                hcl,
-                engine: forced,
-                choice: PlanChoice::Forced,
-                features,
-                decision: vec![format!("engine {} forced by caller", forced.name())],
-                acq_disjunct_budget: self.acq_disjunct_budget,
-            });
-        }
-
-        let (engine, decision) = self.decide(&features);
+            (Some(forced), _) => (
+                forced,
+                PlanChoice::Forced,
+                format!("engine {} forced by caller", forced.name()),
+            ),
+            (None, Err(violations)) if naive_cost > NAIVE_COST_CEILING => {
+                return Err(CompileError::Refused {
+                    cost: naive_cost,
+                    ceiling: NAIVE_COST_CEILING,
+                    violations,
+                });
+            }
+            (None, Err(_)) => (
+                Engine::NaiveEnumeration,
+                PlanChoice::Auto,
+                format!(
+                    "outside PPL (Definition 1): only the specification engine applies, \
+                     |t|^(n+1)·|P| = {naive_cost} ≤ ceiling {NAIVE_COST_CEILING}"
+                ),
+            ),
+            (None, Ok(())) if naive_cost <= self.naive_budget => (
+                Engine::NaiveEnumeration,
+                PlanChoice::Auto,
+                format!(
+                    "tiny instance: |t|^(n+1)·|P| = {naive_cost} ≤ budget {} — \
+                     enumeration beats compilation",
+                    self.naive_budget
+                ),
+            ),
+            (None, Ok(())) => (
+                Engine::Ppl,
+                PlanChoice::Auto,
+                "in PPL: Fig. 8 over the session store (step atoms are tree views)".into(),
+            ),
+        };
         Ok(QueryPlan {
             source: path,
             output,
             hcl,
             engine,
-            choice: PlanChoice::Auto,
+            choice,
             features,
             decision,
             acq_disjunct_budget: self.acq_disjunct_budget,
         })
-    }
-
-    /// The auto decision over extracted features (exposed for tests; does
-    /// not need the session).
-    fn decide(&self, f: &QueryFeatures) -> (Engine, Vec<String>) {
-        if !f.ppl {
-            return (
-                Engine::NaiveEnumeration,
-                vec!["outside PPL (Definition 1): only the specification engine applies".into()],
-            );
-        }
-        let naive_cost = f.naive_cost();
-        if naive_cost <= self.naive_budget {
-            return (
-                Engine::NaiveEnumeration,
-                vec![format!(
-                    "tiny instance: |t|^(n+1)·|P| = {naive_cost} ≤ budget {} — enumeration beats compilation",
-                    self.naive_budget
-                )],
-            );
-        }
-        if f.atoms > 0 && f.cached_atoms == f.atoms {
-            return (
-                Engine::Ppl,
-                vec![format!(
-                    "session warm: all {} atoms already compiled in the shared store",
-                    f.atoms
-                )],
-            );
-        }
-        if f.union_free && f.acyclic && f.arity >= 1 && f.dense_atoms == 0 && f.step_atoms == f.atoms
-        {
-            return (
-                Engine::Acq,
-                vec![format!(
-                    "union-free acyclic image, all {} atoms plain steps: sparse Yannakakis semijoins",
-                    f.atoms
-                )],
-            );
-        }
-        (
-            Engine::Ppl,
-            vec![format!(
-                "default: {} dense atoms / union_free={} favour the cached matrix pipeline",
-                f.dense_atoms, f.union_free
-            )],
-        )
-    }
-
-    /// Extract [`QueryFeatures`] for one (query, session) pair.
-    fn features(
-        &self,
-        session: &Session,
-        path: &PathExpr,
-        output: &[Var],
-        hcl: Option<&Hcl<BinExpr>>,
-    ) -> QueryFeatures {
-        let mut features = QueryFeatures {
-            size: path.size(),
-            arity: output.len(),
-            tree_size: session.len(),
-            ppl: hcl.is_some(),
-            union_free: false,
-            acyclic: false,
-            atoms: 0,
-            step_atoms: 0,
-            dense_atoms: 0,
-            cached_atoms: 0,
-        };
-        let Some(hcl) = hcl else {
-            return features;
-        };
-        features.union_free = hcl.is_union_free();
-        let mut distinct: Vec<&BinExpr> = Vec::new();
-        for atom in hcl.atoms() {
-            if !distinct.contains(&atom) {
-                distinct.push(atom);
-            }
-        }
-        features.atoms = distinct.len();
-        for atom in &distinct {
-            if matches!(atom, BinExpr::Step(_, _)) {
-                features.step_atoms += 1;
-            }
-            if has_complement(atom) {
-                features.dense_atoms += 1;
-            }
-            if session.store().is_compiled(atom) {
-                features.cached_atoms += 1;
-            }
-        }
-        if features.union_free {
-            // GYO acyclicity of the ACQ image (Prop. 8: expected to hold).
-            // `hcl_to_cq` only translates — no tree, no atom evaluation —
-            // so plan preparation stays cheap.
-            features.acyclic = xpath_acq::hcl_to_cq(hcl, output)
-                .map(|(cq, _)| gyo_join_forest(&cq).is_some())
-                .unwrap_or(false);
-        }
-        features
-    }
-}
-
-/// Does a PPLbin expression contain an `except` complement (forcing dense
-/// compilation of that subterm)?
-fn has_complement(expr: &BinExpr) -> bool {
-    match expr {
-        BinExpr::Step(_, _) => false,
-        BinExpr::Seq(a, b) | BinExpr::Union(a, b) => has_complement(a) || has_complement(b),
-        BinExpr::Except(_) => true,
-        BinExpr::Test(p) => has_complement(p),
     }
 }
 
@@ -457,12 +355,12 @@ mod tests {
         let s = session_of("a(b,c)");
         let plan = s.plan("child::b[. is $x]", &["x"]).unwrap();
         assert_eq!(plan.engine(), Engine::NaiveEnumeration);
-        assert!(plan.features().ppl, "query is PPL, choice is cost-based");
+        assert!(plan.features().ppl, "query is PPL, the choice is by size");
         assert!(plan.hcl().is_some(), "PPL plans keep their image");
     }
 
     #[test]
-    fn step_only_acyclic_queries_plan_onto_acq() {
+    fn step_only_queries_plan_onto_ppl() {
         let s = big_session();
         let plan = s
             .plan(
@@ -470,11 +368,8 @@ mod tests {
                 &["a", "t"],
             )
             .unwrap();
-        assert_eq!(plan.engine(), Engine::Acq, "{}", plan.explain());
-        let f = plan.features();
-        assert!(f.union_free && f.acyclic);
-        assert_eq!(f.dense_atoms, 0);
-        assert_eq!(f.step_atoms, f.atoms);
+        assert_eq!(plan.engine(), Engine::Ppl, "{}", plan.explain());
+        assert_eq!(s.execute(&plan).unwrap().len(), 120);
     }
 
     #[test]
@@ -483,38 +378,39 @@ mod tests {
         let src = "descendant::book[not((descendant::* except child::author)/child::title)][. is $x]";
         let plan = s.plan(src, &["x"]).unwrap();
         assert_eq!(plan.engine(), Engine::Ppl, "{}", plan.explain());
-        assert!(plan.features().dense_atoms > 0);
-        assert_eq!(plan.features().cached_atoms, 0);
-        // Execute once; replanning must see a warm session.
+        // Execute once; the warm session plans exactly as the cold one did.
         s.execute(&plan).unwrap();
+        assert!(s.cache_stats().compiled > 0);
         let replanned = s.plan(src, &["x"]).unwrap();
         assert_eq!(replanned.engine(), Engine::Ppl);
-        assert_eq!(
-            replanned.features().cached_atoms,
-            replanned.features().atoms
-        );
-        assert!(replanned.explain().contains("session warm") || replanned.explain().contains("dense"));
+        assert_eq!(replanned.explain(), plan.explain());
     }
 
     #[test]
-    fn warm_sessions_override_the_acq_choice() {
+    fn costly_non_ppl_queries_are_refused_unless_naive_is_forced() {
+        // The wedge: `$a` shared across `/` breaks NVS(/); arity 4 over 121
+        // nodes is ~10¹¹ enumeration steps.
         let s = big_session();
-        let src = "descendant::book[child::author[. is $a]]/child::title[. is $t]";
-        let cold = s.plan(src, &["a", "t"]).unwrap();
-        assert_eq!(cold.engine(), Engine::Acq);
-        // Warm every atom through a forced-ppl plan, then replan.
+        let src = "descendant::*[. is $a]/descendant-or-self::*[. is $a][. is $b]\
+                   /descendant-or-self::*[. is $c][. is $d]";
+        let vars = ["a", "b", "c", "d"];
+        let err = s.plan(src, &vars).unwrap_err();
+        let CompileError::Refused { cost, ceiling, violations } = &err else {
+            panic!("expected a refusal, got {err:?}");
+        };
+        assert!(cost > ceiling);
+        assert_eq!(*ceiling, NAIVE_COST_CEILING);
+        assert!(!violations.is_empty());
+        assert!(err.to_string().starts_with("outside PPL: estimated cost"), "{err}");
         let forced = Planner::default()
             .plan_with(
                 &s,
                 parse_path(src).unwrap(),
-                vec![Var::new("a"), Var::new("t")],
-                Some(Engine::Ppl),
+                vars.iter().map(|v| Var::new(v)).collect(),
+                Some(Engine::NaiveEnumeration),
             )
             .unwrap();
-        assert!(forced.is_forced());
-        s.execute(&forced).unwrap();
-        let warm = s.plan(src, &["a", "t"]).unwrap();
-        assert_eq!(warm.engine(), Engine::Ppl, "{}", warm.explain());
+        assert_eq!(forced.engine(), Engine::NaiveEnumeration);
     }
 
     #[test]

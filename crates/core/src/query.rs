@@ -18,6 +18,16 @@ pub enum CompileError {
     /// The expression is syntactically valid Core XPath 2.0 but violates the
     /// PPL restrictions of Definition 1; each violation is reported.
     NotPpl(Vec<PplViolation>),
+    /// Auto planning refused a query outside PPL: naive enumeration, the
+    /// only engine that accepts it, was estimated at `cost` steps, above the
+    /// planner's `ceiling`.  Proposition 3 makes such queries NP-hard, so
+    /// there is no polynomial engine to fall back to; forcing `naive` runs
+    /// the query anyway.
+    Refused {
+        cost: u128,
+        ceiling: u128,
+        violations: Vec<PplViolation>,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -26,6 +36,21 @@ impl fmt::Display for CompileError {
             CompileError::Parse(e) => write!(f, "{e}"),
             CompileError::NotPpl(violations) => {
                 write!(f, "query is not in the PPL fragment (Definition 1):")?;
+                for v in violations {
+                    write!(f, "\n  - {v}")?;
+                }
+                Ok(())
+            }
+            CompileError::Refused {
+                cost,
+                ceiling,
+                violations,
+            } => {
+                write!(
+                    f,
+                    "outside PPL: estimated cost {cost} of naive enumeration exceeds the \
+                     ceiling {ceiling} (force the naive engine to run it anyway):"
+                )?;
                 for v in violations {
                     write!(f, "\n  - {v}")?;
                 }
@@ -234,7 +259,7 @@ mod tests {
         let s = session();
         let bin =
             from_variable_free_path(&parse_path("child::book/child::author").unwrap()).unwrap();
-        let m = s.store().eval(s.tree(), &bin);
+        let m = s.store().eval(&bin);
         assert_eq!(m.pairs().len(), 3);
         assert_eq!(m.successors(s.root()).count(), 3);
         assert_eq!(m.count_pairs(), 3);

@@ -1,16 +1,18 @@
 //! Thread-safe query serving: one document, many concurrent clients.
 //!
-//! A [`Session`] owns a document tree plus a sharded, lock-protected
-//! [`SharedMatrixStore`], so it is `Send + Sync` and can answer queries
-//! from many threads at once while still amortising the `|t|³` PPLbin
-//! matrix compilation across all of them.  Cloning a session is cheap (two
-//! `Arc` clones) and shares both the tree and the cache.
+//! A [`Session`] owns a sharded, lock-protected [`SharedMatrixStore`] bound
+//! to one document tree snapshot, so it is `Send + Sync` and can answer
+//! queries from many threads at once while still amortising the `|t|³`
+//! PPLbin matrix compilation across all of them.  Plain axis-step atoms are
+//! answered straight from the snapshot and never enter the cache.  Cloning
+//! a session is cheap (one `Arc` clone) and shares both the tree and the
+//! cache.
 //!
 //! The serving workflow is *prepare once, execute anywhere*:
 //!
 //! 1. [`Session::plan`] (or [`Planner::plan_with`]) compiles a query into an
 //!    engine-agnostic [`QueryPlan`] — parse, Definition 1 check, Fig. 7
-//!    translation, plus the planner's cost decision over the four engines;
+//!    translation, plus the planner's engine choice;
 //! 2. [`Session::execute`] answers a plan on its chosen engine;
 //!    [`Session::answer_batch_parallel`] fans a batch of plans out over
 //!    worker threads sharing the one matrix store;
@@ -66,7 +68,7 @@ impl std::error::Error for DocumentError {}
 /// compiled for one client is a cache hit for every other.
 #[derive(Debug, Clone)]
 pub struct Session {
-    tree: Arc<Tree>,
+    /// The matrix cache, bound to (and owning a handle on) the document.
     store: Arc<SharedMatrixStore>,
 }
 
@@ -105,29 +107,8 @@ impl Session {
     /// a memory budget drops only its matrix cache, and the next request
     /// rebuilds the session around the same `Arc<Tree>`.
     pub fn from_shared_tree(tree: Arc<Tree>) -> Session {
-        let store = SharedMatrixStore::new(tree.len());
         Session {
-            tree,
-            store: Arc::new(store),
-        }
-    }
-
-    /// Assemble a session from an already shared tree and an already built
-    /// store — the fork-and-swap path of live edits: the corpus layer edits
-    /// a tree, carries the old session's cache through the edit with
-    /// [`SharedMatrixStore::fork_edited`], and wraps both here without
-    /// recompiling anything.
-    ///
-    /// Panics if the store's domain does not match the tree.
-    pub fn from_parts(tree: Arc<Tree>, store: SharedMatrixStore) -> Session {
-        assert_eq!(
-            store.domain(),
-            tree.len(),
-            "Session::from_parts: store domain does not match the tree"
-        );
-        Session {
-            tree,
-            store: Arc::new(store),
+            store: Arc::new(SharedMatrixStore::new(tree)),
         }
     }
 
@@ -141,43 +122,49 @@ impl Session {
         new_tree: Arc<Tree>,
         delta: &xpath_tree::EditDelta,
     ) -> (Session, xpath_pplbin::EditApplyStats) {
-        let (store, stats) = self.store.fork_edited(&new_tree, delta);
-        (Session::from_parts(new_tree, store), stats)
+        let (store, stats) = self.store.fork_edited(new_tree, delta);
+        (
+            Session {
+                store: Arc::new(store),
+            },
+            stats,
+        )
     }
 
     /// The shared handle to the underlying tree (an `Arc` clone).
     pub fn shared_tree(&self) -> Arc<Tree> {
-        Arc::clone(&self.tree)
+        Arc::clone(self.store.tree())
     }
 
     /// The underlying tree.
     pub fn tree(&self) -> &Tree {
-        &self.tree
+        self.store.tree()
     }
 
     /// Number of nodes `|t|`.
     pub fn len(&self) -> usize {
-        self.tree.len()
+        self.tree().len()
     }
 
     /// Documents always have a root, so this is always `false`.
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.tree().is_empty()
     }
 
     /// The root node.
     pub fn root(&self) -> NodeId {
-        self.tree.root()
+        self.tree().root()
     }
 
     /// Label of a node.
     pub fn label(&self, node: NodeId) -> &str {
-        self.tree.label_str(node)
+        self.tree().label_str(node)
     }
 
     /// Render a node as `label#preorder` (used when printing answers).
     pub fn describe(&self, node: NodeId) -> String {
-        format!("{}#{}", self.tree.label_str(node), self.tree.preorder(node))
+        let tree = self.tree();
+        format!("{}#{}", tree.label_str(node), tree.preorder(node))
     }
 
     /// The shared matrix store backing this session.
@@ -207,28 +194,29 @@ impl Session {
     /// [`Session::execute`] and [`Session::answers_stream`].
     fn run(&self, plan: &QueryPlan) -> Result<Tuples, QueryError> {
         let output = plan.output();
+        let tree = self.tree();
         let tuples = match plan.engine() {
             Engine::Ppl => Tuples::Stream(Box::new(
-                stream_hcl_pplbin_shared(&self.tree, image(plan)?, output, &self.store)
+                stream_hcl_pplbin_shared(image(plan)?, output, &self.store)
                     .map_err(QueryError::Hcl)?,
             )),
             Engine::Hcl => Tuples::Stream(Box::new(
-                stream_hcl_pplbin(&self.tree, image(plan)?, output).map_err(QueryError::Hcl)?,
+                stream_hcl_pplbin(tree, image(plan)?, output).map_err(QueryError::Hcl)?,
             )),
             Engine::Acq => {
                 let hcl = image(plan)?;
                 Tuples::Set(if hcl.is_union_free() {
-                    let (cq, db) = hcl_to_acq(&self.tree, hcl, output).map_err(acq_error)?;
+                    let (cq, db) = hcl_to_acq(tree, hcl, output).map_err(acq_error)?;
                     answer_acq(&cq, &db).map_err(acq_error)?
                 } else {
-                    hcl_to_union_acq(&self.tree, hcl, output, plan.acq_disjunct_budget())
+                    hcl_to_union_acq(tree, hcl, output, plan.acq_disjunct_budget())
                         .map_err(acq_error)?
                         .answer()
                         .map_err(acq_error)?
                 })
             }
             Engine::NaiveEnumeration => Tuples::Set(
-                answer_nary(&self.tree, plan.source(), output)
+                answer_nary(tree, plan.source(), output)
                     .map_err(|e| QueryError::Naive(e.to_string()))?,
             ),
         };
@@ -446,6 +434,11 @@ mod tests {
         Session::from_terms("bib(book(author,title),book(author,author,title))").unwrap()
     }
 
+    /// A query whose atom `descendant::book[child::author]` is composite,
+    /// so answering it compiles into the store (plain step atoms are tree
+    /// views and never do).
+    const COMPOSITE: &str = "descendant::book[child::author]/child::author[. is $a]";
+
     /// Plan with the ppl engine forced (the auto planner sends the tiny
     /// test documents to naive, which never touches the cache).
     fn ppl_plan(s: &Session, src: &str, vars: &[&str]) -> QueryPlan {
@@ -468,7 +461,7 @@ mod tests {
         assert_eq!(clone.len(), s.len());
         // Clones share the cache: warming one warms the other.  (Forced to
         // ppl — the planner would route this tiny instance to naive.)
-        let plan = ppl_plan(&s, "descendant::author[. is $a]", &["a"]);
+        let plan = ppl_plan(&s, COMPOSITE, &["a"]);
         s.execute(&plan).unwrap();
         assert!(clone.cache_stats().compiled > 0);
     }
@@ -684,9 +677,9 @@ mod tests {
             &xpath_ast::parse_path("descendant::* except child::*").unwrap(),
         )
         .unwrap();
-        let warm = s.store().eval(s.tree(), &bin);
+        let warm = s.store().eval(&bin);
         assert_eq!(warm, xpath_pplbin::answer_binary(s.tree(), &bin));
-        assert_eq!(s.store().eval(s.tree(), &bin), warm);
+        assert_eq!(s.store().eval(&bin), warm);
         // Cloning a session shares its tree and cache state.
         let clone = s.clone();
         assert_eq!(clone.cache_stats(), s.cache_stats());
@@ -697,7 +690,7 @@ mod tests {
         let s = session();
         let plan = ppl_plan(
             &s,
-            "descendant::book[child::author[. is $y] and child::title[. is $z]]",
+            "descendant::book[child::author][child::author[. is $y] and child::title[. is $z]]",
             &["y", "z"],
         );
         assert_eq!(s.cache_stats().lookups(), 0);
@@ -721,9 +714,9 @@ mod tests {
     fn answer_batch_matches_per_query_answers_and_shares_matrices() {
         let s = session();
         let plans = [
-            ppl_plan(&s, "descendant::book[child::author[. is $a]]", &["a"]),
-            ppl_plan(&s, "descendant::book[child::title[. is $t]]", &["t"]),
-            ppl_plan(&s, "descendant::book[child::author[. is $a]]", &["a"]),
+            ppl_plan(&s, "descendant::book[child::title][child::author[. is $a]]", &["a"]),
+            ppl_plan(&s, "descendant::book[child::title][child::title[. is $t]]", &["t"]),
+            ppl_plan(&s, "descendant::book[child::title][child::author[. is $a]]", &["a"]),
         ];
         let batch = s.answer_batch(&plans).unwrap();
         assert_eq!(batch.len(), 3);
@@ -734,8 +727,8 @@ mod tests {
                 .unwrap();
             assert_eq!(&cold, got);
         }
-        // `descendant::book` is shared by all three queries; with hash
-        // consing it is compiled exactly once.
+        // `descendant::book[child::title]` is shared by all three queries;
+        // with hash consing it is compiled exactly once.
         let stats = s.cache_stats();
         assert!(
             stats.hits > 0,
@@ -808,7 +801,7 @@ mod tests {
     #[test]
     fn fork_edited_serves_the_new_tree_and_keeps_the_old_snapshot() {
         let s = session();
-        let plan = ppl_plan(&s, "descendant::author[. is $a]", &["a"]);
+        let plan = ppl_plan(&s, COMPOSITE, &["a"]);
         let before = s.execute(&plan).unwrap();
         assert!(s.cache_stats().compiled > 0, "warm before the edit");
 
@@ -819,7 +812,7 @@ mod tests {
         assert_eq!(forked.len(), s.len() + 3);
 
         // The fork answers over the edited document (one more author)…
-        let forked_plan = ppl_plan(&forked, "descendant::author[. is $a]", &["a"]);
+        let forked_plan = ppl_plan(&forked, COMPOSITE, &["a"]);
         assert_eq!(forked.execute(&forked_plan).unwrap().len(), before.len() + 1);
         // …while the original snapshot is untouched.
         assert_eq!(s.execute(&plan).unwrap(), before);
@@ -828,7 +821,7 @@ mod tests {
     #[test]
     fn cache_management_round_trip() {
         let s = session();
-        let plan = ppl_plan(&s, "descendant::author[. is $a]", &["a"]);
+        let plan = ppl_plan(&s, COMPOSITE, &["a"]);
         s.execute(&plan).unwrap();
         assert!(s.cache_stats().compiled > 0);
         s.clear_cache();

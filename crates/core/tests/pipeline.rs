@@ -78,7 +78,7 @@ fn binary_engines_agree_with_each_other() {
         let with_succ = has_successor_set(tree, &bin).unwrap();
         assert_eq!(with_succ, matrix.nonempty_rows(), "{src}");
         // The session's shared matrix store.
-        assert_eq!(session.store().eval(tree, &bin), matrix, "{src}");
+        assert_eq!(session.store().eval(&bin), matrix, "{src}");
     }
 }
 
@@ -175,7 +175,7 @@ fn larger_document_smoke_test() {
             .unwrap();
     let name_nodes: BTreeSet<NodeId> = session
         .store()
-        .eval(session.tree(), &names)
+        .eval(&names)
         .successors(session.root())
         .collect();
     let projected: BTreeSet<NodeId> = answers.iter().map(|t| t[0]).collect();

@@ -69,7 +69,7 @@ use std::sync::Arc;
 use xpath_sync::atomic::{AtomicU64, Ordering};
 use xpath_sync::Mutex;
 use xpath_ast::{parse_path, Var};
-use xpath_pplbin::EditApplyStats;
+use xpath_pplbin::{EditApplyStats, KernelMode};
 use xpath_tree::{EditKind, NodeId, Tree, TreeError};
 use xpath_xml::{parse_with, ParseOptions};
 
@@ -183,6 +183,9 @@ impl fmt::Display for CorpusError {
             CorpusError::Document { name, source } => {
                 write!(f, "cannot ingest document '{name}': {source}")
             }
+            // A refusal is a verdict on the query's cost, not a failure to
+            // compile it; it names itself (`outside PPL: estimated cost …`).
+            CorpusError::Compile(e @ CompileError::Refused { .. }) => write!(f, "{e}"),
             CorpusError::Compile(e) => write!(f, "query does not compile: {e}"),
             CorpusError::Query { name, source } => {
                 write!(f, "query failed on document '{name}': {source}")
@@ -342,6 +345,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<Corpus>();
+
+/// Kernel mode of every pooled session's matrix store: the single-threaded
+/// structure-aware kernels.  The corpus already answers requests in
+/// parallel, so splitting one product across threads as well (the
+/// `AdaptiveThreaded` default) oversubscribes the cores, and a split product
+/// waits for its slower half.  Under load from other processes, those waits
+/// made the daemon's latency and throughput swing from one run to the next.
+pub const SESSION_KERNELS: KernelMode = KernelMode::Adaptive;
 
 /// Approximate heap bytes of a tree: per-node bookkeeping plus label
 /// storage.  Deliberately coarse — the budget it feeds is approximate by
@@ -570,6 +581,7 @@ impl Corpus {
                 Some(session) => (session.clone(), false, false),
                 None => {
                     let session = Session::from_shared_tree(Arc::clone(&entry.tree));
+                    session.store().set_mode(SESSION_KERNELS);
                     let rebuilt = entry.ever_built;
                     entry.session = Some(session.clone());
                     entry.ever_built = true;

@@ -11,8 +11,9 @@
 //!   tree into per-node successor lists, so that the answering algorithm can
 //!   treat query answering for `L` as a constant-time oracle, exactly as in
 //!   Prop. 10/11.  A [`oracle::PplBinAtoms`] implementation backs atoms by
-//!   the Boolean-matrix engine of `xpath_pplbin`; [`oracle::AxisAtoms`] backs
-//!   them by raw tree axes.
+//!   the Boolean-matrix engine of `xpath_pplbin` (through a shared store,
+//!   plain steps by views of the tree); [`oracle::AxisAtoms`] backs raw axis
+//!   steps by tree views.
 //! * [`share`] — *sharing expressions* and *equation systems* (Lemma 3): the
 //!   linear-time normalisation that removes unions from the left of
 //!   compositions without the exponential blow-up of naive distribution.

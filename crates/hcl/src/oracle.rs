@@ -11,8 +11,8 @@
 //! * [`PplBinAtoms`] — atoms are PPLbin expressions, answered by the
 //!   Boolean-matrix engine of `xpath_pplbin` in `O(|b|·|t|³)` each
 //!   (Theorem 2), which instantiates the `p(|b|, |t|)` of Prop. 10;
-//! * [`AxisAtoms`] — atoms are raw `(Axis, NameTest)` steps, answered
-//!   directly from the tree in `O(|t|²)`; used by the ACQ experiments.
+//! * [`AxisAtoms`] — atoms are raw `(Axis, NameTest)` steps, answered as
+//!   views of the tree (nothing compiled).
 
 use crate::lang::Hcl;
 use std::collections::HashMap;
@@ -20,7 +20,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 use xpath_ast::{BinExpr, NameTest};
 use xpath_pplbin::{
-    eval_relation, CapacityError, KernelMode, KernelStats, MatrixStore, SharedMatrixStore,
+    eval_relation, CapacityError, KernelMode, KernelStats, SharedMatrixStore, StepView,
     SuccessorSource,
 };
 use xpath_tree::{Axis, NodeId, Tree};
@@ -39,9 +39,9 @@ impl AtomId {
 /// Precompiled successor rows for a set of binary queries over one tree.
 ///
 /// Per-atom rows are held behind `Arc`d [`SuccessorSource`] handles so a
-/// cache (a `MatrixStore`, or the `SharedMatrixStore` of a `Session`) can
-/// hand out the same compiled rows to many queries — on any
-/// thread — without copying them.  Under the lazy kernel mode a source
+/// cache (the `SharedMatrixStore` of a `Session`) can hand out the same
+/// compiled rows — or views of the same tree snapshot — to many queries, on
+/// any thread, without copying them.  Under the lazy kernel mode a source
 /// computes and memoises rows the first time the Fig. 8 answering phase
 /// pulls them, so "precompiled" means the *symbolic* form is ready; the
 /// `|S_{u,b}|`-time guarantee of Prop. 10 then holds per pulled row.
@@ -72,7 +72,7 @@ impl CompiledAtoms {
 
     /// Build a table from already-shared per-atom successor lists (each
     /// `lists[atom][node]` sorted in document order), e.g. straight out of a
-    /// [`MatrixStore`] or [`SharedMatrixStore`].
+    /// [`SharedMatrixStore`].
     pub fn from_successor_lists(
         domain: usize,
         atoms: Vec<Arc<Vec<Vec<NodeId>>>>,
@@ -185,86 +185,47 @@ impl PplBinAtoms {
         CompiledAtoms::from_successor_lists(tree.len(), succ)
     }
 
-    /// Compile each PPLbin atom through a [`MatrixStore`]: subterms already
-    /// compiled by earlier queries over the same tree are reused, and the
-    /// successor rows themselves are shared with the store via `Arc`.
-    /// Panics past the dense capacity budget; see
-    /// [`PplBinAtoms::try_compile_with_store`].
-    pub fn compile_with_store(
-        tree: &Tree,
-        atoms: &[BinExpr],
-        store: &mut MatrixStore,
-    ) -> CompiledAtoms {
-        Self::try_compile_with_store(tree, atoms, store)
-            .expect("dense capacity exceeded while compiling atoms")
-    }
-
-    /// Fallible form of [`PplBinAtoms::compile_with_store`].  Under the lazy
-    /// kernel mode the returned table holds on-demand row caches; under the
-    /// eager modes it holds materialised lists, and compilation fails
+    /// Compile each PPLbin atom through a thread-safe [`SharedMatrixStore`]
+    /// bound to `tree`: plain axis steps come back as views over the tree
+    /// (nothing compiled, nothing cached), every other atom compiles under
+    /// its shard lock only while it compiles, and the returned rows are
+    /// shared with the store (and with any other thread answering the same
+    /// atoms) via `Arc`.  Under the lazy kernel mode composite atoms hold
+    /// on-demand row caches; under the eager modes compilation fails
     /// (instead of aborting) when a dense intermediate would exceed the
     /// capacity budget.
-    pub fn try_compile_with_store(
-        tree: &Tree,
-        atoms: &[BinExpr],
-        store: &mut MatrixStore,
-    ) -> Result<CompiledAtoms, CapacityError> {
-        let sources: Vec<SuccessorSource> = atoms
-            .iter()
-            .map(|b| store.successor_source(tree, b))
-            .collect::<Result<_, _>>()?;
-        Ok(CompiledAtoms::from_sources(tree.len(), sources))
-    }
-
-    /// Compile each PPLbin atom through a thread-safe [`SharedMatrixStore`]:
-    /// the per-atom shard lock is held only while that atom compiles, and
-    /// the returned rows are shared with the store (and with any other
-    /// thread answering the same atoms) via `Arc`.  Panics past the dense
-    /// capacity budget; see [`PplBinAtoms::try_compile_with_shared`].
-    pub fn compile_with_shared(
-        tree: &Tree,
-        atoms: &[BinExpr],
-        store: &SharedMatrixStore,
-    ) -> CompiledAtoms {
-        Self::try_compile_with_shared(tree, atoms, store)
-            .expect("dense capacity exceeded while compiling atoms")
-    }
-
-    /// Fallible form of [`PplBinAtoms::compile_with_shared`].
+    ///
+    /// Panics if `tree` is not the size of the store's snapshot.
     pub fn try_compile_with_shared(
         tree: &Tree,
         atoms: &[BinExpr],
         store: &SharedMatrixStore,
     ) -> Result<CompiledAtoms, CapacityError> {
+        assert_eq!(
+            tree.len(),
+            store.domain(),
+            "the store serves a different tree snapshot"
+        );
         let sources: Vec<SuccessorSource> = atoms
             .iter()
-            .map(|b| store.successor_source(tree, b))
+            .map(|b| store.successor_source(b))
             .collect::<Result<_, _>>()?;
         Ok(CompiledAtoms::from_sources(tree.len(), sources))
     }
 }
 
-/// Atom compiler for raw axis steps `(Axis, NameTest)`.
+/// Atom compiler for raw axis steps `(Axis, NameTest)`: each atom is a
+/// [`StepView`] over the tree, so nothing is compiled.
 pub struct AxisAtoms;
 
 impl AxisAtoms {
-    /// Compile each `(axis, name-test)` atom by direct axis iteration.
-    pub fn compile(tree: &Tree, atoms: &[(Axis, NameTest)]) -> CompiledAtoms {
-        let pair_lists: Vec<Vec<(NodeId, NodeId)>> = atoms
+    /// View each `(axis, name-test)` atom straight from the tree.
+    pub fn compile(tree: &Arc<Tree>, atoms: &[(Axis, NameTest)]) -> CompiledAtoms {
+        let sources = atoms
             .iter()
-            .map(|(axis, test)| {
-                let mut pairs = Vec::new();
-                for u in tree.nodes() {
-                    for v in tree.axis_iter(*axis, u) {
-                        if test.matches(tree.label_str(v)) {
-                            pairs.push((u, v));
-                        }
-                    }
-                }
-                pairs
-            })
+            .map(|(axis, test)| SuccessorSource::Step(StepView::new(Arc::clone(tree), *axis, test)))
             .collect();
-        CompiledAtoms::from_pairs(tree.len(), pair_lists)
+        CompiledAtoms::from_sources(tree.len(), sources)
     }
 }
 
@@ -317,7 +278,7 @@ mod tests {
             (Axis::Descendant, NameTest::name("d")),
             (Axis::Parent, NameTest::Wildcard),
         ];
-        let compiled = AxisAtoms::compile(&t, &atoms);
+        let compiled = AxisAtoms::compile(&Arc::new(t.clone()), &atoms);
         for (i, (axis, test)) in atoms.iter().enumerate() {
             for u in t.nodes() {
                 let expected: Vec<NodeId> = t
@@ -335,14 +296,14 @@ mod tests {
     }
 
     #[test]
-    fn compile_with_store_matches_cold_compile_and_shares_lists() {
+    fn compile_with_shared_matches_cold_compile_and_shares_lists() {
         let t = tree();
-        let child = from_variable_free_path(&parse_path("child::*").unwrap()).unwrap();
-        let desc_d = from_variable_free_path(&parse_path("descendant::d").unwrap()).unwrap();
-        let atoms = [child, desc_d];
+        let bin = |src: &str| from_variable_free_path(&parse_path(src).unwrap()).unwrap();
+        // A step (answered as a view) and a composite (compiled and cached).
+        let atoms = [bin("child::*"), bin("descendant::b[child::d]")];
         let cold = PplBinAtoms::compile(&t, &atoms);
-        let mut store = MatrixStore::new(t.len());
-        let warm = PplBinAtoms::compile_with_store(&t, &atoms, &mut store);
+        let store = SharedMatrixStore::new(std::sync::Arc::new(t.clone()));
+        let warm = PplBinAtoms::try_compile_with_shared(&t, &atoms, &store).unwrap();
         for i in 0..atoms.len() {
             for u in t.nodes() {
                 assert_eq!(
@@ -352,9 +313,11 @@ mod tests {
             }
         }
         assert_eq!(warm.pair_count(), cold.pair_count());
+        assert!(matches!(warm.source(AtomId(0)), SuccessorSource::Step(_)));
         // Recompiling through the same store is pure cache traffic.
         let before = store.stats();
-        let again = PplBinAtoms::compile_with_store(&t, &atoms, &mut store);
+        assert!(before.misses > 0, "the composite atom compiled");
+        let again = PplBinAtoms::try_compile_with_shared(&t, &atoms, &store).unwrap();
         assert_eq!(again.pair_count(), cold.pair_count());
         assert_eq!(store.stats().misses, before.misses);
         assert!(store.stats().hits > before.hits);

@@ -38,7 +38,10 @@
 //!   workload of queries over one tree pays each `|t|³` product once; and
 //!   [`store::SharedMatrixStore`], its sharded thread-safe wrapper
 //!   (`&self` evaluation behind per-shard `Mutex`es) that lets one document
-//!   serve queries from many threads at once.
+//!   serve queries from many threads at once;
+//! * [`view`] — [`view::StepView`], the rows of a plain axis step read
+//!   straight off the tree snapshot, which is how a `SharedMatrixStore`
+//!   answers step atoms without compiling or caching anything.
 
 #![forbid(unsafe_code)]
 
@@ -49,6 +52,7 @@ pub mod lazy;
 pub mod matrix;
 pub mod relation;
 pub mod store;
+pub mod view;
 
 pub use corexpath1::{has_successor_set, succ_set, unary_from_root, NotCoreXPath1};
 pub use incremental::EditApplyStats;
@@ -59,3 +63,4 @@ pub use relation::{KernelMode, KernelStats, Relation, SparseRows};
 pub use store::{
     CacheStats, ExprId, MatrixStore, SharedMatrixStore, SuccessorSource, DEFAULT_STORE_SHARDS,
 };
+pub use view::StepView;

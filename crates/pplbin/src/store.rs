@@ -18,18 +18,19 @@
 //!   [`ExprId`] behind an `Arc`, so repeated HCL⁻ answering over the same
 //!   atoms shares one allocation — across threads too.
 //!
-//! The store is deliberately tree-agnostic in its API (the caller passes the
-//! `&Tree` on every evaluation) but domain-checked: it is created for a
-//! fixed node count and will panic if used with a tree of a different size.
-//!
 //! Two ownership regimes are provided:
 //!
 //! * [`MatrixStore`] — the single-threaded store (`&mut self` evaluation),
-//!   used directly by benchmarks and cold paths;
-//! * [`SharedMatrixStore`] — a sharded `Mutex` wrapper whose evaluation
-//!   methods take `&self`, so one document can answer queries from many
-//!   threads at once.  `ppl_xpath::Session` owns one and threads it through
-//!   every cached entry point.
+//!   used directly by benchmarks and cold paths.  It is tree-agnostic in
+//!   its API (the caller passes the `&Tree` on every evaluation) but
+//!   domain-checked: it is created for a fixed node count and will panic if
+//!   used with a tree of a different size;
+//! * [`SharedMatrixStore`] — a sharded `Mutex` wrapper bound to one
+//!   `Arc<Tree>` snapshot, whose evaluation methods take `&self`, so one
+//!   document can answer queries from many threads at once.  It answers
+//!   plain step atoms as [`StepView`]s over the snapshot instead of caching
+//!   them.  `ppl_xpath::Session` owns one and threads it through every
+//!   cached entry point.
 
 use crate::eval::step_relation_in_mode;
 use crate::incremental::{
@@ -39,6 +40,7 @@ use crate::incremental::{
 use crate::lazy::{LazyRel, LazyRows};
 use crate::matrix::{CapacityError, NodeMatrix};
 use crate::relation::{KernelMode, KernelStats, Relation, SparseRows};
+use crate::view::StepView;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -47,15 +49,19 @@ use xpath_ast::{BinExpr, NameTest};
 use xpath_tree::{Axis, EditDelta, EditKind, NodeId, Tree};
 
 /// Where a consumer of Prop. 10 successor rows pulls them from: an eagerly
-/// materialised table (`lists[u]` for every `u`, the pre-lazy behaviour) or
+/// materialised table (`lists[u]` for every `u`, the pre-lazy behaviour),
 /// an on-demand [`LazyRows`] cache that computes rows the first time the
-/// answering phase asks for them.  Cloning is an `Arc` bump either way.
+/// answering phase asks for them, or — for a plain axis step — a
+/// [`StepView`] reading rows straight off the tree snapshot.  Cloning is an
+/// `Arc` bump in every case.
 #[derive(Debug, Clone)]
 pub enum SuccessorSource {
     /// All `n` rows materialised up front (eager kernel modes).
     Eager(Arc<Vec<Vec<NodeId>>>),
     /// Rows computed and memoised on first pull ([`KernelMode::Lazy`]).
     Lazy(Arc<LazyRows>),
+    /// Rows of an axis step, read from the tree (no compilation, no cache).
+    Step(StepView),
 }
 
 impl SuccessorSource {
@@ -64,6 +70,7 @@ impl SuccessorSource {
         match self {
             SuccessorSource::Eager(lists) => lists.len(),
             SuccessorSource::Lazy(rows) => rows.len(),
+            SuccessorSource::Step(view) => view.len(),
         }
     }
 
@@ -78,6 +85,7 @@ impl SuccessorSource {
         match self {
             SuccessorSource::Eager(lists) => f(&lists[u.index()]),
             SuccessorSource::Lazy(rows) => f(&rows.row(u)),
+            SuccessorSource::Step(view) => view.with_row(u, f),
         }
     }
 
@@ -91,18 +99,21 @@ impl SuccessorSource {
         match self {
             SuccessorSource::Eager(lists) => !lists[u.index()].is_empty(),
             SuccessorSource::Lazy(rows) => rows.row_nonempty(u),
+            SuccessorSource::Step(view) => view.row_nonempty(u),
         }
     }
 
     /// Does row `u` contain a node satisfying `pred`?  Early-exits on the
     /// first hit; the lazy variant answers from the symbolic form without
-    /// materialising the row (see [`LazyRel::row_any`]).
+    /// materialising the row (see [`LazyRel::row_any`]), the step variant
+    /// from the tree without allocating.
     ///
     /// [`LazyRel::row_any`]: crate::lazy::LazyRel::row_any
     pub fn row_any(&self, u: NodeId, mut pred: impl FnMut(NodeId) -> bool) -> bool {
         match self {
             SuccessorSource::Eager(lists) => lists[u.index()].iter().any(|&v| pred(v)),
             SuccessorSource::Lazy(rows) => rows.row_any(u, pred),
+            SuccessorSource::Step(view) => view.row_any(u, pred),
         }
     }
 }
@@ -327,28 +338,6 @@ impl MatrixStore {
         self.shapes.push(shape);
         self.relations.push(None);
         id
-    }
-
-    /// Read-only structural lookup: the id of `expr` if it has been interned
-    /// already, without interning it.
-    fn find_id(&self, expr: &BinExpr) -> Option<ExprId> {
-        let shape = match expr {
-            BinExpr::Step(axis, test) => Shape::Step(*axis, test.clone()),
-            BinExpr::Seq(a, b) => Shape::Seq(self.find_id(a)?, self.find_id(b)?),
-            BinExpr::Union(a, b) => Shape::Union(self.find_id(a)?, self.find_id(b)?),
-            BinExpr::Except(p) => Shape::Except(self.find_id(p)?),
-            BinExpr::Test(p) => Shape::Test(self.find_id(p)?),
-        };
-        self.ids.get(&shape).copied()
-    }
-
-    /// Is the relation of `expr` already compiled in this store?  Pure
-    /// inspection: neither interns nor counts as a cache lookup.  The
-    /// query planner uses this to prefer the cached engine once a session
-    /// is warm for a plan's atoms.
-    pub fn is_compiled(&self, expr: &BinExpr) -> bool {
-        self.find_id(expr)
-            .is_some_and(|id| self.relations[id.index()].is_some())
     }
 
     /// Make sure the relation of `id` is compiled, reusing every already
@@ -901,8 +890,14 @@ impl MatrixStore {
     }
 }
 
-/// A thread-safe, sharded wrapper around [`MatrixStore`]: the cache design
-/// behind `ppl_xpath::Session`.
+/// A thread-safe, sharded wrapper around [`MatrixStore`], bound to the tree
+/// snapshot it serves: the cache design behind `ppl_xpath::Session`.
+///
+/// Plain axis-step atoms never enter the shards: [`successor_source`]
+/// answers them with a [`StepView`] over the snapshot, which takes no lock,
+/// no slot and no budget bytes, and needs no patching when the document is
+/// edited.  Everything else — composite atoms, including the steps inside
+/// them — compiles through the shards.
 ///
 /// Every evaluation routes to one of `shards` independent single-threaded
 /// stores by the hash of the evaluated expression, and only that shard's
@@ -918,9 +913,11 @@ impl MatrixStore {
 ///
 /// All methods take `&self`; the type is `Send + Sync` and is meant to be
 /// shared behind an `Arc`.
+///
+/// [`successor_source`]: SharedMatrixStore::successor_source
 #[derive(Debug)]
 pub struct SharedMatrixStore {
-    domain: usize,
+    tree: Arc<Tree>,
     shards: Vec<Mutex<MatrixStore>>,
 }
 
@@ -928,36 +925,41 @@ pub struct SharedMatrixStore {
 pub const DEFAULT_STORE_SHARDS: usize = 8;
 
 impl SharedMatrixStore {
-    /// A store for trees with `domain` nodes, with the default shard count
-    /// and kernel mode.
-    pub fn new(domain: usize) -> SharedMatrixStore {
-        Self::with_shards_and_mode(domain, DEFAULT_STORE_SHARDS, KernelMode::default())
+    /// An empty store over `tree`, with the default shard count and kernel
+    /// mode.
+    pub fn new(tree: Arc<Tree>) -> SharedMatrixStore {
+        Self::with_shards_and_mode(tree, DEFAULT_STORE_SHARDS, KernelMode::default())
     }
 
     /// A store with an explicit kernel mode.
-    pub fn with_mode(domain: usize, mode: KernelMode) -> SharedMatrixStore {
-        Self::with_shards_and_mode(domain, DEFAULT_STORE_SHARDS, mode)
+    pub fn with_mode(tree: Arc<Tree>, mode: KernelMode) -> SharedMatrixStore {
+        Self::with_shards_and_mode(tree, DEFAULT_STORE_SHARDS, mode)
     }
 
     /// A store with explicit shard count and kernel mode.  `shards` is
     /// clamped to at least 1.
     pub fn with_shards_and_mode(
-        domain: usize,
+        tree: Arc<Tree>,
         shards: usize,
         mode: KernelMode,
     ) -> SharedMatrixStore {
-        let shards = shards.max(1);
+        let domain = tree.len();
         SharedMatrixStore {
-            domain,
-            shards: (0..shards)
+            tree,
+            shards: (0..shards.max(1))
                 .map(|_| Mutex::new(MatrixStore::with_mode(domain, mode)))
                 .collect(),
         }
     }
 
-    /// The node count the store was created for.
+    /// The tree snapshot the store serves.
+    pub fn tree(&self) -> &Arc<Tree> {
+        &self.tree
+    }
+
+    /// The node count of the served tree.
     pub fn domain(&self) -> usize {
-        self.domain
+        self.tree.len()
     }
 
     /// Number of independent shards.
@@ -1008,58 +1010,31 @@ impl SharedMatrixStore {
 
     /// Evaluate a PPLbin expression to a dense [`NodeMatrix`] through the
     /// cache (see [`MatrixStore::eval`]).
-    pub fn eval(&self, tree: &Tree, expr: &BinExpr) -> NodeMatrix {
-        self.shard(expr).eval(tree, expr)
-    }
-
-    /// Evaluate a PPLbin expression to its adaptive [`Relation`] through
-    /// the cache.
-    pub fn eval_relation(&self, tree: &Tree, expr: &BinExpr) -> Relation {
-        self.shard(expr).eval_relation(tree, expr)
-    }
-
-    /// Fallible evaluation to a concrete [`Relation`] (see
-    /// [`MatrixStore::try_eval_relation`]).
-    pub fn try_eval_relation(
-        &self,
-        tree: &Tree,
-        expr: &BinExpr,
-    ) -> Result<Relation, CapacityError> {
-        self.shard(expr).try_eval_relation(tree, expr)
+    pub fn eval(&self, expr: &BinExpr) -> NodeMatrix {
+        self.shard(expr).eval(&self.tree, expr)
     }
 
     /// The Prop. 10 successor lists of `expr`, shared behind an `Arc` (see
     /// [`MatrixStore::successor_lists`]).  The shard lock is held only while
     /// compiling; callers answer from the returned lists lock-free.
-    pub fn successor_lists(&self, tree: &Tree, expr: &BinExpr) -> Arc<Vec<Vec<NodeId>>> {
-        self.shard(expr).successor_lists(tree, expr)
+    pub fn successor_lists(&self, expr: &BinExpr) -> Arc<Vec<Vec<NodeId>>> {
+        self.shard(expr).successor_lists(&self.tree, expr)
     }
 
-    /// Fallible form of [`SharedMatrixStore::successor_lists`].
-    pub fn try_successor_lists(
-        &self,
-        tree: &Tree,
-        expr: &BinExpr,
-    ) -> Result<Arc<Vec<Vec<NodeId>>>, CapacityError> {
-        self.shard(expr).try_successor_lists(tree, expr)
-    }
-
-    /// Mode-appropriate successor rows (see
-    /// [`MatrixStore::successor_source`]); the shard lock is held only while
-    /// compiling the symbolic form — lazy rows materialise lock-free behind
-    /// the returned handle.
-    pub fn successor_source(
-        &self,
-        tree: &Tree,
-        expr: &BinExpr,
-    ) -> Result<SuccessorSource, CapacityError> {
-        self.shard(expr).successor_source(tree, expr)
-    }
-
-    /// Is `expr` already compiled?  Pure inspection of the responsible
-    /// shard (no interning, no hit/miss accounting).
-    pub fn is_compiled(&self, expr: &BinExpr) -> bool {
-        self.shard(expr).is_compiled(expr)
+    /// The Prop. 10 oracle rows of `expr`.  A plain axis step is a
+    /// [`StepView`] over the snapshot: no lock, no compilation, nothing
+    /// cached.  Any other expression compiles through its shard (see
+    /// [`MatrixStore::successor_source`]); the lock is held only while
+    /// compiling — lazy rows materialise lock-free behind the handle.
+    pub fn successor_source(&self, expr: &BinExpr) -> Result<SuccessorSource, CapacityError> {
+        if let BinExpr::Step(axis, test) = expr {
+            return Ok(SuccessorSource::Step(StepView::new(
+                Arc::clone(&self.tree),
+                *axis,
+                test,
+            )));
+        }
+        self.shard(expr).successor_source(&self.tree, expr)
     }
 
     /// Aggregate cache counters across all shards.
@@ -1077,7 +1052,8 @@ impl SharedMatrixStore {
     }
 
     /// Approximate heap occupancy across all shards, in bytes (see
-    /// [`MatrixStore::approx_bytes`]).
+    /// [`MatrixStore::approx_bytes`]).  The snapshot itself is the caller's
+    /// to account for.
     pub fn approx_bytes(&self) -> usize {
         self.each_shard(|s| s.approx_bytes()).iter().sum()
     }
@@ -1101,26 +1077,27 @@ impl SharedMatrixStore {
         self.each_shard(|s| s.clear());
     }
 
-    /// A post-edit copy of this store: every shard is cloned and carried
-    /// through the edit with [`MatrixStore::apply_edit`].  The original is
-    /// left untouched (each shard lock is held only while cloning), so
-    /// in-flight readers of the old store never observe a half-applied
-    /// edit — the serving layer swaps the returned store in atomically and
-    /// lets old snapshots drain.
+    /// A copy of this store bound to `new_tree`, the snapshot `delta`
+    /// produced from this one: every shard is cloned and carried through
+    /// the edit with [`MatrixStore::apply_edit`], and step views read the
+    /// new snapshot.  The original is left untouched (each shard lock is
+    /// held only while cloning), so in-flight readers of the old store
+    /// never observe a half-applied edit — the serving layer swaps the
+    /// returned store in atomically and lets old snapshots drain.
     pub fn fork_edited(
         &self,
-        new_tree: &Tree,
+        new_tree: Arc<Tree>,
         delta: &EditDelta,
     ) -> (SharedMatrixStore, EditApplyStats) {
         let mut stats = EditApplyStats::default();
         let shards = self.each_shard(|s| {
             let mut forked = s.clone();
-            stats.merge(&forked.apply_edit(new_tree, delta));
+            stats.merge(&forked.apply_edit(&new_tree, delta));
             Mutex::new(forked)
         });
         (
             SharedMatrixStore {
-                domain: new_tree.len(),
+                tree: new_tree,
                 shards,
             },
             stats,
@@ -1220,7 +1197,7 @@ mod tests {
     #[test]
     fn shared_store_matches_cold_and_is_queried_concurrently() {
         let t = tree();
-        let store = SharedMatrixStore::new(t.len());
+        let store = SharedMatrixStore::new(Arc::new(t.clone()));
         let exprs: Vec<BinExpr> = [
             "child::book/child::author",
             "descendant::* except child::*",
@@ -1234,8 +1211,8 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for b in &exprs {
-                        assert_eq!(store.eval(&t, b), answer_binary(&t, b));
-                        let lists = store.successor_lists(&t, b);
+                        assert_eq!(store.eval(b), answer_binary(&t, b));
+                        let lists = store.successor_lists(b);
                         assert_eq!(lists.len(), t.len());
                     }
                 });
@@ -1256,9 +1233,10 @@ mod tests {
     #[test]
     fn poisoned_shard_clears_its_cache_and_keeps_serving() {
         let t = tree();
-        let store = SharedMatrixStore::with_shards_and_mode(t.len(), 1, KernelMode::default());
+        let store =
+            SharedMatrixStore::with_shards_and_mode(Arc::new(t.clone()), 1, KernelMode::default());
         let b = bin("child::book/child::author");
-        store.eval(&t, &b);
+        store.eval(&b);
         assert!(store.stats().lookups() > 0, "warm cache before the panic");
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.each_shard(|_| panic!("evaluation blew up while holding the shard"));
@@ -1267,27 +1245,14 @@ mod tests {
         // First touch after the poison recovers the shard: cache cleared.
         assert_eq!(store.stats().lookups(), 0, "clear-on-poison drops the cache");
         // And the store keeps answering, recompiling from scratch.
-        assert_eq!(store.eval(&t, &b), answer_binary(&t, &b));
-        assert_eq!(store.eval(&t, &b), answer_binary(&t, &b));
+        assert_eq!(store.eval(&b), answer_binary(&t, &b));
+        assert_eq!(store.eval(&b), answer_binary(&t, &b));
         assert!(store.stats().hits > 0, "cache rebuilds after recovery");
     }
 
     #[test]
-    fn shared_store_is_compiled_reports_without_counting() {
-        let t = tree();
-        let store = SharedMatrixStore::new(t.len());
-        let b = bin("child::book/child::author");
-        assert!(!store.is_compiled(&b));
-        store.eval(&t, &b);
-        let before = store.stats();
-        assert!(store.is_compiled(&b));
-        assert!(!store.is_compiled(&bin("descendant::publisher")));
-        assert_eq!(store.stats().lookups(), before.lookups());
-    }
-
-    #[test]
     fn shared_store_mode_switch_applies_to_every_shard() {
-        let store = SharedMatrixStore::with_mode(4, KernelMode::Dense);
+        let store = SharedMatrixStore::with_mode(Arc::new(tree()), KernelMode::Dense);
         assert_eq!(store.mode(), KernelMode::Dense);
         store.set_mode(KernelMode::Adaptive);
         assert_eq!(store.mode(), KernelMode::Adaptive);
@@ -1306,13 +1271,12 @@ mod tests {
 
     #[test]
     fn approx_bytes_tracks_compiled_state_and_clears() {
-        let t = tree();
-        let store = SharedMatrixStore::new(t.len());
+        let store = SharedMatrixStore::new(Arc::new(tree()));
         assert_eq!(store.approx_bytes(), 0, "empty stores occupy nothing");
-        store.eval(&t, &bin("descendant::* except child::*"));
+        store.eval(&bin("descendant::* except child::*"));
         let after_eval = store.approx_bytes();
         assert!(after_eval > 0, "compiled relations must be accounted");
-        store.successor_lists(&t, &bin("descendant::* except child::*"));
+        store.successor_lists(&bin("descendant::* except child::*"));
         assert!(
             store.approx_bytes() > after_eval,
             "successor lists must add occupancy"
@@ -1432,21 +1396,23 @@ mod tests {
     /// the old tree, while the fork answers over the new one.
     #[test]
     fn fork_edited_preserves_the_original_snapshot() {
-        let t0 = tree();
-        let store = SharedMatrixStore::new(t0.len());
+        let t0 = Arc::new(tree());
+        let store = SharedMatrixStore::new(Arc::clone(&t0));
         let b = bin("child::book/child::author");
-        let before = store.eval(&t0, &b);
+        let before = store.eval(&b);
 
         let sub = Tree::from_terms("book(author)").unwrap();
         let (t1, delta) = t0.insert_subtree(t0.root(), 0, &sub).unwrap();
-        let (forked, stats) = store.fork_edited(&t1, &delta);
+        let t1 = Arc::new(t1);
+        let (forked, stats) = store.fork_edited(Arc::clone(&t1), &delta);
         assert!(stats.rows_total > 0);
         assert_eq!(forked.domain(), t1.len());
+        assert!(Arc::ptr_eq(forked.tree(), &t1));
 
         // Old snapshot still consistent…
-        assert_eq!(store.eval(&t0, &b), before);
+        assert_eq!(store.eval(&b), before);
         assert_eq!(store.domain(), t0.len());
         // …and the fork agrees with a cold compile on the new tree.
-        assert_eq!(forked.eval(&t1, &b), answer_binary(&t1, &b));
+        assert_eq!(forked.eval(&b), answer_binary(&t1, &b));
     }
 }

@@ -100,12 +100,13 @@ pub fn pplbin_suite(levels: usize) -> BinExpr {
 }
 
 /// The E12 planner-comparison suite: PPL queries over the `l0…l2` generator
-/// alphabet deliberately spanning the planner's decision regimes.
+/// alphabet spanning the shapes the engines differ on.
 ///
-/// * step-only, union-free, acyclic queries (the `acq` regime: sparse
-///   Yannakakis semijoins);
-/// * `except`-bearing dense-filter queries (the `ppl` regime: cached dense
-///   matrix products);
+/// * step-only, union-free, acyclic queries: every atom is a plain step,
+///   which `ppl` answers from tree views and `acq` as sparse Yannakakis
+///   semijoins;
+/// * `except`-bearing dense-filter queries: composite atoms that `ppl`
+///   compiles once into cached matrix products;
 /// * a union query (distributed by the `acq` engine, native to `ppl`);
 /// * an arity-0 satisfiability query.
 ///
@@ -114,7 +115,7 @@ pub fn pplbin_suite(levels: usize) -> BinExpr {
 pub fn planner_mix_suite() -> Vec<(String, Vec<String>)> {
     let dense = "(descendant::* except child::l0)/(descendant::* except child::l1)";
     vec![
-        // acq regime — plain steps, tree-shaped joins.
+        // Plain steps, tree-shaped joins: every atom is a tree view.
         (
             "descendant::l0[child::l1[. is $x]]/child::l2[. is $y]".to_string(),
             vec!["x".into(), "y".into()],
@@ -127,7 +128,7 @@ pub fn planner_mix_suite() -> Vec<(String, Vec<String>)> {
             "descendant::l0[child::l1][child::l2[. is $z]]".to_string(),
             vec!["z".into()],
         ),
-        // ppl regime — dense complements dominate compilation.
+        // Dense complements dominate compilation.
         (
             format!("descendant::l0[not({dense})][. is $x]"),
             vec!["x".into()],

@@ -1004,6 +1004,7 @@ pub fn run_lazy_fuzz(seed: u64, cases: usize, max_tree_size: usize, alphabet: us
     use xpath_ast::binexpr::from_variable_free_path;
     use xpath_hcl::stream_hcl_pplbin_shared;
     use xpath_pplbin::{eval_relation, KernelMode, KernelStats, MatrixStore, SharedMatrixStore};
+    use std::sync::Arc;
 
     let mut gen = QueryGen::new(seed, alphabet);
     let mut arity_rng = StdRng::seed_from_u64(seed ^ 0x1A2);
@@ -1074,10 +1075,11 @@ pub fn run_lazy_fuzz(seed: u64, cases: usize, max_tree_size: usize, alphabet: us
         let hcl = ppl_to_hcl(&query).unwrap_or_else(|e| panic!("{e}\n{}", qctx()));
 
         // One shard: subterms are shared exactly as in a single `MatrixStore`.
+        let shared = Arc::new(tree.clone());
         let answer_with = |mode: KernelMode, what: &str| {
-            let store = SharedMatrixStore::with_shards_and_mode(n, 1, mode);
+            let store = SharedMatrixStore::with_shards_and_mode(Arc::clone(&shared), 1, mode);
             let tuples: BTreeSet<Vec<NodeId>> =
-                stream_hcl_pplbin_shared(&tree, &hcl, &outputs, &store)
+                stream_hcl_pplbin_shared(&hcl, &outputs, &store)
                     .unwrap_or_else(|e| panic!("{what} store answering failed: {e}\n{}", qctx()))
                     .collect();
             (tuples, store)

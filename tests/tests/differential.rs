@@ -83,8 +83,10 @@ fn fuzz_batch_api_agrees_with_cold_and_naive_answers() {
     assert_eq!(report.trees, 40);
     assert_eq!(report.queries, 160);
     assert!(report.total_tuples > 100, "batches vacuously empty: {report:?}");
+    // Plain step atoms are tree views and never reach the cache, so only
+    // batches with a composite atom can share matrices.
     assert!(
-        report.cache_hits_seen > 30,
+        report.cache_hits_seen > 10,
         "batches almost never shared matrices: {report:?}"
     );
 }

@@ -155,12 +155,13 @@ fn sessions_and_plans_cross_thread_boundaries_by_value() {
     // Moving (not borrowing) sessions and plans into spawned threads also
     // works: they are `Send` and clones share the cache.
     let session = serving_session();
-    // Forced to ppl so the cache-sharing assertion below is meaningful
-    // (auto would route this step-only query to acq, which is cacheless).
+    // Forced to ppl, with a composite atom (`descendant::l1[child::*]`),
+    // so the cache-sharing assertion below is meaningful: plain step atoms
+    // are tree views and never reach the cache.
     let plan = Planner::default()
         .plan_with(
             &session,
-            parse_path("descendant::l1[. is $x]").unwrap(),
+            parse_path("descendant::l1[child::*][. is $x]").unwrap(),
             vec![Var::new("x")],
             Some(Engine::Ppl),
         )
