@@ -38,6 +38,10 @@
 //! compilation state: every line is prepared as a plan and the batch is
 //! served through `Session::answer_batch_parallel` with `--threads N`
 //! worker threads (default 1) hammering the same thread-safe matrix cache.
+//! With more than one worker and no `--kernels`, the batch compiles with
+//! the single-threaded `adaptive` kernels: the workers already use the
+//! cores, so splitting each dense product across threads too would
+//! oversubscribe them.
 //! The file holds one query per line; blank lines and `#` comments are
 //! skipped.  A line may override the output variables with a ` -> vars`
 //! suffix, otherwise `--vars` applies.
@@ -394,6 +398,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     };
     if matches!(mode, Mode::Single(_) | Mode::Batch(_)) && source.is_none() {
         return Err(format!("one of --file/--terms/--stdin is required\n{USAGE}"));
+    }
+    // A parallel batch already runs one plan per core; threaded kernels on
+    // top oversubscribe them, and a split product waits for its slower
+    // half — the reason the corpus pins `xpath_corpus::SESSION_KERNELS`.
+    if matches!(mode, Mode::Batch(_)) && threads > 1 && !kernels_flag {
+        kernels = KernelMode::Adaptive;
     }
     Ok(Options {
         mode,
@@ -792,6 +802,16 @@ mod tests {
         assert!(opts.stats);
         assert_eq!(opts.threads, 8);
         assert!(opts.warnings.is_empty());
+        // Parallel batches default to single-threaded kernels; an explicit
+        // --kernels, or a one-worker batch, keeps its own mode.
+        assert_eq!(opts.kernels, KernelMode::Adaptive);
+        let explicit = parse_args(&args(&[
+            "--batch", "q.txt", "--terms", "r", "--threads", "8", "--kernels", "adaptive_threaded",
+        ]))
+        .unwrap();
+        assert_eq!(explicit.kernels, KernelMode::AdaptiveThreaded);
+        let serial = parse_args(&args(&["--batch", "q.txt", "--terms", "r"])).unwrap();
+        assert_eq!(serial.kernels, KernelMode::default());
         assert!(parse_args(&args(&[
             "--batch", "q.txt", "--query", "child::a", "--terms", "r",
         ]))
@@ -1307,6 +1327,54 @@ mod tests {
         // the kernel line must report sparse step dispatches.
         assert!(out.contains("# kernels: steps id/iv/sp/dn "), "{out}");
         assert!(!out.contains("steps id/iv/sp/dn 0/0/0/0"), "{out}");
+    }
+
+    /// A parallel batch must not split dense products across threads on top
+    /// of its own workers: over a tree past the threaded-product size, a
+    /// product of two dense complements runs on the single-threaded dense
+    /// kernel (`thr 0`) unless `--kernels` asks for threads.
+    #[test]
+    fn parallel_batches_do_not_thread_dense_products() {
+        let path = std::env::temp_dir().join("pplx_batch_test_dense.txt");
+        std::fs::write(
+            &path,
+            "descendant::a[(descendant::* except child::b)/(descendant::* except child::c)\
+             /child::b[. is $x]] -> x\n\
+             descendant::a[. is $x] -> x\n",
+        )
+        .unwrap();
+        let terms = format!("r({})", vec!["a(b,c(b))"; 80].join(","));
+        let products = |extra: &[&str]| {
+            let mut argv = vec![
+                "--batch",
+                path.to_str().unwrap(),
+                "--terms",
+                &terms,
+                "--threads",
+                "2",
+                "--stats",
+            ];
+            argv.extend_from_slice(extra);
+            let out = run(&parse_args(&args(&argv)).unwrap()).unwrap();
+            let line = out
+                .lines()
+                .find(|l| l.starts_with("# kernels: "))
+                .unwrap_or_else(|| panic!("no kernel footer: {out}"))
+                .to_string();
+            let counts = line
+                .split("products triv/iv/sp/dn/thr ")
+                .nth(1)
+                .and_then(|rest| rest.split(',').next())
+                .unwrap_or_else(|| panic!("no product counts: {line}"));
+            let counts: Vec<u64> = counts.split('/').map(|c| c.parse().unwrap()).collect();
+            (counts[3], counts[4], line)
+        };
+        let (dense, threaded, line) = products(&[]);
+        assert!(dense > 0, "the batch must run a dense product: {line}");
+        assert_eq!(threaded, 0, "thr 0 expected: {line}");
+        let (_, threaded, line) = products(&["--kernels", "adaptive_threaded"]);
+        assert!(threaded > 0, "an explicit --kernels still applies: {line}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

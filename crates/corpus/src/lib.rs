@@ -8,16 +8,20 @@
 //! * **byte accounting** — each pooled session is charged its tree size plus
 //!   the occupancy of its shared matrix store (`SharedMatrixStore::
 //!   approx_bytes`, summing compiled relations and Prop. 10 successor
-//!   lists).  The `|t|³` PPLbin compilation of Theorem 1 is exactly the
+//!   lists).  The store keeps that count as it goes and reads it without a
+//!   lock, so checking the budget never waits for a request that is
+//!   compiling.  The `|t|³` PPLbin compilation of Theorem 1 is exactly the
 //!   state worth caching per document — and exactly the state that grows
 //!   without bound if nobody evicts it;
 //! * **two-tier LRU eviction** — when the pool exceeds
 //!   [`CorpusConfig::memory_budget`], the least-recently-used session first
-//!   drops its matrix cache (cheap to rebuild: the answers are recomputed,
-//!   never wrong), and only then the session itself; the tree is always
-//!   retained, so an evicted document rebuilds its session from the shared
-//!   `Arc<Tree>` on the next request.  [`CorpusStats`] counts admissions,
-//!   evictions and rebuilds;
+//!   loses its matrix cache: its store is swapped for an empty one over the
+//!   same tree (cheap to rebuild: the answers are recomputed, never wrong;
+//!   requests already running finish on the old store).  Only then is the
+//!   session itself dropped; the tree is always retained, so an evicted
+//!   document rebuilds its session from the shared `Arc<Tree>` on the next
+//!   request.  Evicted stores are freed after the pool lock is released.
+//!   [`CorpusStats`] counts admissions, evictions and rebuilds;
 //! * **shared plan cache** — plans are keyed by `(query, output variables,
 //!   tree-size band)`, so one `Planner` decision (parse, Definition 1
 //!   check, Fig. 7 translation, engine choice) is reused across documents of
@@ -67,7 +71,7 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 use xpath_sync::atomic::{AtomicU64, Ordering};
-use xpath_sync::Mutex;
+use xpath_sync::{Mutex, MutexGuard};
 use xpath_ast::{parse_path, Var};
 use xpath_pplbin::{EditApplyStats, KernelMode};
 use xpath_tree::{EditKind, NodeId, Tree, TreeError};
@@ -115,7 +119,8 @@ pub struct CorpusStats {
     pub admissions: u64,
     /// Admissions that were rebuilds of a previously evicted session.
     pub rebuilds: u64,
-    /// Tier-1 evictions: a session's matrix cache was dropped.
+    /// Tier-1 evictions: a session's matrix store was swapped for an empty
+    /// one.
     pub cache_evictions: u64,
     /// Tier-2 evictions: a whole session was dropped from the pool.
     pub session_evictions: u64,
@@ -354,6 +359,14 @@ const _: () = _assert_send_sync::<Corpus>();
 /// made the daemon's latency and throughput swing from one run to the next.
 pub const SESSION_KERNELS: KernelMode = KernelMode::Adaptive;
 
+/// A pooled session over `tree`, with an empty store compiling with
+/// [`SESSION_KERNELS`].
+fn pooled_session(tree: &Arc<Tree>) -> Session {
+    let session = Session::from_shared_tree(Arc::clone(tree));
+    session.store().set_mode(SESSION_KERNELS);
+    session
+}
+
 /// Approximate heap bytes of a tree: per-node bookkeeping plus label
 /// storage.  Deliberately coarse — the budget it feeds is approximate by
 /// contract.
@@ -401,7 +414,7 @@ impl Corpus {
         &self.config
     }
 
-    fn lock(&self) -> xpath_sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
@@ -435,7 +448,8 @@ impl Corpus {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        inner.docs.insert(
+        // A replaced document's session is freed after the lock is released.
+        let _replaced = inner.docs.insert(
             name.to_string(),
             DocEntry {
                 tree: Arc::new(tree),
@@ -446,6 +460,7 @@ impl Corpus {
                 epoch: 0,
             },
         );
+        drop(inner);
         nodes
     }
 
@@ -539,10 +554,12 @@ impl Corpus {
 
     /// Remove a document (tree, session and all) from the corpus.
     pub fn remove(&self, name: &str) -> bool {
-        self.lock().docs.remove(name).is_some()
+        let removed = self.lock().docs.remove(name);
+        removed.is_some()
     }
 
-    /// Pool and plan-cache counters.
+    /// Pool and plan-cache counters.  Reads every store's occupancy without
+    /// locking it, so it never waits for a compiling request.
     pub fn stats(&self) -> CorpusStats {
         let inner = self.lock();
         CorpusStats {
@@ -566,36 +583,35 @@ impl Corpus {
 
     /// The serving session of a document: touches the LRU clock, rebuilds
     /// the session if it was evicted, and enforces the memory budget.
-    /// The returned session is a cheap clone sharing the pooled cache.
+    /// The returned session is a cheap clone sharing the pooled cache —
+    /// taken after the budget is enforced, so the caller compiles into the
+    /// store the pool keeps even when enforcement swapped this document's
+    /// own store out.
     pub fn session(&self, name: &str) -> Result<Session, CorpusError> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let (session, built, rebuilt) = {
-            let entry = inner
-                .docs
-                .get_mut(name)
-                .ok_or_else(|| CorpusError::UnknownDocument(name.to_string()))?;
-            entry.last_used = tick;
-            match &entry.session {
-                Some(session) => (session.clone(), false, false),
-                None => {
-                    let session = Session::from_shared_tree(Arc::clone(&entry.tree));
-                    session.store().set_mode(SESSION_KERNELS);
-                    let rebuilt = entry.ever_built;
-                    entry.session = Some(session.clone());
-                    entry.ever_built = true;
-                    (session, true, rebuilt)
-                }
-            }
-        };
-        if built {
+        let entry = inner
+            .docs
+            .get_mut(name)
+            .ok_or_else(|| CorpusError::UnknownDocument(name.to_string()))?;
+        entry.last_used = tick;
+        if entry.session.is_none() {
+            entry.session = Some(pooled_session(&entry.tree));
+            let rebuilt = entry.ever_built;
+            entry.ever_built = true;
             inner.admissions += 1;
+            if rebuilt {
+                inner.rebuilds += 1;
+            }
         }
-        if rebuilt {
-            inner.rebuilds += 1;
-        }
-        self.enforce_budget(&mut inner, Some(name));
+        let evicted = self.enforce_budget(&mut inner, Some(name));
+        let session = inner.docs[name]
+            .session
+            .clone()
+            .expect("the protected session is never dropped");
+        drop(inner);
+        drop(evicted);
         Ok(session)
     }
 
@@ -607,25 +623,26 @@ impl Corpus {
         let Some(entry) = inner.docs.get_mut(name) else {
             return false;
         };
-        let had_session = entry.session.take().is_some();
-        if had_session {
+        let dropped = entry.session.take();
+        if dropped.is_some() {
             inner.session_evictions += 1;
         }
-        had_session
+        drop(inner);
+        dropped.is_some()
     }
 
     /// Drop every live session from the pool.  Returns how many were
     /// dropped.
     pub fn evict_all(&self) -> usize {
         let mut inner = self.lock();
-        let mut dropped = 0;
-        for entry in inner.docs.values_mut() {
-            if entry.session.take().is_some() {
-                dropped += 1;
-            }
-        }
-        inner.session_evictions += dropped as u64;
-        dropped
+        let dropped: Vec<Session> = inner
+            .docs
+            .values_mut()
+            .filter_map(|entry| entry.session.take())
+            .collect();
+        inner.session_evictions += dropped.len() as u64;
+        drop(inner);
+        dropped.len()
     }
 
     // -- live edits ----------------------------------------------------------
@@ -703,7 +720,7 @@ impl Corpus {
                 inner.edits_full += 1;
             }
             inner.edit_rows_invalidated += stats.rows_invalidated;
-            self.enforce_budget(&mut inner, Some(name));
+            self.unlock_within_budget(inner, Some(name));
             return Ok(outcome);
         }
     }
@@ -716,23 +733,38 @@ impl Corpus {
     /// Re-run budget enforcement (normally done automatically after every
     /// session access and query).
     pub fn maintain(&self) {
-        let mut inner = self.lock();
-        self.enforce_budget(&mut inner, None);
+        self.unlock_within_budget(self.lock(), None);
+    }
+
+    /// Enforce the budget, release the pool lock, and only then free the
+    /// evicted sessions' matrices.
+    fn unlock_within_budget(&self, mut inner: MutexGuard<'_, Inner>, protect: Option<&str>) {
+        let evicted = self.enforce_budget(&mut inner, protect);
+        drop(inner);
+        drop(evicted);
     }
 
     /// Evict least-recently-used pool state until the budget holds again.
-    /// Tier 1 drops a victim's matrix cache; tier 2 drops the session.  The
-    /// `protect`ed document (the one just requested) is evicted only when it
-    /// is the last live session — and then only its cache, never the
-    /// session itself.
-    fn enforce_budget(&self, inner: &mut Inner, protect: Option<&str>) {
+    /// Tier 1 swaps a victim's matrix store for an empty one over the same
+    /// tree; tier 2 drops the session.  The `protect`ed document (the one
+    /// just requested) is evicted only when it is the last live session —
+    /// and then only its store, never the session itself.
+    ///
+    /// O(documents) per round and lock-free below the pool lock: occupancy
+    /// is read from each store's published counters, and neither tier locks
+    /// a victim's shards, so a victim that is compiling for a request in
+    /// flight never stalls the pool.  That request finishes on the store it
+    /// holds.  The evicted sessions are returned, for
+    /// [`Corpus::unlock_within_budget`] to free outside the lock.
+    fn enforce_budget(&self, inner: &mut Inner, protect: Option<&str>) -> Vec<Session> {
+        let mut evicted = Vec::new();
         let Some(budget) = self.config.memory_budget else {
-            return;
+            return evicted;
         };
         loop {
             let pool: usize = inner.docs.values().map(DocEntry::pooled_bytes).sum();
             if pool <= budget {
-                return;
+                return evicted;
             }
             let victim = inner
                 .docs
@@ -745,26 +777,26 @@ impl Corpus {
             match victim {
                 Some(name) => {
                     let entry = inner.docs.get_mut(&name).expect("victim exists");
-                    let session = entry.session.as_ref().expect("victim has a session");
+                    let session = entry.session.take().expect("victim has a session");
                     if session.store().approx_bytes() > 0 {
-                        session.clear_cache();
+                        entry.session = Some(pooled_session(&entry.tree));
                         inner.cache_evictions += 1;
                     } else {
-                        entry.session = None;
                         inner.session_evictions += 1;
                     }
+                    evicted.push(session);
                 }
                 None => {
-                    // Only the protected session is left: drop its cache if
-                    // that helps, otherwise the budget simply cannot be met
-                    // (a single tree outweighs it) and we stop.
-                    let Some(name) = protect else { return };
-                    let Some(entry) = inner.docs.get_mut(name) else { return };
-                    let Some(session) = entry.session.as_ref() else { return };
-                    if session.store().approx_bytes() == 0 {
-                        return;
+                    // Only the protected session is left: swap out its store
+                    // if that helps, otherwise the budget simply cannot be
+                    // met (a single tree outweighs it) and we stop.
+                    let Some(entry) = protect.and_then(|name| inner.docs.get_mut(name)) else {
+                        return evicted;
+                    };
+                    if entry.session.as_ref().is_none_or(|s| s.store().approx_bytes() == 0) {
+                        return evicted;
                     }
-                    session.clear_cache();
+                    evicted.extend(entry.session.replace(pooled_session(&entry.tree)));
                     inner.cache_evictions += 1;
                 }
             }
@@ -838,9 +870,7 @@ impl Corpus {
             source: e,
         })?;
         // Execution grows the matrix cache; re-check the budget.
-        let mut inner = self.lock();
-        self.enforce_budget(&mut inner, None);
-        drop(inner);
+        self.unlock_within_budget(self.lock(), None);
         Ok(DocAnswer {
             name: name.to_string(),
             answers,
@@ -1326,6 +1356,71 @@ mod tests {
         let err = corpus.load_file(&dir.join("missing.xml")).unwrap_err();
         assert!(matches!(err, CorpusError::Io(_)));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Reading the pool's occupancy and evicting a store must not wait on
+    /// that store's shards.  A thread holds one shard of document `a`'s
+    /// store, as a long compilation for a request in flight would; STATS,
+    /// an occupancy read and a request for `b` whose budget check evicts
+    /// `a`'s store (tier 1) must all return while it is held.
+    #[test]
+    fn budget_reads_and_evictions_never_wait_on_a_busy_shard() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let query = "descendant::l1[not(descendant::* except child::l0)][. is $x]";
+        let terms = "l0(l1(l0,l2),l1(l2),l0(l1))";
+        // Size the budget so that one warm store fits beside both trees
+        // but a second does not: answering `b` must evict `a`'s store.
+        let probe = ppl_corpus(None);
+        probe.insert_terms("a", terms).unwrap();
+        probe.insert_terms("b", terms).unwrap();
+        probe.answer("a", query, &["x"]).unwrap();
+        probe.session("b").unwrap();
+        let budget = probe.stats().pool_bytes;
+
+        let corpus = ppl_corpus(Some(budget));
+        corpus.insert_terms("a", terms).unwrap();
+        corpus.insert_terms("b", terms).unwrap();
+        let expected = corpus.answer("a", query, &["x"]).unwrap();
+        let held = corpus.session("a").unwrap();
+        assert!(held.store().approx_bytes() > 0, "a's store is warm");
+        assert_eq!(corpus.stats().cache_evictions, 0);
+
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        let (corpus, held) = (&corpus, &held);
+        let outcome = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                held.store().with_shard_held(0, || {
+                    ready_tx.send(()).unwrap();
+                    // Bounded, so a blocked reader cannot hang the test.
+                    release_rx.recv_timeout(Duration::from_secs(60)).ok();
+                })
+            });
+            ready_rx.recv().unwrap();
+            scope.spawn(move || {
+                let stats = corpus.stats();
+                let bytes = held.store().approx_bytes();
+                let answer = corpus.answer("b", query, &["x"]).unwrap();
+                done_tx.send((stats, bytes, answer)).unwrap();
+            });
+            let outcome = done_rx.recv_timeout(Duration::from_secs(10));
+            release_tx.send(()).unwrap();
+            outcome
+        });
+        let (stats, bytes, answer) =
+            outcome.expect("STATS, approx_bytes or a tier-1 eviction waited on a held shard");
+        assert!(stats.pool_bytes > 0 && bytes > 0, "{stats:?}");
+        assert_eq!(answer, expected, "same tree, same answers");
+        let after = corpus.stats();
+        assert_eq!(after.cache_evictions, 1, "b's request swapped out a's store: {after:?}");
+        assert_eq!(after.live_sessions, 2, "{after:?}");
+        assert!(after.pool_bytes <= budget, "{after:?}");
+        // The request that held the old store still answers from it, and the
+        // pool's fresh store for `a` answers the same.
+        assert_eq!(held.execute(&held.plan(query, &["x"]).unwrap()).unwrap(), expected);
+        assert_eq!(corpus.answer("a", query, &["x"]).unwrap(), expected);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 use xpath_corpus::protocol::{Conn, ConnEvent};
 use xpath_corpus::queue::BoundedQueue;
+use ppl_xpath::{Engine, Session};
 use xpath_corpus::{Corpus, CorpusConfig};
 use xpath_sync::model;
 
@@ -106,6 +107,46 @@ fn real_corpus_fanout_answers_under_model_schedules() {
             .answer_all("descendant::l1[. is $x]", &["x"])
             .expect("fan-out answers on every schedule");
         assert_eq!(answers.len(), 3);
+    });
+    assert!(failure.is_none(), "{}", failure.unwrap());
+}
+
+/// Tier-1 eviction swaps a store out from under a request in flight.  Two
+/// virtual threads query two documents through composite atoms on a corpus
+/// whose budget is far below one warm store, so every request evicts the
+/// other document's store while that document's query may be compiling
+/// into it.  Every explored schedule must answer like a cold session, and
+/// none may deadlock.
+#[test]
+fn budget_eviction_swaps_stores_under_in_flight_queries() {
+    let query = "descendant::l1[not(descendant::* except child::l0)][. is $x]";
+    let docs = [("a", "l0(l1(l0,l2),l1(l2),l0(l1))"), ("b", "l0(l1(l2),l1(l0,l1(l0)))")];
+    let cold: Vec<_> = docs
+        .iter()
+        .map(|(_, terms)| Session::from_terms(terms).unwrap().answer(query, &["x"]).unwrap())
+        .collect();
+    let failure = model::explore(48, || {
+        let corpus = Corpus::with_config(CorpusConfig {
+            memory_budget: Some(64),
+            engine: Some(Engine::Ppl),
+            ..CorpusConfig::default()
+        });
+        for (name, terms) in docs {
+            corpus.insert_terms(name, terms).unwrap();
+        }
+        let (corpus, cold) = (&corpus, &cold);
+        model::thread::scope(|scope| {
+            for (i, (name, _)) in docs.iter().enumerate() {
+                scope.spawn(move || {
+                    for _ in 0..2 {
+                        let got = corpus.answer(name, query, &["x"]).expect("answers");
+                        assert_eq!(&got, &cold[i], "{name} diverged from a cold session");
+                    }
+                });
+            }
+        });
+        let stats = corpus.stats();
+        assert!(stats.cache_evictions > 0, "every request evicts: {stats:?}");
     });
     assert!(failure.is_none(), "{}", failure.unwrap());
 }

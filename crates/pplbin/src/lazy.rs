@@ -348,17 +348,41 @@ impl LazyRel {
 /// Per-relation row cache: computes successor rows on first pull and
 /// memoises them as shared `Arc`s.  Thread-safe (lock-free per row via
 /// [`OnceLock`]); byte accounting tracks only what actually materialised.
+///
+/// A cache made by a store (`LazyRows::charged_to`) also charges every
+/// row it materialises to that store's occupancy counter, so the store
+/// reads its lazy occupancy without walking (or locking) anything.  When
+/// the store lets go of the cache it calls `LazyRows::detach`: the bytes
+/// charged so far are taken back, and rows that callers still holding the
+/// cache materialise later are no longer charged.
 #[derive(Debug)]
 pub struct LazyRows {
     rel: Arc<LazyRel>,
     rows: Vec<OnceLock<Arc<Vec<NodeId>>>>,
     materialised_rows: AtomicUsize,
     materialised_bytes: AtomicUsize,
+    /// The owning store's counter, if any.
+    owner: Option<Arc<AtomicUsize>>,
+    /// Bytes charged to `owner` so far; [`DETACHED`] is set once the owner
+    /// let go of the cache.
+    charged: AtomicUsize,
 }
+
+/// Flag bit of [`LazyRows::charged`]: the owner no longer counts this cache.
+const DETACHED: usize = 1 << (usize::BITS - 1);
 
 impl LazyRows {
     /// A row cache over `rel`, with no rows materialised yet.
     pub fn new(rel: Arc<LazyRel>) -> LazyRows {
+        Self::with_owner(rel, None)
+    }
+
+    /// A row cache whose materialised rows are charged to `owner`.
+    pub(crate) fn charged_to(rel: Arc<LazyRel>, owner: Arc<AtomicUsize>) -> LazyRows {
+        Self::with_owner(rel, Some(owner))
+    }
+
+    fn with_owner(rel: Arc<LazyRel>, owner: Option<Arc<AtomicUsize>>) -> LazyRows {
         let n = rel.len();
         let mut rows = Vec::with_capacity(n);
         rows.resize_with(n, OnceLock::new);
@@ -367,7 +391,51 @@ impl LazyRows {
             rows,
             materialised_rows: AtomicUsize::new(0),
             materialised_bytes: AtomicUsize::new(0),
+            owner,
+            charged: AtomicUsize::new(0),
         }
+    }
+
+    /// Charge one materialised row to the owner.  The owner's counter is
+    /// raised *before* the charge is recorded, so a concurrent
+    /// [`LazyRows::detach`] only ever takes back bytes already added: the
+    /// counter may over-count for a moment but never wraps below zero.
+    /// The recording CAS releases and `detach`'s `fetch_or` acquires, so a
+    /// detach that reads a charge is ordered after the raise before it.
+    fn charge(&self, bytes: usize) {
+        let Some(owner) = &self.owner else { return };
+        owner.fetch_add(bytes, Ordering::Relaxed);
+        let mut seen = self.charged.load(Ordering::Relaxed);
+        loop {
+            if seen & DETACHED != 0 {
+                owner.fetch_sub(bytes, Ordering::Relaxed);
+                return;
+            }
+            match self.charged.compare_exchange_weak(
+                seen,
+                seen + bytes,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(now) => seen = now,
+            }
+        }
+    }
+
+    /// Stop charging the owner and take back what was charged.  Idempotent;
+    /// a no-op for caches without an owner.
+    pub(crate) fn detach(&self) {
+        let Some(owner) = &self.owner else { return };
+        let charged = self.charged.fetch_or(DETACHED, Ordering::AcqRel);
+        if charged & DETACHED == 0 {
+            owner.fetch_sub(charged, Ordering::AcqRel);
+        }
+    }
+
+    /// Bytes of the row table itself, before any row materialises.
+    pub(crate) fn table_bytes(&self) -> usize {
+        self.rows.len() * std::mem::size_of::<OnceLock<Arc<Vec<NodeId>>>>()
     }
 
     /// Domain size.
@@ -390,11 +458,10 @@ impl LazyRows {
         self.rows[u.index()]
             .get_or_init(|| {
                 let row = Arc::new(self.rel.row(u));
+                let bytes = row.len() * std::mem::size_of::<NodeId>();
                 self.materialised_rows.fetch_add(1, Ordering::Relaxed);
-                self.materialised_bytes.fetch_add(
-                    row.len() * std::mem::size_of::<NodeId>(),
-                    Ordering::Relaxed,
-                );
+                self.materialised_bytes.fetch_add(bytes, Ordering::Relaxed);
+                self.charge(bytes);
                 row
             })
             .clone()
@@ -427,8 +494,7 @@ impl LazyRows {
     /// rows that have materialised — not the n² worst case.  Excludes the
     /// underlying expression, which the store accounts separately.
     pub fn cached_bytes(&self) -> usize {
-        self.rows.len() * std::mem::size_of::<OnceLock<Arc<Vec<NodeId>>>>()
-            + self.materialised_bytes.load(Ordering::Relaxed)
+        self.table_bytes() + self.materialised_bytes.load(Ordering::Relaxed)
     }
 
     /// Honest heap footprint: the symbolic expression plus
@@ -681,6 +747,30 @@ mod tests {
         assert_eq!(delta, r5.len() * std::mem::size_of::<NodeId>());
         // Far below the dense footprint: one row, not n²/8 bytes.
         assert!(after_one < n * n / 8);
+    }
+
+    #[test]
+    fn owned_rows_charge_their_owner_until_detached() {
+        let n = 200;
+        let mut s = stats();
+        let iv = LazyRel::eager(interval_rel(n));
+        let owner = Arc::new(AtomicUsize::new(0));
+        let rows = LazyRows::charged_to(
+            LazyRel::complement(&iv, LAZY, &mut s).unwrap(),
+            Arc::clone(&owner),
+        );
+        rows.row(NodeId(3));
+        rows.row(NodeId(3));
+        rows.row(NodeId(4));
+        let materialised = rows.cached_bytes() - rows.table_bytes();
+        assert!(materialised > 0);
+        assert_eq!(owner.load(Ordering::Relaxed), materialised);
+        rows.detach();
+        rows.detach();
+        assert_eq!(owner.load(Ordering::Relaxed), 0, "detach takes the charge back once");
+        rows.row(NodeId(9));
+        assert_eq!(owner.load(Ordering::Relaxed), 0, "a detached cache charges nothing");
+        assert!(rows.cached_bytes() - rows.table_bytes() > materialised);
     }
 
     #[test]

@@ -43,6 +43,8 @@ use crate::relation::{KernelMode, KernelStats, Relation, SparseRows};
 use crate::view::StepView;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xpath_sync::{Mutex, MutexGuard};
 use xpath_ast::{BinExpr, NameTest};
@@ -185,7 +187,7 @@ impl CacheStats {
 }
 
 /// A memoising compiler of PPLbin expressions over one fixed document tree.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MatrixStore {
     domain: usize,
     /// Hash-consing table: shape → id.
@@ -198,8 +200,9 @@ pub struct MatrixStore {
     /// materialised to [`NodeMatrix`] only at the public boundary.
     relations: Vec<Option<Arc<LazyRel>>>,
     /// Cached Prop. 10 successor lists, shared with callers via `Arc` (so
-    /// they can cross thread boundaries under a [`SharedMatrixStore`]).
-    successors: HashMap<ExprId, Arc<Vec<Vec<NodeId>>>>,
+    /// they can cross thread boundaries under a [`SharedMatrixStore`]),
+    /// each with the byte size it was charged when it was built.
+    successors: HashMap<ExprId, (SuccessorTable, usize)>,
     /// On-demand row caches handed out as [`SuccessorSource::Lazy`] under
     /// [`KernelMode::Lazy`], memoised per id so repeated answering over the
     /// same atom shares materialised rows.
@@ -210,6 +213,48 @@ pub struct MatrixStore {
     kernels: KernelStats,
     hits: u64,
     misses: u64,
+    /// Running occupancy of what the store holds itself: compiled
+    /// relations, successor tables and lazy row tables.  Raised where an
+    /// entry lands, lowered where it goes, so reading it walks nothing.
+    bytes: usize,
+    /// Rows materialised by the store's lazy row caches, charged by the
+    /// caches themselves (they materialise rows without the store's lock).
+    lazy_charge: Arc<AtomicUsize>,
+}
+
+/// A Prop. 10 successor table: `lists[u]` for every node `u`.
+type SuccessorTable = Arc<Vec<Vec<NodeId>>>;
+
+/// Bytes charged for a Prop. 10 successor table.
+fn table_bytes(lists: &[Vec<NodeId>]) -> usize {
+    lists
+        .iter()
+        .map(|row| std::mem::size_of::<Vec<NodeId>>() + row.len() * std::mem::size_of::<NodeId>())
+        .sum()
+}
+
+/// A copy shares every compiled relation and successor table (`Arc`s) but
+/// no lazy row cache: those charge their rows to the counter of the store
+/// that made them, so the copy starts without any and re-derives them on
+/// first pull, charging its own counter.
+impl Clone for MatrixStore {
+    fn clone(&self) -> MatrixStore {
+        let lazy_tables: usize = self.lazy_rows.values().map(|r| r.table_bytes()).sum();
+        MatrixStore {
+            domain: self.domain,
+            ids: self.ids.clone(),
+            shapes: self.shapes.clone(),
+            relations: self.relations.clone(),
+            successors: self.successors.clone(),
+            lazy_rows: HashMap::new(),
+            mode: self.mode,
+            kernels: self.kernels,
+            hits: self.hits,
+            misses: self.misses,
+            bytes: self.bytes - lazy_tables,
+            lazy_charge: Arc::default(),
+        }
+    }
 }
 
 impl MatrixStore {
@@ -270,38 +315,51 @@ impl MatrixStore {
     /// materialised so far (hash-consing table overhead is ignored — it is
     /// dwarfed by the matrices it indexes).  The corpus layer charges this
     /// against its session-pool memory budget.
+    ///
+    /// O(1): a running count kept as entries land and go, plus the counter
+    /// the lazy row caches charge.  The unit tests check it against a sum
+    /// that walks every entry and row.
     pub fn approx_bytes(&self) -> usize {
+        self.bytes + self.lazy_charge.load(Ordering::Relaxed)
+    }
+
+    /// [`MatrixStore::approx_bytes`] recounted from scratch by walking every
+    /// entry and every cached successor row: the oracle the running count
+    /// is tested against.
+    #[cfg(test)]
+    fn recount_bytes(&self) -> usize {
         let relations: usize = self
             .relations
             .iter()
             .flatten()
             .map(|r| r.approx_bytes())
             .sum();
-        let lists: usize = self
-            .successors
-            .values()
-            .map(|lists| {
-                lists
-                    .iter()
-                    .map(|row| std::mem::size_of::<Vec<NodeId>>() + row.len() * std::mem::size_of::<NodeId>())
-                    .sum::<usize>()
-            })
-            .sum();
+        let lists: usize = self.successors.values().map(|(lists, _)| table_bytes(lists)).sum();
         let lazy: usize = self.lazy_rows.values().map(|r| r.cached_bytes()).sum();
         relations + lists + lazy
+    }
+
+    /// Drop every lazy row cache, taking back what each charged.
+    fn drop_lazy_rows(&mut self) {
+        for rows in self.lazy_rows.values() {
+            rows.detach();
+            self.bytes -= rows.table_bytes();
+        }
+        self.lazy_rows.clear();
     }
 
     /// Drop every cached relation and counter (the hash-consing table is
     /// cleared too); the kernel mode is kept.
     pub fn clear(&mut self) {
+        self.drop_lazy_rows();
         self.ids.clear();
         self.shapes.clear();
         self.relations.clear();
         self.successors.clear();
-        self.lazy_rows.clear();
         self.kernels = KernelStats::default();
         self.hits = 0;
         self.misses = 0;
+        self.bytes = 0;
     }
 
     fn check_tree(&self, tree: &Tree) {
@@ -386,6 +444,7 @@ impl MatrixStore {
                 LazyRel::diagonal_filter(&rp, mode, &mut self.kernels)
             }
         };
+        self.bytes += r.approx_bytes();
         self.relations[id.index()] = Some(r);
         Ok(())
     }
@@ -459,15 +518,17 @@ impl MatrixStore {
         self.check_tree(tree);
         let id = self.intern(expr);
         self.try_ensure(tree, id)?;
-        if let Some(lists) = self.successors.get(&id) {
+        if let Some((lists, _)) = self.successors.get(&id) {
             return Ok(Arc::clone(lists));
         }
         let r = self.relations[id.index()].as_ref().expect("ensured");
         let lists: Vec<Vec<NodeId>> = (0..self.domain)
             .map(|u| r.row(NodeId(u as u32)))
             .collect();
+        let bytes = table_bytes(&lists);
         let rc = Arc::new(lists);
-        self.successors.insert(id, Arc::clone(&rc));
+        self.bytes += bytes;
+        self.successors.insert(id, (Arc::clone(&rc), bytes));
         Ok(rc)
     }
 
@@ -491,7 +552,8 @@ impl MatrixStore {
             return Ok(SuccessorSource::Lazy(Arc::clone(rows)));
         }
         let rel = Arc::clone(self.relations[id.index()].as_ref().expect("ensured"));
-        let rows = Arc::new(LazyRows::new(rel));
+        let rows = Arc::new(LazyRows::charged_to(rel, Arc::clone(&self.lazy_charge)));
+        self.bytes += rows.table_bytes();
         self.lazy_rows.insert(id, Arc::clone(&rows));
         Ok(SuccessorSource::Lazy(rows))
     }
@@ -549,8 +611,8 @@ impl MatrixStore {
 
         self.domain = new_tree.len();
         // Row tables re-derive on demand from the patched relations.
+        self.drop_lazy_rows();
         self.successors.clear();
-        self.lazy_rows.clear();
         let old_relations: Vec<Option<Arc<LazyRel>>> = self.relations.clone();
         let n_new = self.domain;
         let mode = self.mode;
@@ -621,6 +683,9 @@ impl MatrixStore {
                 }
             }
         }
+        // Re-derive the running count from the entries left (no row tables
+        // survive an insert or delete).
+        self.bytes = self.relations.iter().flatten().map(|r| r.approx_bytes()).sum();
         out
     }
 
@@ -644,9 +709,16 @@ impl MatrixStore {
             out.rows_total += n;
             if hit[idx] {
                 let id = ExprId(idx as u32);
-                self.relations[idx] = None;
-                self.successors.remove(&id);
-                self.lazy_rows.remove(&id);
+                if let Some(r) = self.relations[idx].take() {
+                    self.bytes -= r.approx_bytes();
+                }
+                if let Some((_, bytes)) = self.successors.remove(&id) {
+                    self.bytes -= bytes;
+                }
+                if let Some(rows) = self.lazy_rows.remove(&id) {
+                    rows.detach();
+                    self.bytes -= rows.table_bytes();
+                }
                 out.entries_dropped += 1;
                 out.rows_invalidated += n;
             } else {
@@ -911,14 +983,84 @@ impl MatrixStore {
 /// the shard count and buys lock granularity: threads serving disjoint
 /// atoms never contend.
 ///
+/// Occupancy is read without any lock: every shard republishes its running
+/// count to an atomic whenever its lock is released, and its lazy row
+/// caches charge their rows to a counter shared with the store, so
+/// [`approx_bytes`] never waits for a shard that is compiling.
+///
 /// All methods take `&self`; the type is `Send + Sync` and is meant to be
 /// shared behind an `Arc`.
 ///
 /// [`successor_source`]: SharedMatrixStore::successor_source
+/// [`approx_bytes`]: SharedMatrixStore::approx_bytes
 #[derive(Debug)]
 pub struct SharedMatrixStore {
     tree: Arc<Tree>,
-    shards: Vec<Mutex<MatrixStore>>,
+    shards: Vec<Shard>,
+}
+
+/// One lock of a [`SharedMatrixStore`], with the occupancy it publishes.
+#[derive(Debug)]
+struct Shard {
+    store: Mutex<MatrixStore>,
+    /// The store's running count as of the last release of its lock.
+    bytes: AtomicUsize,
+    /// The counter the store's lazy row caches charge.
+    lazy_charge: Arc<AtomicUsize>,
+}
+
+impl Shard {
+    fn new(store: MatrixStore) -> Shard {
+        Shard {
+            bytes: AtomicUsize::new(store.bytes),
+            lazy_charge: Arc::clone(&store.lazy_charge),
+            store: Mutex::new(store),
+        }
+    }
+
+    /// Lock the shard, applying the poison policy of
+    /// [`SharedMatrixStore::recover_shard`].
+    fn lock(&self) -> ShardGuard<'_> {
+        let store = match self.store.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => SharedMatrixStore::recover_shard(&self.store, poisoned),
+        };
+        ShardGuard {
+            store,
+            bytes: &self.bytes,
+        }
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed) + self.lazy_charge.load(Ordering::Relaxed)
+    }
+}
+
+/// A held shard lock that publishes the store's running count when it is
+/// released — also when a panic unwinds through it.
+struct ShardGuard<'a> {
+    store: MutexGuard<'a, MatrixStore>,
+    bytes: &'a AtomicUsize,
+}
+
+impl Drop for ShardGuard<'_> {
+    fn drop(&mut self) {
+        self.bytes.store(self.store.bytes, Ordering::Relaxed);
+    }
+}
+
+impl Deref for ShardGuard<'_> {
+    type Target = MatrixStore;
+
+    fn deref(&self) -> &MatrixStore {
+        &self.store
+    }
+}
+
+impl DerefMut for ShardGuard<'_> {
+    fn deref_mut(&mut self) -> &mut MatrixStore {
+        &mut self.store
+    }
 }
 
 /// Default shard count of a [`SharedMatrixStore`].
@@ -947,7 +1089,7 @@ impl SharedMatrixStore {
         SharedMatrixStore {
             tree,
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(MatrixStore::with_mode(domain, mode)))
+                .map(|_| Shard::new(MatrixStore::with_mode(domain, mode)))
                 .collect(),
         }
     }
@@ -969,27 +1111,23 @@ impl SharedMatrixStore {
 
     /// Lock the shard responsible for `expr`, applying the poison policy of
     /// [`SharedMatrixStore::recover_shard`].
-    fn shard(&self, expr: &BinExpr) -> MutexGuard<'_, MatrixStore> {
+    fn shard(&self, expr: &BinExpr) -> ShardGuard<'_> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         expr.hash(&mut hasher);
-        let shard = (hasher.finish() as usize) % self.shards.len();
-        match self.shards[shard].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => Self::recover_shard(&self.shards[shard], poisoned),
-        }
+        self.shards[(hasher.finish() as usize) % self.shards.len()].lock()
     }
 
     fn each_shard<R>(&self, mut f: impl FnMut(&mut MatrixStore) -> R) -> Vec<R> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let mut guard = match s.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => Self::recover_shard(s, poisoned),
-                };
-                f(&mut guard)
-            })
-            .collect()
+        self.shards.iter().map(|s| f(&mut s.lock())).collect()
+    }
+
+    /// Run `f` while holding the lock of shard `index`, as a compilation in
+    /// progress holds it.  Lets tests check that occupancy reads and pool
+    /// eviction never wait on a busy shard.
+    #[doc(hidden)]
+    pub fn with_shard_held<R>(&self, index: usize, f: impl FnOnce() -> R) -> R {
+        let _held = self.shards[index].lock();
+        f()
     }
 
     /// Poison policy: a panicking evaluation may have left a half-built
@@ -1054,16 +1192,25 @@ impl SharedMatrixStore {
     /// Approximate heap occupancy across all shards, in bytes (see
     /// [`MatrixStore::approx_bytes`]).  The snapshot itself is the caller's
     /// to account for.
+    ///
+    /// Takes no lock: it sums the counts the shards published when their
+    /// locks were last released, plus their lazy-row counters, so it returns
+    /// at once even while another thread compiles into a shard.  A shard
+    /// mid-compilation reads as it was before that compilation began.
     pub fn approx_bytes(&self) -> usize {
-        self.each_shard(|s| s.approx_bytes()).iter().sum()
+        self.shards.iter().map(Shard::approx_bytes).sum()
+    }
+
+    /// [`SharedMatrixStore::approx_bytes`] recounted shard by shard with
+    /// [`MatrixStore::recount_bytes`] (locks every shard): the test oracle.
+    #[cfg(test)]
+    fn recount_bytes(&self) -> usize {
+        self.each_shard(|s| s.recount_bytes()).iter().sum()
     }
 
     /// The kernel mode shards compile with (uniform across shards).
     pub fn mode(&self) -> KernelMode {
-        self.shards[0]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .mode()
+        self.shards[0].lock().mode()
     }
 
     /// Switch every shard's kernel mode; already-compiled relations are
@@ -1093,7 +1240,7 @@ impl SharedMatrixStore {
         let shards = self.each_shard(|s| {
             let mut forked = s.clone();
             stats.merge(&forked.apply_edit(&new_tree, delta));
-            Mutex::new(forked)
+            Shard::new(forked)
         });
         (
             SharedMatrixStore {
@@ -1283,6 +1430,143 @@ mod tests {
         );
         store.clear();
         assert_eq!(store.approx_bytes(), 0, "clear() must release the accounting");
+    }
+
+    /// The running occupancy count must equal the walking recount after
+    /// every step of a random operation sequence, in every kernel mode:
+    /// compilations, successor tables, lazy row pulls (also through handles
+    /// whose store has since let go of them), edits applied in place and
+    /// through `fork_edited`, `clear`, and a poisoned shard.
+    #[test]
+    fn running_occupancy_matches_the_recount_oracle() {
+        const QUERIES: &[&str] = &[
+            "child::a/child::b",
+            "descendant::* except child::*",
+            "descendant::b[child::c]",
+            "(child::a union child::c)/descendant::*",
+            "self::*[descendant::a] except descendant::c",
+            "child::b",
+        ];
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        for mode in [
+            KernelMode::Dense,
+            KernelMode::Adaptive,
+            KernelMode::AdaptiveThreaded,
+            KernelMode::Lazy,
+        ] {
+            let mut tree = Arc::new(Tree::from_terms("r(a(b(c),b),c(a,b(c,a)),b)").unwrap());
+            let mut single = MatrixStore::with_mode(tree.len(), mode);
+            let mut shared = SharedMatrixStore::with_shards_and_mode(Arc::clone(&tree), 3, mode);
+            let mut handles: Vec<SuccessorSource> = Vec::new();
+            for step in 0..400 {
+                let expr = bin(QUERIES[next(QUERIES.len())]);
+                let op = next(8);
+                match op {
+                    0 => {
+                        single.eval(&tree, &expr);
+                        shared.eval(&expr);
+                    }
+                    1 => {
+                        single.successor_lists(&tree, &expr);
+                        shared.successor_lists(&expr);
+                    }
+                    2 => {
+                        handles.push(single.successor_source(&tree, &expr).unwrap());
+                        handles.push(shared.successor_source(&expr).unwrap());
+                    }
+                    3 => {
+                        for h in &handles {
+                            if !h.is_empty() {
+                                h.row_vec(NodeId(next(h.len()) as u32));
+                            }
+                        }
+                    }
+                    4 if tree.len() < 60 => {
+                        let parent = NodeId(next(tree.len()) as u32);
+                        let sub = Tree::from_terms("b(a,c)").unwrap();
+                        let (t, delta) = tree.insert_subtree(parent, 0, &sub).unwrap();
+                        tree = Arc::new(t);
+                        single.apply_edit(&tree, &delta);
+                        shared = shared.fork_edited(Arc::clone(&tree), &delta).0;
+                    }
+                    4 | 5 if tree.len() > 4 => {
+                        let node = NodeId(1 + next(tree.len() - 1) as u32);
+                        let (t, delta) = tree.delete_subtree(node).unwrap();
+                        tree = Arc::new(t);
+                        single.apply_edit(&tree, &delta);
+                        shared = shared.fork_edited(Arc::clone(&tree), &delta).0;
+                    }
+                    4 | 5 => {}
+                    6 => {
+                        let node = NodeId(next(tree.len()) as u32);
+                        let label = ["a", "b", "c", "d"][next(4)];
+                        let (t, delta) = tree.relabel(node, label).unwrap();
+                        tree = Arc::new(t);
+                        single.apply_edit(&tree, &delta);
+                        shared = shared.fork_edited(Arc::clone(&tree), &delta).0;
+                    }
+                    _ if step % 3 == 0 => {
+                        single.clear();
+                        shared.clear();
+                    }
+                    _ => {
+                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            shared.each_shard(|_| panic!("poisoned on purpose"));
+                        }));
+                        assert!(caught.is_err());
+                    }
+                }
+                let ctx = format!("{mode:?} step {step} op {op}");
+                assert_eq!(single.approx_bytes(), single.recount_bytes(), "{ctx}: single");
+                // Recount first: it recovers a poisoned shard, which
+                // republishes its (now empty) count.
+                let want = shared.recount_bytes();
+                assert_eq!(shared.approx_bytes(), want, "{ctx}: shared");
+            }
+            assert!(
+                handles.iter().any(|h| matches!(h, SuccessorSource::Lazy(_)))
+                    == (mode == KernelMode::Lazy),
+                "{mode:?}: lazy handles only under the lazy mode"
+            );
+        }
+    }
+
+    /// Occupancy reads take no shard lock: they return while another thread
+    /// holds a shard, as a long compilation does.  The wait is bounded and
+    /// the holder lets go before the reader is joined, so a blocking read
+    /// fails the test instead of hanging it.
+    #[test]
+    fn approx_bytes_does_not_wait_for_a_held_shard() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let store = SharedMatrixStore::new(Arc::new(tree()));
+        store.eval(&bin("descendant::* except child::*"));
+        let warm = store.approx_bytes();
+        assert!(warm > 0);
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (read_tx, read_rx) = mpsc::channel();
+        let store = &store;
+        let read = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                store.with_shard_held(0, || {
+                    ready_tx.send(()).unwrap();
+                    release_rx.recv_timeout(Duration::from_secs(60)).ok();
+                })
+            });
+            ready_rx.recv().unwrap();
+            scope.spawn(move || read_tx.send(store.approx_bytes()).unwrap());
+            let read = read_rx.recv_timeout(Duration::from_secs(10));
+            release_tx.send(()).unwrap();
+            read
+        });
+        assert_eq!(read, Ok(warm), "approx_bytes blocked on a held shard");
     }
 
     #[test]
