@@ -1,53 +1,35 @@
 //! Deterministic experiment runner.
 //!
-//! With no arguments, prints one table per experiment of EXPERIMENTS.md
-//! (E1–E9), each validating the *shape* of a complexity claim of the paper
-//! (who wins, how the cost grows, where the crossover is).  Absolute
+//! With no arguments, prints one table per experiment E1–E9 of
+//! EXPERIMENTS.md, each validating the *shape* of a complexity claim of the
+//! paper (who wins, how the cost grows, where the crossover is).  Absolute
 //! numbers depend on the machine; the shapes should not.
 //!
 //! Run with: `cargo run -p xpath_bench --bin experiments --release`
 //!
 //! ## Regression-harness modes
 //!
-//! * `--bench [--smoke] [--out <path>]` — run the E10 repeated-query sweep,
-//!   the E11 kernel ablation (dense vs adaptive vs adaptive+threads
-//!   relation kernels over the axis-heavy suite, trees up to 960 nodes)
-//!   *and* the E12 planner/concurrency sweep (auto vs forced engines over
-//!   the planner-mix suite; one shared `Session` vs isolated per-thread
-//!   documents at 1/2/4/8 serving threads; see EXPERIMENTS.md) and write
-//!   the result as `BENCH_*.json`-schema JSON to `<path>` (default
-//!   `BENCH_4.json`).  `--smoke` shrinks every dimension for CI.
-//! * `--bench-corpus [--smoke] [--out <path>]` — run the E13 corpus-serving
-//!   sweep (pooled vs budgeted vs cold-rebuild serving) and write the result
-//!   to `<path>` (default `BENCH_5.json`).
-//! * `--bench-lazy [--smoke] [--out <path>]` — run the E14 lazy
-//!   large-document sweep (DBLP-style trees at |t| ∈ {10k, 100k}, lazy
-//!   relation algebra vs the eager adaptive kernels) and write the result to
-//!   `<path>` (default `BENCH_6.json`).
-//! * `--bench-daemon [--smoke] [--out <path>]` — run the E15 daemon-serving
-//!   sweep (sustained pipelined QPS of the live `pplxd` serving loop at
-//!   1/64/1024 concurrent connections; Linux-only) and write the result to
-//!   `<path>` (default `BENCH_7.json`).
-//! * `--bench-router [--smoke] [--out <path>]` — run the E16 sharded-router
-//!   sweep (a router over N backend daemons vs one daemon under the same
-//!   pipelined QUERY load, plus a mid-bench shard kill measuring the
-//!   post-recovery failure rate) and write the result to `<path>` (default
-//!   `BENCH_8.json`).
-//! * `--bench-incr [--smoke] [--out <path>]` — run the E17 incremental
-//!   maintenance sweep (a warm session absorbing a single-node relabel via
-//!   `fork_edited` vs a from-scratch session, re-answering the E14 DBLP
-//!   suite; |t| ∈ {10k, 100k}) and write the result to `<path>` (default
-//!   `BENCH_9.json`).
-//! * `--check <path>` — parse an emitted JSON file and validate the schema
-//!   (exit non-zero on any missing key), so CI notices when the harness or
-//!   the trajectory file rots.
+//! * `--bench <id> [--smoke] [--out <path>]` — run one sweep of
+//!   [`xpath_bench::SWEEPS`] (`E10`, which also runs E11 and E12, `E13`,
+//!   `E14`, `E16` or `E17`), check the document against the experiment
+//!   table and write it to `<path>` (default: the sweep's committed
+//!   `BENCH_*.json`).  `--smoke` shrinks every dimension for CI.
+//! * `--check <path>` — check a file against the experiment table, and
+//!   against the committed claims when it bears a committed file's name.
+//! * `--check` — check every committed `BENCH_*.json` against the table
+//!   and every claim (run from the repository root).
 
 use ppl_xpath::{Engine, Session};
+use std::path::Path;
 use std::time::Duration;
 use xpath_acq::{answer_acq, hcl_to_acq};
 use xpath_ast::binexpr::from_variable_free_path;
 use xpath_ast::{parse_path, Var};
-use xpath_bench::{fmt_us, forced_plan, ratio, time_median};
+use xpath_bench::regress::SCHEMA;
+use xpath_bench::{
+    check_committed, check_file, fmt_us, forced_plan, ratio, time_median, validate_bench_json, Json,
+    SWEEPS,
+};
 use xpath_fo::{fo_to_xpath, Formula};
 use xpath_hcl::oracle::intern_atoms;
 use xpath_hcl::{answer_hcl_pplbin, ppl_to_hcl, EquationSystem, Hcl};
@@ -88,372 +70,88 @@ fn main() {
 
 /// Handle `--bench`/`--check` invocations; returns the process exit code.
 fn run_harness_mode(args: &[String]) -> i32 {
-    const USAGE: &str =
-        "usage: experiments [--bench [--smoke] [--out <path>]] \
-         [--bench-corpus [--smoke] [--out <path>]] \
-         [--bench-lazy [--smoke] [--out <path>]] \
-         [--bench-daemon [--smoke] [--out <path>]] \
-         [--bench-router [--smoke] [--out <path>]] \
-         [--bench-incr [--smoke] [--out <path>]] [--check <path>]";
-    let mut bench = false;
-    let mut bench_corpus = false;
-    let mut bench_lazy = false;
-    let mut bench_daemon = false;
-    let mut bench_router = false;
-    let mut bench_incr = false;
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bench" => bench = true,
-            "--bench-corpus" => bench_corpus = true,
-            "--bench-lazy" => bench_lazy = true,
-            "--bench-daemon" => bench_daemon = true,
-            "--bench-router" => bench_router = true,
-            "--bench-incr" => bench_incr = true,
+    let ids: Vec<&str> = SWEEPS.iter().map(|s| s.id).collect();
+    let usage = format!(
+        "usage: experiments [--bench <{}> [--smoke] [--out <path>]] [--check [<path>]]",
+        ids.join("|")
+    );
+    let (mut bench, mut smoke, mut out, mut check) = (None, false, None, None);
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--bench" => match args.next().and_then(|id| SWEEPS.iter().find(|s| s.id == id)) {
+                Some(sweep) => bench = Some(sweep),
+                None => {
+                    eprintln!("--bench takes one of {}\n{usage}", ids.join(", "));
+                    return 2;
+                }
+            },
             "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => out = Some(path.clone()),
-                    None => {
-                        eprintln!("missing value for --out\n{USAGE}");
-                        return 2;
-                    }
+            "--out" => match args.next() {
+                Some(path) => out = Some(path.clone()),
+                None => {
+                    eprintln!("missing value for --out\n{usage}");
+                    return 2;
                 }
-            }
-            "--check" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => check = Some(path.clone()),
-                    None => {
-                        eprintln!("missing value for --check\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
+            },
+            "--check" => check = Some(args.next_if(|a| !a.starts_with("--")).cloned()),
             other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
+                eprintln!("unknown argument '{other}'\n{usage}");
                 return 2;
             }
         }
-        i += 1;
     }
-    if !bench
-        && !bench_corpus
-        && !bench_lazy
-        && !bench_daemon
-        && !bench_router
-        && !bench_incr
-        && check.is_none()
-    {
-        eprintln!("{USAGE}");
-        return 2;
-    }
-    if (bench as usize)
-        + (bench_corpus as usize)
-        + (bench_lazy as usize)
-        + (bench_daemon as usize)
-        + (bench_router as usize)
-        + (bench_incr as usize)
-        > 1
-    {
-        eprintln!(
-            "--bench, --bench-corpus, --bench-lazy, --bench-daemon, --bench-router and \
-             --bench-incr write different documents; run them separately"
-        );
+    if bench.is_none() && check.is_none() {
+        eprintln!("{usage}");
         return 2;
     }
 
-    if bench_incr {
-        let cfg = if smoke {
-            xpath_bench::IncrBenchConfig::smoke()
-        } else {
-            xpath_bench::IncrBenchConfig::full()
-        };
-        let path = out.clone().unwrap_or_else(|| "BENCH_9.json".to_string());
-        eprintln!(
-            "running incremental-maintenance sweep (E17, {} mode): dblp trees {:?}, \
-             lazy kernels from |t|={}, {} queries after a single-node relabel, {} runs/cell",
-            if smoke { "smoke" } else { "full" },
-            cfg.tree_sizes,
-            cfg.lazy_min_size,
-            xpath_workload::dblp_suite().len(),
-            cfg.runs,
-        );
-        let doc = xpath_bench::run_incr_bench(&cfg);
+    if let Some(sweep) = bench {
+        let path = out.unwrap_or_else(|| sweep.out.to_string());
+        eprintln!("running {} ({} sizes)", sweep.id, if smoke { "smoke" } else { "full" });
+        let doc = (sweep.run)(smoke);
         let text = doc.render();
+        if let Err(e) = validate_bench_json(&text) {
+            eprintln!("{} emitted an invalid document; {path} not written: {e}", sweep.id);
+            return 1;
+        }
         if let Err(e) = std::fs::write(&path, &text) {
             eprintln!("cannot write {path}: {e}");
             return 1;
         }
-        if let Some(summary) = doc.get("summary") {
-            let f = |key| summary.get(key).and_then(xpath_bench::Json::as_f64).unwrap_or(0.0);
-            eprintln!(
-                "wrote {path}: incremental {} us vs full recompile {} us at |t|={} \
-                 (speedup x{}); {} of {} cached rows recomputed (fraction {}); \
-                 x{} at |t|={}",
-                f("incr_pin_us"),
-                f("full_pin_us"),
-                f("incr_pin_tree_size"),
-                f("incr_speedup"),
-                f("incr_rows_invalidated"),
-                f("incr_rows_total"),
-                f("incr_rows_fraction"),
-                f("incr_largest_speedup"),
-                f("incr_largest_tree_size"),
-            );
-        }
-    }
-
-    if bench_router {
-        let cfg = if smoke {
-            xpath_bench::RouterBenchConfig::smoke()
-        } else {
-            xpath_bench::RouterBenchConfig::full()
-        };
-        let path = out.clone().unwrap_or_else(|| "BENCH_8.json".to_string());
-        eprintln!(
-            "running sharded-router sweep (E16, {} mode): {} shards (replication {}), \
-             {} connections x{} pipelined, ~{} requests/phase, {} docs, {} runs/cell, \
-             plus a mid-bench shard kill",
-            if smoke { "smoke" } else { "full" },
-            cfg.shards,
-            cfg.replication,
-            cfg.connections,
-            cfg.pipeline,
-            cfg.total_requests,
-            cfg.docs,
-            cfg.runs,
-        );
-        let doc = xpath_bench::run_router_bench(&cfg);
-        let text = doc.render();
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-        if let Some(summary) = doc.get("summary") {
-            let f = |key| summary.get(key).and_then(xpath_bench::Json::as_f64).unwrap_or(0.0);
-            eprintln!(
-                "wrote {path}: router over {} shards {} qps vs single daemon {} qps \
-                 (efficiency x{}); shard-kill failure rate {} after recovery",
-                f("router_shards"),
-                f("router_qps"),
-                f("single_daemon_qps"),
-                f("router_efficiency"),
-                f("router_kill_failure_rate"),
-            );
-        }
-    }
-
-    if bench_daemon {
-        let cfg = if smoke {
-            xpath_bench::DaemonBenchConfig::smoke()
-        } else {
-            xpath_bench::DaemonBenchConfig::full()
-        };
-        let path = out.clone().unwrap_or_else(|| "BENCH_7.json".to_string());
-        eprintln!(
-            "running daemon-serving sweep (E15, {} mode): {:?} connections x{} pipelined, \
-             ~{} requests/cell, {} workers, {} runs/cell",
-            if smoke { "smoke" } else { "full" },
-            cfg.connections,
-            cfg.pipeline,
-            cfg.total_requests,
-            cfg.workers,
-            cfg.runs,
-        );
-        let doc = xpath_bench::run_daemon_bench(&cfg);
-        let text = doc.render();
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-        if let Some(summary) = doc.get("summary") {
-            let f = |key| summary.get(key).and_then(xpath_bench::Json::as_f64).unwrap_or(0.0);
-            eprintln!(
-                "wrote {path}: {} qps at {} connections",
-                f("daemon_epoll_pin_qps"),
-                f("daemon_pin_conns"),
-            );
-        }
-    }
-
-    if bench_lazy {
-        let cfg = if smoke {
-            xpath_bench::LazyBenchConfig::smoke()
-        } else {
-            xpath_bench::LazyBenchConfig::full()
-        };
-        let path = out.clone().unwrap_or_else(|| "BENCH_6.json".to_string());
-        eprintln!(
-            "running lazy large-document sweep (E14, {} mode): dblp trees {:?}, \
-             eager baseline up to |t|={}, {} queries, {} runs/cell",
-            if smoke { "smoke" } else { "full" },
-            cfg.tree_sizes,
-            cfg.eager_max_size,
-            xpath_workload::dblp_suite().len(),
-            cfg.runs,
-        );
-        let doc = xpath_bench::run_lazy_bench(&cfg);
-        let text = doc.render();
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-        if let Some(summary) = doc.get("summary") {
-            let f = |key| summary.get(key).and_then(xpath_bench::Json::as_f64).unwrap_or(0.0);
-            eprintln!(
-                "wrote {path}: lazy {} us vs eager {} us at |t|={} (speedup x{}); \
-                 lazy reaches |t|={} in {} us at {} bytes/node",
-                f("lazy_pin_us"),
-                f("eager_pin_us"),
-                f("lazy_pin_tree_size"),
-                f("lazy_speedup"),
-                f("lazy_largest_tree_size"),
-                f("lazy_largest_us"),
-                f("lazy_bytes_per_node"),
-            );
-        }
-    }
-
-    if bench_corpus {
-        let cfg = if smoke {
-            xpath_bench::CorpusBenchConfig::smoke()
-        } else {
-            xpath_bench::CorpusBenchConfig::full()
-        };
-        let path = out.clone().unwrap_or_else(|| "BENCH_5.json".to_string());
-        eprintln!(
-            "running corpus-serving sweep (E13, {} mode): {} docs (base |t|={}), \
-             {} queries x{} repeats, {} fan-out threads, {} runs/cell",
-            if smoke { "smoke" } else { "full" },
-            cfg.docs,
-            cfg.base_size,
-            xpath_bench::regress::suite().len(),
-            cfg.repeats,
-            cfg.threads,
-            cfg.runs,
-        );
-        let doc = xpath_bench::run_corpus_bench(&cfg);
-        let text = doc.render();
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-        if let Some(summary) = doc.get("summary") {
-            let f = |key| summary.get(key).and_then(xpath_bench::Json::as_f64).unwrap_or(0.0);
-            eprintln!(
-                "wrote {path}: corpus pool {} us vs cold rebuild {} us over {} docs \
-                 (speedup x{}, working set {} bytes; budget sweep half {} us / quarter {} us, \
-                 {} evictions at quarter)",
-                f("corpus_pool_us"),
-                f("corpus_cold_us"),
-                f("corpus_docs"),
-                f("corpus_speedup"),
-                f("corpus_working_set_bytes"),
-                f("corpus_budget_half_us"),
-                f("corpus_budget_quarter_us"),
-                f("corpus_budget_quarter_evictions"),
-            );
-        }
-    }
-
-    if bench {
-        let (cfg, kernels, serve) = if smoke {
-            (
-                xpath_bench::RegressConfig::smoke(),
-                xpath_bench::regress::KernelConfig::smoke(),
-                xpath_bench::regress::ServeConfig::smoke(),
-            )
-        } else {
-            (
-                xpath_bench::RegressConfig::full(),
-                xpath_bench::regress::KernelConfig::full(),
-                xpath_bench::regress::ServeConfig::full(),
-            )
-        };
-        let path = out.unwrap_or_else(|| "BENCH_4.json".to_string());
-        eprintln!(
-            "running repeated-query regression sweep ({} mode): trees {:?}, {} queries x{} repeats, {} runs/cell",
-            if smoke { "smoke" } else { "full" },
-            cfg.tree_sizes,
-            xpath_bench::regress::suite().len(),
-            cfg.repeats,
-            cfg.runs,
-        );
-        eprintln!(
-            "running kernel ablation (E11): trees {:?}, {} axis-heavy queries, {} runs/cell",
-            kernels.tree_sizes,
-            xpath_bench::regress::axis_suite().len(),
-            kernels.runs,
-        );
-        eprintln!(
-            "running planner/concurrency sweep (E12): planner |t|={}, serving |t|={} x{} threads, {} runs/cell",
-            serve.planner_tree_size,
-            serve.serve_tree_size,
-            serve
-                .threads
+        let summary = match doc.get("summary") {
+            Some(Json::Obj(members)) => members
                 .iter()
-                .map(|t| t.to_string())
+                .map(|(k, v)| format!("{k}={}", v.render().trim_end()))
                 .collect::<Vec<_>>()
-                .join("/"),
-            serve.runs,
-        );
-        let doc = xpath_bench::regress::run_regression_full(&cfg, &kernels, &serve);
-        let text = doc.render();
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-        if let Some(summary) = doc.get("summary") {
-            let f = |key| summary.get(key).and_then(xpath_bench::Json::as_f64).unwrap_or(0.0);
-            eprintln!(
-                "wrote {path}: cold {} us vs cached {} us at |t|={} (speedup x{})",
-                f("cold_median_us"),
-                f("cached_median_us"),
-                f("largest_tree_size"),
-                f("cached_speedup"),
-            );
-            eprintln!(
-                "kernels at |t|={}: dense {} us, adaptive {} us (x{}), adaptive+threads {} us (x{})",
-                f("kernel_largest_tree_size"),
-                f("kernel_dense_median_us"),
-                f("kernel_adaptive_median_us"),
-                f("adaptive_speedup"),
-                f("kernel_adaptive_threaded_median_us"),
-                f("adaptive_threaded_speedup"),
-            );
-            eprintln!(
-                "serving at |t|={} x{} threads: shared session {} us vs isolated workers {} us \
-                 (x{} from cache sharing; thread scaling x{})",
-                f("serve_tree_size"),
-                f("serve_max_threads"),
-                f("serve_shared_tmax_us"),
-                f("serve_isolated_tmax_us"),
-                f("shared_vs_isolated_speedup"),
-                f("thread_scaling"),
-            );
-        }
+                .join(" "),
+            _ => String::new(),
+        };
+        eprintln!("wrote {path}: {summary}");
     }
 
-    if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return 1;
-            }
-        };
-        if let Err(e) = xpath_bench::validate_bench_json(&text) {
-            eprintln!("{path} failed schema validation: {e}");
-            return 1;
+    let checked = match check {
+        None => return 0,
+        Some(None) => check_committed(Path::new(".")),
+        Some(Some(path)) => {
+            let name = Path::new(&path).file_name().map(|n| n.to_string_lossy().into_owned());
+            let result = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read: {e}"))
+                .and_then(|text| check_file(name.as_deref().unwrap_or(""), &text));
+            vec![(path, result)]
         }
-        eprintln!("{path}: valid {} document", xpath_bench::regress::SCHEMA);
+    };
+    let mut status = 0;
+    for (name, result) in checked {
+        match result {
+            Ok(claims) => eprintln!("{name}: valid {SCHEMA} document, {claims} claims hold"),
+            Err(e) => {
+                eprintln!("{name}: FAILED: {e}");
+                status = 1;
+            }
+        }
     }
-    0
+    status
 }
 
 /// E1 — Theorem 2: PPLbin answering scales polynomially (cubically) in |t|.

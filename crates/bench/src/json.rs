@@ -22,6 +22,11 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Object member lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -308,13 +313,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn obj(members: &[(&str, Json)]) -> Json {
-        Json::Obj(members.iter().map(|(k, v)| (k.to_string(), v.clone())).collect())
-    }
-
     #[test]
     fn render_parse_round_trip() {
-        let value = obj(&[
+        let value = Json::obj([
             ("schema", Json::Str("ppl-xpath-bench/v1".into())),
             ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::Obj(vec![])),
@@ -322,7 +323,7 @@ mod tests {
             ("nothing", Json::Null),
             (
                 "results",
-                Json::Arr(vec![obj(&[
+                Json::Arr(vec![Json::obj([
                     ("median_us", Json::Num(12.5)),
                     ("tree_size", Json::Num(480.0)),
                     ("engine", Json::Str("ppl_cached".into())),

@@ -1,10 +1,11 @@
 //! Shared helpers for the benchmark harness (Criterion benches and the
 //! deterministic `experiments` runner).
 //!
-//! Every experiment of EXPERIMENTS.md (E1–E9) is driven either by a
-//! Criterion bench target in `benches/` or by the `experiments` binary in
-//! `src/bin/experiments.rs`, and both use the workload constructors below so
-//! the numbers are comparable.
+//! E1–E9 of EXPERIMENTS.md are tables the `experiments` binary prints (the
+//! Criterion benches in `benches/` time the same workloads); E10–E17 are the
+//! sweeps of [`regress`], written as `BENCH_*.json` and checked against its
+//! experiment table and the committed claims.  Both use the workload
+//! constructors below so the numbers are comparable.
 
 #![forbid(unsafe_code)]
 
@@ -12,12 +13,7 @@ pub mod json;
 pub mod regress;
 
 pub use json::Json;
-pub use regress::{
-    run_corpus_bench, run_daemon_bench, run_incr_bench, run_lazy_bench, run_regression,
-    run_regression_full, run_router_bench, validate_bench_json, CorpusBenchConfig,
-    DaemonBenchConfig, IncrBenchConfig, KernelConfig, LazyBenchConfig, RegressConfig,
-    RouterBenchConfig, ServeConfig,
-};
+pub use regress::{check_committed, check_file, validate_bench_json, SWEEPS};
 
 use ppl_xpath::{Engine, Planner, QueryPlan, Session};
 use std::time::{Duration, Instant};

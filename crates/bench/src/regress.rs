@@ -1,27 +1,21 @@
-//! The perf-regression sweep behind `experiments --bench` and the
-//! `BENCH_*.json` trajectory files.
+//! The regression sweeps behind `experiments --bench` (E10–E17 of
+//! EXPERIMENTS.md), the `BENCH_*.json` documents they write, and the one
+//! table every such document is checked against.
 //!
-//! One fixed workload — a suite of PPL queries over random trees of swept
-//! sizes, repeated to model multi-query traffic against a shared document —
-//! is answered by every engine:
-//!
-//! * `ppl_cached` — `Session::answer_batch` over forced-`ppl` plans,
-//!   compiling PPLbin matrices through the session's shared store (steps
-//!   and hash-consed subterms shared across queries and repeats);
-//! * `ppl_cold`   — forced-`hcl` plans executed one by one, recompiling
-//!   every matrix from scratch (the pre-cache behaviour);
-//! * `naive`      — `Engine::NaiveEnumeration`, the exponential Fig. 2
-//!   baseline (restricted to small trees, one workload pass);
-//! * `acq`        — Yannakakis on the ACQ image (union-free queries only).
-//!
-//! The output is a single JSON document (see EXPERIMENTS.md for the schema)
-//! with one row per (engine, tree size) cell and a `summary` comparing the
-//! cached and cold medians at the largest swept size.  `--smoke` shrinks
-//! every dimension so CI can validate the emitted file in milliseconds.
+//! * [`SWEEPS`] — the runners: E10, the repeated-query workload (with the
+//!   E11 kernel ablation and the E12 planner/serving sweep in the same
+//!   document), and E13, E14, E16, E17.  `--smoke` shrinks every dimension.
+//! * [`EXPERIMENTS`] — one entry per row tag: the engines, the row and
+//!   summary keys, and whether rows at one tree size agree on `answers`.
+//!   Every `--bench` run checks its document against it before writing.
+//! * [`CLAIMS`] — what the committed files claim, `{file, key, op, bound}`,
+//!   checked by `experiments --check` and by this module's tests.
 
 use crate::json::Json;
 use crate::{forced_plan, time_median};
 use ppl_xpath::{Engine, Planner, QueryPlan, Session};
+use std::io::{BufReader, BufWriter};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 use xpath_acq::{answer_acq, hcl_to_acq};
 use xpath_ast::binexpr::from_variable_free_path;
@@ -33,17 +27,24 @@ use xpath_tree::Tree;
 /// Schema identifier written into every emitted file.
 pub const SCHEMA: &str = "ppl-xpath-bench/v1";
 
-/// Keys every result row must carry (checked by [`validate_bench_json`]).
-pub const ROW_KEYS: [&str; 6] = [
-    "experiment",
-    "engine",
-    "tree_size",
-    "workload_queries",
-    "workload_repeats",
-    "median_us",
-];
+/// The two sizes of a sweep's dimensions.
+pub trait Sizes {
+    /// The full sweep, the one that produced the committed `BENCH_*.json`.
+    fn full() -> Self;
+    /// Tiny sizes, for smoke runs in CI and in tests.
+    fn smoke() -> Self;
+}
 
-/// Sweep dimensions.
+/// The `--smoke` sizes if `smoke`, else the full ones.
+fn pick<C: Sizes>(smoke: bool) -> C {
+    if smoke {
+        C::smoke()
+    } else {
+        C::full()
+    }
+}
+
+/// Sweep dimensions of the E10 repeated-query workload.
 #[derive(Debug, Clone)]
 pub struct RegressConfig {
     /// Node counts of the swept trees.
@@ -56,9 +57,8 @@ pub struct RegressConfig {
     pub naive_max_size: usize,
 }
 
-impl RegressConfig {
-    /// The full sweep used to produce `BENCH_*.json`.
-    pub fn full() -> RegressConfig {
+impl Sizes for RegressConfig {
+    fn full() -> RegressConfig {
         RegressConfig {
             tree_sizes: vec![60, 120, 240, 480],
             repeats: 8,
@@ -67,8 +67,7 @@ impl RegressConfig {
         }
     }
 
-    /// Tiny sizes for CI smoke validation.
-    pub fn smoke() -> RegressConfig {
+    fn smoke() -> RegressConfig {
         RegressConfig {
             tree_sizes: vec![12, 24],
             repeats: 2,
@@ -88,18 +87,17 @@ pub struct KernelConfig {
     pub runs: usize,
 }
 
-impl KernelConfig {
+impl Sizes for KernelConfig {
     /// The full ablation used to produce `BENCH_3.json` (≥ 960 nodes at the
     /// top as required by EXPERIMENTS.md E11).
-    pub fn full() -> KernelConfig {
+    fn full() -> KernelConfig {
         KernelConfig {
             tree_sizes: vec![120, 240, 480, 960],
             runs: 7,
         }
     }
 
-    /// Tiny sizes for CI smoke validation.
-    pub fn smoke() -> KernelConfig {
+    fn smoke() -> KernelConfig {
         KernelConfig {
             tree_sizes: vec![16, 32],
             runs: 2,
@@ -131,9 +129,9 @@ pub struct ServeConfig {
     pub runs: usize,
 }
 
-impl ServeConfig {
+impl Sizes for ServeConfig {
     /// The full E12 sweep used to produce `BENCH_4.json`.
-    pub fn full() -> ServeConfig {
+    fn full() -> ServeConfig {
         ServeConfig {
             planner_tree_size: 180,
             serve_tree_size: 480,
@@ -143,8 +141,7 @@ impl ServeConfig {
         }
     }
 
-    /// Tiny sizes for CI smoke validation.
-    pub fn smoke() -> ServeConfig {
+    fn smoke() -> ServeConfig {
         ServeConfig {
             planner_tree_size: 16,
             serve_tree_size: 24,
@@ -180,9 +177,9 @@ pub struct CorpusBenchConfig {
     pub threads: usize,
 }
 
-impl CorpusBenchConfig {
+impl Sizes for CorpusBenchConfig {
     /// The full sweep used to produce `BENCH_5.json`.
-    pub fn full() -> CorpusBenchConfig {
+    fn full() -> CorpusBenchConfig {
         CorpusBenchConfig {
             docs: 6,
             base_size: 100,
@@ -192,8 +189,7 @@ impl CorpusBenchConfig {
         }
     }
 
-    /// Tiny sizes for CI smoke validation.
-    pub fn smoke() -> CorpusBenchConfig {
+    fn smoke() -> CorpusBenchConfig {
         CorpusBenchConfig {
             docs: 3,
             base_size: 14,
@@ -227,10 +223,10 @@ pub struct LazyBenchConfig {
     pub runs: usize,
 }
 
-impl LazyBenchConfig {
+impl Sizes for LazyBenchConfig {
     /// The full sweep used to produce `BENCH_6.json` (|t| ∈ {10k, 100k},
     /// two orders of magnitude past the BENCH_3 ablation top of 960).
-    pub fn full() -> LazyBenchConfig {
+    fn full() -> LazyBenchConfig {
         LazyBenchConfig {
             tree_sizes: vec![10_000, 100_000],
             eager_max_size: 10_000,
@@ -240,7 +236,7 @@ impl LazyBenchConfig {
 
     /// CI smoke validation: the |t|=10k band only (release builds answer it
     /// in well under a second per run), fewer runs.
-    pub fn smoke() -> LazyBenchConfig {
+    fn smoke() -> LazyBenchConfig {
         LazyBenchConfig {
             tree_sizes: vec![10_000],
             eager_max_size: 10_000,
@@ -255,52 +251,6 @@ pub const LAZY_MODES: [(KernelMode, &str); 2] = [
     (KernelMode::Lazy, "kernel_lazy"),
     (KernelMode::AdaptiveThreaded, "kernel_adaptive_threaded"),
 ];
-
-/// Sweep dimensions of the E15 daemon-serving experiment (Linux only: the
-/// daemon's serving loop is the epoll reactor).
-#[derive(Debug, Clone)]
-pub struct DaemonBenchConfig {
-    /// Concurrent client connections per cell.
-    pub connections: Vec<usize>,
-    /// Pipelined requests per window: each client writes this many request
-    /// lines in one flush before reading the window's responses.
-    pub pipeline: usize,
-    /// Target total requests per cell; each connection sends
-    /// `max(pipeline, total_requests / connections)` requests.
-    pub total_requests: usize,
-    /// Timed runs per cell (median recorded).
-    pub runs: usize,
-    /// Worker threads of the daemon under test.
-    pub workers: usize,
-}
-
-impl DaemonBenchConfig {
-    /// The full sweep used to produce `BENCH_7.json`: 1 / 64 / 1024
-    /// concurrent pipelined connections.
-    pub fn full() -> DaemonBenchConfig {
-        DaemonBenchConfig {
-            connections: vec![1, 64, 1024],
-            pipeline: 32,
-            total_requests: 16384,
-            runs: 5,
-            workers: 4,
-        }
-    }
-
-    /// Tiny sizes for CI smoke validation.
-    pub fn smoke() -> DaemonBenchConfig {
-        DaemonBenchConfig {
-            connections: vec![1, 8],
-            pipeline: 8,
-            total_requests: 512,
-            runs: 2,
-            workers: 2,
-        }
-    }
-}
-
-/// The row name of E15's serving loop.
-pub const DAEMON_ROW: &str = "daemon_epoll";
 
 /// Sweep dimensions of the E16 sharded-router experiment.
 #[derive(Debug, Clone)]
@@ -322,10 +272,10 @@ pub struct RouterBenchConfig {
     pub docs: usize,
 }
 
-impl RouterBenchConfig {
+impl Sizes for RouterBenchConfig {
     /// The full sweep used to produce `BENCH_8.json`: a 4-shard router
     /// versus one daemon under 64 pipelined connections.
-    pub fn full() -> RouterBenchConfig {
+    fn full() -> RouterBenchConfig {
         RouterBenchConfig {
             shards: 4,
             replication: 2,
@@ -337,8 +287,7 @@ impl RouterBenchConfig {
         }
     }
 
-    /// Tiny sizes for CI smoke validation.
-    pub fn smoke() -> RouterBenchConfig {
+    fn smoke() -> RouterBenchConfig {
         RouterBenchConfig {
             shards: 2,
             replication: 2,
@@ -350,10 +299,6 @@ impl RouterBenchConfig {
         }
     }
 }
-
-/// The arms of the E16 sweep, as row names: the router fleet, the
-/// single-daemon baseline, and the mid-bench shard-kill phase.
-pub const ROUTER_MODES: [&str; 3] = ["router", "single_daemon", "router_kill"];
 
 /// Sweep dimensions of the E17 incremental-maintenance experiment.
 #[derive(Debug, Clone)]
@@ -369,10 +314,10 @@ pub struct IncrBenchConfig {
     pub runs: usize,
 }
 
-impl IncrBenchConfig {
+impl Sizes for IncrBenchConfig {
     /// The full sweep used to produce `BENCH_9.json`: |t| ∈ {10k, 100k},
     /// the two bands E14 established for the eager and lazy kernels.
-    pub fn full() -> IncrBenchConfig {
+    fn full() -> IncrBenchConfig {
         IncrBenchConfig {
             tree_sizes: vec![10_000, 100_000],
             lazy_min_size: 100_000,
@@ -382,7 +327,7 @@ impl IncrBenchConfig {
 
     /// CI smoke validation: the pin size only, fewer runs (like E14's
     /// smoke, the 10k documents are sized for the release-built harness).
-    pub fn smoke() -> IncrBenchConfig {
+    fn smoke() -> IncrBenchConfig {
         IncrBenchConfig {
             tree_sizes: vec![10_000],
             lazy_min_size: 100_000,
@@ -390,10 +335,6 @@ impl IncrBenchConfig {
         }
     }
 }
-
-/// The arms of the E17 sweep, as row names: matrices carried through the
-/// edit vs a from-scratch session per edit.
-pub const INCR_MODES: [&str; 2] = ["edit_incremental", "edit_full"];
 
 /// The filter bodies of the E10 suite: variable-free compositions of
 /// `except`-complemented relations.  Each complement is *dense* (≈`|t|²`
@@ -495,9 +436,9 @@ pub fn axis_suite() -> Vec<BinExpr> {
 
 /// Run the E11 kernel ablation: the axis-heavy suite compiled cold through
 /// a [`MatrixStore`] per timed run, once per kernel mode and tree size.
-/// Returns the result rows plus `(largest_size, dense_us, adaptive_us,
-/// threaded_us)` for the summary.
-fn run_kernel_ablation(cfg: &KernelConfig) -> (Vec<Json>, (usize, f64, f64, f64)) {
+/// Returns the result rows plus the summary members, taken at the largest
+/// size.
+fn run_kernel_ablation(cfg: &KernelConfig) -> (Vec<Json>, Vec<Member>) {
     let suite = axis_suite();
     let mut rows: Vec<Json> = Vec::new();
     let mut summary = None;
@@ -513,13 +454,7 @@ fn run_kernel_ablation(cfg: &KernelConfig) -> (Vec<Json>, (usize, f64, f64, f64)
                     .map(|b| store.eval_relation(&tree, b).count_pairs())
                     .sum::<usize>()
             });
-            match reference_pairs {
-                None => reference_pairs = Some(pairs),
-                Some(p) => assert_eq!(
-                    p, pairs,
-                    "kernel mode {name} disagrees with dense at |t|={size}"
-                ),
-            }
+            agree(&mut reference_pairs, pairs, format_args!("{name} at |t|={size}"));
             mode_us[i] = us(t);
             // Kernel dispatch counters, measured outside the timer.
             let mut store = MatrixStore::with_mode(tree.len(), mode);
@@ -527,47 +462,45 @@ fn run_kernel_ablation(cfg: &KernelConfig) -> (Vec<Json>, (usize, f64, f64, f64)
                 store.eval_relation(&tree, b);
             }
             let k = store.kernel_stats();
-            rows.push(Json::Obj(vec![
-                ("experiment".to_string(), Json::Str("kernel_ablation".into())),
-                ("engine".to_string(), Json::Str(name.into())),
-                ("tree_size".to_string(), Json::Num(size as f64)),
-                ("workload_queries".to_string(), Json::Num(suite.len() as f64)),
-                ("workload_repeats".to_string(), Json::Num(1.0)),
-                ("median_us".to_string(), Json::Num(us(t))),
-                ("answers".to_string(), Json::Num(pairs as f64)),
-                (
-                    "kernel_steps_structured".to_string(),
-                    Json::Num((k.step_identity + k.step_interval + k.step_sparse) as f64),
-                ),
-                ("kernel_steps_dense".to_string(), Json::Num(k.step_dense as f64)),
-                (
-                    "kernel_products_structured".to_string(),
-                    Json::Num((k.product_trivial + k.product_interval + k.product_sparse) as f64),
-                ),
-                ("kernel_products_dense".to_string(), Json::Num(k.product_dense as f64)),
-                (
-                    "kernel_products_threaded".to_string(),
-                    Json::Num(k.product_dense_threaded as f64),
-                ),
+            let structured_steps = k.step_identity + k.step_interval + k.step_sparse;
+            let structured_products = k.product_trivial + k.product_interval + k.product_sparse;
+            rows.push(row("kernel_ablation", name, [size, suite.len(), 1], t, [
+                ("answers", Json::Num(pairs as f64)),
+                ("kernel_steps_structured", Json::Num(structured_steps as f64)),
+                ("kernel_steps_dense", Json::Num(k.step_dense as f64)),
+                ("kernel_products_structured", Json::Num(structured_products as f64)),
+                ("kernel_products_dense", Json::Num(k.product_dense as f64)),
+                ("kernel_products_threaded", Json::Num(k.product_dense_threaded as f64)),
             ]));
         }
         summary = Some((size, mode_us[0], mode_us[1], mode_us[2]));
     }
-    (rows, summary.expect("at least one tree size"))
+    let (ksize, dense_us, adaptive_us, threaded_us) = summary.expect("at least one tree size");
+    let summary = vec![
+        ("kernel_largest_tree_size", Json::Num(ksize as f64)),
+        ("kernel_dense_median_us", Json::Num(dense_us)),
+        ("kernel_adaptive_median_us", Json::Num(adaptive_us)),
+        ("kernel_adaptive_threaded_median_us", Json::Num(threaded_us)),
+        ("adaptive_speedup", Json::Num(round2(dense_us / adaptive_us.max(0.1)))),
+        ("adaptive_threaded_speedup", Json::Num(round2(dense_us / threaded_us.max(0.1)))),
+    ];
+    (rows, summary)
 }
 
-/// Prepare the E12 planner suite against a session, with an optional forced
-/// engine.
-fn planner_suite_plans(session: &Session, engine: Option<Engine>) -> Vec<QueryPlan> {
+/// `specs` — (query, output variables) pairs of an `xpath_workload` suite —
+/// planned against `session`, with `engine` forced unless `None`.
+fn plan_specs(
+    session: &Session,
+    specs: &[(String, Vec<String>)],
+    engine: Option<Engine>,
+) -> Vec<QueryPlan> {
     let planner = Planner::default();
-    xpath_workload::planner_mix_suite()
+    specs
         .iter()
         .map(|(src, vars)| {
             let path = parse_path(src).expect("suite query parses");
-            let output: Vec<Var> = vars.iter().map(|n| Var::new(n)).collect();
-            planner
-                .plan_with(session, path, output, engine)
-                .expect("suite query plans")
+            let output = vars.iter().map(|n| Var::new(n)).collect();
+            planner.plan_with(session, path, output, engine).expect("suite query plans")
         })
         .collect()
 }
@@ -582,15 +515,7 @@ fn serve_isolated(tree: &Tree, plans: &[QueryPlan], workers: usize) -> usize {
     std::thread::scope(|scope| {
         let handles: Vec<_> = plans
             .chunks(chunk.max(1))
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let session = Session::from_tree(tree.clone());
-                    chunk
-                        .iter()
-                        .map(|p| session.execute(p).expect("suite plan answers").len())
-                        .sum::<usize>()
-                })
-            })
+            .map(|chunk| scope.spawn(move || answer_all(&Session::from_tree(tree.clone()), chunk)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("worker panicked")).sum()
     })
@@ -598,7 +523,7 @@ fn serve_isolated(tree: &Tree, plans: &[QueryPlan], workers: usize) -> usize {
 
 /// Run the E12 planner/concurrency sweep.  Returns the result rows plus the
 /// summary members to merge into the document summary.
-fn run_planner_concurrency(cfg: &ServeConfig) -> (Vec<Json>, Vec<(String, Json)>) {
+fn run_planner_concurrency(cfg: &ServeConfig) -> (Vec<Json>, Vec<Member>) {
     let mut rows: Vec<Json> = Vec::new();
 
     // -- planner comparison: auto vs forced engines, cold per run ----------
@@ -609,19 +534,12 @@ fn run_planner_concurrency(cfg: &ServeConfig) -> (Vec<Json>, Vec<(String, Json)>
     let mut auto_us = 0.0f64;
     let mut auto_choices = String::new();
     for (engine, name) in PLANNER_MODES {
-        let plans = planner_suite_plans(&plan_session, engine);
+        let plans = plan_specs(&plan_session, &xpath_workload::planner_mix_suite(), engine);
         let (t, answers) = time_median(cfg.runs, || {
-            let fresh = Session::from_tree(planner_tree.clone());
-            plans
-                .iter()
-                .map(|p| fresh.execute(p).expect("suite plan answers").len())
-                .sum::<usize>()
+            answer_all(&Session::from_tree(planner_tree.clone()), &plans)
         });
-        match reference_answers {
-            None => reference_answers = Some(answers),
-            Some(r) => assert_eq!(r, answers, "{name} disagrees on the E12 planner suite"),
-        }
-        let mut extra = Vec::new();
+        agree(&mut reference_answers, answers, name);
+        let mut extra = vec![("answers", Json::Num(answers as f64))];
         if engine.is_none() {
             auto_us = us(t);
             let mut counts: Vec<(String, usize)> = Vec::new();
@@ -637,21 +555,9 @@ fn run_planner_concurrency(cfg: &ServeConfig) -> (Vec<Json>, Vec<(String, Json)>
                 .map(|(k, n)| format!("{k}:{n}"))
                 .collect::<Vec<_>>()
                 .join(",");
-            extra.push(("chosen_engines".to_string(), Json::Str(auto_choices.clone())));
+            extra.push(("chosen_engines", Json::Str(auto_choices.clone())));
         }
-        rows.push({
-            let mut members = vec![
-                ("experiment".to_string(), Json::Str("planner".into())),
-                ("engine".to_string(), Json::Str(name.into())),
-                ("tree_size".to_string(), Json::Num(cfg.planner_tree_size as f64)),
-                ("workload_queries".to_string(), Json::Num(suite_len as f64)),
-                ("workload_repeats".to_string(), Json::Num(1.0)),
-                ("median_us".to_string(), Json::Num(us(t))),
-                ("answers".to_string(), Json::Num(answers as f64)),
-            ];
-            members.extend(extra);
-            Json::Obj(members)
-        });
+        rows.push(row("planner", name, [cfg.planner_tree_size, suite_len, 1], t, extra));
     }
 
     // -- concurrent serving: one shared session vs isolated workers --------
@@ -680,56 +586,41 @@ fn run_planner_concurrency(cfg: &ServeConfig) -> (Vec<Json>, Vec<(String, Json)>
         let (iso_t, iso_answers) =
             time_median(cfg.runs, || serve_isolated(&serve_tree, &workload, threads));
         assert_eq!(shared_answers, iso_answers, "serving architectures disagree");
-        match serve_reference {
-            None => serve_reference = Some(shared_answers),
-            Some(r) => assert_eq!(r, shared_answers, "thread counts disagree"),
-        }
+        agree(&mut serve_reference, shared_answers, format_args!("{threads} threads"));
         for (name, t, answers) in [
             ("serve_shared", shared_t, shared_answers),
             ("serve_isolated", iso_t, iso_answers),
         ] {
-            rows.push(Json::Obj(vec![
-                ("experiment".to_string(), Json::Str("concurrent_serving".into())),
-                ("engine".to_string(), Json::Str(name.into())),
-                ("tree_size".to_string(), Json::Num(cfg.serve_tree_size as f64)),
-                ("workload_queries".to_string(), Json::Num(suite().len() as f64)),
-                ("workload_repeats".to_string(), Json::Num(cfg.repeats as f64)),
-                ("threads".to_string(), Json::Num(threads as f64)),
-                ("median_us".to_string(), Json::Num(us(t))),
-                ("answers".to_string(), Json::Num(answers as f64)),
+            let shape = [cfg.serve_tree_size, suite().len(), cfg.repeats];
+            rows.push(row("concurrent_serving", name, shape, t, [
+                ("threads", Json::Num(threads as f64)),
+                ("answers", Json::Num(answers as f64)),
             ]));
         }
         shared_by_threads.push((threads, us(shared_t)));
         isolated_by_threads.push((threads, us(iso_t)));
     }
 
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
     let (t1, shared_t1) = shared_by_threads[0];
     assert_eq!(t1, 1, "the first swept thread count must be 1");
     let &(tmax, shared_tmax) = shared_by_threads.last().expect("threads non-empty");
     let &(_, isolated_tmax) = isolated_by_threads.last().expect("threads non-empty");
     let summary = vec![
-        ("planner_tree_size".to_string(), Json::Num(cfg.planner_tree_size as f64)),
-        ("planner_auto_us".to_string(), Json::Num(auto_us)),
-        ("planner_auto_choices".to_string(), Json::Str(auto_choices)),
-        ("serve_tree_size".to_string(), Json::Num(cfg.serve_tree_size as f64)),
-        ("serve_max_threads".to_string(), Json::Num(tmax as f64)),
-        ("serve_shared_t1_us".to_string(), Json::Num(shared_t1)),
-        ("serve_shared_tmax_us".to_string(), Json::Num(shared_tmax)),
-        ("serve_isolated_tmax_us".to_string(), Json::Num(isolated_tmax)),
+        ("planner_tree_size", Json::Num(cfg.planner_tree_size as f64)),
+        ("planner_auto_us", Json::Num(auto_us)),
+        ("planner_auto_choices", Json::Str(auto_choices)),
+        ("serve_tree_size", Json::Num(cfg.serve_tree_size as f64)),
+        ("serve_max_threads", Json::Num(tmax as f64)),
+        ("serve_shared_t1_us", Json::Num(shared_t1)),
+        ("serve_shared_tmax_us", Json::Num(shared_tmax)),
+        ("serve_isolated_tmax_us", Json::Num(isolated_tmax)),
         // The headline: under tmax-thread load, one shared Session vs the
         // pre-Session architecture (tmax isolated single-threaded workers,
         // each recompiling its own matrices).
-        (
-            "shared_vs_isolated_speedup".to_string(),
-            Json::Num(round2(isolated_tmax / shared_tmax.max(0.1))),
-        ),
+        ("shared_vs_isolated_speedup", Json::Num(round2(isolated_tmax / shared_tmax.max(0.1)))),
         // Wall-clock thread scaling of the shared path itself (≈1.0 on a
         // single hardware thread; >1 with real cores).
-        (
-            "thread_scaling".to_string(),
-            Json::Num(round2(shared_t1 / shared_tmax.max(0.1))),
-        ),
+        ("thread_scaling", Json::Num(round2(shared_t1 / shared_tmax.max(0.1)))),
     ];
     (rows, summary)
 }
@@ -747,56 +638,80 @@ fn us(d: Duration) -> f64 {
     (d.as_secs_f64() * 1e6 * 10.0).round() / 10.0
 }
 
+/// Execute every plan on `session`; returns the total answer count.
+fn answer_all(session: &Session, plans: &[QueryPlan]) -> usize {
+    plans.iter().map(|p| session.execute(p).expect("suite plan answers").len()).sum()
+}
+
+/// Record the first answer count of a cell in `reference`; every later
+/// count, from another engine or mode on the same input, must equal it.
+fn agree(reference: &mut Option<usize>, answers: usize, what: impl std::fmt::Display) {
+    let first = *reference.get_or_insert(answers);
+    assert_eq!(first, answers, "{what} disagrees with the first cell");
+}
+
+fn round2(x: f64) -> f64 {
+    (x * 100.0).round() / 100.0
+}
+
+fn round4(x: f64) -> f64 {
+    (x * 10_000.0).round() / 10_000.0
+}
+
+/// A result row: the [`ROW_KEYS`] members, `[tree_size, workload_queries,
+/// workload_repeats]` among them, then `extra`.
 fn row(
+    experiment: &str,
     engine: &str,
-    tree_size: usize,
-    queries: usize,
-    repeats: usize,
+    [tree_size, queries, repeats]: [usize; 3],
     median: Duration,
-    answers: usize,
-    extra: Vec<(String, Json)>,
+    extra: impl IntoIterator<Item = Member>,
+) -> Json {
+    let members = [
+        ("experiment", Json::Str(experiment.into())),
+        ("engine", Json::Str(engine.into())),
+        ("tree_size", Json::Num(tree_size as f64)),
+        ("workload_queries", Json::Num(queries as f64)),
+        ("workload_repeats", Json::Num(repeats as f64)),
+        ("median_us", Json::Num(us(median))),
+    ];
+    Json::obj(members.into_iter().chain(extra))
+}
+
+/// A member of a document, a row or a summary.
+type Member = (&'static str, Json);
+
+/// A `BENCH_*.json` document: the schema, `header`, the rows and the summary.
+fn document<K: Into<String>>(
+    header: impl IntoIterator<Item = Member>,
+    results: Vec<Json>,
+    summary: impl IntoIterator<Item = (K, Json)>,
 ) -> Json {
     let mut members = vec![
-        ("experiment".to_string(), Json::Str("repeated_query_workload".into())),
-        ("engine".to_string(), Json::Str(engine.into())),
-        ("tree_size".to_string(), Json::Num(tree_size as f64)),
-        ("workload_queries".to_string(), Json::Num(queries as f64)),
-        ("workload_repeats".to_string(), Json::Num(repeats as f64)),
-        ("median_us".to_string(), Json::Num(us(median))),
-        ("answers".to_string(), Json::Num(answers as f64)),
+        ("schema", Json::Str(SCHEMA.into())),
+        ("experiment_doc", Json::Str("EXPERIMENTS.md".into())),
     ];
-    members.extend(extra);
-    Json::Obj(members)
+    members.extend(header);
+    members.push(("results", Json::Arr(results)));
+    members.push(("summary", Json::obj(summary)));
+    Json::obj(members)
 }
 
-/// Run the E10 sweep and return the JSON document to be written to
-/// `BENCH_*.json`.
-pub fn run_regression(cfg: &RegressConfig) -> Json {
-    run_regression_impl(cfg, None, None)
+/// The header of a tree-size sweep's document.
+fn sweep_header(sizes: &[usize], queries: usize, repeats: usize, runs: usize) -> Vec<Member> {
+    vec![
+        ("tree_sizes", Json::Arr(sizes.iter().map(|&v| Json::Num(v as f64)).collect())),
+        ("suite_queries", Json::Num(queries as f64)),
+        ("workload_repeats", Json::Num(repeats as f64)),
+        ("runs_per_cell", Json::Num(runs as f64)),
+    ]
 }
 
-/// Run the E10 sweep *and* the E11 kernel ablation in one document (the
-/// shape committed as `BENCH_3.json`).
-pub fn run_regression_with_kernels(cfg: &RegressConfig, kernels: &KernelConfig) -> Json {
-    run_regression_impl(cfg, Some(kernels), None)
-}
-
-/// Run the E10 sweep, the E11 kernel ablation *and* the E12
-/// planner/concurrency sweep in one document (the shape committed as
-/// `BENCH_4.json`).
-pub fn run_regression_full(
-    cfg: &RegressConfig,
-    kernels: &KernelConfig,
-    serve: &ServeConfig,
-) -> Json {
-    run_regression_impl(cfg, Some(kernels), Some(serve))
-}
-
-fn run_regression_impl(
-    cfg: &RegressConfig,
-    kernels: Option<&KernelConfig>,
-    serve: Option<&ServeConfig>,
-) -> Json {
+/// Run the E10 sweep — the [`suite`] answered by `ppl_cached`, `ppl_cold`,
+/// `acq` and `naive` — the E11 kernel ablation and the E12
+/// planner/concurrency sweep into one document (the shape committed as
+/// `BENCH_4.json`; `BENCH_2.json` and `BENCH_3.json` predate E11 and E12).
+pub fn run_regression(cfg: &RegressConfig, kernels: &KernelConfig, serve: &ServeConfig) -> Json {
     let mut results: Vec<Json> = Vec::new();
     let mut summary: Option<(usize, f64, f64)> = None;
 
@@ -809,9 +724,7 @@ fn run_regression_impl(
         let plan_session = Session::from_tree(tree.clone());
         let suite = suite_plans(&plan_session, Engine::Ppl);
         let repeated = |plans: &[QueryPlan]| -> Vec<QueryPlan> {
-            (0..cfg.repeats)
-                .flat_map(|_| plans.iter().cloned())
-                .collect()
+            (0..cfg.repeats).flat_map(|_| plans.iter().cloned()).collect()
         };
         let workload = repeated(&suite);
         let cold_workload = repeated(&suite_plans(&plan_session, Engine::Hcl));
@@ -831,40 +744,22 @@ fn run_regression_impl(
         let stats_session = Session::from_tree(tree.clone());
         stats_session.answer_batch(&workload).expect("suite queries answer");
         let stats = stats_session.cache_stats();
-        results.push(row(
-            "ppl_cached",
-            size,
-            suite.len(),
-            cfg.repeats,
-            cached_t,
-            cached_answers,
-            vec![
-                ("cache_hits".to_string(), Json::Num(stats.hits as f64)),
-                ("cache_misses".to_string(), Json::Num(stats.misses as f64)),
-            ],
-        ));
+        let e10 = |engine, queries, repeats, t, answers: usize, extra: Vec<_>| {
+            let answers = ("answers", Json::Num(answers as f64));
+            let extra = std::iter::once(answers).chain(extra);
+            row("repeated_query_workload", engine, [size, queries, repeats], t, extra)
+        };
+        results.push(e10("ppl_cached", suite.len(), cfg.repeats, cached_t, cached_answers, vec![
+            ("cache_hits", Json::Num(stats.hits as f64)),
+            ("cache_misses", Json::Num(stats.misses as f64)),
+        ]));
 
         // ppl_cold — per-query recompilation, same workload.
         let (cold_t, cold_answers) = time_median(cfg.runs, || {
-            let session = Session::from_tree(tree.clone());
-            cold_workload
-                .iter()
-                .map(|p| session.execute(p).expect("suite queries answer").len())
-                .sum::<usize>()
+            answer_all(&Session::from_tree(tree.clone()), &cold_workload)
         });
-        assert_eq!(
-            cached_answers, cold_answers,
-            "cached and cold engines disagree at |t|={size}"
-        );
-        results.push(row(
-            "ppl_cold",
-            size,
-            suite.len(),
-            cfg.repeats,
-            cold_t,
-            cold_answers,
-            vec![],
-        ));
+        agree(&mut Some(cached_answers), cold_answers, format_args!("ppl_cold at |t|={size}"));
+        results.push(e10("ppl_cold", suite.len(), cfg.repeats, cold_t, cold_answers, vec![]));
         summary = Some((size, us(cold_t), us(cached_t)));
 
         // acq — Yannakakis over the ACQ image, union-free queries only,
@@ -879,15 +774,7 @@ fn run_regression_impl(
                 })
                 .sum::<usize>()
         });
-        results.push(row(
-            "acq",
-            size,
-            union_free.len(),
-            cfg.repeats,
-            acq_t,
-            acq_answers,
-            vec![],
-        ));
+        results.push(e10("acq", union_free.len(), cfg.repeats, acq_t, acq_answers, vec![]));
 
         // naive — exponential baseline, one workload pass, small trees only.
         if size <= cfg.naive_max_size {
@@ -903,66 +790,25 @@ fn run_regression_impl(
                     })
                     .sum::<usize>()
             });
-            assert_eq!(
-                naive_answers * cfg.repeats,
-                cold_answers,
-                "naive engine disagrees at |t|={size}"
-            );
-            results.push(row("naive", size, suite.len(), 1, naive_t, naive_answers, vec![]));
+            let naive_total = naive_answers * cfg.repeats;
+            agree(&mut Some(cold_answers), naive_total, format_args!("naive at |t|={size}"));
+            results.push(e10("naive", suite.len(), 1, naive_t, naive_answers, vec![]));
         }
     }
 
     let (largest, cold_us, cached_us) = summary.expect("at least one tree size");
     let mut summary_members = vec![
-        ("largest_tree_size".to_string(), Json::Num(largest as f64)),
-        ("cold_median_us".to_string(), Json::Num(cold_us)),
-        ("cached_median_us".to_string(), Json::Num(cached_us)),
-        (
-            "cached_speedup".to_string(),
-            Json::Num(((cold_us / cached_us.max(0.1)) * 100.0).round() / 100.0),
-        ),
+        ("largest_tree_size", Json::Num(largest as f64)),
+        ("cold_median_us", Json::Num(cold_us)),
+        ("cached_median_us", Json::Num(cached_us)),
+        ("cached_speedup", Json::Num(round2(cold_us / cached_us.max(0.1)))),
     ];
-    if let Some(kcfg) = kernels {
-        let (kernel_rows, (ksize, dense_us, adaptive_us, threaded_us)) =
-            run_kernel_ablation(kcfg);
-        results.extend(kernel_rows);
-        let round2 = |x: f64| (x * 100.0).round() / 100.0;
-        summary_members.extend([
-            ("kernel_largest_tree_size".to_string(), Json::Num(ksize as f64)),
-            ("kernel_dense_median_us".to_string(), Json::Num(dense_us)),
-            ("kernel_adaptive_median_us".to_string(), Json::Num(adaptive_us)),
-            (
-                "kernel_adaptive_threaded_median_us".to_string(),
-                Json::Num(threaded_us),
-            ),
-            (
-                "adaptive_speedup".to_string(),
-                Json::Num(round2(dense_us / adaptive_us.max(0.1))),
-            ),
-            (
-                "adaptive_threaded_speedup".to_string(),
-                Json::Num(round2(dense_us / threaded_us.max(0.1))),
-            ),
-        ]);
+    for (rows, summary) in [run_kernel_ablation(kernels), run_planner_concurrency(serve)] {
+        results.extend(rows);
+        summary_members.extend(summary);
     }
-    if let Some(scfg) = serve {
-        let (serve_rows, serve_summary) = run_planner_concurrency(scfg);
-        results.extend(serve_rows);
-        summary_members.extend(serve_summary);
-    }
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SCHEMA.into())),
-        ("experiment_doc".to_string(), Json::Str("EXPERIMENTS.md".into())),
-        (
-            "tree_sizes".to_string(),
-            Json::Arr(cfg.tree_sizes.iter().map(|&s| Json::Num(s as f64)).collect()),
-        ),
-        ("suite_queries".to_string(), Json::Num(suite().len() as f64)),
-        ("workload_repeats".to_string(), Json::Num(cfg.repeats as f64)),
-        ("runs_per_cell".to_string(), Json::Num(cfg.runs as f64)),
-        ("results".to_string(), Json::Arr(results)),
-        ("summary".to_string(), Json::Obj(summary_members)),
-    ])
+    let header = sweep_header(&cfg.tree_sizes, suite().len(), cfg.repeats, cfg.runs);
+    document(header, results, summary_members)
 }
 
 /// Run the E13 corpus-serving sweep: the E10 compile-heavy suite fanned out
@@ -977,14 +823,9 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
     let documents = xpath_workload::corpus_documents(cfg.docs, cfg.base_size, 0xC0B5);
     let total_nodes: usize = documents.iter().map(|(_, t)| t.len()).sum();
     let parsed = suite();
-    let specs: Vec<(String, Vec<String>)> = parsed
+    let specs: Vec<(String, Vec<&str>)> = parsed
         .iter()
-        .map(|(path, output)| {
-            (
-                path.to_string(),
-                output.iter().map(|v| v.name().to_string()).collect(),
-            )
-        })
+        .map(|(path, output)| (path.to_string(), output.iter().map(Var::name).collect()))
         .collect();
 
     let make_corpus = |budget: Option<usize>| {
@@ -1006,11 +847,8 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
         let mut answers = 0usize;
         for _ in 0..cfg.repeats {
             for (source, vars) in &specs {
-                let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
-                for doc in corpus
-                    .answer_all(source, &var_refs)
-                    .expect("suite queries answer over the corpus")
-                {
+                let docs = corpus.answer_all(source, vars).expect("suite queries answer");
+                for doc in docs {
                     answers += doc.answers.len();
                 }
             }
@@ -1024,24 +862,15 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
     let working_set = warm.stats().pool_bytes.max(1);
 
     let corpus_row = |engine: &str, t: Duration, answers: usize, stats: xpath_corpus::CorpusStats| {
-        Json::Obj(vec![
-            ("experiment".to_string(), Json::Str("corpus_serving".into())),
-            ("engine".to_string(), Json::Str(engine.into())),
-            ("tree_size".to_string(), Json::Num(total_nodes as f64)),
-            ("docs".to_string(), Json::Num(cfg.docs as f64)),
-            ("workload_queries".to_string(), Json::Num(specs.len() as f64)),
-            ("workload_repeats".to_string(), Json::Num(cfg.repeats as f64)),
-            ("threads".to_string(), Json::Num(cfg.threads as f64)),
-            ("median_us".to_string(), Json::Num(us(t))),
-            ("answers".to_string(), Json::Num(answers as f64)),
-            ("pool_bytes".to_string(), Json::Num(stats.pool_bytes as f64)),
-            ("cache_evictions".to_string(), Json::Num(stats.cache_evictions as f64)),
-            (
-                "session_evictions".to_string(),
-                Json::Num(stats.session_evictions as f64),
-            ),
-            ("rebuilds".to_string(), Json::Num(stats.rebuilds as f64)),
-            ("plan_hits".to_string(), Json::Num(stats.plan_hits as f64)),
+        row("corpus_serving", engine, [total_nodes, specs.len(), cfg.repeats], t, [
+            ("docs", Json::Num(cfg.docs as f64)),
+            ("threads", Json::Num(cfg.threads as f64)),
+            ("answers", Json::Num(answers as f64)),
+            ("pool_bytes", Json::Num(stats.pool_bytes as f64)),
+            ("cache_evictions", Json::Num(stats.cache_evictions as f64)),
+            ("session_evictions", Json::Num(stats.session_evictions as f64)),
+            ("rebuilds", Json::Num(stats.rebuilds as f64)),
+            ("plan_hits", Json::Num(stats.plan_hits as f64)),
         ])
     };
 
@@ -1054,10 +883,7 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
             let corpus = make_corpus(budget);
             run_workload(&corpus)
         });
-        assert_eq!(
-            answers, reference_answers,
-            "{name} disagrees with the unbounded pool"
-        );
+        agree(&mut Some(reference_answers), answers, name);
         // Pool counters for the same workload, measured outside the timer.
         let stats_corpus = make_corpus(budget);
         run_workload(&stats_corpus);
@@ -1072,11 +898,9 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
         if fraction.is_none() {
             pool_us = us(t);
         } else {
+            let evictions = stats.cache_evictions + stats.session_evictions;
             budget_summary.push((format!("{name}_us"), Json::Num(us(t))));
-            budget_summary.push((
-                format!("{name}_evictions"),
-                Json::Num((stats.cache_evictions + stats.session_evictions) as f64),
-            ));
+            budget_summary.push((format!("{name}_evictions"), Json::Num(evictions as f64)));
         }
     }
 
@@ -1100,46 +924,27 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
         }
         answers
     });
-    assert_eq!(
-        cold_answers, reference_answers,
-        "cold rebuild disagrees with the corpus pool"
-    );
-    rows.push(corpus_row(
-        "cold_rebuild",
-        cold_t,
-        cold_answers,
-        xpath_corpus::CorpusStats::default(),
-    ));
+    agree(&mut Some(reference_answers), cold_answers, "cold_rebuild");
+    rows.push(corpus_row("cold_rebuild", cold_t, cold_answers, Default::default()));
 
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
-    let mut summary = vec![
-        ("corpus_docs".to_string(), Json::Num(cfg.docs as f64)),
-        ("corpus_total_nodes".to_string(), Json::Num(total_nodes as f64)),
-        (
-            "corpus_working_set_bytes".to_string(),
-            Json::Num(working_set as f64),
-        ),
-        ("corpus_pool_us".to_string(), Json::Num(pool_us)),
-        ("corpus_cold_us".to_string(), Json::Num(us(cold_t))),
-        // The headline, pinned in CI: pooled sessions vs per-request
+    let summary = [
+        ("corpus_docs", Json::Num(cfg.docs as f64)),
+        ("corpus_total_nodes", Json::Num(total_nodes as f64)),
+        ("corpus_working_set_bytes", Json::Num(working_set as f64)),
+        ("corpus_pool_us", Json::Num(pool_us)),
+        ("corpus_cold_us", Json::Num(us(cold_t))),
+        // The headline, a committed claim: pooled sessions vs per-request
         // rebuild on the same workload and engine.
-        (
-            "corpus_speedup".to_string(),
-            Json::Num(round2(us(cold_t) / pool_us.max(0.1))),
-        ),
+        ("corpus_speedup", Json::Num(round2(us(cold_t) / pool_us.max(0.1)))),
     ];
-    summary.extend(budget_summary);
-
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SCHEMA.into())),
-        ("experiment_doc".to_string(), Json::Str("EXPERIMENTS.md".into())),
-        ("corpus_docs".to_string(), Json::Num(cfg.docs as f64)),
-        ("suite_queries".to_string(), Json::Num(specs.len() as f64)),
-        ("workload_repeats".to_string(), Json::Num(cfg.repeats as f64)),
-        ("runs_per_cell".to_string(), Json::Num(cfg.runs as f64)),
-        ("results".to_string(), Json::Arr(rows)),
-        ("summary".to_string(), Json::Obj(summary)),
-    ])
+    let summary = summary.map(|(k, v)| (k.to_string(), v)).into_iter().chain(budget_summary);
+    let header = [
+        ("corpus_docs", Json::Num(cfg.docs as f64)),
+        ("suite_queries", Json::Num(specs.len() as f64)),
+        ("workload_repeats", Json::Num(cfg.repeats as f64)),
+        ("runs_per_cell", Json::Num(cfg.runs as f64)),
+    ];
+    document(header, rows, summary)
 }
 
 /// Run the E14 lazy large-document sweep: the DBLP-style suite over
@@ -1148,12 +953,10 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
 /// per-row densification) answers every size; the eager adaptive-threaded
 /// kernels answer up to [`LazyBenchConfig::eager_max_size`] as the speedup
 /// baseline.  Returns a standalone `BENCH_6.json`-shaped document whose
-/// summary carries the two CI-pinned claims: `lazy_speedup` (eager/lazy at
+/// summary carries the two claimed numbers: `lazy_speedup` (eager/lazy at
 /// the pin size) and `lazy_bytes_per_node` (store occupancy ceiling).
 pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
     let specs = xpath_workload::dblp_suite();
-    let planner = Planner::default();
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
 
     let mut rows: Vec<Json> = Vec::new();
     // (size, lazy_us, eager_us) at the pin size; (size, bytes/node) maxima.
@@ -1167,17 +970,7 @@ pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
 
         // Plans are engine + HCL only — independent of the kernel mode the
         // executing session compiles with — so prepare them once per size.
-        let plan_session = Session::from_tree(tree.clone());
-        let plans: Vec<QueryPlan> = specs
-            .iter()
-            .map(|(src, vars)| {
-                let path = parse_path(src).expect("dblp suite query parses");
-                let output: Vec<Var> = vars.iter().map(|n| Var::new(n)).collect();
-                planner
-                    .plan_with(&plan_session, path, output, Some(Engine::Ppl))
-                    .expect("dblp suite query plans")
-            })
-            .collect();
+        let plans = plan_specs(&Session::from_tree(tree.clone()), &specs, Some(Engine::Ppl));
 
         let mut reference: Option<usize> = None;
         let mut size_us = [None::<f64>; LAZY_MODES.len()];
@@ -1188,18 +981,9 @@ pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
             let (t, answers) = time_median(cfg.runs, || {
                 let session = Session::from_tree(tree.clone());
                 session.set_kernel_mode(mode);
-                plans
-                    .iter()
-                    .map(|p| session.execute(p).expect("dblp suite answers").len())
-                    .sum::<usize>()
+                answer_all(&session, &plans)
             });
-            match reference {
-                None => reference = Some(answers),
-                Some(r) => assert_eq!(
-                    r, answers,
-                    "{name} disagrees with the lazy pipeline at |t|={size}"
-                ),
-            }
+            agree(&mut reference, answers, format_args!("{name} at |t|={size}"));
             assert!(answers > 0, "dblp suite selected nothing at |t|={size}");
             size_us[i] = Some(us(t));
 
@@ -1208,28 +992,17 @@ pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
             // accountable to (symbolic forms + materialised rows).
             let session = Session::from_tree(tree.clone());
             session.set_kernel_mode(mode);
-            for p in &plans {
-                session.execute(p).expect("dblp suite answers");
-            }
+            answer_all(&session, &plans);
             let bytes = session.store().approx_bytes();
             let bytes_per_node = bytes as f64 / size as f64;
             if mode == KernelMode::Lazy {
                 worst_bytes_per_node = worst_bytes_per_node.max(bytes_per_node);
                 largest_lazy = Some((size, us(t)));
             }
-            rows.push(Json::Obj(vec![
-                ("experiment".to_string(), Json::Str("lazy_large_documents".into())),
-                ("engine".to_string(), Json::Str(name.into())),
-                ("tree_size".to_string(), Json::Num(size as f64)),
-                ("workload_queries".to_string(), Json::Num(specs.len() as f64)),
-                ("workload_repeats".to_string(), Json::Num(1.0)),
-                ("median_us".to_string(), Json::Num(us(t))),
-                ("answers".to_string(), Json::Num(answers as f64)),
-                ("store_bytes".to_string(), Json::Num(bytes as f64)),
-                (
-                    "bytes_per_node".to_string(),
-                    Json::Num(round2(bytes_per_node)),
-                ),
+            rows.push(row("lazy_large_documents", name, [size, specs.len(), 1], t, [
+                ("answers", Json::Num(answers as f64)),
+                ("store_bytes", Json::Num(bytes as f64)),
+                ("bytes_per_node", Json::Num(round2(bytes_per_node))),
             ]));
         }
         if size <= cfg.eager_max_size {
@@ -1242,36 +1015,16 @@ pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
     let (pin_size, lazy_pin_us, eager_pin_us) =
         pin.expect("at least one size within the eager comparison band");
     let (largest, lazy_largest_us) = largest_lazy.expect("at least one lazy row");
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SCHEMA.into())),
-        ("experiment_doc".to_string(), Json::Str("EXPERIMENTS.md".into())),
-        (
-            "tree_sizes".to_string(),
-            Json::Arr(cfg.tree_sizes.iter().map(|&s| Json::Num(s as f64)).collect()),
-        ),
-        ("suite_queries".to_string(), Json::Num(specs.len() as f64)),
-        ("workload_repeats".to_string(), Json::Num(1.0)),
-        ("runs_per_cell".to_string(), Json::Num(cfg.runs as f64)),
-        ("results".to_string(), Json::Arr(rows)),
-        (
-            "summary".to_string(),
-            Json::Obj(vec![
-                ("lazy_largest_tree_size".to_string(), Json::Num(largest as f64)),
-                ("lazy_largest_us".to_string(), Json::Num(lazy_largest_us)),
-                ("lazy_pin_tree_size".to_string(), Json::Num(pin_size as f64)),
-                ("lazy_pin_us".to_string(), Json::Num(lazy_pin_us)),
-                ("eager_pin_us".to_string(), Json::Num(eager_pin_us)),
-                // The two CI-pinned claims of BENCH_6.json.
-                (
-                    "lazy_speedup".to_string(),
-                    Json::Num(round2(eager_pin_us / lazy_pin_us.max(0.1))),
-                ),
-                (
-                    "lazy_bytes_per_node".to_string(),
-                    Json::Num(round2(worst_bytes_per_node)),
-                ),
-            ]),
-        ),
+    let header = sweep_header(&cfg.tree_sizes, specs.len(), 1, cfg.runs);
+    document(header, rows, [
+        ("lazy_largest_tree_size", Json::Num(largest as f64)),
+        ("lazy_largest_us", Json::Num(lazy_largest_us)),
+        ("lazy_pin_tree_size", Json::Num(pin_size as f64)),
+        ("lazy_pin_us", Json::Num(lazy_pin_us)),
+        ("eager_pin_us", Json::Num(eager_pin_us)),
+        // The two headline claims of BENCH_6.json.
+        ("lazy_speedup", Json::Num(round2(eager_pin_us / lazy_pin_us.max(0.1)))),
+        ("lazy_bytes_per_node", Json::Num(round2(worst_bytes_per_node))),
     ])
 }
 
@@ -1284,15 +1037,12 @@ pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
 /// the suite are untouched); the `edit_full` arm builds a fresh session,
 /// replaying the full compilation the suite needs.
 /// Returns a standalone `BENCH_9.json`-shaped document whose summary
-/// carries the CI-pinned claims: `incr_speedup` (full / incremental at the
+/// carries the claimed numbers: `incr_speedup` (full / incremental at the
 /// pin size) and `incr_rows_fraction` (rows recomputed over rows cached —
 /// the row-range-invalidation locality claim).
 pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
     use std::sync::Arc;
     let specs = xpath_workload::dblp_suite();
-    let planner = Planner::default();
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
-    let round4 = |x: f64| (x * 10_000.0).round() / 10_000.0;
 
     let mut rows: Vec<Json> = Vec::new();
     // Per size: (incr_us, full_us, rows_invalidated, rows_total).
@@ -1323,27 +1073,13 @@ pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
 
         // Plans for the edited tree, prepared once outside the timers (both
         // arms execute the same plans over the same tree).
-        let plans_for = |t: &Arc<Tree>| -> Vec<QueryPlan> {
-            let plan_session = Session::from_shared_tree(Arc::clone(t));
-            specs
-                .iter()
-                .map(|(src, vars)| {
-                    let path = parse_path(src).expect("dblp suite query parses");
-                    let output: Vec<Var> = vars.iter().map(|n| Var::new(n)).collect();
-                    planner
-                        .plan_with(&plan_session, path, output, Some(Engine::Ppl))
-                        .expect("dblp suite query plans")
-                })
-                .collect()
-        };
-        let plans = plans_for(&edited);
+        let plans_for = |session: &Session| plan_specs(session, &specs, Some(Engine::Ppl));
+        let plans = plans_for(&Session::from_shared_tree(Arc::clone(&edited)));
 
         // The warm base session the incremental arm forks from.
         let warm = Session::from_tree(tree.clone());
         warm.set_kernel_mode(mode);
-        for p in &plans_for(&warm.shared_tree()) {
-            warm.execute(p).expect("dblp suite answers on the base document");
-        }
+        answer_all(&warm, &plans_for(&warm));
         assert!(warm.cache_stats().compiled > 0, "base session must be warm");
 
         // Edit-maintenance stats, measured once outside the timers.
@@ -1352,7 +1088,7 @@ pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
 
         let mut answers_reference: Option<usize> = None;
         let mut arm_us = [0.0f64; 2];
-        for (arm, name) in INCR_MODES.iter().enumerate() {
+        for (arm, name) in ["edit_incremental", "edit_full"].into_iter().enumerate() {
             let (t, answers) = time_median(cfg.runs, || {
                 let session = if arm == 0 {
                     warm.fork_edited(Arc::clone(&edited), &delta).0
@@ -1361,42 +1097,22 @@ pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
                     cold.set_kernel_mode(mode);
                     cold
                 };
-                plans
-                    .iter()
-                    .map(|p| session.execute(p).expect("dblp suite answers").len())
-                    .sum::<usize>()
+                answer_all(&session, &plans)
             });
-            match answers_reference {
-                None => answers_reference = Some(answers),
-                Some(r) => assert_eq!(
-                    r, answers,
-                    "{name} disagrees with the incremental arm at |t|={size}"
-                ),
-            }
+            agree(&mut answers_reference, answers, format_args!("{name} at |t|={size}"));
             assert!(answers > 0, "dblp suite selected nothing at |t|={size}");
             arm_us[arm] = us(t);
-            let mut row = vec![
-                ("experiment".to_string(), Json::Str("incr_maintenance".into())),
-                ("engine".to_string(), Json::Str((*name).into())),
-                ("tree_size".to_string(), Json::Num(size as f64)),
-                ("workload_queries".to_string(), Json::Num(specs.len() as f64)),
-                ("workload_repeats".to_string(), Json::Num(1.0)),
-                ("median_us".to_string(), Json::Num(us(t))),
-                ("answers".to_string(), Json::Num(answers as f64)),
-                ("edits".to_string(), Json::Num(1.0)),
-                (
-                    "kernel".to_string(),
-                    Json::Str(if mode == KernelMode::Lazy { "lazy" } else { "adaptive_threaded" }.into()),
-                ),
+            let kernel = if mode == KernelMode::Lazy { "lazy" } else { "adaptive_threaded" };
+            let mut extra = vec![
+                ("answers", Json::Num(answers as f64)),
+                ("edits", Json::Num(1.0)),
+                ("kernel", Json::Str(kernel.into())),
             ];
             if arm == 0 {
-                row.push((
-                    "rows_invalidated".to_string(),
-                    Json::Num(stats.rows_invalidated as f64),
-                ));
-                row.push(("rows_total".to_string(), Json::Num(stats.rows_total as f64)));
+                extra.push(("rows_invalidated", Json::Num(stats.rows_invalidated as f64)));
+                extra.push(("rows_total", Json::Num(stats.rows_total as f64)));
             }
-            rows.push(Json::Obj(row));
+            rows.push(row("incr_maintenance", name, [size, specs.len(), 1], t, extra));
         }
         cells.push((size, arm_us[0], arm_us[1], stats.rows_invalidated, stats.rows_total));
     }
@@ -1405,232 +1121,19 @@ pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
         cells.first().expect("at least one swept size");
     let &(largest, incr_largest_us, full_largest_us, ..) =
         cells.last().expect("at least one swept size");
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SCHEMA.into())),
-        ("experiment_doc".to_string(), Json::Str("EXPERIMENTS.md".into())),
-        (
-            "tree_sizes".to_string(),
-            Json::Arr(cfg.tree_sizes.iter().map(|&s| Json::Num(s as f64)).collect()),
-        ),
-        ("suite_queries".to_string(), Json::Num(specs.len() as f64)),
-        ("workload_repeats".to_string(), Json::Num(1.0)),
-        ("runs_per_cell".to_string(), Json::Num(cfg.runs as f64)),
-        ("results".to_string(), Json::Arr(rows)),
-        (
-            "summary".to_string(),
-            Json::Obj(vec![
-                ("incr_pin_tree_size".to_string(), Json::Num(pin_size as f64)),
-                ("incr_pin_us".to_string(), Json::Num(incr_pin_us)),
-                ("full_pin_us".to_string(), Json::Num(full_pin_us)),
-                (
-                    "incr_speedup".to_string(),
-                    Json::Num(round2(full_pin_us / incr_pin_us.max(0.1))),
-                ),
-                ("incr_rows_invalidated".to_string(), Json::Num(invalidated as f64)),
-                ("incr_rows_total".to_string(), Json::Num(total as f64)),
-                (
-                    "incr_rows_fraction".to_string(),
-                    Json::Num(round4(invalidated as f64 / (total as f64).max(1.0))),
-                ),
-                ("incr_largest_tree_size".to_string(), Json::Num(largest as f64)),
-                ("incr_largest_us".to_string(), Json::Num(incr_largest_us)),
-                (
-                    "incr_largest_speedup".to_string(),
-                    Json::Num(round2(full_largest_us / incr_largest_us.max(0.1))),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Run the E15 daemon-serving sweep: sustained request throughput of a live
-/// `pplxd` serving loop under 1/64/1024 concurrent pipelined connections.
-/// Each client writes [`DaemonBenchConfig::pipeline`]-request windows in
-/// one flush (mostly `STATS` with a `QUERY` against a preloaded document
-/// mixed in) and reads the window's responses back in order.  Returns a
-/// standalone `BENCH_7.json`-shaped document whose summary carries the
-/// QPS at the pin connection count.
-///
-/// Linux only: the serving loop is the epoll reactor.
-pub fn run_daemon_bench(cfg: &DaemonBenchConfig) -> Json {
-    use std::io::{BufRead, BufReader, BufWriter, Write};
-    use std::net::TcpStream;
-    use xpath_corpus::server::{bind, serve, ServeOptions};
-    use xpath_corpus::Corpus;
-
-    if !cfg!(target_os = "linux") {
-        panic!("the E15 daemon sweep runs the epoll serving loop and is Linux-only");
-    }
-
-    // The preloaded document every QUERY in the mix runs against; small on
-    // purpose — E15 measures protocol and multiplexing overhead, not query
-    // evaluation (E10–E14 own that).
-    const DOC_SHAPE: &str = "r(a(b,c),a(b),c(a(b)))";
-    const DOC_NODES: usize = 9;
-    let request_line = |i: usize| -> &'static str {
-        // 1-in-8 QUERY keeps the worker pool honest without the cell
-        // degenerating into a query benchmark.
-        if i % 8 == 7 {
-            "QUERY bench descendant::b"
-        } else {
-            "STATS"
-        }
-    };
-    let read_response = |reader: &mut BufReader<TcpStream>| {
-        let mut status = String::new();
-        assert!(
-            reader.read_line(&mut status).expect("daemon response") > 0,
-            "daemon closed the connection mid-bench"
-        );
-        assert!(status.starts_with("OK "), "daemon answered {status:?}");
-        let payload: usize = status[3..].trim().parse().expect("payload count");
-        let mut line = String::new();
-        for _ in 0..payload {
-            line.clear();
-            assert!(reader.read_line(&mut line).expect("payload line") > 0);
-        }
-    };
-
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
-    let mut rows: Vec<Json> = Vec::new();
-    // qps per connection count, for the summary pin.
-    let mut cells: Vec<(usize, f64)> = Vec::new();
-
-    for &conns in &cfg.connections {
-        let per_conn = (cfg.total_requests / conns.max(1)).max(cfg.pipeline);
-        let window = cfg.pipeline.min(per_conn);
-        let total = per_conn * conns;
-
-        let (listener, addr) = bind("127.0.0.1:0").expect("bench daemon binds");
-        let options = ServeOptions {
-            workers: cfg.workers,
-            ..ServeOptions::default()
-        };
-        let server =
-            std::thread::spawn(move || serve(listener, &Corpus::new(), &options));
-
-        // Preload the queried document before any timing.
-        let control = TcpStream::connect(addr).expect("bench control connection");
-        let mut control_reader = BufReader::new(control.try_clone().unwrap());
-        let mut control_writer = BufWriter::new(control);
-        writeln!(control_writer, "LOADTERMS bench {DOC_SHAPE}").unwrap();
-        control_writer.flush().unwrap();
-        read_response(&mut control_reader);
-
-        // Sustained throughput: connections are established and client
-        // threads parked on a barrier before the clock starts, so the
-        // cell measures pipelined request traffic, not thread-spawn and
-        // connect setup.  Client threads are capped at 64, each
-        // multiplexing a slice of the connections — the generator must
-        // not itself become the scheduler load it is measuring on the
-        // daemon side.
-        let client_threads = conns.min(64);
-        let mut durations: Vec<Duration> = Vec::with_capacity(cfg.runs);
-        for _ in 0..cfg.runs {
-            let barrier = std::sync::Arc::new(std::sync::Barrier::new(client_threads + 1));
-            let clients: Vec<_> = (0..client_threads)
-                .map(|k| {
-                    let barrier = std::sync::Arc::clone(&barrier);
-                    // Thread k owns connections k, k+threads, k+2*threads, …
-                    let owned = (conns - k).div_ceil(client_threads);
-                    std::thread::spawn(move || {
-                        let mut sockets: Vec<_> = (0..owned)
-                            .map(|_| {
-                                let stream =
-                                    TcpStream::connect(addr).expect("bench client connects");
-                                stream.set_nodelay(true).unwrap();
-                                let reader = BufReader::new(stream.try_clone().unwrap());
-                                (reader, BufWriter::new(stream))
-                            })
-                            .collect();
-                        barrier.wait();
-                        let mut sent = 0usize;
-                        while sent < per_conn {
-                            let burst = window.min(per_conn - sent);
-                            for (_, writer) in sockets.iter_mut() {
-                                for i in 0..burst {
-                                    writeln!(writer, "{}", request_line(sent + i)).unwrap();
-                                }
-                                writer.flush().unwrap();
-                            }
-                            for (reader, _) in sockets.iter_mut() {
-                                for _ in 0..burst {
-                                    read_response(reader);
-                                }
-                            }
-                            sent += burst;
-                        }
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let start = std::time::Instant::now();
-            for client in clients {
-                client.join().expect("bench client must not panic");
-            }
-            durations.push(start.elapsed());
-        }
-        durations.sort_unstable();
-        let t = durations[durations.len() / 2];
-        let qps = total as f64 / t.as_secs_f64().max(1e-9);
-
-        writeln!(control_writer, "SHUTDOWN").unwrap();
-        control_writer.flush().unwrap();
-        read_response(&mut control_reader);
-        server
-            .join()
-            .expect("daemon thread must not panic")
-            .expect("daemon shuts down cleanly");
-
-        rows.push(Json::Obj(vec![
-            ("experiment".to_string(), Json::Str("daemon_serving".into())),
-            ("engine".to_string(), Json::Str(DAEMON_ROW.into())),
-            ("tree_size".to_string(), Json::Num(DOC_NODES as f64)),
-            ("workload_queries".to_string(), Json::Num(total as f64)),
-            ("workload_repeats".to_string(), Json::Num(window as f64)),
-            ("median_us".to_string(), Json::Num(us(t))),
-            ("connections".to_string(), Json::Num(conns as f64)),
-            ("workers".to_string(), Json::Num(cfg.workers as f64)),
-            ("qps".to_string(), Json::Num(round2(qps))),
-        ]));
-        cells.push((conns, qps));
-    }
-
-    // The pin lives at the largest swept cell (>= 64 connections in the
-    // full sweep): the event loop's claim is scalability with connection
-    // count.
-    let pin_conns = cfg
-        .connections
-        .iter()
-        .copied()
-        .filter(|&c| c >= 64)
-        .max()
-        .or_else(|| cfg.connections.iter().copied().max())
-        .expect("at least one connection count");
-    let pin_qps = cells
-        .iter()
-        .find(|&&(c, _)| c == pin_conns)
-        .map(|&(_, qps)| qps)
-        .expect("pin cell was swept");
-
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SCHEMA.into())),
-        ("experiment_doc".to_string(), Json::Str("EXPERIMENTS.md".into())),
-        (
-            "connections".to_string(),
-            Json::Arr(cfg.connections.iter().map(|&c| Json::Num(c as f64)).collect()),
-        ),
-        ("pipeline".to_string(), Json::Num(cfg.pipeline as f64)),
-        ("workers".to_string(), Json::Num(cfg.workers as f64)),
-        ("runs_per_cell".to_string(), Json::Num(cfg.runs as f64)),
-        ("results".to_string(), Json::Arr(rows)),
-        (
-            "summary".to_string(),
-            Json::Obj(vec![
-                ("daemon_pin_conns".to_string(), Json::Num(pin_conns as f64)),
-                ("daemon_epoll_pin_qps".to_string(), Json::Num(round2(pin_qps))),
-            ]),
-        ),
+    let header = sweep_header(&cfg.tree_sizes, specs.len(), 1, cfg.runs);
+    let fraction = invalidated as f64 / (total as f64).max(1.0);
+    document(header, rows, [
+        ("incr_pin_tree_size", Json::Num(pin_size as f64)),
+        ("incr_pin_us", Json::Num(incr_pin_us)),
+        ("full_pin_us", Json::Num(full_pin_us)),
+        ("incr_speedup", Json::Num(round2(full_pin_us / incr_pin_us.max(0.1)))),
+        ("incr_rows_invalidated", Json::Num(invalidated as f64)),
+        ("incr_rows_total", Json::Num(total as f64)),
+        ("incr_rows_fraction", Json::Num(round4(fraction))),
+        ("incr_largest_tree_size", Json::Num(largest as f64)),
+        ("incr_largest_us", Json::Num(incr_largest_us)),
+        ("incr_largest_speedup", Json::Num(round2(full_largest_us / incr_largest_us.max(0.1)))),
     ])
 }
 
@@ -1647,10 +1150,10 @@ pub fn run_daemon_bench(cfg: &DaemonBenchConfig) -> Json {
 ///
 /// Returns a standalone `BENCH_8.json`-shaped document.
 pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
-    use std::io::{BufRead, BufReader, BufWriter, Write};
-    use std::net::{SocketAddr, TcpStream};
+    use std::io::{BufRead, Write};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Arc, Barrier, Mutex};
+    use std::sync::{Arc, Mutex};
+    use std::time::Instant;
     use xpath_corpus::router::{FaultAction, Router, RouterConfig};
     use xpath_corpus::server::{bind, serve, ServeOptions};
     use xpath_corpus::Corpus;
@@ -1661,7 +1164,6 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
     // E16 measures serving architecture, not query evaluation.
     let doc_shape = format!("r({})", vec!["a(b,b,c(b))"; 72].join(","));
     const DOC_NODES: usize = 361;
-    let doc_name = |k: usize| format!("bench_d{k}");
     let docs = cfg.docs.max(1);
     let request_line = move |i: usize| format!(
         "QUERY bench_d{} descendant::b[. is $x] -> x",
@@ -1697,94 +1199,63 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
         (addr, handle)
     };
 
-    // One scripted control request against a front door.
-    let control_request = |addr: SocketAddr, line: &str| {
+    // Scripted control requests against a front door, on one connection;
+    // each must succeed.
+    let control = |addr: SocketAddr, lines: &[String]| {
         let stream = TcpStream::connect(addr).expect("bench control connection");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
-        writeln!(writer, "{line}").unwrap();
-        writer.flush().unwrap();
-        assert!(read_response(&mut reader), "control request {line:?} failed");
-    };
-
-    let preload = |addr: SocketAddr| {
-        let stream = TcpStream::connect(addr).expect("bench control connection");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        for k in 0..docs {
-            writeln!(writer, "LOADTERMS {} {doc_shape}", doc_name(k)).unwrap();
+        for line in lines {
+            writeln!(writer, "{line}").unwrap();
             writer.flush().unwrap();
-            assert!(read_response(&mut reader), "preload of {} failed", doc_name(k));
+            assert!(read_response(&mut reader), "control request {line:?} failed");
         }
     };
+    let shutdown = |addr| control(addr, &["SHUTDOWN".to_string()]);
+    let preload = |addr| {
+        let loads: Vec<String> =
+            (0..docs).map(|k| format!("LOADTERMS bench_d{k} {doc_shape}")).collect();
+        control(addr, &loads)
+    };
 
-    // Pipelined sustained-throughput phase against one front door, E15
-    // style: connections up and threads parked on a barrier before the
-    // clock starts.  Returns the median wall time over `cfg.runs`.
+    // Pipelined sustained-throughput phase against one front door.
+    // Returns the median wall time over `cfg.runs`.
     let per_conn = (cfg.total_requests / cfg.connections.max(1)).max(cfg.pipeline);
     let window = cfg.pipeline.min(per_conn);
     let total = per_conn * cfg.connections;
     let timed_phase = |addr: SocketAddr| -> Duration {
-        let client_threads = cfg.connections.min(64);
-        let mut durations: Vec<Duration> = Vec::with_capacity(cfg.runs);
-        for _ in 0..cfg.runs {
-            let barrier = Arc::new(Barrier::new(client_threads + 1));
-            let clients: Vec<_> = (0..client_threads)
-                .map(|k| {
-                    let barrier = Arc::clone(&barrier);
-                    let owned = (cfg.connections - k).div_ceil(client_threads);
-                    std::thread::spawn(move || {
-                        let mut sockets: Vec<_> = (0..owned)
-                            .map(|_| {
-                                let stream =
-                                    TcpStream::connect(addr).expect("bench client connects");
-                                stream.set_nodelay(true).unwrap();
-                                let reader = BufReader::new(stream.try_clone().unwrap());
-                                (reader, BufWriter::new(stream))
-                            })
-                            .collect();
-                        barrier.wait();
-                        let mut sent = 0usize;
-                        while sent < per_conn {
-                            let burst = window.min(per_conn - sent);
-                            for (_, writer) in sockets.iter_mut() {
-                                for i in 0..burst {
-                                    writeln!(writer, "{}", request_line(sent + i)).unwrap();
-                                }
-                                writer.flush().unwrap();
+        let mut durations: Vec<Duration> = (0..cfg.runs)
+            .map(|_| {
+                let pipelined = |conns: &mut [Client]| {
+                    let mut sent = 0usize;
+                    while sent < per_conn {
+                        let burst = window.min(per_conn - sent);
+                        for (_, writer) in conns.iter_mut() {
+                            for i in 0..burst {
+                                writeln!(writer, "{}", request_line(sent + i)).unwrap();
                             }
-                            for (reader, _) in sockets.iter_mut() {
-                                for _ in 0..burst {
-                                    assert!(
-                                        read_response(reader),
-                                        "healthy-fleet request must not fail"
-                                    );
-                                }
-                            }
-                            sent += burst;
+                            writer.flush().unwrap();
                         }
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let start = std::time::Instant::now();
-            for client in clients {
-                client.join().expect("bench client must not panic");
-            }
-            durations.push(start.elapsed());
-        }
+                        for (reader, _) in conns.iter_mut() {
+                            for _ in 0..burst {
+                                assert!(read_response(reader), "healthy-fleet request failed");
+                            }
+                        }
+                        sent += burst;
+                    }
+                };
+                drive_clients(addr, cfg.connections, pipelined).1
+            })
+            .collect();
         durations.sort_unstable();
         durations[durations.len() / 2]
     };
-
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
-    let round4 = |x: f64| (x * 10000.0).round() / 10000.0;
 
     // ---- Phase 1: single-daemon baseline. -------------------------------
     let (addr, server) = spawn_backend();
     preload(addr);
     let single_t = timed_phase(addr);
-    control_request(addr, "SHUTDOWN");
+    shutdown(addr);
     server.join().unwrap().expect("baseline daemon shuts down");
     let single_qps = total as f64 / single_t.as_secs_f64().max(1e-9);
 
@@ -1813,7 +1284,7 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
          handle: std::thread::JoinHandle<std::io::Result<()>>| {
             // The router answers SHUTDOWN, drains, then fans it out to
             // every shard.
-            control_request(addr, "SHUTDOWN");
+            shutdown(addr);
             handle.join().unwrap().expect("router shuts down");
             for (_, backend) in backends {
                 backend.join().unwrap().expect("backend shuts down");
@@ -1845,80 +1316,43 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
             }
         }));
     }
-    let completed = Arc::new(AtomicUsize::new(0));
-    let killed_at: Arc<Mutex<Option<std::time::Instant>>> = Arc::new(Mutex::new(None));
+    let completed = AtomicUsize::new(0);
+    let killed_at: Mutex<Option<Instant>> = Mutex::new(None);
     let kill_after = total / 4;
     let recovery_gate = probe_interval * 2;
-    let client_threads = cfg.connections.min(64);
-    let barrier = Arc::new(Barrier::new(client_threads + 1));
-    let clients: Vec<_> = (0..client_threads)
-        .map(|k| {
-            let barrier = Arc::clone(&barrier);
-            let dead = Arc::clone(&dead);
-            let completed = Arc::clone(&completed);
-            let killed_at = Arc::clone(&killed_at);
-            let owned = (cfg.connections - k).div_ceil(client_threads);
-            std::thread::spawn(move || {
-                let mut sockets: Vec<_> = (0..owned)
-                    .map(|_| {
-                        let stream = TcpStream::connect(router_addr).expect("kill-phase connect");
-                        stream.set_nodelay(true).unwrap();
-                        let reader = BufReader::new(stream.try_clone().unwrap());
-                        (reader, BufWriter::new(stream))
-                    })
-                    .collect();
-                barrier.wait();
-                // (failed, after_recovery) counters for this thread.
-                let mut failed = 0usize;
-                let mut failed_after = 0usize;
-                let mut after = 0usize;
-                // The scripted requests, then more until this thread has
-                // issued one past the recovery gate: a fast backend can
-                // finish the script before the gate opens.
-                let mut i = 0;
-                while i < per_conn || after == 0 {
-                    for (reader, writer) in sockets.iter_mut() {
-                        let started = std::time::Instant::now();
-                        writeln!(writer, "{}", request_line(i)).unwrap();
-                        writer.flush().unwrap();
-                        let ok = read_response(reader);
-                        let recovered = killed_at
-                            .lock()
-                            .unwrap()
-                            .map(|at| started >= at + recovery_gate)
-                            .unwrap_or(false);
-                        if recovered {
-                            after += 1;
-                        }
-                        if !ok {
-                            failed += 1;
-                            if recovered {
-                                failed_after += 1;
-                            }
-                        }
-                        let n = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        if n >= kill_after && !dead.swap(true, Ordering::Relaxed) {
-                            *killed_at.lock().unwrap() = Some(std::time::Instant::now());
-                        }
-                    }
-                    i += 1;
+    let (counts, kill_t) = drive_clients(router_addr, cfg.connections, |conns| {
+        // (failed, failed after recovery, issued after recovery) for this
+        // thread's connections.
+        let [mut failed, mut failed_after, mut after] = [0usize; 3];
+        // The scripted requests, then more until this thread has issued one
+        // past the recovery gate: a fast backend can finish the script
+        // before the gate opens.
+        let mut i = 0;
+        while i < per_conn || after == 0 {
+            for (reader, writer) in conns.iter_mut() {
+                let started = Instant::now();
+                writeln!(writer, "{}", request_line(i)).unwrap();
+                writer.flush().unwrap();
+                let ok = read_response(reader);
+                let recovered = killed_at
+                    .lock()
+                    .unwrap()
+                    .is_some_and(|at| started >= at + recovery_gate);
+                after += recovered as usize;
+                failed += !ok as usize;
+                failed_after += (!ok && recovered) as usize;
+                let n = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                if n >= kill_after && !dead.swap(true, Ordering::Relaxed) {
+                    *killed_at.lock().unwrap() = Some(Instant::now());
                 }
-                (failed, failed_after, after)
-            })
-        })
-        .collect();
-    barrier.wait();
-    let kill_start = std::time::Instant::now();
-    let mut kill_failed = 0usize;
-    let mut kill_failed_after = 0usize;
-    let mut kill_after_recovery = 0usize;
-    for client in clients {
-        let (failed, failed_after, after) = client.join().expect("kill-phase client");
-        kill_failed += failed;
-        kill_failed_after += failed_after;
-        kill_after_recovery += after;
-    }
-    let kill_t = kill_start.elapsed();
+            }
+            i += 1;
+        }
+        [failed, failed_after, after]
+    });
+    let [kill_failed, kill_failed_after, kill_after_recovery] = counts
+        .iter()
+        .fold([0; 3], |sum, c| [sum[0] + c[0], sum[1] + c[1], sum[2] + c[2]]);
     assert!(
         kill_after_recovery > 0,
         "the kill phase must issue requests after the recovery gate"
@@ -1930,448 +1364,602 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
     let kill_qps = completed.load(Ordering::Relaxed) as f64 / kill_t.as_secs_f64().max(1e-9);
     let failure_rate = kill_failed_after as f64 / kill_after_recovery as f64;
 
-    let row = |engine: &str, shards: usize, t: Duration, qps: f64| {
-        Json::Obj(vec![
-            ("experiment".to_string(), Json::Str("router_serving".into())),
-            ("engine".to_string(), Json::Str(engine.into())),
-            ("tree_size".to_string(), Json::Num(DOC_NODES as f64)),
-            ("workload_queries".to_string(), Json::Num(total as f64)),
-            ("workload_repeats".to_string(), Json::Num(window as f64)),
-            ("median_us".to_string(), Json::Num(us(t))),
-            ("connections".to_string(), Json::Num(cfg.connections as f64)),
-            ("shards".to_string(), Json::Num(shards as f64)),
-            ("replication".to_string(), Json::Num(cfg.replication as f64)),
-            ("docs".to_string(), Json::Num(docs as f64)),
-            ("qps".to_string(), Json::Num(round2(qps))),
-        ])
-    };
-    let mut kill_row = row("router_kill", cfg.shards, kill_t, kill_qps);
-    if let Json::Obj(fields) = &mut kill_row {
-        fields.push(("failed_requests".to_string(), Json::Num(kill_failed as f64)));
-        fields.push((
-            "requests_after_recovery".to_string(),
-            Json::Num(kill_after_recovery as f64),
-        ));
-        fields.push((
-            "failed_after_recovery".to_string(),
-            Json::Num(kill_failed_after as f64),
-        ));
-        fields.push(("failure_rate".to_string(), Json::Num(round4(failure_rate))));
-    }
-
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SCHEMA.into())),
-        ("experiment_doc".to_string(), Json::Str("EXPERIMENTS.md".into())),
-        ("shards".to_string(), Json::Num(cfg.shards as f64)),
-        ("replication".to_string(), Json::Num(cfg.replication as f64)),
-        ("connections".to_string(), Json::Num(cfg.connections as f64)),
-        ("pipeline".to_string(), Json::Num(cfg.pipeline as f64)),
-        ("runs_per_cell".to_string(), Json::Num(cfg.runs as f64)),
-        (
-            "results".to_string(),
-            Json::Arr(vec![
-                row("single_daemon", 1, single_t, single_qps),
-                row("router", cfg.shards, router_t, router_qps),
-                kill_row,
-            ]),
-        ),
-        (
-            "summary".to_string(),
-            Json::Obj(vec![
-                ("router_shards".to_string(), Json::Num(cfg.shards as f64)),
-                ("router_qps".to_string(), Json::Num(round2(router_qps))),
-                ("single_daemon_qps".to_string(), Json::Num(round2(single_qps))),
-                // CI pin 1: the fleet keeps a bounded fraction of
-                // single-daemon throughput despite the extra hop.
-                (
-                    "router_efficiency".to_string(),
-                    Json::Num(round4(router_qps / single_qps.max(1e-9))),
-                ),
-                // CI pin 2: almost no failures once the router has had a
-                // probe interval to absorb the shard kill.
-                (
-                    "router_kill_failure_rate".to_string(),
-                    Json::Num(round4(failure_rate)),
-                ),
-                (
-                    "router_kill_failed_total".to_string(),
-                    Json::Num(kill_failed as f64),
-                ),
-            ]),
-        ),
+    let kill_accounting = [
+        ("failed_requests", Json::Num(kill_failed as f64)),
+        ("requests_after_recovery", Json::Num(kill_after_recovery as f64)),
+        ("failed_after_recovery", Json::Num(kill_failed_after as f64)),
+        ("failure_rate", Json::Num(round4(failure_rate))),
+    ];
+    let results = [
+        ("single_daemon", 1, single_t, single_qps),
+        ("router", cfg.shards, router_t, router_qps),
+        ("router_kill", cfg.shards, kill_t, kill_qps),
+    ]
+    .map(|(engine, shards, t, qps)| {
+        let mut extra = vec![
+            ("connections", Json::Num(cfg.connections as f64)),
+            ("shards", Json::Num(shards as f64)),
+            ("replication", Json::Num(cfg.replication as f64)),
+            ("docs", Json::Num(docs as f64)),
+            ("qps", Json::Num(round2(qps))),
+        ];
+        if engine == "router_kill" {
+            extra.extend(kill_accounting.clone());
+        }
+        row("router_serving", engine, [DOC_NODES, total, window], t, extra)
+    });
+    let header = [
+        ("shards", Json::Num(cfg.shards as f64)),
+        ("replication", Json::Num(cfg.replication as f64)),
+        ("connections", Json::Num(cfg.connections as f64)),
+        ("pipeline", Json::Num(cfg.pipeline as f64)),
+        ("runs_per_cell", Json::Num(cfg.runs as f64)),
+    ];
+    document(header, results.into(), [
+        ("router_shards", Json::Num(cfg.shards as f64)),
+        ("router_qps", Json::Num(round2(router_qps))),
+        ("single_daemon_qps", Json::Num(round2(single_qps))),
+        // Headline claim 1: the fleet keeps a bounded fraction of
+        // single-daemon throughput despite the extra hop.
+        ("router_efficiency", Json::Num(round4(router_qps / single_qps.max(1e-9)))),
+        // Headline claim 2: almost no failures once the router has had a
+        // probe interval to absorb the shard kill.
+        ("router_kill_failure_rate", Json::Num(round4(failure_rate))),
+        ("router_kill_failed_total", Json::Num(kill_failed as f64)),
     ])
 }
 
-/// Validate an emitted `BENCH_*.json` document: it must parse, carry the
-/// schema marker, and every result row must have the expected keys.  Used by
-/// `experiments --check` (and so by CI) to keep the harness honest.
-pub fn validate_bench_json(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text)?;
+/// One client connection of the E16 load generator.
+type Client = (BufReader<TcpStream>, BufWriter<TcpStream>);
+
+/// Open `connections` client connections to `addr`, spread over at most 64
+/// threads (the generator must not itself become the scheduler load it
+/// measures), park the threads on a barrier, then run `work` on each
+/// thread's connections.  Returns every thread's result and the wall time
+/// from the barrier to the last thread's end: connection setup is not
+/// timed.
+fn drive_clients<T: Send>(
+    addr: SocketAddr,
+    connections: usize,
+    work: impl Fn(&mut [Client]) -> T + Sync,
+) -> (Vec<T>, Duration) {
+    let threads = connections.clamp(1, 64);
+    let barrier = std::sync::Barrier::new(threads + 1);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..threads)
+            .map(|k| {
+                let (barrier, work) = (&barrier, &work);
+                scope.spawn(move || {
+                    let mut conns: Vec<Client> = (0..(connections - k).div_ceil(threads))
+                        .map(|_| {
+                            let stream = TcpStream::connect(addr).expect("bench client connects");
+                            stream.set_nodelay(true).unwrap();
+                            (BufReader::new(stream.try_clone().unwrap()), BufWriter::new(stream))
+                        })
+                        .collect();
+                    barrier.wait();
+                    work(&mut conns)
+                })
+            })
+            .collect();
+        barrier.wait();
+        let start = std::time::Instant::now();
+        let results = clients.into_iter().map(|c| c.join().expect("bench client must not panic"));
+        (results.collect(), start.elapsed())
+    })
+}
+
+/// A sweep `experiments --bench <id>` runs: its EXPERIMENTS.md id, the file
+/// it writes unless `--out` says otherwise, and the runner at full or
+/// `--smoke` sizes.
+pub struct Sweep {
+    pub id: &'static str,
+    pub out: &'static str,
+    pub run: fn(smoke: bool) -> Json,
+}
+
+/// Every sweep `experiments --bench` runs.  E10 writes one document with
+/// E11 and E12 in it (the `BENCH_4.json` shape).  E15 is retired: its
+/// committed `BENCH_7.json` stays in [`EXPERIMENTS`] and [`CLAIMS`].
+pub const SWEEPS: [Sweep; 5] = [
+    Sweep { id: "E10", out: "BENCH_4.json", run: |s| run_regression(&pick(s), &pick(s), &pick(s)) },
+    Sweep { id: "E13", out: "BENCH_5.json", run: |s| run_corpus_bench(&pick(s)) },
+    Sweep { id: "E14", out: "BENCH_6.json", run: |s| run_lazy_bench(&pick(s)) },
+    Sweep { id: "E16", out: "BENCH_8.json", run: |s| run_router_bench(&pick(s)) },
+    Sweep { id: "E17", out: "BENCH_9.json", run: |s| run_incr_bench(&pick(s)) },
+];
+
+/// How the table judges one row or summary value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Val {
+    /// A finite number ≥ 0.
+    Num,
+    /// A finite number > 0.
+    Pos,
+    /// A finite number ≥ 0 and at most the same row's value of the named key.
+    AtMost(&'static str),
+    /// A string.
+    Str,
+    /// One of the listed strings.
+    OneOf(&'static [&'static str]),
+    /// The key must be absent.
+    Absent,
+}
+
+impl Val {
+    /// Why `value`, found in `row`, breaks this rule; `None` if it holds.
+    fn violation(self, value: Option<&Json>, row: &Json) -> Option<String> {
+        let Some(value) = value else {
+            return (self != Val::Absent).then(|| "is missing".to_string());
+        };
+        let num = value.as_f64().filter(|v| v.is_finite());
+        let (holds, expected) = match self {
+            Val::Num => (num.is_some_and(|v| v >= 0.0), "a number >= 0".to_string()),
+            Val::Pos => (num.is_some_and(|v| v > 0.0), "a number > 0".to_string()),
+            Val::AtMost(key) => (
+                num.zip(row.get(key).and_then(Json::as_f64))
+                    .is_some_and(|(v, max)| (0.0..=max).contains(&v)),
+                format!("a number in [0, {key}]"),
+            ),
+            Val::Str => (value.as_str().is_some(), "a string".to_string()),
+            Val::OneOf(allowed) => (
+                value.as_str().is_some_and(|s| allowed.contains(&s)),
+                format!("one of {allowed:?}"),
+            ),
+            Val::Absent => (false, "absent".to_string()),
+        };
+        (!holds).then(|| format!("= {} is not {expected}", value.render().trim_end()))
+    }
+}
+
+/// A key rows carry: every row of the experiment (`engine: None`) or the
+/// rows of one engine.
+#[derive(Debug, Clone, Copy)]
+pub struct RowKey {
+    pub engine: Option<&'static str>,
+    pub key: &'static str,
+    pub val: Val,
+}
+
+const fn every(key: &'static str, val: Val) -> RowKey {
+    RowKey { engine: None, key, val }
+}
+
+const fn only(engine: &'static str, key: &'static str, val: Val) -> RowKey {
+    RowKey { engine: Some(engine), key, val }
+}
+
+/// Keys every result row carries, whatever its experiment.
+pub const ROW_KEYS: [RowKey; 6] = [
+    every("experiment", Val::Str),
+    every("engine", Val::Str),
+    every("tree_size", Val::Num),
+    every("workload_queries", Val::Num),
+    every("workload_repeats", Val::Num),
+    every("median_us", Val::Num),
+];
+
+/// One experiment of the `ppl-xpath-bench/v1` schema, as
+/// [`validate_bench_json`] enforces it on the rows tagged with it.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The EXPERIMENTS.md id.
+    pub id: &'static str,
+    /// The rows' `experiment` value.
+    pub tag: &'static str,
+    /// The rows' `engine` values: each appears, and no other does.
+    pub engines: &'static [&'static str],
+    /// Row keys beyond [`ROW_KEYS`].
+    pub row_keys: &'static [RowKey],
+    /// Summary members of a document that has these rows.
+    pub summary_keys: &'static [(&'static str, Val)],
+    /// Whether rows at one `tree_size` report the same `answers`.
+    pub answers_agree: bool,
+}
+
+/// The experiment table: one entry per row tag.  E12 tags two row kinds;
+/// E15 is retired and kept for the committed `BENCH_7.json`.
+pub const EXPERIMENTS: [Experiment; 9] = {
+    use Val::*;
+    [
+        Experiment {
+            id: "E10",
+            tag: "repeated_query_workload",
+            engines: &["ppl_cached", "ppl_cold", "acq", "naive"],
+            row_keys: &[
+                every("answers", Num),
+                only("ppl_cached", "cache_hits", Num),
+                only("ppl_cached", "cache_misses", Num),
+            ],
+            summary_keys: &[
+                ("largest_tree_size", Pos),
+                ("cold_median_us", Num),
+                ("cached_median_us", Num),
+                ("cached_speedup", Num),
+            ],
+            answers_agree: false,
+        },
+        Experiment {
+            id: "E11",
+            tag: "kernel_ablation",
+            engines: &["kernel_dense", "kernel_adaptive", "kernel_adaptive_threaded"],
+            row_keys: &[every("answers", Num)],
+            summary_keys: &[
+                ("kernel_largest_tree_size", Pos),
+                ("kernel_dense_median_us", Num),
+                ("kernel_adaptive_median_us", Num),
+                ("kernel_adaptive_threaded_median_us", Num),
+                ("adaptive_speedup", Num),
+                ("adaptive_threaded_speedup", Num),
+            ],
+            answers_agree: true,
+        },
+        Experiment {
+            id: "E12",
+            tag: "planner",
+            engines: &["planner_auto", "planner_ppl", "planner_acq", "planner_hcl"],
+            row_keys: &[every("answers", Num), only("planner_auto", "chosen_engines", Str)],
+            summary_keys: &[
+                ("planner_tree_size", Pos),
+                ("planner_auto_us", Num),
+                ("planner_auto_choices", Str),
+            ],
+            answers_agree: true,
+        },
+        Experiment {
+            id: "E12",
+            tag: "concurrent_serving",
+            engines: &["serve_shared", "serve_isolated"],
+            row_keys: &[every("threads", Pos), every("answers", Num)],
+            summary_keys: &[
+                ("serve_tree_size", Pos),
+                ("serve_max_threads", Pos),
+                ("serve_shared_t1_us", Num),
+                ("serve_shared_tmax_us", Num),
+                ("serve_isolated_tmax_us", Num),
+                ("shared_vs_isolated_speedup", Num),
+                ("thread_scaling", Num),
+            ],
+            answers_agree: true,
+        },
+        Experiment {
+            id: "E13",
+            tag: "corpus_serving",
+            engines: &[
+                "corpus_pool",
+                "corpus_budget_half",
+                "corpus_budget_quarter",
+                "cold_rebuild",
+            ],
+            row_keys: &[
+                every("docs", Pos),
+                every("threads", Pos),
+                every("answers", Num),
+                every("pool_bytes", Num),
+                every("cache_evictions", Num),
+                every("session_evictions", Num),
+            ],
+            summary_keys: &[
+                ("corpus_docs", Pos),
+                ("corpus_working_set_bytes", Pos),
+                ("corpus_pool_us", Num),
+                ("corpus_cold_us", Num),
+                ("corpus_speedup", Num),
+                ("corpus_budget_half_us", Num),
+                ("corpus_budget_quarter_us", Num),
+                // The quarter-budget row's cache + session evictions: a
+                // budget that small must evict.
+                ("corpus_budget_quarter_evictions", Pos),
+            ],
+            answers_agree: true,
+        },
+        Experiment {
+            id: "E14",
+            tag: "lazy_large_documents",
+            engines: &["kernel_lazy", "kernel_adaptive_threaded"],
+            row_keys: &[
+                every("answers", Num),
+                every("store_bytes", Pos),
+                every("bytes_per_node", Pos),
+            ],
+            summary_keys: &[
+                ("lazy_largest_tree_size", Pos),
+                ("lazy_largest_us", Num),
+                ("lazy_pin_tree_size", Pos),
+                ("lazy_pin_us", Num),
+                ("eager_pin_us", Num),
+                ("lazy_speedup", Num),
+                ("lazy_bytes_per_node", Num),
+            ],
+            answers_agree: true,
+        },
+        Experiment {
+            id: "E15",
+            tag: "daemon_serving",
+            engines: &["daemon_epoll", "daemon_threads"],
+            row_keys: &[every("connections", Pos), every("workers", Pos), every("qps", Pos)],
+            summary_keys: &[
+                ("daemon_pin_conns", Pos),
+                ("daemon_epoll_pin_qps", Pos),
+                ("daemon_threads_pin_qps", Pos),
+                ("daemon_speedup", Pos),
+            ],
+            answers_agree: false,
+        },
+        Experiment {
+            id: "E16",
+            tag: "router_serving",
+            engines: &["single_daemon", "router", "router_kill"],
+            row_keys: &[
+                every("connections", Pos),
+                every("shards", Pos),
+                every("qps", Pos),
+                only("router_kill", "failed_requests", Num),
+                only("router_kill", "requests_after_recovery", Pos),
+                only("router_kill", "failed_after_recovery", AtMost("requests_after_recovery")),
+                only("router_kill", "failure_rate", Num),
+            ],
+            summary_keys: &[
+                ("router_shards", Pos),
+                ("router_qps", Pos),
+                ("single_daemon_qps", Pos),
+                ("router_efficiency", Pos),
+                ("router_kill_failure_rate", Num),
+            ],
+            answers_agree: false,
+        },
+        Experiment {
+            id: "E17",
+            tag: "incr_maintenance",
+            engines: &["edit_incremental", "edit_full"],
+            row_keys: &[
+                every("answers", Pos),
+                every("edits", Pos),
+                every("kernel", OneOf(&["adaptive_threaded", "lazy"])),
+                only("edit_incremental", "rows_total", Num),
+                only("edit_incremental", "rows_invalidated", AtMost("rows_total")),
+                only("edit_full", "rows_invalidated", Absent),
+            ],
+            summary_keys: &[
+                ("incr_pin_tree_size", Pos),
+                ("incr_pin_us", Pos),
+                ("full_pin_us", Pos),
+                ("incr_speedup", Pos),
+                ("incr_rows_invalidated", Num),
+                ("incr_rows_total", Num),
+                ("incr_rows_fraction", Num),
+                ("incr_largest_speedup", Pos),
+            ],
+            answers_agree: true,
+        },
+    ]
+};
+
+/// A comparison a [`Claim`] makes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Op {
+    Ge,
+    Gt,
+    Le,
+    Lt,
+}
+
+impl Op {
+    fn holds(self, value: f64, bound: f64) -> bool {
+        match self {
+            Op::Ge => value >= bound,
+            Op::Gt => value > bound,
+            Op::Le => value <= bound,
+            Op::Lt => value < bound,
+        }
+    }
+
+    fn symbol(self) -> &'static str {
+        match self {
+            Op::Ge => ">=",
+            Op::Gt => ">",
+            Op::Le => "<=",
+            Op::Lt => "<",
+        }
+    }
+}
+
+/// A claim a committed file makes: `key op bound`.  `key` is a summary
+/// member, `results[k=v,…]` (the number of rows matching every `k=v`), or
+/// `results[k=v,…].field` (the least `field` over those rows).
+#[derive(Debug, Clone, Copy)]
+pub struct Claim {
+    pub file: &'static str,
+    pub key: &'static str,
+    pub op: Op,
+    pub bound: f64,
+}
+
+const fn claim(file: &'static str, key: &'static str, op: Op, bound: f64) -> Claim {
+    Claim { file, key, op, bound }
+}
+
+/// The committed claims, keyed by file: a number in one `BENCH_*.json` says
+/// nothing about another (`BENCH_4.json` measures `adaptive_speedup` 1.92,
+/// so the ≥2× kernel claim is `BENCH_3.json`'s alone).
+pub const CLAIMS: [Claim; 25] = {
+    use Op::*;
+    [
+        claim("BENCH_2.json", "cached_speedup", Ge, 2.0),
+        claim("BENCH_3.json", "adaptive_speedup", Ge, 2.0),
+        claim("BENCH_3.json", "kernel_largest_tree_size", Ge, 960.0),
+        claim("BENCH_4.json", "shared_vs_isolated_speedup", Ge, 1.3),
+        claim("BENCH_4.json", "serve_max_threads", Ge, 8.0),
+        claim("BENCH_5.json", "corpus_speedup", Ge, 1.5),
+        claim("BENCH_5.json", "corpus_docs", Ge, 6.0),
+        claim("BENCH_6.json", "lazy_speedup", Ge, 1.5),
+        claim("BENCH_6.json", "lazy_bytes_per_node", Le, 512.0),
+        claim("BENCH_6.json", "lazy_largest_tree_size", Ge, 100_000.0),
+        claim("BENCH_6.json", "lazy_pin_tree_size", Ge, 10_000.0),
+        claim("BENCH_6.json", "results[engine=kernel_lazy,tree_size=10000]", Ge, 1.0),
+        claim("BENCH_6.json", "results[engine=kernel_lazy,tree_size=100000]", Ge, 1.0),
+        claim("BENCH_7.json", "daemon_pin_conns", Ge, 64.0),
+        claim("BENCH_7.json", "daemon_speedup", Ge, 1.5),
+        claim("BENCH_7.json", "results[engine=daemon_epoll]", Ge, 1.0),
+        claim("BENCH_7.json", "results[engine=daemon_threads]", Ge, 1.0),
+        claim("BENCH_8.json", "router_shards", Ge, 4.0),
+        claim("BENCH_8.json", "router_efficiency", Ge, 0.6),
+        claim("BENCH_8.json", "router_kill_failure_rate", Lt, 0.01),
+        claim("BENCH_8.json", "results[engine=router_kill].requests_after_recovery", Gt, 0.0),
+        claim("BENCH_9.json", "incr_pin_tree_size", Ge, 10_000.0),
+        claim("BENCH_9.json", "incr_speedup", Ge, 2.0),
+        claim("BENCH_9.json", "incr_rows_fraction", Gt, 0.0),
+        claim("BENCH_9.json", "incr_rows_fraction", Lt, 0.5),
+    ]
+};
+
+/// Whether `row` matches every `k=v` of a claim's `results[…]` selector.
+fn row_matches(row: &Json, selector: &str) -> bool {
+    selector.split(',').all(|kv| {
+        kv.split_once('=').is_some_and(|(k, v)| match row.get(k) {
+            Some(Json::Str(s)) => s == v,
+            Some(Json::Num(n)) => v.parse::<f64>() == Ok(*n),
+            _ => false,
+        })
+    })
+}
+
+/// The value a claim's `key` names in `doc` (see [`Claim`]).
+fn claim_value(doc: &Json, key: &str) -> Option<f64> {
+    let Some(rest) = key.strip_prefix("results[") else {
+        return doc.get("summary")?.get(key)?.as_f64();
+    };
+    let (selector, field) = rest.split_once(']')?;
+    let rows = doc.get("results")?.as_arr()?.iter().filter(|r| row_matches(r, selector));
+    match field.strip_prefix('.') {
+        None => Some(rows.count() as f64),
+        Some(field) => rows.filter_map(|r| r.get(field)?.as_f64()).reduce(f64::min),
+    }
+}
+
+/// Every way `doc` breaks the experiment table.
+fn table_violations(doc: &Json) -> Vec<String> {
+    let mut errors = Vec::new();
     if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("missing or wrong \"schema\" (expected {SCHEMA:?})"));
+        errors.push(format!("missing or wrong \"schema\" (expected {SCHEMA:?})"));
     }
-    let results = doc
-        .get("results")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"results\" array")?;
-    if results.is_empty() {
-        return Err("\"results\" is empty".into());
+    let rows = match doc.get("results").and_then(Json::as_arr) {
+        Some(rows) if !rows.is_empty() => rows,
+        _ => {
+            errors.push("missing or empty \"results\" array".into());
+            return errors;
+        }
+    };
+    fn text<'a>(row: &'a Json, key: &str) -> &'a str {
+        row.get(key).and_then(Json::as_str).unwrap_or("")
     }
-    let mut engines_seen: Vec<String> = Vec::new();
-    for (i, row) in results.iter().enumerate() {
-        for key in ROW_KEYS {
-            row.get(key).ok_or(format!("results[{i}] is missing {key:?}"))?;
+    let mut present: Vec<&Experiment> = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let (tag, engine) = (text(row, "experiment"), text(row, "engine"));
+        let Some(exp) = EXPERIMENTS.iter().find(|e| e.tag == tag) else {
+            errors.push(format!("results[{i}] has unknown experiment {tag:?}"));
+            continue;
+        };
+        if !present.iter().any(|e| e.tag == tag) {
+            present.push(exp);
         }
-        let median = row
-            .get("median_us")
-            .and_then(Json::as_f64)
-            .ok_or(format!("results[{i}].median_us is not a number"))?;
-        if !median.is_finite() || median < 0.0 {
-            return Err(format!("results[{i}].median_us = {median} is not a valid timing"));
+        if !exp.engines.contains(&engine) {
+            errors.push(format!("results[{i}]: {engine:?} is not a {tag} engine"));
         }
-        if let Some(engine) = row.get("engine").and_then(Json::as_str) {
-            if !engines_seen.iter().any(|e| e == engine) {
-                engines_seen.push(engine.to_string());
+        for rk in ROW_KEYS.iter().chain(exp.row_keys) {
+            if rk.engine.is_none_or(|e| e == engine) {
+                if let Some(why) = rk.val.violation(row.get(rk.key), row) {
+                    errors.push(format!("results[{i}] ({tag}/{engine}).{} {why}", rk.key));
+                }
             }
         }
     }
-    let experiment_of = |row: &Json| {
-        row.get("experiment")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-    };
-    let has_e10 = results
-        .iter()
-        .any(|r| experiment_of(r).as_deref() == Some("repeated_query_workload"));
-    let corpus_rows: Vec<&Json> = results
-        .iter()
-        .filter(|r| experiment_of(r).as_deref() == Some("corpus_serving"))
-        .collect();
-    let lazy_rows: Vec<&Json> = results
-        .iter()
-        .filter(|r| experiment_of(r).as_deref() == Some("lazy_large_documents"))
-        .collect();
-    let daemon_rows: Vec<&Json> = results
-        .iter()
-        .filter(|r| experiment_of(r).as_deref() == Some("daemon_serving"))
-        .collect();
-    let router_rows: Vec<&Json> = results
-        .iter()
-        .filter(|r| experiment_of(r).as_deref() == Some("router_serving"))
-        .collect();
-    let incr_rows: Vec<&Json> = results
-        .iter()
-        .filter(|r| experiment_of(r).as_deref() == Some("incr_maintenance"))
-        .collect();
-    if has_e10 as usize
-        + (!corpus_rows.is_empty()) as usize
-        + (!lazy_rows.is_empty()) as usize
-        + (!daemon_rows.is_empty()) as usize
-        + (!router_rows.is_empty()) as usize
-        + (!incr_rows.is_empty()) as usize
-        == 0
-    {
-        return Err(
-            "no repeated_query_workload, corpus_serving, lazy_large_documents, \
-             daemon_serving, router_serving or incr_maintenance rows in \"results\""
-                .into(),
+    let summary = doc.get("summary");
+    for exp in present {
+        let tagged: Vec<&Json> = rows.iter().filter(|r| text(r, "experiment") == exp.tag).collect();
+        for engine in exp.engines {
+            if !tagged.iter().any(|r| text(r, "engine") == *engine) {
+                errors.push(format!("{} rows present but no {engine:?} rows", exp.tag));
+            }
+        }
+        if exp.answers_agree {
+            let mut first: Vec<(f64, f64)> = Vec::new();
+            for r in &tagged {
+                let (Some(size), Some(answers)) = (
+                    r.get("tree_size").and_then(Json::as_f64),
+                    r.get("answers").and_then(Json::as_f64),
+                ) else {
+                    continue;
+                };
+                match first.iter().find(|(s, _)| *s == size) {
+                    None => first.push((size, answers)),
+                    Some(&(_, a)) if a != answers => errors.push(format!(
+                        "{} rows at tree_size {size} disagree on answers ({a} vs {answers})",
+                        exp.tag
+                    )),
+                    Some(_) => {}
+                }
+            }
+        }
+        for &(key, val) in exp.summary_keys {
+            if let Some(why) = val.violation(summary.and_then(|s| s.get(key)), &Json::Null) {
+                errors.push(format!("summary.{key} {why}"));
+            }
+        }
+    }
+    errors
+}
+
+/// Check `text`, the contents of a file named `name`, against the table and
+/// against every claim [`CLAIMS`] keys by `name`.  Returns the number of
+/// claims checked, or every violation.
+pub fn check_file(name: &str, text: &str) -> Result<usize, String> {
+    let doc = Json::parse(text)?;
+    let mut errors = table_violations(&doc);
+    let claims: Vec<&Claim> = CLAIMS.iter().filter(|c| c.file == name).collect();
+    for c in &claims {
+        let stated = format!("claim {} {} {}", c.key, c.op.symbol(), c.bound);
+        match claim_value(&doc, c.key) {
+            None => errors.push(format!("{stated}: no such value")),
+            Some(v) if !c.op.holds(v, c.bound) => errors.push(format!("{stated} fails: {v}")),
+            Some(_) => {}
+        }
+    }
+    match errors.is_empty() {
+        true => Ok(claims.len()),
+        false => Err(errors.join("; ")),
+    }
+}
+
+/// Validate an emitted document against the experiment table (no claims):
+/// what every `experiments --bench` run checks before it writes its file.
+pub fn validate_bench_json(text: &str) -> Result<(), String> {
+    check_file("", text).map(|_| ())
+}
+
+/// [`check_file`] on every `BENCH_*.json` in `dir` and on every file a claim
+/// names, in name order: `experiments --check` with no path, run from the
+/// repository root.
+pub fn check_committed(dir: &std::path::Path) -> Vec<(String, Result<usize, String>)> {
+    let mut names: Vec<String> = CLAIMS.iter().map(|c| c.file.to_string()).collect();
+    if let Ok(entries) = std::fs::read_dir(dir) {
+        names.extend(
+            entries
+                .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json")),
         );
     }
-    let summary = doc.get("summary").ok_or("missing \"summary\"")?;
-    if has_e10 {
-        for required in ["ppl_cached", "ppl_cold"] {
-            if !engines_seen.iter().any(|e| e == required) {
-                return Err(format!("no {required:?} rows in \"results\""));
-            }
-        }
-        for key in ["largest_tree_size", "cold_median_us", "cached_median_us", "cached_speedup"] {
-            summary
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("summary.{key} missing or not a number"))?;
-        }
-    }
-    // E13 corpus documents must sweep the pooled, budgeted and cold-rebuild
-    // serving modes, tag every row with the document count, and summarise
-    // the pooled-vs-cold ratio.
-    if !corpus_rows.is_empty() {
-        for required in ["corpus_pool", "cold_rebuild", "corpus_budget_half", "corpus_budget_quarter"] {
-            if !engines_seen.iter().any(|e| e == required) {
-                return Err(format!("corpus rows present but no {required:?} rows"));
-            }
-        }
-        for (i, row) in corpus_rows.iter().enumerate() {
-            for key in ["docs", "threads", "answers", "pool_bytes"] {
-                let value = row
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("corpus row {i} is missing \"{key}\""))?;
-                if !value.is_finite() || value < 0.0 {
-                    return Err(format!("corpus row {i} has invalid {key} = {value}"));
-                }
-            }
-        }
-        for key in [
-            "corpus_docs",
-            "corpus_working_set_bytes",
-            "corpus_pool_us",
-            "corpus_cold_us",
-            "corpus_speedup",
-            "corpus_budget_half_us",
-            "corpus_budget_quarter_us",
-            "corpus_budget_quarter_evictions",
-        ] {
-            let value = summary
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("summary.{key} missing or not a number"))?;
-            if !value.is_finite() || value < 0.0 {
-                return Err(format!("summary.{key} = {value} is not valid"));
-            }
-        }
-    }
-    // E14 lazy documents must carry both the lazy rows and the eager
-    // baseline, account store occupancy per row, and summarise the two
-    // pinned claims (speedup at the pin size, bytes/node ceiling).
-    if !lazy_rows.is_empty() {
-        for (_, required) in LAZY_MODES {
-            if !engines_seen.iter().any(|e| e == required) {
-                return Err(format!("lazy rows present but no {required:?} rows"));
-            }
-        }
-        for (i, row) in lazy_rows.iter().enumerate() {
-            for key in ["answers", "store_bytes", "bytes_per_node"] {
-                let value = row
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("lazy row {i} is missing \"{key}\""))?;
-                if !value.is_finite() || value < 0.0 {
-                    return Err(format!("lazy row {i} has invalid {key} = {value}"));
-                }
-            }
-        }
-        for key in [
-            "lazy_largest_tree_size",
-            "lazy_pin_tree_size",
-            "lazy_pin_us",
-            "eager_pin_us",
-            "lazy_speedup",
-            "lazy_bytes_per_node",
-        ] {
-            let value = summary
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("summary.{key} missing or not a number"))?;
-            if !value.is_finite() || value < 0.0 {
-                return Err(format!("summary.{key} = {value} is not valid"));
-            }
-        }
-    }
-    // E15 daemon documents must sweep the serving loop, tag every row with
-    // its connection count and throughput, and summarise the QPS pin.
-    if !daemon_rows.is_empty() {
-        if !engines_seen.iter().any(|e| e == DAEMON_ROW) {
-            return Err(format!("daemon rows present but no {DAEMON_ROW:?} rows"));
-        }
-        for (i, row) in daemon_rows.iter().enumerate() {
-            for key in ["connections", "workers", "qps"] {
-                let value = row
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("daemon row {i} is missing \"{key}\""))?;
-                if !value.is_finite() || value <= 0.0 {
-                    return Err(format!("daemon row {i} has invalid {key} = {value}"));
-                }
-            }
-        }
-        for key in ["daemon_pin_conns", "daemon_epoll_pin_qps"] {
-            let value = summary
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("summary.{key} missing or not a number"))?;
-            if !value.is_finite() || value <= 0.0 {
-                return Err(format!("summary.{key} = {value} is not valid"));
-            }
-        }
-    }
-    // E16 router documents must carry the single-daemon baseline, the
-    // healthy router row and the shard-kill row, tag every row with its
-    // shard count and throughput, and summarise the efficiency and
-    // failure-rate pins.
-    if !router_rows.is_empty() {
-        for required in ROUTER_MODES {
-            if !engines_seen.iter().any(|e| e == required) {
-                return Err(format!("router rows present but no {required:?} rows"));
-            }
-        }
-        for (i, row) in router_rows.iter().enumerate() {
-            for key in ["connections", "shards", "qps"] {
-                let value = row
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("router row {i} is missing \"{key}\""))?;
-                if !value.is_finite() || value <= 0.0 {
-                    return Err(format!("router row {i} has invalid {key} = {value}"));
-                }
-            }
-            if row.get("engine").and_then(Json::as_str) == Some("router_kill") {
-                for key in ["failed_requests", "requests_after_recovery", "failure_rate"] {
-                    let value = row
-                        .get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or(format!("router kill row is missing \"{key}\""))?;
-                    if !value.is_finite() || value < 0.0 {
-                        return Err(format!("router kill row has invalid {key} = {value}"));
-                    }
-                }
-            }
-        }
-        for key in [
-            "router_shards",
-            "router_qps",
-            "single_daemon_qps",
-            "router_efficiency",
-            "router_kill_failure_rate",
-        ] {
-            let value = summary
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("summary.{key} missing or not a number"))?;
-            // The kill failure rate is legitimately 0.0; everything else
-            // must be strictly positive.
-            let floor_ok =
-                value >= 0.0 && (key == "router_kill_failure_rate" || value > 0.0);
-            if !value.is_finite() || !floor_ok {
-                return Err(format!("summary.{key} = {value} is not valid"));
-            }
-        }
-    }
-    // E17 incremental-maintenance documents must carry both arms, count
-    // answers and edits per row, account the invalidated-row locality on the
-    // incremental rows, and summarise the speedup and row-fraction pins.
-    if !incr_rows.is_empty() {
-        for required in INCR_MODES {
-            if !engines_seen.iter().any(|e| e == required) {
-                return Err(format!("incr rows present but no {required:?} rows"));
-            }
-        }
-        for (i, row) in incr_rows.iter().enumerate() {
-            for key in ["answers", "edits"] {
-                let value = row
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("incr row {i} is missing \"{key}\""))?;
-                if !value.is_finite() || value <= 0.0 {
-                    return Err(format!("incr row {i} has invalid {key} = {value}"));
-                }
-            }
-            if row.get("engine").and_then(Json::as_str) == Some("edit_incremental") {
-                for key in ["rows_invalidated", "rows_total"] {
-                    let value = row
-                        .get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or(format!("incr row {i} is missing \"{key}\""))?;
-                    if !value.is_finite() || value < 0.0 {
-                        return Err(format!("incr row {i} has invalid {key} = {value}"));
-                    }
-                }
-            }
-        }
-        for key in [
-            "incr_pin_tree_size",
-            "incr_pin_us",
-            "full_pin_us",
-            "incr_speedup",
-            "incr_rows_invalidated",
-            "incr_rows_total",
-            "incr_rows_fraction",
-            "incr_largest_speedup",
-        ] {
-            let value = summary
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("summary.{key} missing or not a number"))?;
-            // Row invalidation counts can legitimately be 0 on a relabel-only
-            // round; the timings and the speedups must be strictly positive.
-            let floor_ok = value >= 0.0
-                && (key.starts_with("incr_rows") || value > 0.0);
-            if !value.is_finite() || !floor_ok {
-                return Err(format!("summary.{key} = {value} is not valid"));
-            }
-        }
-    }
-    // Documents carrying E12 planner rows must sweep auto plus every forced
-    // engine; serving rows must come in shared/isolated pairs with a
-    // threads column, and the summary must carry the serving ratios.
-    let has_planner = results.iter().any(|r| {
-        r.get("experiment").and_then(Json::as_str) == Some("planner")
-    });
-    if has_planner {
-        for (_, required) in PLANNER_MODES {
-            if !engines_seen.iter().any(|e| e == required) {
-                return Err(format!("planner rows present but no {required:?} rows"));
-            }
-        }
-    }
-    let serving: Vec<&Json> = results
-        .iter()
-        .filter(|r| r.get("experiment").and_then(Json::as_str) == Some("concurrent_serving"))
-        .collect();
-    if !serving.is_empty() {
-        for required in ["serve_shared", "serve_isolated"] {
-            if !engines_seen.iter().any(|e| e == required) {
-                return Err(format!("serving rows present but no {required:?} rows"));
-            }
-        }
-        for (i, row) in serving.iter().enumerate() {
-            let threads = row
-                .get("threads")
-                .and_then(Json::as_f64)
-                .ok_or(format!("serving row {i} is missing \"threads\""))?;
-            if threads < 1.0 {
-                return Err(format!("serving row {i} has invalid threads = {threads}"));
-            }
-        }
-        let summary = doc.get("summary").ok_or("missing \"summary\"")?;
-        for key in [
-            "serve_max_threads",
-            "serve_shared_t1_us",
-            "serve_shared_tmax_us",
-            "serve_isolated_tmax_us",
-            "shared_vs_isolated_speedup",
-            "thread_scaling",
-        ] {
-            let value = summary
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("summary.{key} missing or not a number"))?;
-            if !value.is_finite() || value < 0.0 {
-                return Err(format!("summary.{key} = {value} is not valid"));
-            }
-        }
-    }
-    // Documents carrying E11 kernel-ablation rows must sweep every kernel
-    // mode and summarise the adaptive-vs-dense ratio.
-    let has_ablation = results.iter().any(|r| {
-        r.get("experiment").and_then(Json::as_str) == Some("kernel_ablation")
-    });
-    if has_ablation {
-        for (_, required) in KERNEL_MODES {
-            if !engines_seen.iter().any(|e| e == required) {
-                return Err(format!("kernel ablation rows present but no {required:?} rows"));
-            }
-        }
-        for key in ["kernel_largest_tree_size", "adaptive_speedup", "adaptive_threaded_speedup"] {
-            let value = summary
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("summary.{key} missing or not a number"))?;
-            if !value.is_finite() || value < 0.0 {
-                return Err(format!("summary.{key} = {value} is not a valid ratio"));
-            }
-        }
-    }
-    Ok(())
+    names.sort();
+    names.dedup();
+    names
+        .into_iter()
+        .map(|name| {
+            let result = std::fs::read_to_string(dir.join(&name))
+                .map_err(|e| format!("cannot read: {e}"))
+                .and_then(|text| check_file(&name, &text));
+            (name, result)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -2394,33 +1982,41 @@ mod tests {
         assert!(union_free < suite.len());
     }
 
-    #[test]
-    fn smoke_regression_emits_a_valid_document() {
-        let doc = run_regression(&RegressConfig::smoke());
+    /// `doc` rendered, validated against the table and parsed back.
+    fn validated(doc: Json) -> Json {
         let text = doc.render();
         validate_bench_json(&text).unwrap();
+        Json::parse(&text).unwrap()
+    }
+
+    fn smoke_regression() -> Json {
+        let (cfg, kernels, serve) = (Sizes::smoke(), Sizes::smoke(), Sizes::smoke());
+        validated(run_regression(&cfg, &kernels, &serve))
+    }
+
+    /// The [`EXPERIMENTS`] entry of row tag `tag`.
+    fn experiment(tag: &str) -> &'static Experiment {
+        EXPERIMENTS.iter().find(|e| e.tag == tag).unwrap()
+    }
+
+    fn results(doc: &Json) -> &[Json] {
+        doc.get("results").and_then(Json::as_arr).unwrap()
+    }
+
+    fn engine(row: &Json) -> &str {
+        row.get("engine").and_then(Json::as_str).unwrap()
+    }
+
+    #[test]
+    fn smoke_regression_emits_a_valid_document() {
+        let parsed = smoke_regression();
         // The smoke sweep must exercise every engine, including naive.
-        let parsed = Json::parse(&text).unwrap();
-        let engines: Vec<&str> = parsed
-            .get("results")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .filter_map(|r| r.get("engine").and_then(Json::as_str))
-            .collect();
+        let engines: Vec<&str> = results(&parsed).iter().map(engine).collect();
         for required in ["ppl_cached", "ppl_cold", "acq", "naive"] {
             assert!(engines.contains(&required), "missing engine {required}");
         }
         // Cached rows expose the cache counters.
-        let cached_row = parsed
-            .get("results")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .find(|r| r.get("engine").and_then(Json::as_str) == Some("ppl_cached"))
-            .unwrap();
+        let cached_row = results(&parsed).iter().find(|r| engine(r) == "ppl_cached").unwrap();
         assert!(cached_row.get("cache_hits").and_then(Json::as_f64).unwrap() > 0.0);
     }
 
@@ -2450,18 +2046,11 @@ mod tests {
 
     #[test]
     fn smoke_regression_with_kernels_emits_ablation_rows() {
-        let doc = run_regression_with_kernels(&RegressConfig::smoke(), &KernelConfig::smoke());
-        let text = doc.render();
-        validate_bench_json(&text).unwrap();
-        let parsed = Json::parse(&text).unwrap();
-        let engines: Vec<&str> = parsed
-            .get("results")
-            .unwrap()
-            .as_arr()
-            .unwrap()
+        let parsed = smoke_regression();
+        let engines: Vec<&str> = results(&parsed)
             .iter()
             .filter(|r| r.get("experiment").and_then(Json::as_str) == Some("kernel_ablation"))
-            .filter_map(|r| r.get("engine").and_then(Json::as_str))
+            .map(engine)
             .collect();
         for (_, name) in KERNEL_MODES {
             assert!(engines.contains(&name), "missing {name} rows");
@@ -2472,20 +2061,10 @@ mod tests {
 
     #[test]
     fn smoke_full_regression_emits_planner_and_serving_rows() {
-        let doc = run_regression_full(
-            &RegressConfig::smoke(),
-            &KernelConfig::smoke(),
-            &ServeConfig::smoke(),
-        );
-        let text = doc.render();
-        validate_bench_json(&text).unwrap();
-        let parsed = Json::parse(&text).unwrap();
-        let rows = parsed.get("results").unwrap().as_arr().unwrap();
+        let parsed = smoke_regression();
+        let rows = results(&parsed);
         for (_, name) in PLANNER_MODES {
-            assert!(
-                rows.iter().any(|r| r.get("engine").and_then(Json::as_str) == Some(name)),
-                "missing {name} rows"
-            );
+            assert!(rows.iter().any(|r| engine(r) == name), "missing {name} rows");
         }
         let serving: Vec<_> = rows
             .iter()
@@ -2509,65 +2088,11 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_serving_rows_without_summary_keys() {
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [\
-             {{\"experiment\": \"repeated_query_workload\", \"engine\": \"ppl_cached\", \
-               \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-               \"median_us\": 1.0}},\
-             {{\"experiment\": \"repeated_query_workload\", \"engine\": \"ppl_cold\", \
-               \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-               \"median_us\": 1.0}},\
-             {{\"experiment\": \"concurrent_serving\", \"engine\": \"serve_shared\", \
-               \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-               \"threads\": 1, \"median_us\": 1.0}},\
-             {{\"experiment\": \"concurrent_serving\", \"engine\": \"serve_isolated\", \
-               \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-               \"threads\": 1, \"median_us\": 1.0}}],\
-             \"summary\": {{\"largest_tree_size\": 1, \"cold_median_us\": 1, \
-             \"cached_median_us\": 1, \"cached_speedup\": 1}}}}"
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("serve") || err.contains("shared"), "{err}");
-        // A serving row without a threads column is rejected too.
-        let no_threads = doc.replace("\"threads\": 1, ", "");
-        let err = validate_bench_json(&no_threads).unwrap_err();
-        assert!(err.contains("threads"), "{err}");
-    }
-
-    #[test]
-    fn validator_rejects_kernel_documents_without_summary_ratios() {
-        // An ablation row without the kernel summary keys must fail.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [\
-             {{\"experiment\": \"repeated_query_workload\", \"engine\": \"ppl_cached\", \
-               \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-               \"median_us\": 1.0}},\
-             {{\"experiment\": \"repeated_query_workload\", \"engine\": \"ppl_cold\", \
-               \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-               \"median_us\": 1.0}},\
-             {{\"experiment\": \"kernel_ablation\", \"engine\": \"kernel_dense\", \
-               \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-               \"median_us\": 1.0}}],\
-             \"summary\": {{\"largest_tree_size\": 1, \"cold_median_us\": 1, \
-             \"cached_median_us\": 1, \"cached_speedup\": 1}}}}"
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("kernel"), "{err}");
-    }
-
-    #[test]
     fn smoke_corpus_bench_emits_a_valid_document() {
-        let doc = run_corpus_bench(&CorpusBenchConfig::smoke());
-        let text = doc.render();
-        validate_bench_json(&text).unwrap();
-        let parsed = Json::parse(&text).unwrap();
-        let rows = parsed.get("results").unwrap().as_arr().unwrap();
+        let parsed = validated(run_corpus_bench(&CorpusBenchConfig::smoke()));
+        let rows = results(&parsed);
         for (_, name) in CORPUS_MODES {
-            assert!(
-                rows.iter().any(|r| r.get("engine").and_then(Json::as_str) == Some(name)),
-                "missing {name} rows"
-            );
+            assert!(rows.iter().any(|r| engine(r) == name), "missing {name} rows");
         }
         // All serving modes agree on the answer total.
         let answers: Vec<f64> = rows
@@ -2577,10 +2102,7 @@ mod tests {
         assert_eq!(answers.len(), CORPUS_MODES.len() + 1, "corpus modes + cold_rebuild");
         assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
         // Budgeted rows must actually evict.
-        let quarter = rows
-            .iter()
-            .find(|r| r.get("engine").and_then(Json::as_str) == Some("corpus_budget_quarter"))
-            .unwrap();
+        let quarter = rows.iter().find(|r| engine(r) == "corpus_budget_quarter").unwrap();
         let evictions = quarter.get("cache_evictions").and_then(Json::as_f64).unwrap()
             + quarter.get("session_evictions").and_then(Json::as_f64).unwrap();
         assert!(evictions > 0.0, "a quarter budget must evict");
@@ -2590,67 +2112,23 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_corpus_documents_without_summary_keys() {
-        let row = |engine: &str| {
-            format!(
-                "{{\"experiment\": \"corpus_serving\", \"engine\": \"{engine}\", \
-                 \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-                 \"docs\": 1, \"threads\": 1, \"answers\": 1, \"pool_bytes\": 0, \
-                 \"median_us\": 1.0}}"
-            )
-        };
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}, {}, {}, {}], \
-             \"summary\": {{\"corpus_docs\": 1}}}}",
-            row("corpus_pool"),
-            row("corpus_budget_half"),
-            row("corpus_budget_quarter"),
-            row("cold_rebuild"),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("corpus_"), "{err}");
-        // A corpus document missing a serving mode is rejected.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}], \
-             \"summary\": {{\"corpus_docs\": 1}}}}",
-            row("corpus_pool"),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("cold_rebuild"), "{err}");
-        // A document with neither E10 nor corpus rows is rejected outright.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [\
-             {{\"experiment\": \"other\", \"engine\": \"x\", \"tree_size\": 1, \
-               \"workload_queries\": 1, \"workload_repeats\": 1, \"median_us\": 1.0}}], \
-             \"summary\": {{}}}}"
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("corpus_serving"), "{err}");
-    }
-
-    #[test]
     fn lazy_bench_emits_a_valid_document_at_tiny_sizes() {
-        // Not `LazyBenchConfig::smoke()` — its 10k documents are sized for
-        // the release-built CI harness, not the debug test profile.
+        // The `--smoke` sweep pins at the committed claim's |t| = 10k.
+        let smoke = LazyBenchConfig::smoke();
+        assert!(smoke.tree_sizes.contains(&10_000) && smoke.eager_max_size >= 10_000);
+        // Not `LazyBenchConfig::smoke()` itself — its 10k documents are
+        // sized for the release-built harness, not the debug test profile.
         let cfg = LazyBenchConfig {
             tree_sizes: vec![300, 600],
             eager_max_size: 300,
             runs: 1,
         };
-        let doc = run_lazy_bench(&cfg);
-        let text = doc.render();
-        validate_bench_json(&text).unwrap();
-        let parsed = Json::parse(&text).unwrap();
-        let rows = parsed.get("results").unwrap().as_arr().unwrap();
+        let parsed = validated(run_lazy_bench(&cfg));
+        let rows = results(&parsed);
         // Lazy at both sizes, eager only at the pin size.
         let engine_sizes: Vec<(&str, f64)> = rows
             .iter()
-            .map(|r| {
-                (
-                    r.get("engine").and_then(Json::as_str).unwrap(),
-                    r.get("tree_size").and_then(Json::as_f64).unwrap(),
-                )
-            })
+            .map(|r| (engine(r), r.get("tree_size").and_then(Json::as_f64).unwrap()))
             .collect();
         assert!(engine_sizes.contains(&("kernel_lazy", 300.0)));
         assert!(engine_sizes.contains(&("kernel_lazy", 600.0)));
@@ -2672,61 +2150,20 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_lazy_documents_without_summary_keys() {
-        let row = |engine: &str| {
-            format!(
-                "{{\"experiment\": \"lazy_large_documents\", \"engine\": \"{engine}\", \
-                 \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-                 \"answers\": 1, \"store_bytes\": 1, \"bytes_per_node\": 1, \
-                 \"median_us\": 1.0}}"
-            )
-        };
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}, {}], \
-             \"summary\": {{\"lazy_largest_tree_size\": 1}}}}",
-            row("kernel_lazy"),
-            row("kernel_adaptive_threaded"),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("lazy_"), "{err}");
-        // A lazy document without the eager baseline is rejected.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}], \
-             \"summary\": {{\"lazy_largest_tree_size\": 1}}}}",
-            row("kernel_lazy"),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("kernel_adaptive_threaded"), "{err}");
-        // A lazy row without store accounting is rejected.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}, {}], \
-             \"summary\": {{\"lazy_largest_tree_size\": 1, \"lazy_pin_tree_size\": 1, \
-             \"lazy_pin_us\": 1, \"eager_pin_us\": 1, \"lazy_speedup\": 1, \
-             \"lazy_bytes_per_node\": 1}}}}",
-            row("kernel_lazy").replace("\"store_bytes\": 1, ", ""),
-            row("kernel_adaptive_threaded"),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("store_bytes"), "{err}");
-    }
-
-    #[test]
     fn incr_bench_emits_a_valid_document_at_tiny_sizes() {
         // Not `IncrBenchConfig::smoke()` — its documents are sized for the
-        // release-built CI harness, not the debug test profile.
+        // release-built harness, not the debug test profile.
         let cfg = IncrBenchConfig {
             tree_sizes: vec![300],
             lazy_min_size: 100_000,
             runs: 1,
         };
-        let doc = run_incr_bench(&cfg);
-        let text = doc.render();
-        validate_bench_json(&text).unwrap();
-        let parsed = Json::parse(&text).unwrap();
-        let rows = parsed.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), INCR_MODES.len());
-        for (row, name) in rows.iter().zip(INCR_MODES) {
-            assert_eq!(row.get("engine").and_then(Json::as_str), Some(name));
+        let parsed = validated(run_incr_bench(&cfg));
+        let rows = results(&parsed);
+        let arms = experiment("incr_maintenance").engines;
+        assert_eq!(rows.len(), arms.len());
+        for (row, name) in rows.iter().zip(arms) {
+            assert_eq!(engine(row), *name);
             assert!(row.get("answers").and_then(Json::as_f64).unwrap() > 0.0);
             assert_eq!(row.get("edits").and_then(Json::as_f64), Some(1.0));
         }
@@ -2746,178 +2183,170 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_incr_documents_without_summary_keys() {
-        let row = |engine: &str, locality: &str| {
-            format!(
-                "{{\"experiment\": \"incr_maintenance\", \"engine\": \"{engine}\", \
-                 \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-                 \"answers\": 1, \"edits\": 3, {locality}\"median_us\": 1.0}}"
-            )
-        };
-        let rows = format!(
-            "{}, {}",
-            row("edit_incremental", "\"rows_invalidated\": 1, \"rows_total\": 10, "),
-            row("edit_full", ""),
-        );
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{rows}], \
-             \"summary\": {{\"incr_pin_tree_size\": 1}}}}"
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("incr_"), "{err}");
-        // An incr document without the full-recompile baseline is rejected.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}], \
-             \"summary\": {{\"incr_pin_tree_size\": 1}}}}",
-            row("edit_incremental", "\"rows_invalidated\": 1, \"rows_total\": 10, "),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("edit_full"), "{err}");
-        // An incremental row without locality accounting is rejected.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}, {}], \
-             \"summary\": {{\"incr_pin_tree_size\": 1, \"incr_pin_us\": 1, \
-             \"full_pin_us\": 1, \"incr_speedup\": 1, \"incr_rows_invalidated\": 1, \
-             \"incr_rows_total\": 10, \"incr_rows_fraction\": 0.1, \
-             \"incr_largest_speedup\": 1}}}}",
-            row("edit_incremental", ""),
-            row("edit_full", ""),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("rows_invalidated"), "{err}");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn smoke_daemon_bench_emits_a_valid_document() {
-        let doc = run_daemon_bench(&DaemonBenchConfig::smoke());
-        let text = doc.render();
-        validate_bench_json(&text).unwrap();
-        let parsed = Json::parse(&text).unwrap();
-        let rows = parsed.get("results").unwrap().as_arr().unwrap();
-        // One serving-loop row per swept connection count.
-        assert_eq!(rows.len(), DaemonBenchConfig::smoke().connections.len());
-        for row in rows {
-            assert_eq!(row.get("engine").and_then(Json::as_str), Some(DAEMON_ROW));
-            assert!(row.get("qps").and_then(Json::as_f64).unwrap() > 0.0);
-            assert!(row.get("connections").and_then(Json::as_f64).unwrap() >= 1.0);
-        }
-        let summary = parsed.get("summary").unwrap();
-        assert_eq!(summary.get("daemon_pin_conns").and_then(Json::as_f64), Some(8.0));
-        assert!(summary.get("daemon_epoll_pin_qps").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(summary.get("daemon_speedup").is_none(), "no threads baseline is run");
-    }
-
-    #[test]
-    fn validator_rejects_daemon_documents_without_summary_keys() {
-        let row = |engine: &str| {
-            format!(
-                "{{\"experiment\": \"daemon_serving\", \"engine\": \"{engine}\", \
-                 \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-                 \"connections\": 1, \"workers\": 1, \"qps\": 1, \"median_us\": 1.0}}"
-            )
-        };
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}, {}], \
-             \"summary\": {{\"daemon_pin_conns\": 1}}}}",
-            row("daemon_epoll"),
-            row("daemon_threads"),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("daemon_"), "{err}");
-        // A daemon document without serving-loop rows is rejected.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}], \
-             \"summary\": {{\"daemon_pin_conns\": 1, \"daemon_epoll_pin_qps\": 1}}}}",
-            row("daemon_threads"),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("daemon_epoll"), "{err}");
-        // A daemon row without a throughput column is rejected.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}], \
-             \"summary\": {{\"daemon_pin_conns\": 1, \"daemon_epoll_pin_qps\": 1}}}}",
-            row("daemon_epoll").replace("\"qps\": 1, ", ""),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("qps"), "{err}");
-    }
-
-    #[test]
     fn smoke_router_bench_emits_a_valid_document() {
-        let doc = run_router_bench(&RouterBenchConfig::smoke());
-        let text = doc.render();
-        validate_bench_json(&text).unwrap();
-        let parsed = Json::parse(&text).unwrap();
-        let rows = parsed.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), ROUTER_MODES.len());
-        for name in ROUTER_MODES {
-            assert!(
-                rows.iter().any(|r| r.get("engine").and_then(Json::as_str) == Some(name)),
-                "missing {name} row"
-            );
+        let parsed = validated(run_router_bench(&RouterBenchConfig::smoke()));
+        let rows = results(&parsed);
+        let modes = experiment("router_serving").engines;
+        assert_eq!(rows.len(), modes.len());
+        for name in modes {
+            assert!(rows.iter().any(|r| engine(r) == *name), "missing {name} row");
         }
         for row in rows {
             assert!(row.get("qps").and_then(Json::as_f64).unwrap() > 0.0);
             assert!(row.get("shards").and_then(Json::as_f64).unwrap() >= 1.0);
         }
-        let kill = rows
-            .iter()
-            .find(|r| r.get("engine").and_then(Json::as_str) == Some("router_kill"))
-            .unwrap();
+        let kill = rows.iter().find(|r| engine(r) == "router_kill").unwrap();
         assert!(kill.get("requests_after_recovery").and_then(Json::as_f64).unwrap() > 0.0);
         let summary = parsed.get("summary").unwrap();
         assert!(summary.get("router_efficiency").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(summary.get("router_kill_failure_rate").and_then(Json::as_f64).unwrap() >= 0.0);
     }
 
+    /// Replace (`Some`) or drop (`None`) member `key` of an object.
+    fn set(obj: &mut Json, key: &str, value: Option<Json>) {
+        let Json::Obj(members) = obj else { panic!("not an object") };
+        members.retain(|(k, _)| k != key);
+        members.extend(value.map(|v| (key.to_string(), v)));
+    }
+
+    fn member<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(members) = obj else { panic!("not an object") };
+        &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    fn rows(doc: &mut Json) -> &mut Vec<Json> {
+        let Json::Arr(rows) = member(doc, "results") else { panic!("no results") };
+        rows
+    }
+
+    /// A value that keeps `val` (`None`: the key stays absent).
+    fn sample(val: Val) -> Option<Json> {
+        match val {
+            Val::Num | Val::Pos => Some(Json::Num(1.0)),
+            Val::AtMost(_) => Some(Json::Num(0.0)),
+            Val::Str => Some(Json::Str("x".into())),
+            Val::OneOf(allowed) => Some(Json::Str(allowed[0].into())),
+            Val::Absent => None,
+        }
+    }
+
+    /// A value that breaks `val`.
+    fn breaking(val: Val) -> Json {
+        match val {
+            Val::Num => Json::Num(-1.0),
+            Val::Pos => Json::Num(0.0),
+            Val::AtMost(_) => Json::Num(1e9),
+            Val::Str => Json::Num(1.0),
+            Val::OneOf(_) => Json::Str("bogus".into()),
+            Val::Absent => Json::Num(0.0),
+        }
+    }
+
+    /// The smallest document the table accepts for `exp`: one row per
+    /// engine with every key it requires, and every summary key.
+    fn minimal_document(exp: &Experiment) -> Json {
+        let rows = exp
+            .engines
+            .iter()
+            .map(|&engine| {
+                let mut row = Json::obj([
+                    ("experiment", Json::Str(exp.tag.into())),
+                    ("engine", Json::Str(engine.into())),
+                ]);
+                for rk in ROW_KEYS[2..].iter().chain(exp.row_keys) {
+                    if rk.engine.is_none_or(|e| e == engine) {
+                        set(&mut row, rk.key, sample(rk.val));
+                    }
+                }
+                row
+            })
+            .collect();
+        let summary = exp.summary_keys.iter().filter_map(|&(k, v)| Some((k, sample(v)?)));
+        document([], rows, summary)
+    }
+
+    /// Every rule of the table entries tagged `tag` rejects a document
+    /// that breaks it, and the error names what broke.
+    fn assert_table_rejects_each_violation(tag: &str) {
+        let exp = experiment(tag);
+        let valid = minimal_document(exp);
+        validate_bench_json(&valid.render()).unwrap();
+        let rejects = |doc: &Json, needle: &str| {
+            let err = validate_bench_json(&doc.render()).unwrap_err();
+            assert!(err.contains(needle), "{tag}: expected {needle:?} in {err}");
+        };
+        for engine in exp.engines {
+            let mut doc = valid.clone();
+            rows(&mut doc).retain(|r| r.get("engine").and_then(Json::as_str) != Some(engine));
+            rejects(&doc, &format!("no {engine:?} rows"));
+        }
+        let mut doc = valid.clone();
+        let mut stray = rows(&mut doc)[0].clone();
+        set(&mut stray, "engine", Some(Json::Str("bogus".into())));
+        rows(&mut doc).push(stray);
+        rejects(&doc, "\"bogus\" is not");
+        for rk in exp.row_keys {
+            let index = rk.engine.map_or(0, |e| exp.engines.iter().position(|&x| x == e).unwrap());
+            if rk.val != Val::Absent {
+                let mut doc = valid.clone();
+                set(&mut rows(&mut doc)[index], rk.key, None);
+                rejects(&doc, &format!(".{} is missing", rk.key));
+            }
+            let mut doc = valid.clone();
+            set(&mut rows(&mut doc)[index], rk.key, Some(breaking(rk.val)));
+            rejects(&doc, &format!(".{} =", rk.key));
+        }
+        for &(key, val) in exp.summary_keys {
+            let mut doc = valid.clone();
+            set(member(&mut doc, "summary"), key, None);
+            rejects(&doc, &format!("summary.{key} is missing"));
+            let mut doc = valid.clone();
+            set(member(&mut doc, "summary"), key, Some(breaking(val)));
+            rejects(&doc, &format!("summary.{key} ="));
+        }
+        if exp.answers_agree {
+            let mut doc = valid.clone();
+            set(rows(&mut doc).last_mut().unwrap(), "answers", Some(Json::Num(2.0)));
+            rejects(&doc, "disagree on answers");
+        }
+    }
+
+    #[test]
+    fn validator_rejects_serving_rows_without_summary_keys() {
+        assert_table_rejects_each_violation("planner");
+        assert_table_rejects_each_violation("concurrent_serving");
+    }
+
+    #[test]
+    fn validator_rejects_kernel_documents_without_summary_ratios() {
+        assert_table_rejects_each_violation("repeated_query_workload");
+        assert_table_rejects_each_violation("kernel_ablation");
+    }
+
+    #[test]
+    fn validator_rejects_corpus_documents_without_summary_keys() {
+        assert_table_rejects_each_violation("corpus_serving");
+    }
+
+    #[test]
+    fn validator_rejects_lazy_documents_without_summary_keys() {
+        assert_table_rejects_each_violation("lazy_large_documents");
+    }
+
+    /// E15 no longer runs, but its entry still checks `BENCH_7.json`.
+    #[test]
+    fn validator_rejects_daemon_documents_without_summary_keys() {
+        assert_table_rejects_each_violation("daemon_serving");
+    }
+
     #[test]
     fn validator_rejects_router_documents_without_summary_keys() {
-        let row = |engine: &str| {
-            format!(
-                "{{\"experiment\": \"router_serving\", \"engine\": \"{engine}\", \
-                 \"tree_size\": 1, \"workload_queries\": 1, \"workload_repeats\": 1, \
-                 \"connections\": 1, \"shards\": 1, \"qps\": 1, \"median_us\": 1.0, \
-                 \"failed_requests\": 0, \"requests_after_recovery\": 1, \
-                 \"failure_rate\": 0}}"
-            )
-        };
-        let rows = format!("{}, {}, {}", row("router"), row("single_daemon"), row("router_kill"));
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{rows}], \
-             \"summary\": {{\"router_shards\": 1}}}}"
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("router_"), "{err}");
-        // A router document without the kill phase is rejected.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}, {}], \
-             \"summary\": {{\"router_shards\": 1}}}}",
-            row("router"),
-            row("single_daemon"),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("router_kill"), "{err}");
-        // A kill row without its failure accounting is rejected.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{}, {}, {}], \
-             \"summary\": {{\"router_shards\": 1, \"router_qps\": 1, \
-             \"single_daemon_qps\": 1, \"router_efficiency\": 1, \
-             \"router_kill_failure_rate\": 0}}}}",
-            row("router"),
-            row("single_daemon"),
-            row("router_kill").replace("\"failure_rate\": 0", "\"unrelated\": 0"),
-        );
-        let err = validate_bench_json(&doc).unwrap_err();
-        assert!(err.contains("failure_rate"), "{err}");
-        // A full summary with all five keys passes.
-        let doc = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{rows}], \
-             \"summary\": {{\"router_shards\": 1, \"router_qps\": 1, \
-             \"single_daemon_qps\": 1, \"router_efficiency\": 1, \
-             \"router_kill_failure_rate\": 0}}}}"
-        );
-        validate_bench_json(&doc).unwrap();
+        assert_table_rejects_each_violation("router_serving");
+    }
+
+    #[test]
+    fn validator_rejects_incr_documents_without_summary_keys() {
+        assert_table_rejects_each_violation("incr_maintenance");
     }
 
     #[test]
@@ -2932,6 +2361,61 @@ mod tests {
             "{{\"schema\": \"{SCHEMA}\", \"results\": [{{\"engine\": \"ppl_cached\"}}]}}"
         );
         let err = validate_bench_json(&missing_key).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
+        assert!(err.contains("unknown experiment"), "{err}");
+        // Every key of ROW_KEYS is required on every row.
+        let mut valid = minimal_document(&EXPERIMENTS[0]);
+        validate_bench_json(&valid.render()).unwrap();
+        for rk in &ROW_KEYS[2..] {
+            let mut doc = valid.clone();
+            set(&mut rows(&mut doc)[0], rk.key, None);
+            let err = validate_bench_json(&doc.render()).unwrap_err();
+            assert!(err.contains(&format!(".{} is missing", rk.key)), "{err}");
+        }
+        set(&mut valid, "schema", Some(Json::Str("other/v0".into())));
+        assert!(validate_bench_json(&valid.render()).unwrap_err().contains("schema"));
+    }
+
+    fn repo_root() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    #[test]
+    fn committed_bench_files_pass_the_table_and_every_claim() {
+        let checked = check_committed(&repo_root());
+        assert!(checked.len() >= 8, "{checked:?}");
+        let mut claims = 0;
+        for (name, result) in &checked {
+            match result {
+                Ok(n) => claims += n,
+                Err(e) => panic!("{name}: {e}"),
+            }
+        }
+        assert_eq!(claims, CLAIMS.len(), "every claim names a committed file");
+    }
+
+    #[test]
+    fn every_claim_fails_once_pushed_past_its_bound() {
+        for c in &CLAIMS {
+            let text = std::fs::read_to_string(repo_root().join(c.file)).unwrap();
+            let mut doc = Json::parse(&text).unwrap();
+            let margin = 1e-3 * c.bound.abs().max(1.0);
+            let past = match c.op {
+                Op::Ge => c.bound - margin,
+                Op::Le => c.bound + margin,
+                Op::Gt | Op::Lt => c.bound,
+            };
+            match c.key.strip_prefix("results[").and_then(|k| k.split_once(']')) {
+                None => set(member(&mut doc, "summary"), c.key, Some(Json::Num(past))),
+                // A row count: drop the rows it counts.
+                Some((selector, "")) => rows(&mut doc).retain(|r| !row_matches(r, selector)),
+                Some((selector, field)) => {
+                    for row in rows(&mut doc).iter_mut().filter(|r| row_matches(r, selector)) {
+                        set(row, &field[1..], Some(Json::Num(past)));
+                    }
+                }
+            }
+            let err = check_file(c.file, &doc.render()).unwrap_err();
+            assert!(err.contains(&format!("claim {} ", c.key)), "{c:?}: {err}");
+        }
     }
 }

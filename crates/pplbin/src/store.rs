@@ -1237,11 +1237,14 @@ impl SharedMatrixStore {
         delta: &EditDelta,
     ) -> (SharedMatrixStore, EditApplyStats) {
         let mut stats = EditApplyStats::default();
-        let shards = self.each_shard(|s| {
-            let mut forked = s.clone();
-            stats.merge(&forked.apply_edit(&new_tree, delta));
-            Shard::new(forked)
-        });
+        let shards = self
+            .each_shard(|s| s.clone())
+            .into_iter()
+            .map(|mut forked| {
+                stats.merge(&forked.apply_edit(&new_tree, delta));
+                Shard::new(forked)
+            })
+            .collect();
         (
             SharedMatrixStore {
                 tree: new_tree,
