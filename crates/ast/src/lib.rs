@@ -48,6 +48,6 @@ pub mod printer;
 
 pub use binexpr::BinExpr;
 pub use expr::{NameTest, NodeRef, PathExpr, TestExpr, Var};
-pub use parser::{parse_path, ParseError};
+pub use parser::{parse_path, ParseError, MAX_QUERY_DEPTH};
 pub use ppl::{check_ppl, check_pplbin, PplViolation, Restriction};
 pub use xpath_tree::Axis;

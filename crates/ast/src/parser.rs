@@ -9,6 +9,10 @@
 //! Operator precedence, from loosest to tightest:
 //! `for … return …`  <  `union`  <  `intersect` / `except`  <  `/`  <  `[…]`.
 //! Test expressions: `or`  <  `and`  <  `not`  <  atoms.
+//!
+//! Queries deeper than [`MAX_QUERY_DEPTH`] are refused with a "query too
+//! deep" error ([`ParseError::is_too_deep`]) instead of overflowing a
+//! thread's stack.
 
 use crate::expr::{NameTest, NodeRef, PathExpr, TestExpr, Var};
 use std::fmt;
@@ -31,11 +35,32 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest query the parser accepts.  It bounds both the nesting of
+/// the parser's own descent (parentheses, filters, `not`, `for`) and the
+/// height of the tree it builds, which left-deep `/`, `union`,
+/// `intersect`/`except` and `and`/`or` chains grow without any nesting.
+/// Every later walk over a query — the Definition 1 check, Fig. 7,
+/// Lemma 3, printing, compilation, `Drop` — recurses over that tree, so
+/// this one constant keeps all of them within a thread's stack.
+pub const MAX_QUERY_DEPTH: usize = 128;
+
+const TOO_DEEP: &str = "query too deep";
+
+impl ParseError {
+    /// True if the input nests deeper than [`MAX_QUERY_DEPTH`].
+    pub fn is_too_deep(&self) -> bool {
+        self.message == TOO_DEEP
+    }
+}
+
+/// A parsed node and its height (a leaf has height 1).
+type Parsed<T> = Result<(T, usize), ParseError>;
+
 /// Parse a Core XPath 2.0 path expression.
 pub fn parse_path(input: &str) -> Result<PathExpr, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let expr = p.path()?;
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let (expr, _) = p.path()?;
     p.expect_eof()?;
     Ok(expr)
 }
@@ -43,8 +68,8 @@ pub fn parse_path(input: &str) -> Result<PathExpr, ParseError> {
 /// Parse a Core XPath 2.0 test expression (the part between `[` and `]`).
 pub fn parse_test(input: &str) -> Result<TestExpr, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let expr = p.test()?;
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let (expr, _) = p.test()?;
     p.expect_eof()?;
     Ok(expr)
 }
@@ -70,13 +95,28 @@ struct Token {
     position: usize,
 }
 
+/// Split `input` into tokens.  Brackets nested past [`MAX_QUERY_DEPTH`]
+/// stop the scan at once: the parser would refuse them anyway, and a long
+/// line of them would otherwise be tokenized whole first.
 fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
+    let mut open = 0usize;
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i];
         let position = i;
+        match c {
+            b'(' | b'[' => open += 1,
+            b')' | b']' => open = open.saturating_sub(1),
+            _ => {}
+        }
+        if open > MAX_QUERY_DEPTH {
+            return Err(ParseError {
+                position,
+                message: TOO_DEEP.into(),
+            });
+        }
         match c {
             b' ' | b'\t' | b'\n' | b'\r' => {
                 i += 1;
@@ -181,6 +221,8 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting of the descent (see [`Parser::nested`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -205,6 +247,26 @@ impl Parser {
             position: self.peek_pos(),
             message: message.into(),
         }
+    }
+
+    /// Run `f` one level deeper in the descent, refusing past the bound.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Parser) -> Parsed<T>) -> Parsed<T> {
+        if self.depth >= MAX_QUERY_DEPTH {
+            return Err(self.err(TOO_DEEP));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// The height of a new node whose tallest child has height `below`,
+    /// refusing past the bound.
+    fn above(&self, below: usize) -> Result<usize, ParseError> {
+        if below >= MAX_QUERY_DEPTH {
+            return Err(self.err(TOO_DEEP));
+        }
+        Ok(below + 1)
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
@@ -246,90 +308,101 @@ impl Parser {
     }
 
     // path := 'for' $x 'in' path 'return' path | union_expr
-    fn path(&mut self) -> Result<PathExpr, ParseError> {
-        if self.at_keyword("for") {
-            self.bump();
-            let var = match self.bump() {
+    fn path(&mut self) -> Parsed<PathExpr> {
+        self.nested(|p| {
+            if !p.at_keyword("for") {
+                return p.union_expr();
+            }
+            p.bump();
+            let var = match p.bump() {
                 Tok::Var(name) => Var::new(&name),
-                _ => return Err(self.err("expected a variable after 'for'")),
+                _ => return Err(p.err("expected a variable after 'for'")),
             };
-            self.expect_keyword("in")?;
-            let p1 = self.path()?;
-            self.expect_keyword("return")?;
-            let p2 = self.path()?;
-            return Ok(PathExpr::For(var, Box::new(p1), Box::new(p2)));
-        }
-        self.union_expr()
+            p.expect_keyword("in")?;
+            let (p1, h1) = p.path()?;
+            p.expect_keyword("return")?;
+            let (p2, h2) = p.path()?;
+            let h = p.above(h1.max(h2))?;
+            Ok((PathExpr::For(var, Box::new(p1), Box::new(p2)), h))
+        })
     }
 
-    fn union_expr(&mut self) -> Result<PathExpr, ParseError> {
-        let mut left = self.intersect_expr()?;
+    fn union_expr(&mut self) -> Parsed<PathExpr> {
+        let (mut left, mut h) = self.intersect_expr()?;
         while self.at_keyword("union") {
             self.bump();
-            let right = self.intersect_expr()?;
+            let (right, hr) = self.intersect_expr()?;
+            h = self.above(h.max(hr))?;
             left = PathExpr::Union(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, h))
     }
 
-    fn intersect_expr(&mut self) -> Result<PathExpr, ParseError> {
-        let mut left = self.seq_expr()?;
+    fn intersect_expr(&mut self) -> Parsed<PathExpr> {
+        let (mut left, mut h) = self.seq_expr()?;
         loop {
-            if self.at_keyword("intersect") {
-                self.bump();
-                let right = self.seq_expr()?;
-                left = PathExpr::Intersect(Box::new(left), Box::new(right));
+            let intersect = if self.at_keyword("intersect") {
+                true
             } else if self.at_keyword("except") {
-                self.bump();
-                let right = self.seq_expr()?;
-                left = PathExpr::Except(Box::new(left), Box::new(right));
+                false
             } else {
                 break;
-            }
+            };
+            self.bump();
+            let (right, hr) = self.seq_expr()?;
+            h = self.above(h.max(hr))?;
+            let (l, r) = (Box::new(left), Box::new(right));
+            left = if intersect {
+                PathExpr::Intersect(l, r)
+            } else {
+                PathExpr::Except(l, r)
+            };
         }
-        Ok(left)
+        Ok((left, h))
     }
 
-    fn seq_expr(&mut self) -> Result<PathExpr, ParseError> {
-        let mut left = self.postfix()?;
+    fn seq_expr(&mut self) -> Parsed<PathExpr> {
+        let (mut left, mut h) = self.postfix()?;
         while *self.peek() == Tok::Slash {
             self.bump();
-            let right = self.postfix()?;
+            let (right, hr) = self.postfix()?;
+            h = self.above(h.max(hr))?;
             left = PathExpr::Seq(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, h))
     }
 
-    fn postfix(&mut self) -> Result<PathExpr, ParseError> {
-        let mut base = self.primary()?;
+    fn postfix(&mut self) -> Parsed<PathExpr> {
+        let (mut base, mut h) = self.primary()?;
         while *self.peek() == Tok::LBracket {
             self.bump();
-            let test = self.test()?;
+            let (test, ht) = self.test()?;
             self.expect_tok(Tok::RBracket, "']' to close the filter")?;
+            h = self.above(h.max(ht))?;
             base = PathExpr::Filter(Box::new(base), Box::new(test));
         }
-        Ok(base)
+        Ok((base, h))
     }
 
-    fn primary(&mut self) -> Result<PathExpr, ParseError> {
-        match self.peek().clone() {
+    fn primary(&mut self) -> Parsed<PathExpr> {
+        let leaf = match self.peek().clone() {
             Tok::LParen => {
                 self.bump();
                 let inner = self.path()?;
                 self.expect_tok(Tok::RParen, "')'")?;
-                Ok(inner)
+                return Ok(inner);
             }
             Tok::Dot => {
                 self.bump();
-                Ok(PathExpr::NodeRef(NodeRef::Dot))
+                PathExpr::NodeRef(NodeRef::Dot)
             }
             Tok::Var(name) => {
                 self.bump();
-                Ok(PathExpr::NodeRef(NodeRef::Var(Var::new(&name))))
+                PathExpr::NodeRef(NodeRef::Var(Var::new(&name)))
             }
             Tok::Star => {
                 self.bump();
-                Ok(PathExpr::Step(Axis::Child, NameTest::Wildcard))
+                PathExpr::Step(Axis::Child, NameTest::Wildcard)
             }
             Tok::Ident(name) => {
                 // Keywords never start a primary.
@@ -350,46 +423,52 @@ impl Parser {
                         Tok::Ident(n) => NameTest::Name(n),
                         _ => return Err(self.err("expected a name test after '::'")),
                     };
-                    Ok(PathExpr::Step(axis, test))
+                    PathExpr::Step(axis, test)
                 } else {
                     // Bare name abbreviation: `book` ≡ `child::book`.
-                    Ok(PathExpr::Step(Axis::Child, NameTest::Name(name)))
+                    PathExpr::Step(Axis::Child, NameTest::Name(name))
                 }
             }
-            other => Err(self.err(format!("unexpected token {other:?} in path expression"))),
-        }
+            other => {
+                return Err(self.err(format!("unexpected token {other:?} in path expression")))
+            }
+        };
+        Ok((leaf, 1))
     }
 
     // test := or_test
-    fn test(&mut self) -> Result<TestExpr, ParseError> {
-        self.or_test()
+    fn test(&mut self) -> Parsed<TestExpr> {
+        self.nested(Parser::or_test)
     }
 
-    fn or_test(&mut self) -> Result<TestExpr, ParseError> {
-        let mut left = self.and_test()?;
+    fn or_test(&mut self) -> Parsed<TestExpr> {
+        let (mut left, mut h) = self.and_test()?;
         while self.at_keyword("or") {
             self.bump();
-            let right = self.and_test()?;
+            let (right, hr) = self.and_test()?;
+            h = self.above(h.max(hr))?;
             left = TestExpr::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, h))
     }
 
-    fn and_test(&mut self) -> Result<TestExpr, ParseError> {
-        let mut left = self.unary_test()?;
+    fn and_test(&mut self) -> Parsed<TestExpr> {
+        let (mut left, mut h) = self.unary_test()?;
         while self.at_keyword("and") {
             self.bump();
-            let right = self.unary_test()?;
+            let (right, hr) = self.unary_test()?;
+            h = self.above(h.max(hr))?;
             left = TestExpr::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, h))
     }
 
-    fn unary_test(&mut self) -> Result<TestExpr, ParseError> {
+    fn unary_test(&mut self) -> Parsed<TestExpr> {
         if self.at_keyword("not") {
             self.bump();
-            let inner = self.unary_test()?;
-            return Ok(TestExpr::Not(Box::new(inner)));
+            let (inner, h) = self.nested(Parser::unary_test)?;
+            let h = self.above(h)?;
+            return Ok((TestExpr::Not(Box::new(inner)), h));
         }
         if *self.peek() == Tok::LParen {
             // Could be a parenthesised test or a parenthesised path; try the
@@ -416,8 +495,8 @@ impl Parser {
         self.comp_or_path()
     }
 
-    fn comp_or_path(&mut self) -> Result<TestExpr, ParseError> {
-        let path = self.union_expr()?;
+    fn comp_or_path(&mut self) -> Parsed<TestExpr> {
+        let (path, h) = self.union_expr()?;
         if self.at_keyword("is") {
             self.bump();
             let left = path_to_noderef(&path).ok_or_else(|| {
@@ -428,9 +507,10 @@ impl Parser {
                 Tok::Var(name) => NodeRef::Var(Var::new(&name)),
                 _ => return Err(self.err("the right operand of 'is' must be '.' or a variable")),
             };
-            return Ok(TestExpr::Comp(left, right));
+            return Ok((TestExpr::Comp(left, right), 1));
         }
-        Ok(TestExpr::Path(path))
+        let h = self.above(h)?;
+        Ok((TestExpr::Path(path), h))
     }
 }
 
@@ -591,6 +671,34 @@ mod tests {
         let t = parse_test("child::a and . is $x").unwrap();
         assert!(matches!(t, TestExpr::And(_, _)));
         assert!(parse_test("child::a and").is_err());
+    }
+
+    #[test]
+    fn queries_past_the_depth_bound_are_refused() {
+        type Shape = fn(usize) -> String;
+        let shapes: [(&str, Shape); 6] = [
+            ("parentheses", |n| format!("{}a{}", "(".repeat(n), ")".repeat(n))),
+            ("filters", |n| format!("{}a{}", "a[".repeat(n), "]".repeat(n))),
+            ("slash chain", |n| vec!["a"; n].join("/")),
+            ("except chain", |n| vec!["a"; n].join(" except ")),
+            ("or chain", |n| format!(".[{}]", vec!["a"; n].join(" or "))),
+            ("for", |n| {
+                let fors: String = (0..n).map(|i| format!("for $x{i} in a return ")).collect();
+                format!("{fors}.")
+            }),
+        ];
+        for (name, shape) in shapes {
+            let at_bound = (1..=MAX_QUERY_DEPTH + 1)
+                .take_while(|&n| parse_path(&shape(n)).is_ok())
+                .last()
+                .unwrap();
+            assert!(at_bound >= MAX_QUERY_DEPTH / 2 - 1, "{name}: {at_bound}");
+            let err = parse_path(&shape(at_bound + 1)).unwrap_err();
+            assert!(err.is_too_deep(), "{name}: {err}");
+            // Far past the bound the refusal is the same, and immediate.
+            assert!(parse_path(&shape(100_000)).unwrap_err().is_too_deep(), "{name}");
+        }
+        assert!(!parse_path("child::(").unwrap_err().is_too_deep());
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Shared helpers for the benchmark harness (Criterion benches and the
-//! deterministic `experiments` runner).
+//! Shared helpers for the deterministic `experiments` runner.
 //!
-//! E1–E9 of EXPERIMENTS.md are tables the `experiments` binary prints (the
-//! Criterion benches in `benches/` time the same workloads); E10–E17 are the
-//! sweeps of [`regress`], written as `BENCH_*.json` and checked against its
-//! experiment table and the committed claims.  Both use the workload
-//! constructors below so the numbers are comparable.
+//! E1–E9 of EXPERIMENTS.md are tables the `experiments` binary prints;
+//! E10–E17 are the sweeps of [`regress`], written as `BENCH_*.json` and
+//! checked against its experiment table and the committed claims.  Both use
+//! the helpers below so the numbers are comparable.
 
 #![forbid(unsafe_code)]
 

@@ -300,7 +300,7 @@ impl Sizes for RouterBenchConfig {
     }
 }
 
-/// Sweep dimensions of the E17 incremental-maintenance experiment.
+/// Sweep dimensions of the E17 relabel experiment.
 #[derive(Debug, Clone)]
 pub struct IncrBenchConfig {
     /// Node counts of the swept DBLP-style documents.  The first entry is
@@ -1028,18 +1028,18 @@ pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
     ])
 }
 
-/// Run the E17 incremental-maintenance sweep: a warm session absorbs a
-/// single-node edit — one record's `title` is relabelled — and re-answers
-/// the E14 [`xpath_workload::dblp_suite`].  The `edit_incremental` arm
-/// carries the compiled matrices through the edit with
-/// [`Session::fork_edited`] (only entries whose label footprint contains
-/// the edited labels recompile; the dense `except`/`not` complements of
-/// the suite are untouched); the `edit_full` arm builds a fresh session,
-/// replaying the full compilation the suite needs.
+/// Run the E17 relabel sweep: a warm session absorbs a single-node
+/// relabel — one record's `title` — and re-answers the E14
+/// [`xpath_workload::dblp_suite`].  The `edit_incremental` arm carries the
+/// compiled matrices through the edit with [`Session::fork_edited`] (only
+/// entries whose label footprint contains the edited labels recompile; the
+/// dense `except`/`not` complements of the suite are untouched); the
+/// `edit_full` arm builds a fresh session, replaying the full compilation
+/// the suite needs.  Inserts and deletes are not swept: `fork_edited`
+/// answers them with an empty store, which is the `edit_full` arm.
 /// Returns a standalone `BENCH_9.json`-shaped document whose summary
-/// carries the claimed numbers: `incr_speedup` (full / incremental at the
-/// pin size) and `incr_rows_fraction` (rows recomputed over rows cached —
-/// the row-range-invalidation locality claim).
+/// carries `incr_speedup` (full / incremental at the pin size) and
+/// `incr_rows_fraction` (rows of dropped entries over rows cached).
 pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
     use std::sync::Arc;
     let specs = xpath_workload::dblp_suite();

@@ -1048,6 +1048,11 @@ mod tests {
         // Broken query → parse.
         let opts = parse_args(&args(&["--query", "child::(", "--terms", "r(a)"])).unwrap();
         assert!(matches!(run(&opts).unwrap_err(), CliError::Parse(_)));
+        // A query nested past the parser's bound → parse, not a stack overflow.
+        let deep = format!("{}child::a{}", "(".repeat(10_000), ")".repeat(10_000));
+        let opts = parse_args(&args(&["--query", &deep, "--terms", "r(a)"])).unwrap();
+        let err = run(&opts).unwrap_err();
+        assert!(matches!(&err, CliError::Parse(m) if m.contains("query too deep")), "{err:?}");
         // Well-formed query failing at execution (acq disjunct budget) → query.
         let mut union = String::from("descendant::a[. is $x]");
         for _ in 0..9 {

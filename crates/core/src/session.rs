@@ -112,11 +112,13 @@ impl Session {
         }
     }
 
-    /// A post-edit copy of this session: the tree is replaced by `new_tree`
-    /// and the matrix cache is carried through the edit (patched row-wise
-    /// where possible — see [`SharedMatrixStore::fork_edited`]) instead of
-    /// recompiled.  `self` is untouched and keeps answering over the old
-    /// snapshot, so in-flight queries never observe a half-applied edit.
+    /// A post-edit copy of this session: the tree is replaced by `new_tree`.
+    /// After an insert or a delete the copy starts with an empty matrix
+    /// cache (node ids moved); after a relabel it keeps every compiled
+    /// entry outside the edit's label footprint (see
+    /// [`SharedMatrixStore::fork_edited`]).  `self` is untouched and keeps
+    /// answering over the old snapshot, so in-flight queries never observe
+    /// a half-applied edit.
     pub fn fork_edited(
         &self,
         new_tree: Arc<Tree>,
@@ -808,7 +810,7 @@ mod tests {
         let sub = xpath_tree::Tree::from_terms("book(author,title)").unwrap();
         let (new_tree, delta) = s.tree().insert_subtree(s.root(), 2, &sub).unwrap();
         let (forked, stats) = s.fork_edited(Arc::new(new_tree), &delta);
-        assert!(stats.rows_total > 0, "the warm cache was carried over");
+        assert!(stats.rows_total > 0, "the session was warm");
         assert_eq!(forked.len(), s.len() + 3);
 
         // The fork answers over the edited document (one more author)…

@@ -130,12 +130,13 @@ pub struct CorpusStats {
     pub plan_misses: u64,
     /// Live edits applied through [`Corpus::mutate`].
     pub edits: u64,
-    /// Edits that carried a warm session through the edit incrementally.
+    /// Edits applied to a document with a live session, which was forked
+    /// onto the edited tree.
     pub edits_incremental: u64,
     /// Edits applied to a document without a live session (next query
     /// compiles cold).
     pub edits_full: u64,
-    /// Matrix rows recomputed (not merely remapped) across all edits.
+    /// Rows of the compiled entries the edits dropped, across all edits.
     pub edit_rows_invalidated: u64,
 }
 
@@ -191,6 +192,9 @@ impl fmt::Display for CorpusError {
             // A refusal is a verdict on the query's cost, not a failure to
             // compile it; it names itself (`outside PPL: estimated cost …`).
             CorpusError::Compile(e @ CompileError::Refused { .. }) => write!(f, "{e}"),
+            CorpusError::Compile(CompileError::Parse(e)) if e.is_too_deep() => {
+                write!(f, "query too deep")
+            }
             CorpusError::Compile(e) => write!(f, "query does not compile: {e}"),
             CorpusError::Query { name, source } => {
                 write!(f, "query failed on document '{name}': {source}")
@@ -269,12 +273,13 @@ pub struct MutateOutcome {
     /// The document's edit epoch after this edit (1 for the first edit
     /// since ingestion; a `LOAD` replacing the document resets it).
     pub epoch: u64,
-    /// Whether a warm session was carried through the edit incrementally
-    /// (`false`: the document had no live session, so there was nothing to
-    /// patch and the next query compiles cold).
+    /// Whether a live session was forked onto the edited tree (`false`:
+    /// the document had no live session, so there was nothing to carry and
+    /// the next query compiles cold).
     pub incremental: bool,
-    /// Per-entry patch/rebuild counters of the incremental carry-over
-    /// (all zero when `incremental` is false).
+    /// Kept and dropped entries of the fork: a structural edit drops every
+    /// entry, a relabel only those in its label footprint (all zero when
+    /// `incremental` is false).
     pub stats: EditApplyStats,
 }
 
@@ -647,14 +652,14 @@ impl Corpus {
 
     // -- live edits ----------------------------------------------------------
 
-    /// Apply one edit to a live document, carrying its warm session through
-    /// the edit instead of recompiling it.
+    /// Apply one edit to a live document, forking its live session onto the
+    /// edited tree ([`Session::fork_edited`]: empty after an insert or a
+    /// delete, footprint-filtered after a relabel).
     ///
     /// Fork-and-swap: the edit runs on a *snapshot* (tree `Arc` + session
-    /// clone) taken under the lock, the expensive work —
-    /// [`Tree::insert_subtree`]-family edits plus
-    /// [`Session::fork_edited`]'s row-wise cache patching — happens with
-    /// the lock *released*, and the result is swapped in only if the
+    /// clone) taken under the lock, the work — the
+    /// [`Tree::insert_subtree`]-family edit plus the session fork — happens
+    /// with the lock *released*, and the result is swapped in only if the
     /// document was not concurrently replaced (checked by tree pointer
     /// identity; a race retries on the new snapshot).  Concurrent queries
     /// therefore never block behind an edit and never observe a
@@ -1479,17 +1484,27 @@ mod tests {
             .insert_terms("bib", "bib(book(author,title),book(author,author,title))")
             .unwrap();
         let query = "descendant::book[child::author[. is $x]]";
-        // Warm the session so the edit has caches to carry over.
+        // A composite atom (`descendant::book[child::author]`) compiles
+        // into the store; step atoms are views and compile nothing.
+        let composite = "descendant::book[child::author]/child::author[. is $x]";
+        // Warm the session so the edit has compiled entries to drop.
         corpus.answer("bib", query, &["x"]).unwrap();
+        corpus.answer("bib", composite, &["x"]).unwrap();
         let subtree = Tree::from_terms("book(author,title)").unwrap();
         let outcome = corpus
             .mutate("bib", &DocEdit::Insert { parent: 0, index: 2, subtree })
             .unwrap();
         assert_eq!(outcome.kind, EditKind::Insert);
         assert!(outcome.incremental, "a warm document must fork its session");
+        assert!(outcome.stats.rows_total > 0, "the session was warm");
+        assert_eq!(
+            outcome.stats.rows_invalidated, outcome.stats.rows_total,
+            "a structural edit drops every compiled entry"
+        );
         assert_eq!(outcome.epoch, 1);
         assert_eq!(outcome.nodes, 8 + 3);
         assert_matches_cold(&corpus, "bib", query);
+        assert_matches_cold(&corpus, "bib", composite);
         assert_matches_cold(&corpus, "bib", "child::book/child::author[. is $x]");
         let stats = corpus.stats();
         assert_eq!(stats.edits, 1);

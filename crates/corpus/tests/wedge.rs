@@ -1,16 +1,22 @@
-//! Regression: one query outside PPL must not wedge a single-worker daemon.
+//! Regressions: one hostile request must neither wedge nor abort a
+//! single-worker daemon.
 //!
-//! The replay: `pplxd --threads 1` loads `r(a,…,a)` (201 nodes) and
+//! The wedge replay: `pplxd --threads 1` loads `r(a,…,a)` (201 nodes) and
 //! receives a 4-ary query whose `$a` is shared across `/`, breaking NVS(/).
 //! Only naive enumeration accepts it, at ~201⁵ assignments, so it used to
 //! hold the one worker for hours and a `STATS` sent 0.5 s later on a fresh
 //! connection never got a reply.  Auto planning now refuses it (Prop. 3:
 //! no polynomial fallback exists): the `QUERY` answers
 //! `ERR outside PPL: estimated cost …` and `STATS` answers at once.
+//!
+//! The abort replay: a query nested thousands of levels deep used to
+//! overflow the worker's stack while parsing, which kills the process and
+//! every document in it.  The parser now refuses anything deeper than
+//! `MAX_QUERY_DEPTH` with `ERR query too deep`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const WEDGE: &str = "QUERY d descendant::*[. is $a]/descendant-or-self::*[. is $a][. is $b]\
@@ -52,18 +58,17 @@ fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
     (stream, reader)
 }
 
-#[test]
-fn a_costly_non_ppl_query_is_refused_and_stats_still_answers() {
+/// A running `pplxd --threads 1`, its stdout (kept open to the end: the
+/// daemon prints its shutdown line there) and its address.
+fn spawn_daemon() -> (Daemon, BufReader<ChildStdout>, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_pplxd"))
         .args(["--port", "0", "--threads", "1"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn pplxd");
-    let stdout = child.stdout.take().unwrap();
-    let mut daemon = Daemon(child);
-    // Kept open to the end: the daemon prints its shutdown line here.
-    let mut stdout = BufReader::new(stdout);
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let daemon = Daemon(child);
     let mut banner = String::new();
     stdout.read_line(&mut banner).unwrap();
     let addr = banner
@@ -71,16 +76,22 @@ fn a_costly_non_ppl_query_is_refused_and_stats_still_answers() {
         .strip_prefix("pplxd listening on ")
         .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
         .to_string();
+    (daemon, stdout, addr)
+}
 
-    let (mut conn, mut replies) = connect(&addr);
-    let leaves = vec!["a"; 200].join(",");
-    writeln!(conn, "LOADTERMS d r({leaves})").unwrap();
-    let loaded = response(&mut replies);
-    assert!(loaded[1].starts_with("loaded d nodes=201"), "{loaded:?}");
+/// Send `SHUTDOWN` and check the daemon exits cleanly.
+fn shut_down(mut daemon: Daemon, mut stdout: BufReader<ChildStdout>, conn: &mut TcpStream) {
+    writeln!(conn, "SHUTDOWN").unwrap();
+    let status = daemon.0.wait().expect("pplxd exits on SHUTDOWN");
+    assert!(status.success(), "{status}");
+    let mut farewell = String::new();
+    stdout.read_line(&mut farewell).unwrap();
+    assert_eq!(farewell.trim(), "pplxd shut down");
+}
 
-    writeln!(conn, "{WEDGE}").unwrap();
-    std::thread::sleep(Duration::from_millis(500));
-    let (mut probe, mut probe_replies) = connect(&addr);
+/// `STATS` on a fresh connection answers within a second.
+fn assert_stats_answer_at_once(addr: &str) -> TcpStream {
+    let (mut probe, mut probe_replies) = connect(addr);
     let asked = Instant::now();
     writeln!(probe, "STATS").unwrap();
     let stats = response(&mut probe_replies);
@@ -90,17 +101,62 @@ fn a_costly_non_ppl_query_is_refused_and_stats_still_answers() {
         "STATS took {:?}: the worker is wedged",
         asked.elapsed()
     );
+    probe
+}
+
+#[test]
+fn a_costly_non_ppl_query_is_refused_and_stats_still_answers() {
+    let (daemon, stdout, addr) = spawn_daemon();
+    let (mut conn, mut replies) = connect(&addr);
+    let leaves = vec!["a"; 200].join(",");
+    writeln!(conn, "LOADTERMS d r({leaves})").unwrap();
+    let loaded = response(&mut replies);
+    assert!(loaded[1].starts_with("loaded d nodes=201"), "{loaded:?}");
+
+    writeln!(conn, "{WEDGE}").unwrap();
+    std::thread::sleep(Duration::from_millis(500));
+    let mut probe = assert_stats_answer_at_once(&addr);
 
     let refused = response(&mut replies);
     assert!(
         refused[0].starts_with("ERR outside PPL: estimated cost"),
         "{refused:?}"
     );
+    shut_down(daemon, stdout, &mut probe);
+}
 
-    writeln!(probe, "SHUTDOWN").unwrap();
-    let status = daemon.0.wait().expect("pplxd exits on SHUTDOWN");
-    assert!(status.success(), "{status}");
-    let mut farewell = String::new();
-    stdout.read_line(&mut farewell).unwrap();
-    assert_eq!(farewell.trim(), "pplxd shut down");
+#[test]
+fn queries_nested_past_the_depth_bound_get_err_and_the_daemon_survives() {
+    let (daemon, stdout, addr) = spawn_daemon();
+    let (mut conn, mut replies) = connect(&addr);
+    writeln!(conn, "LOADTERMS d r(a(b),a)").unwrap();
+    let loaded = response(&mut replies);
+    assert!(loaded[1].starts_with("loaded d nodes=4"), "{loaded:?}");
+
+    let deep = [
+        (
+            "10^6 nested parentheses",
+            format!("{}child::a{}", "(".repeat(1_000_000), ")".repeat(1_000_000)),
+        ),
+        (
+            "10^6 nested filters",
+            format!("{}child::a{}", "child::a[".repeat(1_000_000), "]".repeat(1_000_000)),
+        ),
+        ("a 10^5-step / chain", vec!["child::a"; 100_000].join("/")),
+        ("a 10^5-term union chain", vec!["child::a"; 100_000].join(" union ")),
+    ];
+    for (what, query) in &deep {
+        writeln!(conn, "QUERY d {query}").unwrap();
+        let reply = response(&mut replies);
+        assert_eq!(reply, ["ERR query too deep"], "{what}");
+    }
+
+    let mut probe = assert_stats_answer_at_once(&addr);
+    writeln!(conn, "QUERY d child::a/child::b[. is $x] -> x").unwrap();
+    assert_eq!(
+        response(&mut replies),
+        ["OK 2", "vars=x tuples=1", "b#2"],
+        "the loaded document is gone"
+    );
+    shut_down(daemon, stdout, &mut probe);
 }

@@ -47,7 +47,6 @@
 
 pub mod corexpath1;
 pub mod eval;
-pub mod incremental;
 pub mod lazy;
 pub mod matrix;
 pub mod relation;
@@ -55,12 +54,12 @@ pub mod store;
 pub mod view;
 
 pub use corexpath1::{has_successor_set, succ_set, unary_from_root, NotCoreXPath1};
-pub use incremental::EditApplyStats;
 pub use eval::{answer_binary, eval_binexpr, eval_relation, step_matrix, step_relation};
 pub use lazy::{LazyRel, LazyRows};
 pub use matrix::{dense_guard, CapacityError, NodeMatrix, DENSE_BYTE_LIMIT};
 pub use relation::{KernelMode, KernelStats, Relation, SparseRows};
 pub use store::{
-    CacheStats, ExprId, MatrixStore, SharedMatrixStore, SuccessorSource, DEFAULT_STORE_SHARDS,
+    CacheStats, EditApplyStats, ExprId, MatrixStore, SharedMatrixStore, SuccessorSource,
+    DEFAULT_STORE_SHARDS,
 };
 pub use view::StepView;

@@ -33,13 +33,9 @@
 //!   cached entry point.
 
 use crate::eval::step_relation_in_mode;
-use crate::incremental::{
-    merge_rows, remap_cols, remap_range, remap_row_words, rows_intersecting_cols,
-    rows_intersecting_range, Dirty, EditApplyStats,
-};
 use crate::lazy::{LazyRel, LazyRows};
 use crate::matrix::{CapacityError, NodeMatrix};
-use crate::relation::{KernelMode, KernelStats, Relation, SparseRows};
+use crate::relation::{KernelMode, KernelStats, Relation};
 use crate::view::StepView;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -183,6 +179,38 @@ impl CacheStats {
         self.interned += interned;
         self.compiled += compiled;
         self.kernels.merge(kernels);
+    }
+}
+
+/// What carrying a store through one tree edit did to its compiled
+/// entries ([`SharedMatrixStore::fork_edited`]), for the serving layer's
+/// `rows_invalidated` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EditApplyStats {
+    /// Entries kept verbatim (relabel outside the entry's label footprint).
+    pub entries_kept: usize,
+    /// Entries dropped (recompiled on demand later).
+    pub entries_dropped: usize,
+    /// Rows of the dropped entries.
+    pub rows_invalidated: u64,
+    /// Total rows of all entries that were compiled when the edit arrived.
+    pub rows_total: u64,
+}
+
+impl EditApplyStats {
+    /// Accumulate another counter set (aggregating the shards of a
+    /// [`SharedMatrixStore`]).
+    pub fn merge(&mut self, other: &EditApplyStats) {
+        let EditApplyStats {
+            entries_kept,
+            entries_dropped,
+            rows_invalidated,
+            rows_total,
+        } = *other;
+        self.entries_kept += entries_kept;
+        self.entries_dropped += entries_dropped;
+        self.rows_invalidated += rows_invalidated;
+        self.rows_total += rows_total;
     }
 }
 
@@ -558,142 +586,22 @@ impl MatrixStore {
         Ok(SuccessorSource::Lazy(rows))
     }
 
-    /// Carry the cache through a tree edit instead of recompiling it.
+    /// Carry the cache through a relabel of the tree it was compiled on.
     ///
-    /// `new_tree` is the post-edit document and `delta` the edit that
-    /// produced it from the `delta.old_len`-node tree this store was
-    /// compiled against.  Afterwards the store answers queries over
-    /// `new_tree` exactly as a cold store compiled on it would — that is
-    /// what `run_edit_fuzz` pins — but most cached entries are *patched*
-    /// (clean rows remapped through the id shift, dirty rows recomputed
-    /// from the entry's children) rather than rebuilt:
-    ///
-    /// * **relabel** — node ids do not move, so entries whose label
-    ///   footprint misses `delta.labels` are kept verbatim; the rest are
-    ///   dropped (recompiled on demand).
-    /// * **insert / delete** — step leaves are re-derived from the tree
-    ///   (O(|t|), unavoidable: the tree changed), and their dirty rows —
-    ///   [`EditDelta::dirty_rows`], pinned sound per axis in
-    ///   `xpath_tree::edit` — propagate bottom-up through the operators:
-    ///   `D(a·b) = D(a) ∪ {u : rows_a(u) ∩ D(b) ≠ ∅}` (plus, under delete,
-    ///   the rows of the *old* `a` that routed through the deleted id
-    ///   range — a surviving row can lose columns it only reached via a
-    ///   deleted intermediate node), `D(a∪b) = D(a) ∪ D(b)`,
-    ///   `D(test(p)) = D(p)` plus the same deleted-route term, and
-    ///   `D(¬p)` = everything under insert (the complement gains the fresh
-    ///   columns in every row) but `D(p)` under delete (survivor remapping
-    ///   is a bijection onto the new ids, so complement commutes with it).
-    ///
-    /// An entry is rebuilt from its children instead of patched when its
-    /// dirty set is `All` or covers more than a quarter of the rows, or
-    /// when its cached form is symbolic ([`KernelMode::Lazy`] complements
-    /// rebuild in O(1)) or trivially cheap (`Identity`/`Full`).
-    ///
-    /// Prop. 10 successor lists and lazy row caches are dropped wholesale
-    /// on insert/delete — they re-derive lazily from the patched relations
-    /// on the next answering pass.
-    pub fn apply_edit(&mut self, new_tree: &Tree, delta: &EditDelta) -> EditApplyStats {
+    /// Node ids do not move, so an entry is stale only if `delta.labels`
+    /// (old and new label, sorted) meets its label footprint — computed
+    /// bottom-up without walking any matrix.  Those entries are dropped
+    /// (recompiled on demand); every other entry is kept verbatim.
+    /// Structural edits shift ids and have no counterpart here:
+    /// [`SharedMatrixStore::fork_edited`] answers them with an empty store.
+    pub fn apply_relabel(&mut self, delta: &EditDelta) -> EditApplyStats {
+        assert_eq!(delta.kind, EditKind::Relabel, "apply_relabel: not a relabel");
         assert_eq!(
             delta.old_len, self.domain,
-            "apply_edit: delta starts from a {}-node tree, store holds {}",
+            "apply_relabel: delta starts from a {}-node tree, store holds {}",
             delta.old_len, self.domain
         );
-        assert_eq!(
-            delta.new_len,
-            new_tree.len(),
-            "apply_edit: delta does not produce the given tree"
-        );
         let mut out = EditApplyStats::default();
-        if delta.kind == EditKind::Relabel {
-            self.apply_relabel(delta, &mut out);
-            return out;
-        }
-
-        self.domain = new_tree.len();
-        // Row tables re-derive on demand from the patched relations.
-        self.drop_lazy_rows();
-        self.successors.clear();
-        let old_relations: Vec<Option<Arc<LazyRel>>> = self.relations.clone();
-        let n_new = self.domain;
-        let mode = self.mode;
-        // Per-id dirty sets, filled bottom-up (children intern before
-        // parents, so ascending ids visit children first).
-        let mut dirty: Vec<Dirty> = Vec::with_capacity(self.shapes.len());
-        for idx in 0..self.shapes.len() {
-            if old_relations[idx].is_none() {
-                // Never compiled: nothing to patch, and no compiled parent
-                // can sit above it (ensure compiles children first), so
-                // this dirty value is only read if a parent was dropped
-                // too — in which case `All` is the safe answer.
-                dirty.push(Dirty::All);
-                continue;
-            }
-            out.rows_total += n_new as u64;
-            let shape = self.shapes[idx].clone();
-            if let Shape::Step(axis, test) = &shape {
-                let r = step_relation_in_mode(new_tree, *axis, test, mode, &mut self.kernels);
-                self.relations[idx] = Some(LazyRel::eager(r));
-                let d = delta.dirty_rows(*axis);
-                out.rows_invalidated += d.len() as u64;
-                out.entries_patched += 1;
-                dirty.push(Dirty::Rows(d));
-                continue;
-            }
-            if self.children_of(&shape).iter().any(|c| self.relations[c.index()].is_none()) {
-                // A child fell out (capacity) earlier in this pass.
-                self.relations[idx] = None;
-                out.entries_dropped += 1;
-                out.rows_invalidated += n_new as u64;
-                dirty.push(Dirty::All);
-                continue;
-            }
-            let d = self.composite_dirty(&shape, delta, &old_relations, &dirty);
-            let old_rel = old_relations[idx].as_ref().expect("checked above");
-            // Patch only when the dirty set is small — `+2` slack so tiny
-            // documents still exercise the patch path — and the cached form
-            // is a materialised Sparse/Dense/Interval (symbolic forms
-            // rebuild in O(1); Identity/Full rebuild via trivial kernels).
-            let patched = match &d {
-                Dirty::Rows(rows) if rows.len() <= n_new / 4 + 2 => old_rel
-                    .as_eager()
-                    .and_then(|r| self.patch_entry(r, &shape, rows, delta)),
-                _ => None,
-            };
-            match patched {
-                Some(rel) => {
-                    let Dirty::Rows(rows) = &d else { unreachable!() };
-                    out.rows_invalidated += rows.len() as u64;
-                    out.entries_patched += 1;
-                    self.relations[idx] = Some(LazyRel::eager(rel));
-                    dirty.push(d);
-                }
-                None => {
-                    out.rows_invalidated += n_new as u64;
-                    match self.rebuild_composite(&shape) {
-                        Ok(rel) => {
-                            self.relations[idx] = Some(rel);
-                            out.entries_rebuilt += 1;
-                        }
-                        Err(()) => {
-                            self.relations[idx] = None;
-                            out.entries_dropped += 1;
-                        }
-                    }
-                    dirty.push(Dirty::All);
-                }
-            }
-        }
-        // Re-derive the running count from the entries left (no row tables
-        // survive an insert or delete).
-        self.bytes = self.relations.iter().flatten().map(|r| r.approx_bytes()).sum();
-        out
-    }
-
-    /// The relabel arm of [`MatrixStore::apply_edit`]: ids do not move, so
-    /// an entry is stale only if `delta.labels` (old + new label, sorted)
-    /// intersects its label footprint — computed bottom-up without walking
-    /// any matrix.
-    fn apply_relabel(&mut self, delta: &EditDelta, out: &mut EditApplyStats) {
         let n = self.domain as u64;
         let mut hit = vec![false; self.shapes.len()];
         for idx in 0..self.shapes.len() {
@@ -725,240 +633,7 @@ impl MatrixStore {
                 out.entries_kept += 1;
             }
         }
-    }
-
-    /// Child ids of a composite shape (empty for steps).
-    fn children_of(&self, shape: &Shape) -> Vec<ExprId> {
-        match shape {
-            Shape::Step(..) => Vec::new(),
-            Shape::Seq(a, b) | Shape::Union(a, b) => vec![*a, *b],
-            Shape::Except(p) | Shape::Test(p) => vec![*p],
-        }
-    }
-
-    /// Propagate dirty rows through one operator, given the children's
-    /// dirty sets, their *updated* relations (in `self`) and their *old*
-    /// relations (for the deleted-route terms).
-    fn composite_dirty(
-        &self,
-        shape: &Shape,
-        delta: &EditDelta,
-        old_relations: &[Option<Arc<LazyRel>>],
-        dirty: &[Dirty],
-    ) -> Dirty {
-        match shape {
-            Shape::Step(..) => unreachable!("steps are handled by the caller"),
-            Shape::Union(a, b) => match (&dirty[a.index()], &dirty[b.index()]) {
-                (Dirty::All, _) | (_, Dirty::All) => Dirty::All,
-                (Dirty::Rows(da), Dirty::Rows(db)) => Dirty::Rows(merge_rows(da, db)),
-            },
-            Shape::Except(p) => {
-                if delta.kind == EditKind::Insert {
-                    // Every row of the complement gains the fresh columns.
-                    return Dirty::All;
-                }
-                dirty[p.index()].clone()
-            }
-            Shape::Test(p) => {
-                let base = match &dirty[p.index()] {
-                    Dirty::All => return Dirty::All,
-                    Dirty::Rows(r) => r.clone(),
-                };
-                self.with_deleted_routes(*p, delta, old_relations, base)
-            }
-            Shape::Seq(a, b) => {
-                let da = match &dirty[a.index()] {
-                    Dirty::All => return Dirty::All,
-                    Dirty::Rows(r) => r,
-                };
-                let db = match &dirty[b.index()] {
-                    Dirty::All => return Dirty::All,
-                    Dirty::Rows(r) => r,
-                };
-                let mut rows = da.clone();
-                if !db.is_empty() {
-                    let a_new = self.relations[a.index()].as_ref().expect("children updated");
-                    match a_new.as_eager() {
-                        None => return Dirty::All,
-                        Some(r) => rows = merge_rows(&rows, &rows_intersecting_cols(r, db)),
-                    }
-                }
-                self.with_deleted_routes(*a, delta, old_relations, rows)
-            }
-        }
-    }
-
-    /// Under delete, widen `rows` by the survivors whose *old* `child` row
-    /// reached into the deleted id range: the old product/test row counted
-    /// columns contributed via those dead intermediates, and the clean-row
-    /// remap would wrongly keep them.
-    fn with_deleted_routes(
-        &self,
-        child: ExprId,
-        delta: &EditDelta,
-        old_relations: &[Option<Arc<LazyRel>>],
-        rows: Vec<u32>,
-    ) -> Dirty {
-        if delta.kind != EditKind::Delete {
-            return Dirty::Rows(rows);
-        }
-        let old = old_relations[child.index()].as_ref().expect("child was compiled");
-        let Some(r) = old.as_eager() else {
-            return Dirty::All;
-        };
-        let extra: Vec<u32> = rows_intersecting_range(r, delta.pos, delta.pos + delta.count)
-            .into_iter()
-            .filter_map(|u_old| delta.remap(u_old))
-            .collect();
-        // `remap` is monotone, so `extra` is still sorted.
-        Dirty::Rows(merge_rows(&rows, &extra))
-    }
-
-    /// Recompute one row of a composite entry from its (already updated)
-    /// children.  Returns sorted new-id columns.
-    fn recompute_row(&self, shape: &Shape, u: u32) -> Vec<u32> {
-        let child = |id: ExprId| {
-            self.relations[id.index()]
-                .as_ref()
-                .expect("children update before parents")
-        };
-        let id = NodeId(u);
-        match shape {
-            Shape::Step(..) => unreachable!("step rows rebuild from the tree"),
-            Shape::Seq(a, b) => {
-                let (ra, rb) = (child(*a), child(*b));
-                let mut out: Vec<u32> = Vec::new();
-                for v in ra.row(id) {
-                    out.extend(rb.row(v).into_iter().map(|w| w.0));
-                }
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
-            Shape::Union(a, b) => {
-                let ca: Vec<u32> = child(*a).row(id).into_iter().map(|v| v.0).collect();
-                let cb: Vec<u32> = child(*b).row(id).into_iter().map(|v| v.0).collect();
-                merge_rows(&ca, &cb)
-            }
-            Shape::Except(p) => {
-                let inner = child(*p).row(id);
-                let mut out = Vec::with_capacity(self.domain - inner.len());
-                let mut next = 0u32;
-                for v in inner {
-                    out.extend(next..v.0);
-                    next = v.0 + 1;
-                }
-                out.extend(next..self.domain as u32);
-                out
-            }
-            Shape::Test(p) => {
-                if child(*p).row_nonempty(id) {
-                    vec![u]
-                } else {
-                    Vec::new()
-                }
-            }
-        }
-    }
-
-    /// Patch one materialised relation through the edit: clean rows are
-    /// remapped from the old relation, dirty rows recomputed from the
-    /// entry's children.  `None` bails to a rebuild (trivial forms, or an
-    /// interval row whose image stops being contiguous).
-    fn patch_entry(
-        &self,
-        old: &Relation,
-        shape: &Shape,
-        dirty_rows: &[u32],
-        delta: &EditDelta,
-    ) -> Option<Relation> {
-        let n_new = self.domain;
-        let n_old = delta.old_len;
-        let is_dirty = |u: u32| dirty_rows.binary_search(&u).is_ok();
-        match old {
-            // Rebuilding Identity/Full runs trivial kernels; not worth a
-            // row-wise patch.
-            Relation::Identity(_) | Relation::Full(_) => None,
-            Relation::Interval { rows, .. } => {
-                let mut out: Vec<(u32, u32)> = Vec::with_capacity(n_new);
-                for u in 0..n_new as u32 {
-                    if is_dirty(u) {
-                        let row = self.recompute_row(shape, u);
-                        match row.len() {
-                            0 => out.push((0, 0)),
-                            len if row[len - 1] - row[0] + 1 == len as u32 => {
-                                out.push((row[0], row[len - 1] + 1));
-                            }
-                            // The recomputed row is not contiguous: the
-                            // entry no longer fits interval form.
-                            _ => return None,
-                        }
-                    } else {
-                        let u_old = delta.preimage(u).expect("clean rows have preimages");
-                        let (lo, hi) = rows[u_old as usize];
-                        out.push(remap_range(lo, hi, delta)?);
-                    }
-                }
-                Some(Relation::Interval { n: n_new, rows: out }.compact())
-            }
-            Relation::Sparse(s) => {
-                let mut rows: Vec<Vec<u32>> = Vec::with_capacity(n_new);
-                for u in 0..n_new as u32 {
-                    if is_dirty(u) {
-                        rows.push(self.recompute_row(shape, u));
-                    } else {
-                        let u_old = delta.preimage(u).expect("clean rows have preimages");
-                        rows.push(remap_cols(s.row(u_old as usize), delta));
-                    }
-                }
-                Some(Relation::Sparse(SparseRows::from_rows(n_new, rows)).compact())
-            }
-            Relation::Dense(m) => {
-                let mut out = NodeMatrix::try_empty(n_new).ok()?;
-                for u in 0..n_new as u32 {
-                    if is_dirty(u) {
-                        for c in self.recompute_row(shape, u) {
-                            out.set(NodeId(u), NodeId(c));
-                        }
-                    } else {
-                        let u_old = delta.preimage(u).expect("clean rows have preimages");
-                        let words =
-                            remap_row_words(m.row_words(NodeId(u_old)), delta, n_old, n_new);
-                        out.or_words_into_row(NodeId(u), &words);
-                    }
-                }
-                Some(Relation::Dense(out).compact())
-            }
-        }
-    }
-
-    /// Recompile one composite entry from its (already updated) children.
-    /// `Err` means a child is missing (dropped at capacity) or the kernels
-    /// refused the result; the caller drops the entry.
-    fn rebuild_composite(&mut self, shape: &Shape) -> Result<Arc<LazyRel>, ()> {
-        fn child(store: &MatrixStore, id: ExprId) -> Result<Arc<LazyRel>, ()> {
-            store.relations[id.index()].as_ref().map(Arc::clone).ok_or(())
-        }
-        let mode = self.mode;
-        match shape {
-            Shape::Step(..) => unreachable!("steps rebuild from the tree"),
-            Shape::Seq(a, b) => {
-                let (ra, rb) = (child(self, *a)?, child(self, *b)?);
-                LazyRel::product(&ra, &rb, mode, &mut self.kernels).map_err(|_| ())
-            }
-            Shape::Union(a, b) => {
-                let (ra, rb) = (child(self, *a)?, child(self, *b)?);
-                LazyRel::union(&ra, &rb, mode, &mut self.kernels).map_err(|_| ())
-            }
-            Shape::Except(p) => {
-                let rp = child(self, *p)?;
-                LazyRel::complement(&rp, mode, &mut self.kernels).map_err(|_| ())
-            }
-            Shape::Test(p) => {
-                let rp = child(self, *p)?;
-                Ok(LazyRel::diagonal_filter(&rp, mode, &mut self.kernels))
-            }
-        }
+        out
     }
 }
 
@@ -1225,23 +900,47 @@ impl SharedMatrixStore {
     }
 
     /// A copy of this store bound to `new_tree`, the snapshot `delta`
-    /// produced from this one: every shard is cloned and carried through
-    /// the edit with [`MatrixStore::apply_edit`], and step views read the
-    /// new snapshot.  The original is left untouched (each shard lock is
-    /// held only while cloning), so in-flight readers of the old store
-    /// never observe a half-applied edit — the serving layer swaps the
-    /// returned store in atomically and lets old snapshots drain.
+    /// produced from this one; step views read the new snapshot.
+    ///
+    /// * **Insert or delete** — node ids shift, so no compiled entry carries
+    ///   over: the copy is an empty store in this store's kernel mode and
+    ///   shard count, and every entry compiled so far counts as dropped.
+    ///   Atoms recompile on demand the first time a query needs them.
+    /// * **Relabel** — ids stay put: every shard is cloned (its lock held
+    ///   only while cloning) and the clone drops the entries whose label
+    ///   footprint meets the edit ([`MatrixStore::apply_relabel`]).
+    ///
+    /// The original is left untouched, so in-flight readers of the old
+    /// store never observe a half-applied edit — the serving layer swaps
+    /// the returned store in atomically and lets old snapshots drain.
     pub fn fork_edited(
         &self,
         new_tree: Arc<Tree>,
         delta: &EditDelta,
     ) -> (SharedMatrixStore, EditApplyStats) {
+        assert_eq!(
+            delta.new_len,
+            new_tree.len(),
+            "fork_edited: delta does not produce the given tree"
+        );
+        if delta.kind != EditKind::Relabel {
+            let compiled: usize = self.each_shard(|s| s.stats().compiled).iter().sum();
+            let rows = (compiled * self.domain()) as u64;
+            let stats = EditApplyStats {
+                entries_dropped: compiled,
+                rows_invalidated: rows,
+                rows_total: rows,
+                ..EditApplyStats::default()
+            };
+            let empty = Self::with_shards_and_mode(new_tree, self.shards.len(), self.mode());
+            return (empty, stats);
+        }
         let mut stats = EditApplyStats::default();
         let shards = self
             .each_shard(|s| s.clone())
             .into_iter()
             .map(|mut forked| {
-                stats.merge(&forked.apply_edit(&new_tree, delta));
+                stats.merge(&forked.apply_relabel(delta));
                 Shard::new(forked)
             })
             .collect();
@@ -1438,8 +1137,8 @@ mod tests {
     /// The running occupancy count must equal the walking recount after
     /// every step of a random operation sequence, in every kernel mode:
     /// compilations, successor tables, lazy row pulls (also through handles
-    /// whose store has since let go of them), edits applied in place and
-    /// through `fork_edited`, `clear`, and a poisoned shard.
+    /// whose store has since let go of them), relabels applied in place,
+    /// insert, delete and relabel forks, `clear`, and a poisoned shard.
     #[test]
     fn running_occupancy_matches_the_recount_oracle() {
         const QUERIES: &[&str] = &[
@@ -1467,6 +1166,7 @@ mod tests {
             let mut single = MatrixStore::with_mode(tree.len(), mode);
             let mut shared = SharedMatrixStore::with_shards_and_mode(Arc::clone(&tree), 3, mode);
             let mut handles: Vec<SuccessorSource> = Vec::new();
+            let (mut inserts, mut deletes) = (0, 0);
             for step in 0..400 {
                 let expr = bin(QUERIES[next(QUERIES.len())]);
                 let op = next(8);
@@ -1495,15 +1195,19 @@ mod tests {
                         let sub = Tree::from_terms("b(a,c)").unwrap();
                         let (t, delta) = tree.insert_subtree(parent, 0, &sub).unwrap();
                         tree = Arc::new(t);
-                        single.apply_edit(&tree, &delta);
+                        // A structural fork starts empty; so does the
+                        // single store's counterpart.
+                        single = MatrixStore::with_mode(tree.len(), mode);
                         shared = shared.fork_edited(Arc::clone(&tree), &delta).0;
+                        inserts += 1;
                     }
                     4 | 5 if tree.len() > 4 => {
                         let node = NodeId(1 + next(tree.len() - 1) as u32);
                         let (t, delta) = tree.delete_subtree(node).unwrap();
                         tree = Arc::new(t);
-                        single.apply_edit(&tree, &delta);
+                        single = MatrixStore::with_mode(tree.len(), mode);
                         shared = shared.fork_edited(Arc::clone(&tree), &delta).0;
+                        deletes += 1;
                     }
                     4 | 5 => {}
                     6 => {
@@ -1511,7 +1215,7 @@ mod tests {
                         let label = ["a", "b", "c", "d"][next(4)];
                         let (t, delta) = tree.relabel(node, label).unwrap();
                         tree = Arc::new(t);
-                        single.apply_edit(&tree, &delta);
+                        single.apply_relabel(&delta);
                         shared = shared.fork_edited(Arc::clone(&tree), &delta).0;
                     }
                     _ if step % 3 == 0 => {
@@ -1532,6 +1236,7 @@ mod tests {
                 let want = shared.recount_bytes();
                 assert_eq!(shared.approx_bytes(), want, "{ctx}: shared");
             }
+            assert!(inserts > 0 && deletes > 0, "{mode:?}: both structural forks ran");
             assert!(
                 handles.iter().any(|h| matches!(h, SuccessorSource::Lazy(_)))
                     == (mode == KernelMode::Lazy),
@@ -1573,6 +1278,19 @@ mod tests {
     }
 
     #[test]
+    fn edit_apply_stats_merge_adds_everything() {
+        let mut a = EditApplyStats {
+            entries_kept: 1,
+            entries_dropped: 4,
+            rows_invalidated: 5,
+            rows_total: 6,
+        };
+        a.merge(&a.clone());
+        assert_eq!(a.rows_total, 12);
+        assert_eq!(a.entries_dropped, 8);
+    }
+
+    #[test]
     #[should_panic(expected = "MatrixStore was created for")]
     fn domain_mismatch_is_rejected() {
         let t = tree();
@@ -1593,21 +1311,43 @@ mod tests {
         "self::*[descendant::author]",
     ];
 
-    fn assert_store_matches_cold(store: &mut MatrixStore, t: &Tree, ctx: &str) {
+    fn assert_store_matches_cold(store: &SharedMatrixStore, ctx: &str) {
+        let t = store.tree();
         let mut cold = MatrixStore::with_mode(t.len(), store.mode());
         for src in EDIT_QUERIES {
             let b = bin(src);
             assert_eq!(
-                store.eval(t, &b),
+                store.eval(&b),
                 cold.eval(t, &b),
                 "{ctx}: {src} diverged from a cold compile"
             );
         }
     }
 
-    /// `apply_edit` must leave the store indistinguishable from a cold
-    /// store compiled on the post-edit tree — across every kernel mode and
-    /// all three edit kinds.
+    /// A structural fork holds nothing: no compiled entry, no occupancy,
+    /// and every entry the warm store held is reported dropped.
+    fn assert_structural_fork_is_empty(
+        warm: &SharedMatrixStore,
+        fork: &SharedMatrixStore,
+        stats: &EditApplyStats,
+        ctx: &str,
+    ) {
+        let compiled = warm.stats().compiled;
+        assert!(compiled > 0, "{ctx}: the store was warm");
+        assert_eq!(fork.stats().compiled, 0, "{ctx}: entries survived");
+        assert_eq!(fork.approx_bytes(), 0, "{ctx}: occupancy survived");
+        assert_eq!(fork.mode(), warm.mode(), "{ctx}: kernel mode");
+        assert_eq!(fork.shard_count(), warm.shard_count(), "{ctx}: shard count");
+        assert_eq!(stats.entries_dropped, compiled, "{ctx}: {stats:?}");
+        assert_eq!(stats.entries_kept, 0, "{ctx}: {stats:?}");
+        assert!(stats.rows_total > 0, "{ctx}: {stats:?}");
+        assert_eq!(stats.rows_invalidated, stats.rows_total, "{ctx}: {stats:?}");
+    }
+
+    /// `fork_edited` must leave a store indistinguishable from a cold store
+    /// compiled on the post-edit tree — across every kernel mode and all
+    /// three edit kinds.  Structural forks start empty; a relabel keeps the
+    /// entries outside its label footprint.
     #[test]
     fn apply_edit_matches_cold_recompile_for_every_mode_and_edit_kind() {
         for mode in [
@@ -1616,67 +1356,48 @@ mod tests {
             KernelMode::AdaptiveThreaded,
             KernelMode::Lazy,
         ] {
-            let t0 = tree();
-            let mut store = MatrixStore::with_mode(t0.len(), mode);
+            let t0 = Arc::new(tree());
+            let store = SharedMatrixStore::with_shards_and_mode(Arc::clone(&t0), 3, mode);
             for src in EDIT_QUERIES {
-                store.eval(&t0, &bin(src));
+                store.eval(&bin(src));
             }
 
             // Insert a subtree under the second book.
             let sub = Tree::from_terms("note(author,ref(title))").unwrap();
             let book2 = t0.nodes_with_label_str("book")[1];
             let (t1, delta) = t0.insert_subtree(book2, 1, &sub).unwrap();
-            let stats = store.apply_edit(&t1, &delta);
-            assert_eq!(stats.entries_dropped, 0, "{mode:?}: nothing at capacity");
-            assert!(stats.rows_total > 0);
-            assert_store_matches_cold(&mut store, &t1, &format!("{mode:?} insert"));
+            let (fork, stats) = store.fork_edited(Arc::new(t1), &delta);
+            assert_structural_fork_is_empty(&store, &fork, &stats, &format!("{mode:?} insert"));
+            assert_store_matches_cold(&fork, &format!("{mode:?} insert"));
+            let store = fork;
 
-            // Relabel a title to a name outside the query mix's footprint…
+            // Relabel a title to a name outside the query mix's footprint:
+            // entries that mention neither label survive and answer from
+            // the cache.
+            let t1 = Arc::clone(store.tree());
             let title = t1.nodes_with_label_str("title")[0];
             let (t2, delta) = t1.relabel(title, "subtitle").unwrap();
-            let stats = store.apply_edit(&t2, &delta);
+            let (fork, stats) = store.fork_edited(Arc::new(t2), &delta);
             assert!(
-                stats.entries_kept > 0,
-                "{mode:?}: entries outside the label footprint must survive a relabel"
+                stats.entries_kept > 0 && stats.entries_dropped > 0,
+                "{mode:?}: a relabel keeps exactly the entries outside its footprint: {stats:?}"
             );
-            assert_store_matches_cold(&mut store, &t2, &format!("{mode:?} relabel"));
+            assert_eq!(fork.stats().compiled, stats.entries_kept, "{mode:?} relabel");
+            let misses = fork.stats().misses;
+            fork.eval(&bin("child::book/child::author"));
+            assert_eq!(fork.stats().misses, misses, "{mode:?}: kept entry recompiled");
+            assert_store_matches_cold(&fork, &format!("{mode:?} relabel"));
+            let store = fork;
 
-            // …and delete the first book's whole subtree.
+            // Delete the first book's whole subtree.
+            let t2 = Arc::clone(store.tree());
             let book1 = t2.nodes_with_label_str("book")[0];
             let (t3, delta) = t2.delete_subtree(book1).unwrap();
-            store.apply_edit(&t3, &delta);
-            assert_store_matches_cold(&mut store, &t3, &format!("{mode:?} delete"));
-            assert_eq!(store.domain(), t3.len());
+            let (fork, stats) = store.fork_edited(Arc::new(t3), &delta);
+            assert_structural_fork_is_empty(&store, &fork, &stats, &format!("{mode:?} delete"));
+            assert_store_matches_cold(&fork, &format!("{mode:?} delete"));
+            assert_eq!(fork.domain(), t2.len() - delta.count as usize);
         }
-    }
-
-    /// On a larger document a leaf-local edit must patch entries rather
-    /// than rebuild everything: the invalidated-row count stays far below
-    /// the total.
-    #[test]
-    fn leaf_edits_on_a_wide_tree_patch_instead_of_rebuilding() {
-        let wide = format!(
-            "bib({})",
-            (0..120)
-                .map(|_| "book(author,title)")
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let t0 = Tree::from_terms(&wide).unwrap();
-        let mut store = MatrixStore::new(t0.len());
-        for src in ["child::book/child::author", "descendant::title"] {
-            store.eval(&t0, &bin(src));
-        }
-        let sub = Tree::from_terms("title").unwrap();
-        let book = t0.nodes_with_label_str("book")[60];
-        let (t1, delta) = t0.insert_subtree(book, 2, &sub).unwrap();
-        let stats = store.apply_edit(&t1, &delta);
-        assert!(stats.entries_patched > 0, "{stats:?}");
-        assert!(
-            stats.rows_invalidated * 10 < stats.rows_total,
-            "a leaf insert must invalidate few rows: {stats:?}"
-        );
-        assert_store_matches_cold(&mut store, &t1, "wide-tree insert");
     }
 
     /// `fork_edited` leaves the original store intact and answering over

@@ -1,30 +1,17 @@
 //! Tree edits: insert/delete/relabel a subtree, with an [`EditDelta`]
-//! describing exactly which node ranges the edit touched.
+//! describing which node range and which labels the edit touched.
 //!
 //! Node ids are dense preorder indices, so any structural edit shifts the
-//! ids of every node after the edited range.  The edit API embraces that:
-//! each operation returns a **fresh tree** (the arena is rebuilt in one
-//! O(|t|) pass — cheap next to the O(|P|·|t|³) matrix compilation the
-//! delta exists to avoid) plus an [`EditDelta`] that
-//!
-//! * maps old ids to new ids ([`EditDelta::remap`] is a monotone shift),
-//! * names the edited preorder range (`pos`, `count`),
-//! * records the insertion parent, its ancestor-or-self `path` and its
-//!   post-edit `siblings` — the only rows whose axis relations change
-//!   beyond the id shift (see `xpath_pplbin`'s incremental maintenance),
-//! * lists the `labels` whose node sets the edit touched.
-//!
-//! The key soundness fact the downstream consumers rely on: for every axis
-//! of the paper (all of which are vertical or *sibling-local* — there is no
-//! global `following`/`preceding` axis), the restriction of the axis
-//! relation to pairs of surviving nodes is **unchanged** by an edit, except
-//! for a small dirty set of rows derived from `parent`, `path` and
-//! `siblings` ([`EditDelta::dirty_rows`]).
+//! ids of every node after the edited range.  Each operation therefore
+//! returns a **fresh tree** (the arena is rebuilt in one O(|t|) pass) plus
+//! an [`EditDelta`] that names the edited preorder range (`pos`, `count`)
+//! and lists the `labels` whose node sets the edit touched.  Downstream
+//! caches use the kind and the labels only: a structural edit invalidates
+//! every compiled relation (ids moved), while a relabel invalidates only
+//! the relations whose label footprint meets `labels` (ids stay put).
 
 use crate::tree::{NodeId, Tree};
-use crate::{Axis, TreeBuilder, TreeError};
-
-const NIL: u32 = u32::MAX;
+use crate::{TreeBuilder, TreeError};
 
 /// Which kind of edit produced an [`EditDelta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,9 +31,6 @@ pub enum EditKind {
 /// `pos..pos+count`), in **old** ids for [`EditKind::Delete`] (the deleted
 /// subtree was `pos..pos+count`).  For [`EditKind::Relabel`] ids do not
 /// move and `count == 1`.
-///
-/// `parent`, `path` and `siblings` all have ids smaller than `pos` or are
-/// explicitly post-edit, so they are valid in the **new** tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EditDelta {
     /// What happened.
@@ -59,137 +43,9 @@ pub struct EditDelta {
     pub pos: u32,
     /// Number of nodes in the edited range.
     pub count: u32,
-    /// Parent of the edited range (`u32::MAX` when the root was relabelled).
-    /// Its id is `< pos`, hence identical in the old and new trees.
-    pub parent: u32,
-    /// Ancestor-or-self chain of `parent`, root first.  All ids `< pos`.
-    pub path: Vec<u32>,
-    /// Children of `parent` after the edit, in sibling order (**new** ids).
-    pub siblings: Vec<u32>,
     /// Labels whose `lab_a` node sets the edit touched (inserted/deleted
     /// subtree labels; `{old, new}` for a relabel).
     pub labels: Vec<String>,
-}
-
-impl EditDelta {
-    /// Map an old node id to its new id (`None` if the node was deleted).
-    ///
-    /// The map is a monotone shift: document order among surviving nodes is
-    /// preserved, which is what lets interval/CSR relation rows be patched
-    /// instead of recomputed.
-    #[inline]
-    pub fn remap(&self, old: u32) -> Option<u32> {
-        match self.kind {
-            EditKind::Relabel => Some(old),
-            EditKind::Insert => {
-                if old < self.pos {
-                    Some(old)
-                } else {
-                    Some(old + self.count)
-                }
-            }
-            EditKind::Delete => {
-                if old < self.pos {
-                    Some(old)
-                } else if old < self.pos + self.count {
-                    None
-                } else {
-                    Some(old - self.count)
-                }
-            }
-        }
-    }
-
-    /// Map a new node id back to its old id (`None` for freshly inserted
-    /// ids).  Inverse of [`EditDelta::remap`] on surviving nodes.
-    #[inline]
-    pub fn preimage(&self, new: u32) -> Option<u32> {
-        match self.kind {
-            EditKind::Relabel => Some(new),
-            EditKind::Insert => {
-                if new < self.pos {
-                    Some(new)
-                } else if new < self.pos + self.count {
-                    None
-                } else {
-                    Some(new - self.count)
-                }
-            }
-            EditKind::Delete => {
-                if new < self.pos {
-                    Some(new)
-                } else {
-                    Some(new + self.count)
-                }
-            }
-        }
-    }
-
-    /// Is `new` an id that did not exist before the edit?
-    #[inline]
-    pub fn is_fresh(&self, new: u32) -> bool {
-        self.kind == EditKind::Insert && new >= self.pos && new < self.pos + self.count
-    }
-
-    /// The freshly inserted id range (empty unless [`EditKind::Insert`]).
-    pub fn fresh_rows(&self) -> std::ops::Range<u32> {
-        match self.kind {
-            EditKind::Insert => self.pos..self.pos + self.count,
-            _ => 0..0,
-        }
-    }
-
-    /// The rows (in **new** ids, sorted, deduplicated) whose `axis` relation
-    /// may differ from the remapped old relation.  Every other row of the
-    /// new step relation equals its old row with [`EditDelta::remap`]
-    /// applied to the columns.
-    ///
-    /// This is the load-bearing soundness contract of incremental matrix
-    /// maintenance; `run_edit_fuzz` checks it tuple-for-tuple against full
-    /// recompilation.
-    pub fn dirty_rows(&self, axis: Axis) -> Vec<u32> {
-        let mut rows: Vec<u32> = Vec::new();
-        let fresh = self.fresh_rows();
-        match self.kind {
-            // Relabel changes no structure; label-footprint filtering (not
-            // row dirtying) handles it.
-            EditKind::Relabel => return rows,
-            EditKind::Insert | EditKind::Delete => {
-                match axis {
-                    // A node's own id, parent and ancestors never change
-                    // beyond the shift.
-                    Axis::SelfAxis | Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf => {}
-                    // The insertion parent gained/lost a child; its first
-                    // child may have changed.
-                    Axis::Child | Axis::FirstChild => {
-                        if self.parent != NIL {
-                            rows.push(self.parent);
-                        }
-                    }
-                    // Every ancestor-or-self of the insertion parent
-                    // gained/lost the edited range as descendants.
-                    Axis::Descendant | Axis::DescendantOrSelf => {
-                        rows.extend_from_slice(&self.path);
-                    }
-                    // Sibling axes are sibling-local: only the children of
-                    // the insertion parent see different siblings.
-                    Axis::FollowingSibling
-                    | Axis::FollowingSiblingOrSelf
-                    | Axis::PrecedingSibling
-                    | Axis::PrecedingSiblingOrSelf
-                    | Axis::NextSibling
-                    | Axis::PrevSibling => {
-                        rows.extend_from_slice(&self.siblings);
-                    }
-                }
-            }
-        }
-        // Freshly inserted nodes have no old row at all: always dirty.
-        rows.extend(fresh);
-        rows.sort_unstable();
-        rows.dedup();
-        rows
-    }
 }
 
 /// Iterative preorder copy of `tree` into `b`, yielding builder events; the
@@ -266,17 +122,6 @@ fn copy_tree(
     spliced_at
 }
 
-fn ancestor_or_self_path(tree: &Tree, node: NodeId) -> Vec<u32> {
-    let mut path = Vec::new();
-    let mut cur = Some(node);
-    while let Some(n) = cur {
-        path.push(n.0);
-        cur = tree.parent(n);
-    }
-    path.reverse();
-    path
-}
-
 fn subtree_labels(tree: &Tree, root: NodeId) -> Vec<String> {
     let mut labels: Vec<String> = tree
         .descendants_or_self(root)
@@ -314,9 +159,6 @@ impl Tree {
             new_len: new.len(),
             pos,
             count,
-            parent: parent.0,
-            path: ancestor_or_self_path(self, parent),
-            siblings: new.children(parent).map(|c| c.0).collect(),
             labels: subtree_labels(subtree, subtree.root()),
         };
         debug_assert_eq!(delta.new_len, delta.old_len + count as usize);
@@ -333,7 +175,6 @@ impl Tree {
         if node == self.root() {
             return Err(TreeError::EmptyTree);
         }
-        let parent = self.parent(node).expect("non-root node has a parent");
         let count = self.descendants_or_self(node).len() as u32;
         let labels = subtree_labels(self, node);
         let mut b = TreeBuilder::new();
@@ -345,9 +186,6 @@ impl Tree {
             new_len: new.len(),
             pos: node.0,
             count,
-            parent: parent.0,
-            path: ancestor_or_self_path(self, parent),
-            siblings: new.children(parent).map(|c| c.0).collect(),
             labels,
         };
         debug_assert_eq!(delta.old_len, delta.new_len + count as usize);
@@ -365,7 +203,6 @@ impl Tree {
         let mut b = TreeBuilder::new();
         copy_tree(self, &mut b, None, Some((node, label)), None);
         let new = b.finish().expect("copy is balanced");
-        let parent = self.parent(node).map(|p| p.0).unwrap_or(NIL);
         let mut labels = vec![old_label, label.to_string()];
         labels.sort();
         labels.dedup();
@@ -375,15 +212,6 @@ impl Tree {
             new_len: new.len(),
             pos: node.0,
             count: 1,
-            parent,
-            path: match self.parent(node) {
-                Some(p) => ancestor_or_self_path(self, p),
-                None => Vec::new(),
-            },
-            siblings: match self.parent(node) {
-                Some(p) => new.children(p).map(|c| c.0).collect(),
-                None => Vec::new(),
-            },
             labels,
         };
         Ok((new, delta))
@@ -409,7 +237,6 @@ mod tests {
             assert_eq!(new.len(), base.len() + 2);
             assert_eq!(delta.kind, EditKind::Insert);
             assert_eq!(delta.count, 2);
-            assert_eq!(delta.parent, b.0);
             // The inserted range really is the x(y) copy.
             assert_eq!(new.label_str(NodeId(delta.pos)), "x");
             assert_eq!(new.label_str(NodeId(delta.pos + 1)), "y");
@@ -432,8 +259,6 @@ mod tests {
         let (new, delta) = base.insert_subtree(c, 0, &sub).unwrap();
         assert_eq!(new.to_terms(), "a(b,c(x(y,z)))");
         assert_eq!(delta.pos, 3);
-        assert_eq!(delta.path, vec![0, 2]);
-        assert_eq!(delta.siblings, vec![3]);
     }
 
     #[test]
@@ -445,10 +270,6 @@ mod tests {
         assert_eq!(new.to_terms(), "a(c(f))");
         assert_eq!(delta.kind, EditKind::Delete);
         assert_eq!((delta.pos, delta.count), (1, 3));
-        assert_eq!(delta.remap(0), Some(0));
-        assert_eq!(delta.remap(1), None);
-        assert_eq!(delta.remap(3), None);
-        assert_eq!(delta.remap(4), Some(1));
         assert_eq!(delta.labels, vec!["b", "d", "e"]);
     }
 
@@ -468,9 +289,8 @@ mod tests {
         let (new, delta) = base.relabel(c, "z").unwrap();
         assert_eq!(new.to_terms(), "a(b,z)");
         assert_eq!(delta.kind, EditKind::Relabel);
-        assert_eq!(delta.remap(2), Some(2));
+        assert_eq!((delta.pos, delta.count), (c.0, 1));
         assert_eq!(delta.labels, vec!["c", "z"]);
-        assert!(delta.dirty_rows(Axis::Descendant).is_empty());
     }
 
     #[test]
@@ -483,63 +303,5 @@ mod tests {
         ));
         assert!(matches!(base.delete_subtree(bogus), Err(TreeError::InvalidNode(99))));
         assert!(matches!(base.relabel(bogus, "x"), Err(TreeError::InvalidNode(99))));
-    }
-
-    #[test]
-    fn dirty_rows_cover_exactly_the_changed_step_rows() {
-        // Brute-force the soundness contract: for every axis, every clean
-        // row of the new step relation must equal the remapped old row.
-        let base = t("a(b(d,e),c(f(g),h))");
-        let sub = t("x(y)");
-        let axes = [
-            Axis::SelfAxis,
-            Axis::Child,
-            Axis::Parent,
-            Axis::Descendant,
-            Axis::DescendantOrSelf,
-            Axis::Ancestor,
-            Axis::AncestorOrSelf,
-            Axis::FollowingSibling,
-            Axis::FollowingSiblingOrSelf,
-            Axis::PrecedingSibling,
-            Axis::PrecedingSiblingOrSelf,
-            Axis::NextSibling,
-            Axis::PrevSibling,
-            Axis::FirstChild,
-        ];
-        let mut cases: Vec<(Tree, EditDelta)> = Vec::new();
-        for target in base.nodes() {
-            for index in 0..=2 {
-                cases.push(base.insert_subtree(target, index, &sub).unwrap());
-            }
-            if target != base.root() {
-                cases.push(base.delete_subtree(target).unwrap());
-            }
-        }
-        for (new, delta) in cases {
-            for &axis in &axes {
-                let dirty = delta.dirty_rows(axis);
-                for old_u in base.nodes() {
-                    let Some(new_u) = delta.remap(old_u.0) else { continue };
-                    if dirty.binary_search(&new_u).is_ok() {
-                        continue;
-                    }
-                    let old_row: Vec<u32> = base
-                        .axis_iter(axis, old_u)
-                        .filter_map(|v| delta.remap(v.0))
-                        .collect();
-                    let new_row: Vec<u32> =
-                        new.axis_iter(axis, NodeId(new_u)).map(|v| v.0).collect();
-                    let mut old_sorted = old_row;
-                    let mut new_sorted = new_row;
-                    old_sorted.sort_unstable();
-                    new_sorted.sort_unstable();
-                    assert_eq!(
-                        old_sorted, new_sorted,
-                        "axis {axis:?} row {new_u} changed but was not dirty ({delta:?})"
-                    );
-                }
-            }
-        }
     }
 }

@@ -1,9 +1,10 @@
 //! Random edit scripts over live documents.
 //!
-//! The incremental-maintenance machinery (`xpath_pplbin::store::MatrixStore
-//! ::apply_edit` and everything above it) is only trustworthy if a *long,
-//! adversarial* sequence of edits keeps every engine's answers identical to
-//! a from-scratch recompile.  This module generates those sequences: each
+//! Carrying a warm session through edits (`Session::fork_edited`: an empty
+//! store after a structural edit, footprint-filtered entries after a
+//! relabel) is only trustworthy if a *long, adversarial* sequence of edits
+//! keeps every engine's answers identical to a from-scratch recompile.
+//! This module generates those sequences: each
 //! [`ScriptEdit`] is drawn against the *current* tree (node ids shift under
 //! every structural edit, so a script cannot be generated up front against
 //! the start tree), with a mix of subtree inserts at random positions,

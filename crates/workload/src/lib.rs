@@ -12,7 +12,7 @@
 //!   SAT to query non-emptiness of Core XPath 2.0 *with* variable sharing
 //!   (the hardness side that motivates the NVS restrictions of PPL);
 //! * [`edits`] — random edit scripts over live documents, the input to the
-//!   differential edit-fuzz that validates incremental matrix maintenance.
+//!   differential edit-fuzz that validates sessions carried through edits.
 
 #![forbid(unsafe_code)]
 
