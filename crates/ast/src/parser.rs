@@ -59,7 +59,7 @@ type Parsed<T> = Result<(T, usize), ParseError>;
 /// Parse a Core XPath 2.0 path expression.
 pub fn parse_path(input: &str) -> Result<PathExpr, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser::new(tokens);
     let (expr, _) = p.path()?;
     p.expect_eof()?;
     Ok(expr)
@@ -68,7 +68,7 @@ pub fn parse_path(input: &str) -> Result<PathExpr, ParseError> {
 /// Parse a Core XPath 2.0 test expression (the part between `[` and `]`).
 pub fn parse_test(input: &str) -> Result<TestExpr, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser::new(tokens);
     let (expr, _) = p.test()?;
     p.expect_eof()?;
     Ok(expr)
@@ -223,9 +223,22 @@ struct Parser {
     pos: usize,
     /// Current nesting of the descent (see [`Parser::nested`]).
     depth: usize,
+    /// A parenthesised path already read (as a test) that the next
+    /// [`Parser::primary`] returns instead of reading tokens: see
+    /// [`Parser::unary_test`].
+    resumed: Option<(PathExpr, usize)>,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            resumed: None,
+        }
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].tok
     }
@@ -385,6 +398,9 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Parsed<PathExpr> {
+        if let Some(resumed) = self.resumed.take() {
+            return Ok(resumed);
+        }
         let leaf = match self.peek().clone() {
             Tok::LParen => {
                 self.bump();
@@ -475,7 +491,7 @@ impl Parser {
             // test reading first and fall back to a path on failure.
             let save = self.pos;
             self.bump();
-            if let Ok(inner) = self.test() {
+            if let Ok((inner, h)) = self.test() {
                 if *self.peek() == Tok::RParen {
                     self.bump();
                     // Only accept the test reading if what follows cannot
@@ -486,7 +502,15 @@ impl Parser {
                         && !self.at_keyword("except")
                         && !self.at_keyword("is")
                     {
-                        return Ok(inner);
+                        return Ok((inner, h));
+                    }
+                    // A path read as a test is the same path: continue it
+                    // from here instead of reading it again, which would
+                    // double the work per level of such nesting.
+                    if let TestExpr::Path(path) = inner {
+                        // `comp_or_path` put the test node above the path.
+                        self.resumed = Some((path, h - 1));
+                        return self.comp_or_path();
                     }
                 }
             }
@@ -699,6 +723,28 @@ mod tests {
             assert!(parse_path(&shape(100_000)).unwrap_err().is_too_deep(), "{name}");
         }
         assert!(!parse_path("child::(").unwrap_err().is_too_deep());
+    }
+
+    /// A parenthesised path inside a filter is read once: as a test, then
+    /// continued as a path.  Re-reading it doubled the work per level, so
+    /// 40 levels of this shape never finished.
+    #[test]
+    fn parenthesised_paths_in_filters_are_read_once() {
+        let nest = |open: &str, close: &str, levels: usize| {
+            let mut q = String::from("child::a");
+            for _ in 0..levels {
+                q = format!("{open}child::a[{q}]{close}/child::a");
+            }
+            format!("self::*[{q}]")
+        };
+        let doubled = parse_path(&nest("((", "))", 40)).unwrap();
+        assert_eq!(doubled, parse_path(&nest("", "", 40)).unwrap());
+        assert_eq!(round_trip("self::*[(child::a)/child::b]"), "self::*[child::a/child::b]");
+        assert_eq!(round_trip("self::*[(. ) is $x]"), "self::*[. is $x]");
+        assert_eq!(round_trip("self::*[(a) union b]"), "self::*[child::a union child::b]");
+        assert_eq!(round_trip("self::*[(a)[b] and (c)]"), "self::*[child::a[child::b] and child::c]");
+        assert_eq!(round_trip("self::*[(a or b)]"), "self::*[child::a or child::b]");
+        assert!(parse_path("self::*[(a or b)/c]").is_err());
     }
 
     #[test]

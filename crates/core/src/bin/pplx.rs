@@ -517,12 +517,14 @@ fn render_answers(
     }
 }
 
-/// The `--stats` footer: matrix-cache counters and kernel dispatch counts.
+/// The `--stats` footer: store counters (compiled matrices and the node
+/// sets of filtered-view atoms apart) and kernel dispatch counts.
 fn render_stats(out: &mut String, session: &Session, queries: usize, threads: usize) {
     let stats = session.cache_stats();
     out.push_str(&format!(
-        "# cache: {} hits, {} misses, {} matrices for {queries} queries on {threads} thread(s)\n",
-        stats.hits, stats.misses, stats.compiled,
+        "# cache: {} hits, {} misses, {} matrices, {} node sets for {queries} queries on \
+         {threads} thread(s)\n",
+        stats.hits, stats.misses, stats.compiled, stats.sets,
     ));
     out.push_str(&format!("# kernels: {}\n", stats.kernels));
 }
@@ -1267,8 +1269,8 @@ mod tests {
     fn run_single_reports_cache_stats() {
         // Regression: `--query … --stats` used to parse and then drop the
         // flag, printing no footer.
-        // `descendant::book[child::title]` is a composite atom, so the run
-        // compiles steps into the cache (plain step atoms are tree views).
+        // `descendant::book[child::title]` is a step between diagonals: the
+        // store caches its one node set and compiles nothing.
         let opts = parse_args(&args(&[
             "--query",
             "descendant::book[child::title][child::author[. is $a]]",
@@ -1281,12 +1283,27 @@ mod tests {
         .unwrap();
         let out = run(&opts).unwrap();
         assert!(out.starts_with("3 answer tuple(s) over (a)"), "{out}");
-        assert!(out.contains("# cache: "), "{out}");
         assert!(
-            out.contains("matrices for 1 queries on 1 thread(s)"),
+            out.contains("# cache: 0 hits, 1 misses, 0 matrices, 1 node sets for 1 queries on 1 thread(s)"),
             "{out}"
         );
-        assert!(out.contains("# kernels: steps id/iv/sp/dn "), "{out}");
+        assert!(out.contains("# kernels: steps id/iv/sp/dn 0/0/0/0"), "{out}");
+        // A union of steps is outside the class: it compiles.
+        let opts = parse_args(&args(&[
+            "--query",
+            "(descendant::book union descendant::paper)[child::author]/child::title[. is $t]",
+            "--vars",
+            "t",
+            "--terms",
+            "bib(book(author,title),book(author,author,title))",
+            "--engine",
+            "ppl",
+            "--stats",
+        ]))
+        .unwrap();
+        let out = run(&opts).unwrap();
+        assert!(out.contains(", 0 node sets for 1 queries"), "{out}");
+        assert!(!out.contains(" 0 matrices"), "{out}");
         assert!(!out.contains("steps id/iv/sp/dn 0/0/0/0"), "{out}");
     }
 
@@ -1299,7 +1316,8 @@ mod tests {
              descendant::book[child::author[. is $y] and child::title[. is $z]] -> y,z\n\
              \n\
              descendant::book[child::author]/child::author[. is $a] -> a\n\
-             descendant::book[child::author]\n",
+             descendant::book[child::author]\n\
+             (descendant::book union descendant::paper)[child::title[. is $t]] -> t\n",
         )
         .unwrap();
         let opts = parse_args(&args(&[
@@ -1322,14 +1340,18 @@ mod tests {
         assert!(out.contains("# [3] "));
         assert!(out.contains("satisfiable: true"));
         assert!(!out.contains("answer tuple(s) over ()"), "{out}");
-        // The composite atom `descendant::book[child::author]` repeats across
-        // the batch, so the cache must report hits even when served on 4
-        // threads.
+        assert!(out.contains("# [4] (descendant::book union"), "{out}");
+        assert!(out.contains("2 answer tuple(s) over (t)"), "{out}");
+        // The filtered-view atom `descendant::book[child::author]` repeats
+        // across the batch, so the cache must report hits even when served
+        // on 4 threads.
         assert!(out.contains("# cache: "));
         assert!(!out.contains("# cache: 0 hits"), "{out}");
+        assert!(!out.contains(" 0 node sets"), "{out}");
         assert!(out.contains("on 4 thread(s)"), "{out}");
-        // Named steps inside that atom compile to CSR successor lists, so
-        // the kernel line must report sparse step dispatches.
+        // The union atom of the last line compiles, and its named steps
+        // compile to CSR successor lists, so the kernel line must report
+        // sparse step dispatches.
         assert!(out.contains("# kernels: steps id/iv/sp/dn "), "{out}");
         assert!(!out.contains("steps id/iv/sp/dn 0/0/0/0"), "{out}");
     }

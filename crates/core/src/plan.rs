@@ -17,8 +17,10 @@
 //!   `naive` too: assignment enumeration is cheaper than building the
 //!   Fig. 8 tables;
 //! * everything else runs `ppl`, Fig. 8 over the session's store, where
-//!   plain step atoms are views of the tree and only composite atoms pay
-//!   the Theorem 1 compile term, once per document.
+//!   plain step atoms are views of the tree, steps between diagonals are
+//!   filtered views over cached node sets, and only the other atoms pay
+//!   the Theorem 1 compile term, once per document ([`AtomClass`], which
+//!   [`QueryPlan::explain`] prints for each atom).
 //!
 //! An explicit override (`pplx --engine hcl`, [`Planner::plan_with`]) skips
 //! the decision — and the ceiling — but still records the features, so
@@ -33,6 +35,7 @@ use std::fmt;
 use xpath_ast::ppl::check_ppl;
 use xpath_ast::{BinExpr, PathExpr, Var};
 use xpath_hcl::{ppl_to_hcl, Hcl};
+use xpath_pplbin::AtomClass;
 
 /// Default union distribution budget of `acq` plans (Prop. 9 distribution
 /// is exponential in union nesting depth; a plan exceeding its budget fails
@@ -186,7 +189,8 @@ impl QueryPlan {
             out.push_str(&format!("HCL size     : {}\n", hcl.size()));
             out.push_str(&format!("PPLbin atoms : {}\n", atoms.len()));
             for (i, a) in atoms.iter().enumerate() {
-                out.push_str(&format!("  b{i} = {a}\n"));
+                let class = AtomClass::of(a).name();
+                out.push_str(&format!("  b{i} = {a}  [{class}]\n"));
             }
         }
         out
@@ -379,8 +383,11 @@ mod tests {
         let plan = s.plan(src, &["x"]).unwrap();
         assert_eq!(plan.engine(), Engine::Ppl, "{}", plan.explain());
         // Execute once; the warm session plans exactly as the cold one did.
+        // The atom is a step between diagonals: the warm store holds its
+        // node sets, not a matrix.
         s.execute(&plan).unwrap();
-        assert!(s.cache_stats().compiled > 0);
+        assert!(plan.explain().contains("  [filtered view]"), "{}", plan.explain());
+        assert!(s.cache_stats().sets > 0);
         let replanned = s.plan(src, &["x"]).unwrap();
         assert_eq!(replanned.engine(), Engine::Ppl);
         assert_eq!(replanned.explain(), plan.explain());
@@ -439,6 +446,7 @@ mod tests {
         }
         assert!(report.contains("chosen"));
         assert!(report.contains("PPLbin atoms"));
+        assert!(report.contains("b0 = descendant::author  [view]"), "{report}");
         assert!(report.contains(&format!("|t|={}", s.len())));
         assert_eq!(format!("{plan}"), format!("{} via {}", plan.source(), plan.engine().name()));
     }

@@ -436,10 +436,11 @@ mod tests {
         Session::from_terms("bib(book(author,title),book(author,author,title))").unwrap()
     }
 
-    /// A query whose atom `descendant::book[child::author]` is composite,
-    /// so answering it compiles into the store (plain step atoms are tree
-    /// views and never do).
-    const COMPOSITE: &str = "descendant::book[child::author]/child::author[. is $a]";
+    /// A query whose first atom is a union of steps, so answering it
+    /// compiles into the store (plain steps are tree views and steps
+    /// between diagonals filtered views over node sets; neither compiles).
+    const COMPOSITE: &str =
+        "(descendant::book union descendant::paper)[child::author]/child::author[. is $a]";
 
     /// Plan with the ppl engine forced (the auto planner sends the tiny
     /// test documents to naive, which never touches the cache).

@@ -13,6 +13,11 @@
 //! overflow the worker's stack while parsing, which kills the process and
 //! every document in it.  The parser now refuses anything deeper than
 //! `MAX_QUERY_DEPTH` with `ERR query too deep`.
+//!
+//! The parse replay: a parenthesised path inside a filter used to be read
+//! twice (as a test, then again as a path), doubling the parse per level,
+//! so a 1 KB line of 40 levels the depth bound admits held the worker for
+//! days.  It is now read once.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -158,5 +163,25 @@ fn queries_nested_past_the_depth_bound_get_err_and_the_daemon_survives() {
         ["OK 2", "vars=x tuples=1", "b#2"],
         "the loaded document is gone"
     );
+    shut_down(daemon, stdout, &mut probe);
+}
+
+#[test]
+fn a_deep_parenthesised_filter_parses_at_once_and_stats_still_answers() {
+    let (daemon, stdout, addr) = spawn_daemon();
+    let (mut conn, mut replies) = connect(&addr);
+    writeln!(conn, "LOADTERMS d r(a(a(a)))").unwrap();
+    let loaded = response(&mut replies);
+    assert!(loaded[1].starts_with("loaded d nodes=4"), "{loaded:?}");
+
+    // 40 levels of `((child::a[…]))/child::a` inside `self::*[…]`.
+    let mut query = String::from("child::a");
+    for _ in 0..40 {
+        query = format!("((child::a[{query}]))/child::a");
+    }
+    writeln!(conn, "QUERY d self::*[{query}]").unwrap();
+    std::thread::sleep(Duration::from_millis(500));
+    let mut probe = assert_stats_answer_at_once(&addr);
+    assert_eq!(response(&mut replies), ["OK 1", "satisfiable=false"]);
     shut_down(daemon, stdout, &mut probe);
 }

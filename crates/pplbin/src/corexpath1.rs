@@ -1,19 +1,30 @@
-//! The linear-time set-based evaluator for the `except`-free fragment
-//! (Core XPath 1.0), after Gottlob–Koch–Pichler.
+//! Set-at-a-time evaluation, after Gottlob–Koch–Pichler: the linear-time
+//! evaluator of Core XPath 1.0, and the node sets of the diagonal atoms the
+//! store serves without matrices.
 //!
 //! Section 4 of the paper recalls the "main evaluation trick" of Core
 //! XPath 1.0: the successor set `S_a(N) = {u' | ∃u ∈ N. a(u, u')}` of a node
 //! set under an axis is computable in time `O(|t|)`, which extends to full
-//! Core XPath 1.0 expressions and yields `O(|P|·|t|)` unary query answering.
-//! The paper also notes that the trick does **not** extend to PPLbin because
-//! `S_{except P}(N) ≠ S_P(N)` in general — that is exactly why the matrix
-//! algorithm of [`crate::eval`] is needed.  This module implements the
-//! set-based algorithm for the `except`-free fragment so that the benchmark
-//! harness can exhibit the contrast (experiment E9 in EXPERIMENTS.md).
+//! Core XPath 1.0 expressions and yields `O(|P|·|t|)` unary query answering
+//! ([`succ_set`], experiment E9 in EXPERIMENTS.md).  The paper also notes
+//! that the trick does **not** extend to PPLbin because
+//! `S_{except P}(N) ≠ S_P(N)` in general — that is why the matrix algorithm
+//! of [`crate::eval`] is needed.
+//!
+//! It fails only for `except` over a relation that is not a subset of the
+//! identity, though.  A *diagonal* ([`is_diagonal`]) is such a subset —
+//! `self::name`, a test `[P]`, and `/`, `union` and `except` over those —
+//! and [`diagonal_set`] computes its node set `{u | (u, u) ∈ ⟦D⟧}` from
+//! the pre-image [`pre_set`] `{u | ∃v ∈ S. (u, v) ∈ ⟦P⟧}`, backwards and
+//! set-at-a-time.  The difference of two steps is a row scan; only the rest
+//! falls back to the matrix engine, for that one subterm.  This is what
+//! lets [`crate::view::FilteredStepView`] serve `D₁/axis::name/D₂` atoms
+//! from node sets.
 
+use crate::view::Step;
 use std::fmt;
 use xpath_ast::{BinExpr, NameTest};
-use xpath_tree::{NodeId, NodeSet, Tree};
+use xpath_tree::{Axis, NodeId, NodeSet, Tree};
 
 /// Error raised when the set-based evaluator meets an `except` operator,
 /// which is outside Core XPath 1.0.
@@ -81,36 +92,27 @@ pub fn succ_set(tree: &Tree, expr: &BinExpr, set: &NodeSet) -> Result<NodeSet, N
     }
 }
 
-/// The set `{u | ∃v. (u, v) ∈ ⟦P⟧}` of nodes with a `P`-successor, in time
-/// `O(|P| · |t|)`, by evaluating the *inverse* expression from the full node
-/// set.
+/// The set `{u | ∃v. (u, v) ∈ ⟦P⟧}` of nodes with a `P`-successor of an
+/// `except`-free expression, in time `O(|P| · |t|)`: [`pre_set`] from the
+/// full node set.
 pub fn has_successor_set(tree: &Tree, expr: &BinExpr) -> Result<NodeSet, NotCoreXPath1> {
-    let inv = inverse(expr)?;
-    succ_set(tree, &inv, &NodeSet::full(tree.len()))
+    if let Some(except) = first_except(expr) {
+        return Err(NotCoreXPath1 {
+            subexpression: except.to_string(),
+        });
+    }
+    pre_set(tree, expr, &NodeSet::full(tree.len()), &mut |_, _| {
+        unreachable!("an except-free expression never leaves the set fragment")
+    })
 }
 
-/// The inverse relation of an `except`-free PPLbin expression, as an
-/// expression of the same fragment and linear size.
-pub fn inverse(expr: &BinExpr) -> Result<BinExpr, NotCoreXPath1> {
+/// The first `except` subterm of `expr`, if any.
+fn first_except(expr: &BinExpr) -> Option<&BinExpr> {
     match expr {
-        BinExpr::Step(axis, test) => {
-            // (A::N)^{-1} relates v to u when A(u,v) and N(v): moving
-            // backwards we must first check the label of the *start* node,
-            // then move along the inverse axis.  Encode the label check as a
-            // self-step composed before the inverse axis step.
-            let label_check = BinExpr::Step(xpath_tree::Axis::SelfAxis, test.clone());
-            let back = BinExpr::Step(axis.inverse(), NameTest::Wildcard);
-            Ok(match test {
-                NameTest::Wildcard => back,
-                NameTest::Name(_) => label_check.then(back),
-            })
-        }
-        BinExpr::Seq(a, b) => Ok(inverse(b)?.then(inverse(a)?)),
-        BinExpr::Union(a, b) => Ok(inverse(a)?.or(inverse(b)?)),
-        BinExpr::Test(p) => Ok(BinExpr::Test(Box::new(p.as_ref().clone()))),
-        BinExpr::Except(_) => Err(NotCoreXPath1 {
-            subexpression: expr.to_string(),
-        }),
+        BinExpr::Step(..) => None,
+        BinExpr::Seq(a, b) | BinExpr::Union(a, b) => first_except(a).or_else(|| first_except(b)),
+        BinExpr::Test(p) => first_except(p),
+        BinExpr::Except(_) => Some(expr),
     }
 }
 
@@ -119,6 +121,153 @@ pub fn inverse(expr: &BinExpr) -> Result<BinExpr, NotCoreXPath1> {
 pub fn unary_from_root(tree: &Tree, expr: &BinExpr) -> Result<Vec<NodeId>, NotCoreXPath1> {
     let start = NodeSet::singleton(tree.len(), tree.root());
     Ok(succ_set(tree, expr, &start)?.iter().collect())
+}
+
+/// `except (except a union b)` — the derived difference `a except b` —
+/// taken apart as `(a, b)`.
+pub(crate) fn difference_of(expr: &BinExpr) -> Option<(&BinExpr, &BinExpr)> {
+    let BinExpr::Except(inner) = expr else {
+        return None;
+    };
+    let BinExpr::Union(left, b) = inner.as_ref() else {
+        return None;
+    };
+    let BinExpr::Except(a) = left.as_ref() else {
+        return None;
+    };
+    Some((a, b))
+}
+
+/// Is `expr` a *diagonal* — a subset of the identity whose node set
+/// [`diagonal_set`] computes set-at-a-time?  Syntactically:
+///
+/// * `self::name`;
+/// * `[P]`, for any `P` (its node set is dom(P));
+/// * `D₁/D₂` (∩) and `D₁ union D₂` (∪);
+/// * `except (except D union X)` (`D \ {u | (u, u) ∈ ⟦X⟧}`) for an `X`
+///   whose diagonal can be read off: a diagonal, a step (reflexive axes
+///   give the label set, the others ∅), or `except` or `union` over those.
+pub fn is_diagonal(expr: &BinExpr) -> bool {
+    match expr {
+        BinExpr::Step(axis, _) => *axis == Axis::SelfAxis,
+        BinExpr::Test(_) => true,
+        BinExpr::Seq(a, b) | BinExpr::Union(a, b) => is_diagonal(a) && is_diagonal(b),
+        BinExpr::Except(_) => {
+            difference_of(expr).is_some_and(|(d, x)| is_diagonal(d) && diagonal_readable(x))
+        }
+    }
+}
+
+/// Can `{u | (u, u) ∈ ⟦X⟧}` be read off `X` (see [`is_diagonal`])?
+fn diagonal_readable(x: &BinExpr) -> bool {
+    match x {
+        BinExpr::Step(..) => true,
+        BinExpr::Except(y) => diagonal_readable(y),
+        BinExpr::Union(a, b) => diagonal_readable(a) && diagonal_readable(b),
+        BinExpr::Seq(..) | BinExpr::Test(_) => is_diagonal(x),
+    }
+}
+
+/// `{u | (u, u) ∈ ⟦D⟧}` for a diagonal `D` (or any `X` whose diagonal can
+/// be read off, see [`is_diagonal`]), in `O(|D| · |t|)` plus what
+/// `fallback` spends on the domains [`pre_set`] hands it.
+pub fn diagonal_set<E>(
+    tree: &Tree,
+    expr: &BinExpr,
+    fallback: &mut dyn FnMut(&BinExpr, &NodeSet) -> Result<NodeSet, E>,
+) -> Result<NodeSet, E> {
+    Ok(match expr {
+        BinExpr::Step(axis, test) if axis.is_reflexive() => {
+            restrict_by_label(tree, NodeSet::full(tree.len()), test)
+        }
+        BinExpr::Step(..) => NodeSet::empty(tree.len()),
+        BinExpr::Test(p) => pre_set(tree, p, &NodeSet::full(tree.len()), fallback)?,
+        BinExpr::Seq(a, b) => {
+            debug_assert!(is_diagonal(expr), "{expr} is not a diagonal");
+            let mut out = diagonal_set(tree, a, fallback)?;
+            out.intersect_with(&diagonal_set(tree, b, fallback)?);
+            out
+        }
+        BinExpr::Union(a, b) => {
+            let mut out = diagonal_set(tree, a, fallback)?;
+            out.union_with(&diagonal_set(tree, b, fallback)?);
+            out
+        }
+        // (u, u) ∈ except Y  ⇔  (u, u) ∉ Y; for `except (except D union X)`
+        // this is D \ diag(X).
+        BinExpr::Except(y) => {
+            let mut out = diagonal_set(tree, y, fallback)?;
+            out.complement();
+            out
+        }
+    })
+}
+
+/// The pre-image `pre(P, S) = {u | ∃v ∈ S. (u, v) ∈ ⟦P⟧}`, set-at-a-time.
+///
+/// * a step moves `S` (restricted to the name test) back along the
+///   inverse axis, in `O(|t|)` — the `succ_set` trick run backwards;
+/// * `/` and `union` recurse, a diagonal `D` gives `diagonal_set(D) ∩ S`;
+/// * a difference of two steps `A except B` scans the rows of `A` from the
+///   nodes of `pre(A, S)`, stopping at the first target in `S` that `B`
+///   does not relate (an O(1) membership check): `O(|t|²)` at worst,
+///   still below Theorem 2's products;
+/// * anything else is handed to `fallback(P, S)` — the matrix engine, for
+///   that one subterm.
+pub fn pre_set<E>(
+    tree: &Tree,
+    expr: &BinExpr,
+    set: &NodeSet,
+    fallback: &mut dyn FnMut(&BinExpr, &NodeSet) -> Result<NodeSet, E>,
+) -> Result<NodeSet, E> {
+    if is_diagonal(expr) {
+        let mut out = diagonal_set(tree, expr, fallback)?;
+        out.intersect_with(set);
+        return Ok(out);
+    }
+    match expr {
+        BinExpr::Step(axis, test) => Ok(step_pre(tree, *axis, test, set)),
+        BinExpr::Seq(a, b) => {
+            let mid = pre_set(tree, b, set, fallback)?;
+            pre_set(tree, a, &mid, fallback)
+        }
+        BinExpr::Union(a, b) => {
+            let mut out = pre_set(tree, a, set, fallback)?;
+            out.union_with(&pre_set(tree, b, set, fallback)?);
+            Ok(out)
+        }
+        _ => match difference_of(expr) {
+            Some((BinExpr::Step(a_axis, a_test), BinExpr::Step(b_axis, b_test))) => {
+                let a = Step::resolve(tree, *a_axis, a_test);
+                let b = Step::resolve(tree, *b_axis, b_test);
+                let mut out = NodeSet::empty(tree.len());
+                for u in step_pre(tree, *a_axis, a_test, set).iter() {
+                    if a.row_any(tree, u, |v| set.contains(v) && !b.relates(tree, u, v)) {
+                        out.insert(u);
+                    }
+                }
+                Ok(out)
+            }
+            _ => fallback(expr, set),
+        },
+    }
+}
+
+/// `pre(axis::test, S)`: the nodes with an `axis`-successor in `S`
+/// passing `test`.
+fn step_pre(tree: &Tree, axis: Axis, test: &NameTest, set: &NodeSet) -> NodeSet {
+    let targets = restrict_by_label(tree, set.clone(), test);
+    if axis != Axis::FirstChild {
+        return tree.axis_successors(axis.inverse(), &targets);
+    }
+    // Not every child's parent has it as first child.
+    let mut out = NodeSet::empty(tree.len());
+    for u in tree.nodes() {
+        if tree.first_child(u).is_some_and(|c| targets.contains(c)) {
+            out.insert(u);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -194,7 +343,6 @@ mod tests {
     fn except_is_rejected() {
         let e = bin("descendant::* except child::*");
         assert!(succ_set(&tree(), &e, &NodeSet::full(tree().len())).is_err());
-        assert!(inverse(&e).is_err());
         let err = has_successor_set(&tree(), &e).unwrap_err();
         assert!(err.to_string().contains("except"));
     }
@@ -210,14 +358,15 @@ mod tests {
     }
 
     #[test]
-    fn inverse_of_named_steps_checks_the_target_label() {
+    fn pre_of_named_steps_checks_the_target_label() {
         let t = tree();
         let e = bin("child::title");
-        let inv = inverse(&e).unwrap();
-        // The inverse relates each title to its parent; computing successors
-        // of the title set under the inverse must give exactly the parents.
+        let pre = |set: &NodeSet| {
+            pre_set(&t, &e, set, &mut |_, _| Err::<NodeSet, ()>(())).unwrap()
+        };
+        // The pre-image of the title set is exactly the titles' parents.
         let titles = set_of(&t, t.nodes_with_label_str("title"));
-        let parents = succ_set(&t, &inv, &titles).unwrap();
+        let parents = pre(&titles);
         let expected: Vec<NodeId> = t
             .nodes_with_label_str("title")
             .iter()
@@ -228,8 +377,20 @@ mod tests {
             expected_set.insert(p);
         }
         assert_eq!(parents, expected_set);
-        // Starting from non-title nodes the inverse yields nothing.
+        // Non-title nodes have no title predecessor.
         let authors = set_of(&t, t.nodes_with_label_str("author"));
-        assert!(succ_set(&t, &inv, &authors).unwrap().is_empty());
+        assert!(pre(&authors).is_empty());
+    }
+
+    /// `first-child` is not the inverse of `parent`: a node whose first
+    /// child is no `author` has no `first-child::author`, even when a later
+    /// child is one.
+    #[test]
+    fn first_child_domains_check_the_first_child() {
+        let t = Tree::from_terms("r(a(title,author),b(author,title))").unwrap();
+        let e = bin("first-child::author");
+        let got = has_successor_set(&t, &e).unwrap();
+        assert_eq!(got, answer_binary(&t, &e).nonempty_rows());
+        assert_eq!(got.iter().map(|u| t.label_str(u)).collect::<Vec<_>>(), ["b"]);
     }
 }

@@ -23,10 +23,13 @@
 //! * [`eval`] — evaluation of [`xpath_ast::BinExpr`] to matrices
 //!   ([`eval::answer_binary`]), including step-matrix construction for every
 //!   axis;
-//! * [`corexpath1`] — the *linear-time* set-based evaluator of
-//!   Gottlob–Koch–Pichler for the `except`-free fragment (Core XPath 1.0),
-//!   used as a baseline and for the linear-time unary queries recalled in
-//!   Section 4;
+//! * [`corexpath1`] — set-at-a-time evaluation after Gottlob–Koch–Pichler:
+//!   the *linear-time* evaluator of the `except`-free fragment (Core XPath
+//!   1.0, the E9 baseline and the unary queries recalled in Section 4), and
+//!   the node sets of *diagonals* — subsets of the identity such as
+//!   `self::name`, `[P]` and `except (except self::* union [P])` — from the
+//!   pre-image `{u | ∃v ∈ S. (u, v) ∈ P}`, falling back to the matrices
+//!   only for a subterm outside that class;
 //! * [`relation`] — [`relation::Relation`], the adaptive relation
 //!   representation (identity / full / per-row intervals / CSR successor
 //!   lists / dense bits) with structure-aware product, union, intersection,
@@ -40,8 +43,14 @@
 //!   (`&self` evaluation behind per-shard `Mutex`es) that lets one document
 //!   serve queries from many threads at once;
 //! * [`view`] — [`view::StepView`], the rows of a plain axis step read
-//!   straight off the tree snapshot, which is how a `SharedMatrixStore`
-//!   answers step atoms without compiling or caching anything.
+//!   straight off the tree snapshot, [`view::FilteredStepView`], the rows
+//!   of a step between two diagonals `D₁/axis::name/D₂` read off the tree
+//!   and two node sets, and [`view::AtomClass`], the one classifier that
+//!   says which atoms those are.  A `SharedMatrixStore` serves step atoms
+//!   without compiling or caching anything and filtered steps from cached
+//!   node sets of |t| bits, so only the remaining atoms — `except` over a
+//!   relation that is not diagonal, unions of steps, chains of steps —
+//!   pay Theorem 2's matrices.
 
 #![forbid(unsafe_code)]
 
@@ -53,7 +62,9 @@ pub mod relation;
 pub mod store;
 pub mod view;
 
-pub use corexpath1::{has_successor_set, succ_set, unary_from_root, NotCoreXPath1};
+pub use corexpath1::{
+    diagonal_set, has_successor_set, is_diagonal, pre_set, succ_set, unary_from_root, NotCoreXPath1,
+};
 pub use eval::{answer_binary, eval_binexpr, eval_relation, step_matrix, step_relation};
 pub use lazy::{LazyRel, LazyRows};
 pub use matrix::{dense_guard, CapacityError, NodeMatrix, DENSE_BYTE_LIMIT};
@@ -62,4 +73,4 @@ pub use store::{
     CacheStats, EditApplyStats, ExprId, MatrixStore, SharedMatrixStore, SuccessorSource,
     DEFAULT_STORE_SHARDS,
 };
-pub use view::StepView;
+pub use view::{AtomClass, FilteredStepView, StepView};

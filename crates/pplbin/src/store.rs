@@ -7,8 +7,9 @@
 //! output.  A [`MatrixStore`] therefore memoises every compiled subterm so a
 //! workload of many queries over one document pays each `|t|³` product once:
 //!
-//! * **steps** — the `M_{A::N}` matrices of `step_matrix` are keyed by
-//!   `(Axis, NameTest)`;
+//! * **steps** — the `M_{A::N}` matrices of `step_matrix`, interned like
+//!   any other subterm (a [`SharedMatrixStore`] serves step *atoms* as
+//!   [`StepView`]s and never compiles them);
 //! * **composite subterms** — `Seq`/`Union`/`Except`/`Test` nodes are
 //!   *hash-consed*: structurally equal subterms (even across different
 //!   queries) intern to the same [`ExprId`] in amortised `O(1)` per AST
@@ -27,16 +28,20 @@
 //!   used with a tree of a different size;
 //! * [`SharedMatrixStore`] — a sharded `Mutex` wrapper bound to one
 //!   `Arc<Tree>` snapshot, whose evaluation methods take `&self`, so one
-//!   document can answer queries from many threads at once.  It answers
-//!   plain step atoms as [`StepView`]s over the snapshot instead of caching
-//!   them.  `ppl_xpath::Session` owns one and threads it through every
-//!   cached entry point.
+//!   document can answer queries from many threads at once.  It serves each
+//!   atom by its [`AtomClass`]: plain steps as [`StepView`]s over the
+//!   snapshot (nothing cached), `D₁/axis::name/D₂` atoms as
+//!   [`FilteredStepView`]s over two cached node sets of |t| bits, and only
+//!   the rest as compiled relations.  `ppl_xpath::Session` owns one and
+//!   threads it through every cached entry point.
+//!
+//! [`AtomClass`]: crate::view::AtomClass
 
 use crate::eval::step_relation_in_mode;
 use crate::lazy::{LazyRel, LazyRows};
 use crate::matrix::{CapacityError, NodeMatrix};
 use crate::relation::{KernelMode, KernelStats, Relation};
-use crate::view::StepView;
+use crate::view::{FilteredStep, FilteredStepView, StepView};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -44,14 +49,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xpath_sync::{Mutex, MutexGuard};
 use xpath_ast::{BinExpr, NameTest};
-use xpath_tree::{Axis, EditDelta, EditKind, NodeId, Tree};
+use xpath_tree::{Axis, EditDelta, EditKind, NodeId, NodeSet, Tree};
 
 /// Where a consumer of Prop. 10 successor rows pulls them from: an eagerly
 /// materialised table (`lists[u]` for every `u`, the pre-lazy behaviour),
 /// an on-demand [`LazyRows`] cache that computes rows the first time the
 /// answering phase asks for them, or — for a plain axis step — a
-/// [`StepView`] reading rows straight off the tree snapshot.  Cloning is an
-/// `Arc` bump in every case.
+/// [`StepView`] reading rows straight off the tree snapshot, or — for a
+/// step between diagonals — a [`FilteredStepView`] over two node sets.
+/// Cloning is an `Arc` bump or a few in every case.
 #[derive(Debug, Clone)]
 pub enum SuccessorSource {
     /// All `n` rows materialised up front (eager kernel modes).
@@ -60,6 +66,8 @@ pub enum SuccessorSource {
     Lazy(Arc<LazyRows>),
     /// Rows of an axis step, read from the tree (no compilation, no cache).
     Step(StepView),
+    /// Rows of `D₁/axis::name/D₂`, read from the tree and two node sets.
+    Filtered(FilteredStepView),
 }
 
 impl SuccessorSource {
@@ -69,6 +77,7 @@ impl SuccessorSource {
             SuccessorSource::Eager(lists) => lists.len(),
             SuccessorSource::Lazy(rows) => rows.len(),
             SuccessorSource::Step(view) => view.len(),
+            SuccessorSource::Filtered(view) => view.len(),
         }
     }
 
@@ -84,6 +93,7 @@ impl SuccessorSource {
             SuccessorSource::Eager(lists) => f(&lists[u.index()]),
             SuccessorSource::Lazy(rows) => f(&rows.row(u)),
             SuccessorSource::Step(view) => view.with_row(u, f),
+            SuccessorSource::Filtered(view) => view.with_row(u, f),
         }
     }
 
@@ -98,6 +108,7 @@ impl SuccessorSource {
             SuccessorSource::Eager(lists) => !lists[u.index()].is_empty(),
             SuccessorSource::Lazy(rows) => rows.row_nonempty(u),
             SuccessorSource::Step(view) => view.row_nonempty(u),
+            SuccessorSource::Filtered(view) => view.row_nonempty(u),
         }
     }
 
@@ -112,6 +123,7 @@ impl SuccessorSource {
             SuccessorSource::Eager(lists) => lists[u.index()].iter().any(|&v| pred(v)),
             SuccessorSource::Lazy(rows) => rows.row_any(u, pred),
             SuccessorSource::Step(view) => view.row_any(u, pred),
+            SuccessorSource::Filtered(view) => view.row_any(u, pred),
         }
     }
 }
@@ -152,6 +164,9 @@ pub struct CacheStats {
     pub interned: usize,
     /// Subterms whose matrix has been compiled and retained.
     pub compiled: usize,
+    /// Node sets retained for filtered-view atoms (`D₁` and `D₂`, each
+    /// |t| bits).
+    pub sets: usize,
     /// Per-kernel dispatch counters of the compilations behind the misses.
     pub kernels: KernelStats,
 }
@@ -172,12 +187,14 @@ impl CacheStats {
             misses,
             interned,
             compiled,
+            sets,
             kernels,
         } = other;
         self.hits += hits;
         self.misses += misses;
         self.interned += interned;
         self.compiled += compiled;
+        self.sets += sets;
         self.kernels.merge(kernels);
     }
 }
@@ -235,6 +252,9 @@ pub struct MatrixStore {
     /// [`KernelMode::Lazy`], memoised per id so repeated answering over the
     /// same atom shares materialised rows.
     lazy_rows: HashMap<ExprId, Arc<LazyRows>>,
+    /// The node sets of each filtered-view atom served so far, by the
+    /// atom's id ([`SharedMatrixStore::successor_source`]).
+    filters: HashMap<ExprId, FilterSets>,
     /// Which kernels the store compiles with.
     mode: KernelMode,
     /// Per-kernel dispatch counters across all compilations.
@@ -252,6 +272,25 @@ pub struct MatrixStore {
 
 /// A Prop. 10 successor table: `lists[u]` for every node `u`.
 type SuccessorTable = Arc<Vec<Vec<NodeId>>>;
+
+/// The `D₁` and `D₂` node sets of one filtered-view atom ([`FilteredStep`]).
+#[derive(Debug, Clone)]
+struct FilterSets {
+    sources: Option<Arc<NodeSet>>,
+    targets: Option<Arc<NodeSet>>,
+}
+
+impl FilterSets {
+    /// How many node sets the entry holds.
+    fn count(&self) -> usize {
+        usize::from(self.sources.is_some()) + usize::from(self.targets.is_some())
+    }
+
+    /// Bytes charged: ⌈|t|/64⌉·8 per set.
+    fn bytes(&self, domain: usize) -> usize {
+        self.count() * domain.div_ceil(64) * std::mem::size_of::<u64>()
+    }
+}
 
 /// Bytes charged for a Prop. 10 successor table.
 fn table_bytes(lists: &[Vec<NodeId>]) -> usize {
@@ -275,6 +314,7 @@ impl Clone for MatrixStore {
             relations: self.relations.clone(),
             successors: self.successors.clone(),
             lazy_rows: HashMap::new(),
+            filters: self.filters.clone(),
             mode: self.mode,
             kernels: self.kernels,
             hits: self.hits,
@@ -328,6 +368,7 @@ impl MatrixStore {
             misses: self.misses,
             interned: self.shapes.len(),
             compiled: self.relations.iter().filter(|m| m.is_some()).count(),
+            sets: self.filters.values().map(FilterSets::count).sum(),
             kernels: self.kernels,
         }
     }
@@ -339,9 +380,10 @@ impl MatrixStore {
 
     /// Approximate heap occupancy of the cached state, in bytes: compiled
     /// relations (symbolic forms charge their eager leaves, not the n² they
-    /// defer), Prop. 10 successor lists, and exactly the lazy rows that have
-    /// materialised so far (hash-consing table overhead is ignored — it is
-    /// dwarfed by the matrices it indexes).  The corpus layer charges this
+    /// defer), Prop. 10 successor lists, filtered-view node sets, and
+    /// exactly the lazy rows that have materialised so far (hash-consing
+    /// table overhead is ignored — it is dwarfed by the matrices it
+    /// indexes).  The corpus layer charges this
     /// against its session-pool memory budget.
     ///
     /// O(1): a running count kept as entries land and go, plus the counter
@@ -364,7 +406,8 @@ impl MatrixStore {
             .sum();
         let lists: usize = self.successors.values().map(|(lists, _)| table_bytes(lists)).sum();
         let lazy: usize = self.lazy_rows.values().map(|r| r.cached_bytes()).sum();
-        relations + lists + lazy
+        let sets: usize = self.filters.values().map(|f| f.bytes(self.domain)).sum();
+        relations + lists + lazy + sets
     }
 
     /// Drop every lazy row cache, taking back what each charged.
@@ -384,6 +427,7 @@ impl MatrixStore {
         self.shapes.clear();
         self.relations.clear();
         self.successors.clear();
+        self.filters.clear();
         self.kernels = KernelStats::default();
         self.hits = 0;
         self.misses = 0;
@@ -586,6 +630,39 @@ impl MatrixStore {
         Ok(SuccessorSource::Lazy(rows))
     }
 
+    /// The node sets of the filtered-view atom `expr` (taken apart as
+    /// `step`), computed set-at-a-time on first request and cached by the
+    /// atom's id.  A domain outside the set fragment compiles through this
+    /// store's relations (see [`crate::corexpath1::pre_set`]).
+    fn filter_sets(
+        &mut self,
+        tree: &Tree,
+        expr: &BinExpr,
+        step: &FilteredStep<'_>,
+    ) -> Result<FilterSets, CapacityError> {
+        self.check_tree(tree);
+        let id = self.intern(expr);
+        if let Some(sets) = self.filters.get(&id) {
+            self.hits += 1;
+            return Ok(sets.clone());
+        }
+        self.misses += 1;
+        let (sources, targets) = step.node_sets(tree, &mut |sub, set| {
+            let rel = self.try_eval_lazy(tree, sub)?;
+            Ok(NodeSet::from_iter(
+                tree.len(),
+                tree.nodes().filter(|&u| rel.row_any(u, &mut |v| set.contains(v))),
+            ))
+        })?;
+        let sets = FilterSets {
+            sources: sources.map(Arc::new),
+            targets: targets.map(Arc::new),
+        };
+        self.bytes += sets.bytes(self.domain);
+        self.filters.insert(id, sets.clone());
+        Ok(sets)
+    }
+
     /// Carry the cache through a relabel of the tree it was compiled on.
     ///
     /// Node ids do not move, so an entry is stale only if `delta.labels`
@@ -611,12 +688,23 @@ impl MatrixStore {
                 Shape::Seq(a, b) | Shape::Union(a, b) => hit[a.index()] || hit[b.index()],
                 Shape::Except(p) | Shape::Test(p) => hit[p.index()],
             };
+            let id = ExprId(idx as u32);
+            if hit[idx] {
+                if let Some(sets) = self.filters.remove(&id) {
+                    self.bytes -= sets.bytes(self.domain);
+                    out.entries_dropped += 1;
+                    out.rows_total += n;
+                    out.rows_invalidated += n;
+                }
+            } else if self.filters.contains_key(&id) {
+                out.entries_kept += 1;
+                out.rows_total += n;
+            }
             if self.relations[idx].is_none() {
                 continue;
             }
             out.rows_total += n;
             if hit[idx] {
-                let id = ExprId(idx as u32);
                 if let Some(r) = self.relations[idx].take() {
                     self.bytes -= r.approx_bytes();
                 }
@@ -640,11 +728,20 @@ impl MatrixStore {
 /// A thread-safe, sharded wrapper around [`MatrixStore`], bound to the tree
 /// snapshot it serves: the cache design behind `ppl_xpath::Session`.
 ///
-/// Plain axis-step atoms never enter the shards: [`successor_source`]
-/// answers them with a [`StepView`] over the snapshot, which takes no lock,
-/// no slot and no budget bytes, and needs no patching when the document is
-/// edited.  Everything else — composite atoms, including the steps inside
-/// them — compiles through the shards.
+/// [`successor_source`] serves each atom by its [`AtomClass`]:
+///
+/// * a plain axis step never enters the shards: it is a [`StepView`] over
+///   the snapshot, which takes no lock, no slot and no budget bytes, and
+///   needs no patching when the document is edited;
+/// * a `D₁/axis::name/D₂` atom is a [`FilteredStepView`]: its shard caches
+///   the two node sets, charged ⌈|t|/64⌉·8 bytes each, and builds no
+///   matrix unless a `[P]` in it lies outside the set fragment;
+/// * everything else — including the steps inside it — compiles through
+///   the shards (Theorem 2).
+///
+/// [`eval`](SharedMatrixStore::eval) and
+/// [`successor_lists`](SharedMatrixStore::successor_lists) compile every
+/// expression to a relation, whatever its class.
 ///
 /// Every evaluation routes to one of `shards` independent single-threaded
 /// stores by the hash of the evaluated expression, and only that shard's
@@ -668,6 +765,7 @@ impl MatrixStore {
 ///
 /// [`successor_source`]: SharedMatrixStore::successor_source
 /// [`approx_bytes`]: SharedMatrixStore::approx_bytes
+/// [`AtomClass`]: crate::view::AtomClass
 #[derive(Debug)]
 pub struct SharedMatrixStore {
     tree: Arc<Tree>,
@@ -836,7 +934,10 @@ impl SharedMatrixStore {
 
     /// The Prop. 10 oracle rows of `expr`.  A plain axis step is a
     /// [`StepView`] over the snapshot: no lock, no compilation, nothing
-    /// cached.  Any other expression compiles through its shard (see
+    /// cached.  A `D₁/axis::name/D₂` atom (the filtered-view class of
+    /// [`crate::view::AtomClass`]) is a [`FilteredStepView`] over node sets
+    /// its shard caches.  Any other
+    /// expression compiles through its shard (see
     /// [`MatrixStore::successor_source`]); the lock is held only while
     /// compiling — lazy rows materialise lock-free behind the handle.
     pub fn successor_source(&self, expr: &BinExpr) -> Result<SuccessorSource, CapacityError> {
@@ -845,6 +946,16 @@ impl SharedMatrixStore {
                 Arc::clone(&self.tree),
                 *axis,
                 test,
+            )));
+        }
+        if let Some(step) = FilteredStep::of(expr) {
+            let sets = self.shard(expr).filter_sets(&self.tree, expr, &step)?;
+            return Ok(SuccessorSource::Filtered(FilteredStepView::new(
+                Arc::clone(&self.tree),
+                step.axis,
+                step.test,
+                sets.sources,
+                sets.targets,
             )));
         }
         self.shard(expr).successor_source(&self.tree, expr)
@@ -902,13 +1013,13 @@ impl SharedMatrixStore {
     /// A copy of this store bound to `new_tree`, the snapshot `delta`
     /// produced from this one; step views read the new snapshot.
     ///
-    /// * **Insert or delete** — node ids shift, so no compiled entry carries
-    ///   over: the copy is an empty store in this store's kernel mode and
-    ///   shard count, and every entry compiled so far counts as dropped.
+    /// * **Insert or delete** — node ids shift, so no compiled entry or node
+    ///   set carries over: the copy is an empty store in this store's kernel
+    ///   mode and shard count, and every entry so far counts as dropped.
     ///   Atoms recompile on demand the first time a query needs them.
     /// * **Relabel** — ids stay put: every shard is cloned (its lock held
-    ///   only while cloning) and the clone drops the entries whose label
-    ///   footprint meets the edit ([`MatrixStore::apply_relabel`]).
+    ///   only while cloning) and the clone drops the relations and node sets
+    ///   whose label footprint meets the edit ([`MatrixStore::apply_relabel`]).
     ///
     /// The original is left untouched, so in-flight readers of the old
     /// store never observe a half-applied edit — the serving layer swaps
@@ -924,10 +1035,13 @@ impl SharedMatrixStore {
             "fork_edited: delta does not produce the given tree"
         );
         if delta.kind != EditKind::Relabel {
-            let compiled: usize = self.each_shard(|s| s.stats().compiled).iter().sum();
-            let rows = (compiled * self.domain()) as u64;
+            let entries: usize = self
+                .each_shard(|s| s.stats().compiled + s.filters.len())
+                .iter()
+                .sum();
+            let rows = (entries * self.domain()) as u64;
             let stats = EditApplyStats {
-                entries_dropped: compiled,
+                entries_dropped: entries,
                 rows_invalidated: rows,
                 rows_total: rows,
                 ..EditApplyStats::default()
@@ -1288,6 +1402,46 @@ mod tests {
         a.merge(&a.clone());
         assert_eq!(a.rows_total, 12);
         assert_eq!(a.entries_dropped, 8);
+    }
+
+    /// A filtered-view atom is served from node sets its shard caches:
+    /// one set of ⌈|t|/64⌉ words per diagonal, no matrix, a hit on the
+    /// second request, and a relabel drops the sets only when it meets the
+    /// atom's label footprint.
+    #[test]
+    fn filtered_atoms_cache_node_sets_and_relabels_drop_their_footprint() {
+        let t = Arc::new(tree());
+        let store = SharedMatrixStore::new(Arc::clone(&t));
+        let atom = bin("descendant::book[child::author]");
+        let source = store.successor_source(&atom).unwrap();
+        assert!(matches!(source, SuccessorSource::Filtered(_)));
+        let lists = MatrixStore::new(t.len()).successor_lists(&t, &atom);
+        for u in t.nodes() {
+            assert_eq!(source.row_vec(u), lists[u.index()], "row {u}");
+        }
+        let stats = store.stats();
+        assert_eq!((stats.compiled, stats.sets, stats.misses), (0, 1, 1), "{stats:?}");
+        assert_eq!(store.approx_bytes(), t.len().div_ceil(64) * 8);
+        store.successor_source(&atom).unwrap();
+        assert_eq!(store.stats().hits, 1);
+
+        let paper = t.nodes_with_label_str("paper")[0];
+        let (t1, delta) = t.relabel(paper, "thesis").unwrap();
+        let (kept, stats) = store.fork_edited(Arc::new(t1), &delta);
+        assert_eq!((stats.entries_kept, stats.entries_dropped), (1, 0), "{stats:?}");
+        assert_eq!(kept.stats().sets, 1);
+
+        let author = t.nodes_with_label_str("author")[0];
+        let (t2, delta) = t.relabel(author, "editor").unwrap();
+        let t2 = Arc::new(t2);
+        let (dropped, stats) = store.fork_edited(Arc::clone(&t2), &delta);
+        assert_eq!((stats.entries_kept, stats.entries_dropped), (0, 1), "{stats:?}");
+        assert_eq!((dropped.stats().sets, dropped.approx_bytes()), (0, 0));
+        let fresh = MatrixStore::new(t2.len()).successor_lists(&t2, &atom);
+        let source = dropped.successor_source(&atom).unwrap();
+        for u in t2.nodes() {
+            assert_eq!(source.row_vec(u), fresh[u.index()], "row {u} after the relabel");
+        }
     }
 
     #[test]

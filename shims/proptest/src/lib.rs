@@ -325,15 +325,33 @@ pub mod test_runner {
     }
 
     impl ProptestConfig {
+        /// An explicit case count; like upstream, it wins over
+        /// `PROPTEST_CASES`.
         pub fn with_cases(cases: u32) -> Self {
             ProptestConfig { cases }
         }
     }
 
+    /// The case count of [`ProptestConfig::default`] when `PROPTEST_CASES`
+    /// is unset.
+    pub const DEFAULT_CASES: u32 = 64;
+
+    /// Like upstream, the default configuration reads the case count from
+    /// the `PROPTEST_CASES` environment variable, falling back to
+    /// [`DEFAULT_CASES`] when it is unset or not a number.
     impl Default for ProptestConfig {
         fn default() -> Self {
-            ProptestConfig { cases: 64 }
+            ProptestConfig {
+                cases: cases_from(std::env::var("PROPTEST_CASES").ok().as_deref()),
+            }
         }
+    }
+
+    /// The case count a `PROPTEST_CASES` value asks for.
+    pub fn cases_from(value: Option<&str>) -> u32 {
+        value
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(DEFAULT_CASES)
     }
 
     /// Deterministic RNG derived from the test's identifier (FNV-1a).
@@ -418,6 +436,16 @@ macro_rules! __proptest_tests {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use crate::test_runner::{cases_from, DEFAULT_CASES};
+
+    #[test]
+    fn proptest_cases_sets_the_default_case_count() {
+        assert_eq!(cases_from(Some("512")), 512);
+        assert_eq!(cases_from(Some(" 7 ")), 7);
+        assert_eq!(cases_from(Some("many")), DEFAULT_CASES);
+        assert_eq!(cases_from(None), DEFAULT_CASES);
+        assert_eq!(ProptestConfig::with_cases(3).cases, 3);
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
