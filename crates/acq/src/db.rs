@@ -147,7 +147,10 @@ mod tests {
         let t = tree();
         let db = BinaryDatabase::from_axes(
             &t,
-            &[(Axis::Child, NameTest::Wildcard), (Axis::Descendant, NameTest::name("c"))],
+            &[
+                (Axis::Child, NameTest::Wildcard),
+                (Axis::Descendant, NameTest::name("c")),
+            ],
         );
         for r in 0..db.relation_count() {
             for &(u, v) in db.pairs(r) {
@@ -169,7 +172,11 @@ mod tests {
             3,
             vec![(
                 "r".into(),
-                vec![(NodeId(0), NodeId(1)), (NodeId(0), NodeId(1)), (NodeId(2), NodeId(0))],
+                vec![
+                    (NodeId(0), NodeId(1)),
+                    (NodeId(0), NodeId(1)),
+                    (NodeId(2), NodeId(0)),
+                ],
             )],
         );
         assert_eq!(db.size(), 2);

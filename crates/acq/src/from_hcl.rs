@@ -29,7 +29,10 @@ impl fmt::Display for FromHclError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FromHclError::ContainsUnion => {
-                write!(f, "only union-free HCL expressions translate to a single ACQ")
+                write!(
+                    f,
+                    "only union-free HCL expressions translate to a single ACQ"
+                )
             }
         }
     }

@@ -52,7 +52,13 @@ impl Atom {
 
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}({}, {})", self.relation.0, self.x.name(), self.y.name())
+        write!(
+            f,
+            "r{}({}, {})",
+            self.relation.0,
+            self.x.name(),
+            self.y.name()
+        )
     }
 }
 

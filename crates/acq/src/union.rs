@@ -187,8 +187,7 @@ mod tests {
     }
 
     fn bib() -> Tree {
-        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))")
-            .unwrap()
+        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))").unwrap()
     }
 
     #[test]
@@ -217,10 +216,12 @@ mod tests {
                 .then(Hcl::Var(v("x"))),
             // descendant::book/([child::author/x] ∪ [child::title/x])
             Hcl::Atom(bin("descendant::book")).then(
-                Hcl::Filter(Box::new(Hcl::Atom(bin("child::author")).then(Hcl::Var(v("x")))))
-                    .or(Hcl::Filter(Box::new(
-                        Hcl::Atom(bin("child::title")).then(Hcl::Var(v("x"))),
-                    ))),
+                Hcl::Filter(Box::new(
+                    Hcl::Atom(bin("child::author")).then(Hcl::Var(v("x"))),
+                ))
+                .or(Hcl::Filter(Box::new(
+                    Hcl::Atom(bin("child::title")).then(Hcl::Var(v("x"))),
+                ))),
             ),
         ];
         for hcl in queries {

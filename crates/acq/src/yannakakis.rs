@@ -109,14 +109,7 @@ pub fn answer_acq(
     let children = forest.children();
     let mut combined: Vec<Row> = vec![Row::new()];
     for root in forest.roots() {
-        let subtree = join_subtree(
-            root,
-            &relations,
-            &children,
-            &forest,
-            query,
-            &output_set,
-        );
+        let subtree = join_subtree(root, &relations, &children, &forest, query, &output_set);
         combined = join_rows(&combined, &subtree);
         combined = project_rows(&combined, &output_set);
         if combined.is_empty() {
@@ -241,10 +234,7 @@ fn project(rows: &[Row], output: &[Var], domain: usize) -> BTreeSet<Vec<NodeId>>
 /// Reference implementation: enumerate every assignment of the body and
 /// output variables and test all atoms.  Exponential; used only to validate
 /// Yannakakis on small inputs.
-pub fn brute_force_answer(
-    query: &ConjunctiveQuery,
-    db: &BinaryDatabase,
-) -> BTreeSet<Vec<NodeId>> {
+pub fn brute_force_answer(query: &ConjunctiveQuery, db: &BinaryDatabase) -> BTreeSet<Vec<NodeId>> {
     let mut vars: Vec<Var> = query.body_vars().into_iter().collect();
     for v in &query.output {
         if !vars.contains(v) {
@@ -291,8 +281,7 @@ mod tests {
     use xpath_tree::Tree;
 
     fn tree() -> Tree {
-        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))")
-            .unwrap()
+        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))").unwrap()
     }
 
     fn db(t: &Tree, sources: &[&str]) -> BinaryDatabase {

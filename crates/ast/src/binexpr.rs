@@ -229,8 +229,9 @@ pub fn from_variable_free_path(p: &PathExpr) -> Result<BinExpr, NotVariableFree>
             from_variable_free_path(a)?,
             from_variable_free_path(b)?,
         )),
-        PathExpr::Filter(base, test) => Ok(from_variable_free_path(base)?
-            .then(from_variable_free_test(test, true)?)),
+        PathExpr::Filter(base, test) => {
+            Ok(from_variable_free_path(base)?.then(from_variable_free_test(test, true)?))
+        }
         PathExpr::For(_, _, _) => Err(NotVariableFree {
             subexpression: p.to_string(),
         }),
@@ -241,10 +242,7 @@ pub fn from_variable_free_path(p: &PathExpr) -> Result<BinExpr, NotVariableFree>
 /// PPLbin expression denoting a *partial identity* — the pairs `(u, u)` for
 /// exactly the nodes `u` satisfying the test (or its negation when
 /// `positive` is false).
-pub fn from_variable_free_test(
-    t: &TestExpr,
-    positive: bool,
-) -> Result<BinExpr, NotVariableFree> {
+pub fn from_variable_free_test(t: &TestExpr, positive: bool) -> Result<BinExpr, NotVariableFree> {
     match t {
         TestExpr::Path(p) => {
             let has_succ = from_variable_free_path(p)?.test();
@@ -296,14 +294,20 @@ mod tests {
     #[test]
     fn steps_and_composition() {
         assert_eq!(tr("child::a").to_string(), "child::a");
-        assert_eq!(tr("child::a/descendant::b").to_string(), "child::a/descendant::b");
+        assert_eq!(
+            tr("child::a/descendant::b").to_string(),
+            "child::a/descendant::b"
+        );
         assert_eq!(tr(".").to_string(), "self::*");
         assert_eq!(tr("./child::a").to_string(), "self::*/child::a");
     }
 
     #[test]
     fn union_and_derived_operators() {
-        assert_eq!(tr("child::a union child::b").to_string(), "child::a union child::b");
+        assert_eq!(
+            tr("child::a union child::b").to_string(),
+            "child::a union child::b"
+        );
         assert_eq!(
             tr("child::a intersect child::b").to_string(),
             "except (except child::a union except child::b)"
@@ -372,7 +376,12 @@ mod tests {
         let p = parse_path(&src).unwrap();
         let b = from_variable_free_path(&p).unwrap();
         // Each source node contributes a bounded number of target nodes.
-        assert!(b.size() <= 6 * p.size(), "size {} vs {}", b.size(), p.size());
+        assert!(
+            b.size() <= 6 * p.size(),
+            "size {} vs {}",
+            b.size(),
+            p.size()
+        );
     }
 
     #[test]
@@ -398,7 +407,10 @@ mod tests {
             )),
             Box::new(BinExpr::Step(Axis::Child, NameTest::name("c"))),
         );
-        assert_eq!(seq_of_union.to_string(), "(child::a union child::b)/child::c");
+        assert_eq!(
+            seq_of_union.to_string(),
+            "(child::a union child::b)/child::c"
+        );
     }
 
     #[test]

@@ -153,10 +153,9 @@ mod tests {
             has(step_child("author").filter(is_var("y"))),
             has(step_child("title").filter(is_var("z"))),
         ));
-        let parsed = parse_path(
-            "descendant::book[child::author[. is $y] and child::title[. is $z]]",
-        )
-        .unwrap();
+        let parsed =
+            parse_path("descendant::book[child::author[. is $y] and child::title[. is $z]]")
+                .unwrap();
         assert_eq!(built, parsed);
     }
 
@@ -177,13 +176,20 @@ mod tests {
 
     #[test]
     fn operators_and_loops() {
-        let q = for_in("x", step_child("a"), intersect(dot(), except(var("x"), dot())));
+        let q = for_in(
+            "x",
+            step_child("a"),
+            intersect(dot(), except(var("x"), dot())),
+        );
         assert_eq!(
             q.to_string(),
             "for $x in child::a return . intersect ($x except .)"
         );
         assert_eq!(var_is_var("a", "b").to_string(), "$a is $b");
-        assert_eq!(or(dot_is_dot(), not(dot_is_dot())).to_string(), ". is . or not(. is .)");
+        assert_eq!(
+            or(dot_is_dot(), not(dot_is_dot())).to_string(),
+            ". is . or not(. is .)"
+        );
         assert_eq!(step_parent("p").to_string(), "parent::p");
         assert_eq!(step_any(Axis::Ancestor).to_string(), "ancestor::*");
     }

@@ -370,10 +370,7 @@ mod tests {
         assert_eq!(q.free_vars().len(), 1);
         // A different variable stays free.
         let r = parse_path("for $x in child::a return $y").unwrap();
-        assert_eq!(
-            r.free_vars().iter().next().unwrap().name(),
-            "y"
-        );
+        assert_eq!(r.free_vars().iter().next().unwrap().name(), "y");
     }
 
     #[test]
@@ -399,12 +396,16 @@ mod tests {
     fn builder_conveniences() {
         let p = PathExpr::Step(Axis::Child, NameTest::name("a"))
             .then(PathExpr::Step(Axis::Child, NameTest::name("b")))
-            .filter(TestExpr::Path(PathExpr::Step(Axis::Child, NameTest::Wildcard)));
+            .filter(TestExpr::Path(PathExpr::Step(
+                Axis::Child,
+                NameTest::Wildcard,
+            )));
         // The filter applies to the whole composition, so the printer must
         // parenthesise it (a bare `child::a/child::b[child::*]` would attach
         // the filter to the last step only).
         assert_eq!(p.to_string(), "(child::a/child::b)[child::*]");
-        let u = PathExpr::NodeRef(NodeRef::Dot).or_path(PathExpr::Step(Axis::Parent, NameTest::Wildcard));
+        let u = PathExpr::NodeRef(NodeRef::Dot)
+            .or_path(PathExpr::Step(Axis::Parent, NameTest::Wildcard));
         assert_eq!(u.to_string(), ". union parent::*");
     }
 

@@ -123,36 +123,60 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
                 continue;
             }
             b'.' => {
-                out.push(Token { tok: Tok::Dot, position });
+                out.push(Token {
+                    tok: Tok::Dot,
+                    position,
+                });
                 i += 1;
             }
             b'/' => {
-                out.push(Token { tok: Tok::Slash, position });
+                out.push(Token {
+                    tok: Tok::Slash,
+                    position,
+                });
                 i += 1;
             }
             b'[' => {
-                out.push(Token { tok: Tok::LBracket, position });
+                out.push(Token {
+                    tok: Tok::LBracket,
+                    position,
+                });
                 i += 1;
             }
             b']' => {
-                out.push(Token { tok: Tok::RBracket, position });
+                out.push(Token {
+                    tok: Tok::RBracket,
+                    position,
+                });
                 i += 1;
             }
             b'(' => {
-                out.push(Token { tok: Tok::LParen, position });
+                out.push(Token {
+                    tok: Tok::LParen,
+                    position,
+                });
                 i += 1;
             }
             b')' => {
-                out.push(Token { tok: Tok::RParen, position });
+                out.push(Token {
+                    tok: Tok::RParen,
+                    position,
+                });
                 i += 1;
             }
             b'*' => {
-                out.push(Token { tok: Tok::Star, position });
+                out.push(Token {
+                    tok: Tok::Star,
+                    position,
+                });
                 i += 1;
             }
             b':' => {
                 if bytes.get(i + 1) == Some(&b':') {
-                    out.push(Token { tok: Tok::DoubleColon, position });
+                    out.push(Token {
+                        tok: Tok::DoubleColon,
+                        position,
+                    });
                     i += 2;
                 } else {
                     return Err(ParseError {
@@ -164,9 +188,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
             b'$' => {
                 i += 1;
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 if i == start {
@@ -183,8 +205,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
             _ if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
                 while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric()
-                        || matches!(bytes[i], b'_' | b'-' | b'.'))
+                    && (bytes[i].is_ascii_alphanumeric() || matches!(bytes[i], b'_' | b'-' | b'.'))
                 {
                     // A '.' inside a name is only allowed when followed by a
                     // name character; otherwise it terminates the name so
@@ -424,8 +445,16 @@ impl Parser {
                 // Keywords never start a primary.
                 if matches!(
                     name.as_str(),
-                    "union" | "intersect" | "except" | "and" | "or" | "not" | "is" | "in"
-                        | "return" | "for"
+                    "union"
+                        | "intersect"
+                        | "except"
+                        | "and"
+                        | "or"
+                        | "not"
+                        | "is"
+                        | "in"
+                        | "return"
+                        | "for"
                 ) {
                     return Err(self.err(format!("unexpected keyword '{name}'")));
                 }
@@ -445,9 +474,7 @@ impl Parser {
                     PathExpr::Step(Axis::Child, NameTest::Name(name))
                 }
             }
-            other => {
-                return Err(self.err(format!("unexpected token {other:?} in path expression")))
-            }
+            other => return Err(self.err(format!("unexpected token {other:?} in path expression"))),
         };
         Ok((leaf, 1))
     }
@@ -523,9 +550,8 @@ impl Parser {
         let (path, h) = self.union_expr()?;
         if self.at_keyword("is") {
             self.bump();
-            let left = path_to_noderef(&path).ok_or_else(|| {
-                self.err("the left operand of 'is' must be '.' or a variable")
-            })?;
+            let left = path_to_noderef(&path)
+                .ok_or_else(|| self.err("the left operand of 'is' must be '.' or a variable"))?;
             let right = match self.bump() {
                 Tok::Dot => NodeRef::Dot,
                 Tok::Var(name) => NodeRef::Var(Var::new(&name)),
@@ -566,12 +592,18 @@ mod tests {
     #[test]
     fn composition_union_intersect_except() {
         assert_eq!(round_trip("child::a/child::b"), "child::a/child::b");
-        assert_eq!(round_trip("child::a union child::b"), "child::a union child::b");
+        assert_eq!(
+            round_trip("child::a union child::b"),
+            "child::a union child::b"
+        );
         assert_eq!(
             round_trip("child::a intersect child::b"),
             "child::a intersect child::b"
         );
-        assert_eq!(round_trip("child::a except child::b"), "child::a except child::b");
+        assert_eq!(
+            round_trip("child::a except child::b"),
+            "child::a except child::b"
+        );
         // precedence: / binds tighter than intersect which binds tighter than union
         assert_eq!(
             round_trip("child::a union child::b intersect child::c/child::d"),
@@ -612,7 +644,10 @@ mod tests {
         assert_eq!(round_trip("child::a[. is $x]"), "child::a[. is $x]");
         assert_eq!(round_trip("child::a[$x is $y]"), "child::a[$x is $y]");
         assert_eq!(round_trip("child::a[. is .]"), "child::a[. is .]");
-        assert_eq!(round_trip(".[. is $x and not(parent::*)]"), ".[. is $x and not(parent::*)]");
+        assert_eq!(
+            round_trip(".[. is $x and not(parent::*)]"),
+            ".[. is $x and not(parent::*)]"
+        );
     }
 
     #[test]
@@ -701,8 +736,12 @@ mod tests {
     fn queries_past_the_depth_bound_are_refused() {
         type Shape = fn(usize) -> String;
         let shapes: [(&str, Shape); 6] = [
-            ("parentheses", |n| format!("{}a{}", "(".repeat(n), ")".repeat(n))),
-            ("filters", |n| format!("{}a{}", "a[".repeat(n), "]".repeat(n))),
+            ("parentheses", |n| {
+                format!("{}a{}", "(".repeat(n), ")".repeat(n))
+            }),
+            ("filters", |n| {
+                format!("{}a{}", "a[".repeat(n), "]".repeat(n))
+            }),
             ("slash chain", |n| vec!["a"; n].join("/")),
             ("except chain", |n| vec!["a"; n].join(" except ")),
             ("or chain", |n| format!(".[{}]", vec!["a"; n].join(" or "))),
@@ -720,7 +759,10 @@ mod tests {
             let err = parse_path(&shape(at_bound + 1)).unwrap_err();
             assert!(err.is_too_deep(), "{name}: {err}");
             // Far past the bound the refusal is the same, and immediate.
-            assert!(parse_path(&shape(100_000)).unwrap_err().is_too_deep(), "{name}");
+            assert!(
+                parse_path(&shape(100_000)).unwrap_err().is_too_deep(),
+                "{name}"
+            );
         }
         assert!(!parse_path("child::(").unwrap_err().is_too_deep());
     }
@@ -739,11 +781,23 @@ mod tests {
         };
         let doubled = parse_path(&nest("((", "))", 40)).unwrap();
         assert_eq!(doubled, parse_path(&nest("", "", 40)).unwrap());
-        assert_eq!(round_trip("self::*[(child::a)/child::b]"), "self::*[child::a/child::b]");
+        assert_eq!(
+            round_trip("self::*[(child::a)/child::b]"),
+            "self::*[child::a/child::b]"
+        );
         assert_eq!(round_trip("self::*[(. ) is $x]"), "self::*[. is $x]");
-        assert_eq!(round_trip("self::*[(a) union b]"), "self::*[child::a union child::b]");
-        assert_eq!(round_trip("self::*[(a)[b] and (c)]"), "self::*[child::a[child::b] and child::c]");
-        assert_eq!(round_trip("self::*[(a or b)]"), "self::*[child::a or child::b]");
+        assert_eq!(
+            round_trip("self::*[(a) union b]"),
+            "self::*[child::a union child::b]"
+        );
+        assert_eq!(
+            round_trip("self::*[(a)[b] and (c)]"),
+            "self::*[child::a[child::b] and child::c]"
+        );
+        assert_eq!(
+            round_trip("self::*[(a or b)]"),
+            "self::*[child::a or child::b]"
+        );
         assert!(parse_path("self::*[(a or b)/c]").is_err());
     }
 

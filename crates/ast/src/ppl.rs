@@ -375,7 +375,9 @@ mod tests {
 
         let with_var = parse_path("child::a[. is $x]").unwrap();
         let errs = check_pplbin(&with_var).unwrap_err();
-        assert!(errs.iter().any(|v| v.restriction == Restriction::NoVariables));
+        assert!(errs
+            .iter()
+            .any(|v| v.restriction == Restriction::NoVariables));
         assert!(!is_variable_free(&with_var));
 
         let with_for = parse_path("for $x in child::a return child::b").unwrap();

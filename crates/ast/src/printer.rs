@@ -135,7 +135,10 @@ mod tests {
         let p = parse_path(src).unwrap();
         let printed = p.to_string();
         let reparsed = parse_path(&printed).unwrap();
-        assert_eq!(p, reparsed, "print/parse round trip changed {src:?} -> {printed:?}");
+        assert_eq!(
+            p, reparsed,
+            "print/parse round trip changed {src:?} -> {printed:?}"
+        );
     }
 
     #[test]
@@ -165,7 +168,10 @@ mod tests {
                 Box::new(PathExpr::Step(Axis::Child, NameTest::name("a"))),
                 Box::new(PathExpr::Step(Axis::Child, NameTest::name("b"))),
             )),
-            Box::new(TestExpr::Path(PathExpr::Step(Axis::Child, NameTest::name("c")))),
+            Box::new(TestExpr::Path(PathExpr::Step(
+                Axis::Child,
+                NameTest::name("c"),
+            ))),
         );
         assert_eq!(p.to_string(), "(child::a union child::b)[child::c]");
         rt(&p.to_string());

@@ -27,8 +27,8 @@ use xpath_ast::binexpr::from_variable_free_path;
 use xpath_ast::{parse_path, Var};
 use xpath_bench::regress::SCHEMA;
 use xpath_bench::{
-    check_committed, check_file, fmt_us, forced_plan, ratio, time_median, validate_bench_json, Json,
-    SWEEPS,
+    check_committed, check_file, fmt_us, forced_plan, ratio, time_median, validate_bench_json,
+    Json, SWEEPS,
 };
 use xpath_fo::{fo_to_xpath, Formula};
 use xpath_hcl::oracle::intern_atoms;
@@ -79,7 +79,10 @@ fn run_harness_mode(args: &[String]) -> i32 {
     let mut args = args.iter().peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--bench" => match args.next().and_then(|id| SWEEPS.iter().find(|s| s.id == id)) {
+            "--bench" => match args
+                .next()
+                .and_then(|id| SWEEPS.iter().find(|s| s.id == id))
+            {
                 Some(sweep) => bench = Some(sweep),
                 None => {
                     eprintln!("--bench takes one of {}\n{usage}", ids.join(", "));
@@ -108,11 +111,18 @@ fn run_harness_mode(args: &[String]) -> i32 {
 
     if let Some(sweep) = bench {
         let path = out.unwrap_or_else(|| sweep.out.to_string());
-        eprintln!("running {} ({} sizes)", sweep.id, if smoke { "smoke" } else { "full" });
+        eprintln!(
+            "running {} ({} sizes)",
+            sweep.id,
+            if smoke { "smoke" } else { "full" }
+        );
         let doc = (sweep.run)(smoke);
         let text = doc.render();
         if let Err(e) = validate_bench_json(&text) {
-            eprintln!("{} emitted an invalid document; {path} not written: {e}", sweep.id);
+            eprintln!(
+                "{} emitted an invalid document; {path} not written: {e}",
+                sweep.id
+            );
             return 1;
         }
         if let Err(e) = std::fs::write(&path, &text) {
@@ -134,7 +144,9 @@ fn run_harness_mode(args: &[String]) -> i32 {
         None => return 0,
         Some(None) => check_committed(Path::new(".")),
         Some(Some(path)) => {
-            let name = Path::new(&path).file_name().map(|n| n.to_string_lossy().into_owned());
+            let name = Path::new(&path)
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned());
             let result = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read: {e}"))
                 .and_then(|text| check_file(name.as_deref().unwrap_or(""), &text));
@@ -156,7 +168,10 @@ fn run_harness_mode(args: &[String]) -> i32 {
 
 /// E1 — Theorem 2: PPLbin answering scales polynomially (cubically) in |t|.
 fn e1_pplbin_tree_scaling() {
-    header("E1", "Thm. 2: PPLbin binary answering, scaling in |t| (expected ~cubic growth)");
+    header(
+        "E1",
+        "Thm. 2: PPLbin binary answering, scaling in |t| (expected ~cubic growth)",
+    );
     let queries: Vec<_> = [
         "child::*/child::*",
         "descendant::l0[child::l1]",
@@ -166,7 +181,10 @@ fn e1_pplbin_tree_scaling() {
     .iter()
     .map(|s| from_variable_free_path(&parse_path(s).unwrap()).unwrap())
     .collect();
-    println!("{:>8} | {:>10} | {:>8} | {:>10}", "|t|", "time (us)", "growth", "pairs");
+    println!(
+        "{:>8} | {:>10} | {:>8} | {:>10}",
+        "|t|", "time (us)", "growth", "pairs"
+    );
     let mut prev: Option<Duration> = None;
     for &size in &[50usize, 100, 200, 400] {
         let tree = random_tree(&TreeGenConfig {
@@ -181,8 +199,16 @@ fn e1_pplbin_tree_scaling() {
                 .map(|q| answer_binary(&tree, q).count_pairs())
                 .sum::<usize>()
         });
-        let growth = prev.map(|p| format!("x{:.2}", ratio(t, p))).unwrap_or_else(|| "-".into());
-        println!("{:>8} | {} | {:>8} | {:>10}", size, fmt_us(t), growth, pairs);
+        let growth = prev
+            .map(|p| format!("x{:.2}", ratio(t, p)))
+            .unwrap_or_else(|| "-".into());
+        println!(
+            "{:>8} | {} | {:>8} | {:>10}",
+            size,
+            fmt_us(t),
+            growth,
+            pairs
+        );
         prev = Some(t);
     }
     println!("(expected: well below the ~8x-per-doubling of the dense cubic bound — the adaptive relation kernels keep axis-shaped operands interval/CSR, so growth tracks the pair counts; the paper's |t|³ worst case survives only in dense operands, see E11)");
@@ -190,7 +216,10 @@ fn e1_pplbin_tree_scaling() {
 
 /// E2 — Theorem 2: linear scaling in |P| for a fixed tree.
 fn e2_pplbin_query_scaling() {
-    header("E2", "Thm. 2: PPLbin answering, scaling in |P| (expected ~linear growth)");
+    header(
+        "E2",
+        "Thm. 2: PPLbin answering, scaling in |P| (expected ~linear growth)",
+    );
     let tree = random_tree(&TreeGenConfig {
         size: 150,
         shape: TreeShape::BoundedBranching { max_children: 4 },
@@ -203,7 +232,9 @@ fn e2_pplbin_query_scaling() {
         let query = pplbin_suite(levels);
         let size = query.size();
         let (t, _) = time_median(RUNS, || answer_binary(&tree, &query).count_pairs());
-        let growth = prev.map(|p| format!("x{:.2}", ratio(t, p))).unwrap_or_else(|| "-".into());
+        let growth = prev
+            .map(|p| format!("x{:.2}", ratio(t, p)))
+            .unwrap_or_else(|| "-".into());
         println!("{:>8} | {} | {:>8}", size, fmt_us(t), growth);
         prev = Some(t);
     }
@@ -212,24 +243,42 @@ fn e2_pplbin_query_scaling() {
 
 /// E3 — Theorem 1: n-ary answering, output-sensitive polynomial cost.
 fn e3_ppl_nary() {
-    header("E3", "Thm. 1: PPL n-ary answering — scaling in |t|, in n, and in |A|");
+    header(
+        "E3",
+        "Thm. 1: PPL n-ary answering — scaling in |t|, in n, and in |A|",
+    );
 
     println!("-- scaling in |t| (bibliography, n = 2) --");
-    println!("{:>8} | {:>8} | {:>10} | {:>8}", "|t|", "|A|", "time (us)", "growth");
+    println!(
+        "{:>8} | {:>8} | {:>10} | {:>8}",
+        "|t|", "|A|", "time (us)", "growth"
+    );
     let (query, vars) = bibliography_pairs_query();
     let mut prev: Option<Duration> = None;
     for &books in &[20usize, 40, 80, 160] {
         let session = Session::from_tree(bibliography(books, 3));
         let plan = forced_plan(&session, query.clone(), vars.clone(), Engine::Ppl);
         let (t, answers) = time_median(RUNS, || session.execute(&plan).unwrap().len());
-        let growth = prev.map(|p| format!("x{:.2}", ratio(t, p))).unwrap_or_else(|| "-".into());
-        println!("{:>8} | {:>8} | {} | {:>8}", session.len(), answers, fmt_us(t), growth);
+        let growth = prev
+            .map(|p| format!("x{:.2}", ratio(t, p)))
+            .unwrap_or_else(|| "-".into());
+        println!(
+            "{:>8} | {:>8} | {} | {:>8}",
+            session.len(),
+            answers,
+            fmt_us(t),
+            growth
+        );
         prev = Some(t);
     }
 
     println!("-- scaling in tuple width n (restaurants, 40 records) --");
     println!("{:>8} | {:>8} | {:>10}", "n", "|A|", "time (us)");
-    let session = Session::from_tree(restaurants(40, &xpath_tree::generate::RESTAURANT_ATTRIBUTES, 5));
+    let session = Session::from_tree(restaurants(
+        40,
+        &xpath_tree::generate::RESTAURANT_ATTRIBUTES,
+        5,
+    ));
     for &width in &[1usize, 3, 5, 7, 9, 11] {
         let (query, vars) = restaurant_query(width);
         let plan = forced_plan(&session, query, vars, Engine::Ppl);
@@ -252,10 +301,20 @@ fn e3_ppl_nary() {
 
 /// E4 — Prop. 1 / Cor. 1: the naive enumeration baseline is exponential in n.
 fn e4_naive_vs_ppl() {
-    header("E4", "naive assignment enumeration vs PPL engine (crossover in tuple width)");
-    let session = Session::from_tree(restaurants(4, &xpath_tree::generate::RESTAURANT_ATTRIBUTES[..4], 3));
+    header(
+        "E4",
+        "naive assignment enumeration vs PPL engine (crossover in tuple width)",
+    );
+    let session = Session::from_tree(restaurants(
+        4,
+        &xpath_tree::generate::RESTAURANT_ATTRIBUTES[..4],
+        3,
+    ));
     println!("document: {} nodes", session.len());
-    println!("{:>3} | {:>12} | {:>12} | {:>10}", "n", "ppl (us)", "naive (us)", "naive/ppl");
+    println!(
+        "{:>3} | {:>12} | {:>12} | {:>10}",
+        "n", "ppl (us)", "naive (us)", "naive/ppl"
+    );
     for &width in &[1usize, 2, 3] {
         let (query, vars) = restaurant_query(width);
         let plan = forced_plan(&session, query.clone(), vars.clone(), Engine::Ppl);
@@ -280,8 +339,14 @@ fn e4_naive_vs_ppl() {
 
 /// E5 — Prop. 3: SAT reduction, exponential naive cost, PPL rejection.
 fn e5_sat_hardness() {
-    header("E5", "Prop. 3: variable sharing makes non-emptiness NP-hard (SAT reduction)");
-    println!("{:>5} | {:>8} | {:>12} | {:>6} | {:>9}", "vars", "|t|", "naive (us)", "sat?", "rejected");
+    header(
+        "E5",
+        "Prop. 3: variable sharing makes non-emptiness NP-hard (SAT reduction)",
+    );
+    println!(
+        "{:>5} | {:>8} | {:>12} | {:>6} | {:>9}",
+        "vars", "|t|", "naive (us)", "sat?", "rejected"
+    );
     for &vars in &[2usize, 3, 4] {
         let instance = random_3sat(vars, vars + 2, 41 + vars as u64);
         let tree = encode_sat_tree(&instance);
@@ -309,22 +374,36 @@ fn e5_sat_hardness() {
 
 /// E6 — Prop. 7/8: Yannakakis on the ACQ image matches the HCL algorithm.
 fn e6_acq_vs_hcl() {
-    header("E6", "Prop. 7: Yannakakis (ACQ) vs the Fig. 8 HCL algorithm on union-free queries");
-    println!("{:>8} | {:>8} | {:>12} | {:>12}", "|t|", "|A|", "hcl (us)", "yannakakis");
+    header(
+        "E6",
+        "Prop. 7: Yannakakis (ACQ) vs the Fig. 8 HCL algorithm on union-free queries",
+    );
+    println!(
+        "{:>8} | {:>8} | {:>12} | {:>12}",
+        "|t|", "|A|", "hcl (us)", "yannakakis"
+    );
     let ppl = parse_path("descendant::book[child::author[. is $a]]/child::title[. is $t]").unwrap();
     let output = [Var::new("a"), Var::new("t")];
     let hcl = ppl_to_hcl(&ppl).unwrap();
     for &books in &[20usize, 40, 80] {
         let session = Session::from_tree(bibliography(books, 3));
         let (th, a1) = time_median(RUNS, || {
-            answer_hcl_pplbin(session.tree(), &hcl, &output).unwrap().len()
+            answer_hcl_pplbin(session.tree(), &hcl, &output)
+                .unwrap()
+                .len()
         });
         let (ty, a2) = time_median(RUNS, || {
             let (cq, db) = hcl_to_acq(session.tree(), &hcl, &output).unwrap();
             answer_acq(&cq, &db).unwrap().len()
         });
         assert_eq!(a1, a2);
-        println!("{:>8} | {:>8} | {} | {}", session.len(), a1, fmt_us(th), fmt_us(ty));
+        println!(
+            "{:>8} | {:>8} | {} | {}",
+            session.len(),
+            a1,
+            fmt_us(th),
+            fmt_us(ty)
+        );
     }
     println!("(expected: same answers; both polynomial, with constant factors favouring either depending on |db| vs the matrix precompilation)");
 }
@@ -332,7 +411,10 @@ fn e6_acq_vs_hcl() {
 /// E7 — Lemma 3: sharing normalisation is linear, naive distribution is not.
 fn e7_sharing_normalisation() {
     header("E7", "Lemma 3: sharing-expression normalisation (linear) vs naive union distribution (exponential)");
-    println!("{:>4} | {:>10} | {:>14} | {:>18}", "k", "|C|", "sharing |D|+|∆|", "distributed leaves");
+    println!(
+        "{:>4} | {:>10} | {:>14} | {:>18}",
+        "k", "|C|", "sharing |D|+|∆|", "distributed leaves"
+    );
     for &k in &[2usize, 4, 8, 16, 32] {
         let block = |i: usize| Hcl::Atom(format!("a{i}")).or(Hcl::Atom(format!("b{i}")));
         let mut expr = block(0);
@@ -356,8 +438,14 @@ fn e7_sharing_normalisation() {
 
 /// E8 — Prop. 5 / Fig. 7: linear-time translation preserving answers.
 fn e8_fig7_translation() {
-    header("E8", "Prop. 5: PPL → HCL⁻(PPLbin) translation is linear and preserves answers");
-    println!("{:>8} | {:>8} | {:>12} | {:>10}", "|P|", "|HCL|", "time (us)", "answers ok");
+    header(
+        "E8",
+        "Prop. 5: PPL → HCL⁻(PPLbin) translation is linear and preserves answers",
+    );
+    println!(
+        "{:>8} | {:>8} | {:>12} | {:>10}",
+        "|P|", "|HCL|", "time (us)", "answers ok"
+    );
     let session = Session::from_tree(bibliography(10, 3));
     for &filters in &[2usize, 5, 10, 20, 40] {
         let mut src = String::from("descendant::book");
@@ -371,7 +459,9 @@ fn e8_fig7_translation() {
         let answers_ok = if filters <= 2 {
             let vars: Vec<Var> = (0..filters).map(|i| Var::new(&format!("v{i}"))).collect();
             let fast = answer_hcl_pplbin(session.tree(), &hcl, &vars).unwrap();
-            let slow = Engine::NaiveEnumeration.answer(&session, &ppl, &vars).unwrap();
+            let slow = Engine::NaiveEnumeration
+                .answer(&session, &ppl, &vars)
+                .unwrap();
             fast.len() == slow.len()
         } else {
             true
@@ -389,7 +479,10 @@ fn e8_fig7_translation() {
 
 /// E9 — Lemma 1 translation linearity + Core XPath 1.0 linear-time contrast.
 fn e9_fo_translation_and_corexpath1() {
-    header("E9", "Lemma 1: FO → Core XPath 2.0 is linear; Core XPath 1.0 set evaluation vs cubic matrices");
+    header(
+        "E9",
+        "Lemma 1: FO → Core XPath 2.0 is linear; Core XPath 1.0 set evaluation vs cubic matrices",
+    );
     println!("-- FO translation --");
     println!("{:>8} | {:>8} | {:>12}", "|φ|", "|⟦φ⟧|", "time (us)");
     for &conjuncts in &[8usize, 16, 32, 64] {
@@ -402,14 +495,18 @@ fn e9_fo_translation_and_corexpath1() {
     }
 
     println!("-- Core XPath 1.0 set-based vs PPLbin matrix (unary query from the root) --");
-    println!("{:>8} | {:>14} | {:>14} | {:>8}", "|t|", "sets (us)", "matrix (us)", "ratio");
-    let query = from_variable_free_path(
-        &parse_path("child::book[child::author]/child::title").unwrap(),
-    )
-    .unwrap();
+    println!(
+        "{:>8} | {:>14} | {:>14} | {:>8}",
+        "|t|", "sets (us)", "matrix (us)", "ratio"
+    );
+    let query =
+        from_variable_free_path(&parse_path("child::book[child::author]/child::title").unwrap())
+            .unwrap();
     for &books in &[50usize, 100, 200] {
         let session = Session::from_tree(bibliography(books, 3));
-        let (ts, a1) = time_median(RUNS, || unary_from_root(session.tree(), &query).unwrap().len());
+        let (ts, a1) = time_median(RUNS, || {
+            unary_from_root(session.tree(), &query).unwrap().len()
+        });
         let (tm, a2) = time_median(RUNS, || {
             answer_binary(session.tree(), &query)
                 .successors(session.root())

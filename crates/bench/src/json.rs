@@ -196,7 +196,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Arr(items));
                     }
-                    other => return Err(format!("expected ',' or ']' at byte {pos}, found {other:?}", pos = *pos)),
+                    other => {
+                        return Err(format!(
+                            "expected ',' or ']' at byte {pos}, found {other:?}",
+                            pos = *pos
+                        ))
+                    }
                 }
             }
         }
@@ -222,7 +227,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Obj(members));
                     }
-                    other => return Err(format!("expected ',' or '}}' at byte {pos}, found {other:?}", pos = *pos)),
+                    other => {
+                        return Err(format!(
+                            "expected ',' or '}}' at byte {pos}, found {other:?}",
+                            pos = *pos
+                        ))
+                    }
                 }
             }
         }
@@ -283,8 +293,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     if (0xD800..=0xDBFF).contains(&code) {
                         // High surrogate: must be followed by `\uDC00..DFFF`;
                         // the pair combines into one non-BMP scalar.
-                        if !matches!((chars.next(), chars.next()), (Some((_, '\\')), Some((_, 'u'))))
-                        {
+                        if !matches!(
+                            (chars.next(), chars.next()),
+                            (Some((_, '\\')), Some((_, 'u')))
+                        ) {
                             return Err(format!("lone high surrogate \\u{code:04x}"));
                         }
                         let low = hex4(&mut chars)?;
@@ -334,7 +346,10 @@ mod tests {
         assert!(text.ends_with('\n'));
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed, value);
-        assert_eq!(parsed.get("schema").unwrap().as_str(), Some("ppl-xpath-bench/v1"));
+        assert_eq!(
+            parsed.get("schema").unwrap().as_str(),
+            Some("ppl-xpath-bench/v1")
+        );
         let row = &parsed.get("results").unwrap().as_arr().unwrap()[0];
         assert_eq!(row.get("median_us").unwrap().as_f64(), Some(12.5));
         assert_eq!(row.get("tree_size").unwrap().as_f64(), Some(480.0));
@@ -368,7 +383,12 @@ mod tests {
             Json::Str("😀".into())
         );
         assert_eq!(Json::parse("\"\\u00e9\"").unwrap(), Json::Str("é".into()));
-        for bad in ["\"\\ud83d\"", "\"\\ud83d\\u0041\"", "\"\\ude00\"", "\"\\uZZZZ\""] {
+        for bad in [
+            "\"\\ud83d\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ude00\"",
+            "\"\\uZZZZ\"",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should be rejected");
         }
     }

@@ -380,9 +380,7 @@ pub fn suite() -> Vec<(PathExpr, Vec<Var>)> {
             &["x", "y"],
         ),
         (
-            format!(
-                "descendant::l0[not({f1})][. is $x] union descendant::l1[not({f3})][. is $x]"
-            ),
+            format!("descendant::l0[not({f1})][. is $x] union descendant::l1[not({f3})][. is $x]"),
             &["x"],
         ),
     ];
@@ -454,7 +452,11 @@ fn run_kernel_ablation(cfg: &KernelConfig) -> (Vec<Json>, Vec<Member>) {
                     .map(|b| store.eval_relation(&tree, b).count_pairs())
                     .sum::<usize>()
             });
-            agree(&mut reference_pairs, pairs, format_args!("{name} at |t|={size}"));
+            agree(
+                &mut reference_pairs,
+                pairs,
+                format_args!("{name} at |t|={size}"),
+            );
             mode_us[i] = us(t);
             // Kernel dispatch counters, measured outside the timer.
             let mut store = MatrixStore::with_mode(tree.len(), mode);
@@ -464,14 +466,29 @@ fn run_kernel_ablation(cfg: &KernelConfig) -> (Vec<Json>, Vec<Member>) {
             let k = store.kernel_stats();
             let structured_steps = k.step_identity + k.step_interval + k.step_sparse;
             let structured_products = k.product_trivial + k.product_interval + k.product_sparse;
-            rows.push(row("kernel_ablation", name, [size, suite.len(), 1], t, [
-                ("answers", Json::Num(pairs as f64)),
-                ("kernel_steps_structured", Json::Num(structured_steps as f64)),
-                ("kernel_steps_dense", Json::Num(k.step_dense as f64)),
-                ("kernel_products_structured", Json::Num(structured_products as f64)),
-                ("kernel_products_dense", Json::Num(k.product_dense as f64)),
-                ("kernel_products_threaded", Json::Num(k.product_dense_threaded as f64)),
-            ]));
+            rows.push(row(
+                "kernel_ablation",
+                name,
+                [size, suite.len(), 1],
+                t,
+                [
+                    ("answers", Json::Num(pairs as f64)),
+                    (
+                        "kernel_steps_structured",
+                        Json::Num(structured_steps as f64),
+                    ),
+                    ("kernel_steps_dense", Json::Num(k.step_dense as f64)),
+                    (
+                        "kernel_products_structured",
+                        Json::Num(structured_products as f64),
+                    ),
+                    ("kernel_products_dense", Json::Num(k.product_dense as f64)),
+                    (
+                        "kernel_products_threaded",
+                        Json::Num(k.product_dense_threaded as f64),
+                    ),
+                ],
+            ));
         }
         summary = Some((size, mode_us[0], mode_us[1], mode_us[2]));
     }
@@ -481,8 +498,14 @@ fn run_kernel_ablation(cfg: &KernelConfig) -> (Vec<Json>, Vec<Member>) {
         ("kernel_dense_median_us", Json::Num(dense_us)),
         ("kernel_adaptive_median_us", Json::Num(adaptive_us)),
         ("kernel_adaptive_threaded_median_us", Json::Num(threaded_us)),
-        ("adaptive_speedup", Json::Num(round2(dense_us / adaptive_us.max(0.1)))),
-        ("adaptive_threaded_speedup", Json::Num(round2(dense_us / threaded_us.max(0.1)))),
+        (
+            "adaptive_speedup",
+            Json::Num(round2(dense_us / adaptive_us.max(0.1))),
+        ),
+        (
+            "adaptive_threaded_speedup",
+            Json::Num(round2(dense_us / threaded_us.max(0.1))),
+        ),
     ];
     (rows, summary)
 }
@@ -500,7 +523,9 @@ fn plan_specs(
         .map(|(src, vars)| {
             let path = parse_path(src).expect("suite query parses");
             let output = vars.iter().map(|n| Var::new(n)).collect();
-            planner.plan_with(session, path, output, engine).expect("suite query plans")
+            planner
+                .plan_with(session, path, output, engine)
+                .expect("suite query plans")
         })
         .collect()
 }
@@ -517,7 +542,10 @@ fn serve_isolated(tree: &Tree, plans: &[QueryPlan], workers: usize) -> usize {
             .chunks(chunk.max(1))
             .map(|chunk| scope.spawn(move || answer_all(&Session::from_tree(tree.clone()), chunk)))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).sum()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .sum()
     })
 }
 
@@ -557,7 +585,13 @@ fn run_planner_concurrency(cfg: &ServeConfig) -> (Vec<Json>, Vec<Member>) {
                 .join(",");
             extra.push(("chosen_engines", Json::Str(auto_choices.clone())));
         }
-        rows.push(row("planner", name, [cfg.planner_tree_size, suite_len, 1], t, extra));
+        rows.push(row(
+            "planner",
+            name,
+            [cfg.planner_tree_size, suite_len, 1],
+            t,
+            extra,
+        ));
     }
 
     // -- concurrent serving: one shared session vs isolated workers --------
@@ -585,17 +619,30 @@ fn run_planner_concurrency(cfg: &ServeConfig) -> (Vec<Json>, Vec<Member>) {
         });
         let (iso_t, iso_answers) =
             time_median(cfg.runs, || serve_isolated(&serve_tree, &workload, threads));
-        assert_eq!(shared_answers, iso_answers, "serving architectures disagree");
-        agree(&mut serve_reference, shared_answers, format_args!("{threads} threads"));
+        assert_eq!(
+            shared_answers, iso_answers,
+            "serving architectures disagree"
+        );
+        agree(
+            &mut serve_reference,
+            shared_answers,
+            format_args!("{threads} threads"),
+        );
         for (name, t, answers) in [
             ("serve_shared", shared_t, shared_answers),
             ("serve_isolated", iso_t, iso_answers),
         ] {
             let shape = [cfg.serve_tree_size, suite().len(), cfg.repeats];
-            rows.push(row("concurrent_serving", name, shape, t, [
-                ("threads", Json::Num(threads as f64)),
-                ("answers", Json::Num(answers as f64)),
-            ]));
+            rows.push(row(
+                "concurrent_serving",
+                name,
+                shape,
+                t,
+                [
+                    ("threads", Json::Num(threads as f64)),
+                    ("answers", Json::Num(answers as f64)),
+                ],
+            ));
         }
         shared_by_threads.push((threads, us(shared_t)));
         isolated_by_threads.push((threads, us(iso_t)));
@@ -617,10 +664,16 @@ fn run_planner_concurrency(cfg: &ServeConfig) -> (Vec<Json>, Vec<Member>) {
         // The headline: under tmax-thread load, one shared Session vs the
         // pre-Session architecture (tmax isolated single-threaded workers,
         // each recompiling its own matrices).
-        ("shared_vs_isolated_speedup", Json::Num(round2(isolated_tmax / shared_tmax.max(0.1)))),
+        (
+            "shared_vs_isolated_speedup",
+            Json::Num(round2(isolated_tmax / shared_tmax.max(0.1))),
+        ),
         // Wall-clock thread scaling of the shared path itself (≈1.0 on a
         // single hardware thread; >1 with real cores).
-        ("thread_scaling", Json::Num(round2(shared_t1 / shared_tmax.max(0.1)))),
+        (
+            "thread_scaling",
+            Json::Num(round2(shared_t1 / shared_tmax.max(0.1))),
+        ),
     ];
     (rows, summary)
 }
@@ -640,7 +693,10 @@ fn us(d: Duration) -> f64 {
 
 /// Execute every plan on `session`; returns the total answer count.
 fn answer_all(session: &Session, plans: &[QueryPlan]) -> usize {
-    plans.iter().map(|p| session.execute(p).expect("suite plan answers").len()).sum()
+    plans
+        .iter()
+        .map(|p| session.execute(p).expect("suite plan answers").len())
+        .sum()
 }
 
 /// Record the first answer count of a cell in `reference`; every later
@@ -700,7 +756,10 @@ fn document<K: Into<String>>(
 /// The header of a tree-size sweep's document.
 fn sweep_header(sizes: &[usize], queries: usize, repeats: usize, runs: usize) -> Vec<Member> {
     vec![
-        ("tree_sizes", Json::Arr(sizes.iter().map(|&v| Json::Num(v as f64)).collect())),
+        (
+            "tree_sizes",
+            Json::Arr(sizes.iter().map(|&v| Json::Num(v as f64)).collect()),
+        ),
         ("suite_queries", Json::Num(queries as f64)),
         ("workload_repeats", Json::Num(repeats as f64)),
         ("runs_per_cell", Json::Num(runs as f64)),
@@ -724,7 +783,9 @@ pub fn run_regression(cfg: &RegressConfig, kernels: &KernelConfig, serve: &Serve
         let plan_session = Session::from_tree(tree.clone());
         let suite = suite_plans(&plan_session, Engine::Ppl);
         let repeated = |plans: &[QueryPlan]| -> Vec<QueryPlan> {
-            (0..cfg.repeats).flat_map(|_| plans.iter().cloned()).collect()
+            (0..cfg.repeats)
+                .flat_map(|_| plans.iter().cloned())
+                .collect()
         };
         let workload = repeated(&suite);
         let cold_workload = repeated(&suite_plans(&plan_session, Engine::Hcl));
@@ -737,29 +798,57 @@ pub fn run_regression(cfg: &RegressConfig, kernels: &KernelConfig, serve: &Serve
         // timed run pays exactly one compilation of each distinct subterm.
         let (cached_t, cached_answers) = time_median(cfg.runs, || {
             let session = Session::from_tree(tree.clone());
-            let answers = session.answer_batch(&workload).expect("suite queries answer");
+            let answers = session
+                .answer_batch(&workload)
+                .expect("suite queries answer");
             answers.iter().map(|a| a.len()).sum::<usize>()
         });
         // Cache counters for the same workload, measured outside the timer.
         let stats_session = Session::from_tree(tree.clone());
-        stats_session.answer_batch(&workload).expect("suite queries answer");
+        stats_session
+            .answer_batch(&workload)
+            .expect("suite queries answer");
         let stats = stats_session.cache_stats();
         let e10 = |engine, queries, repeats, t, answers: usize, extra: Vec<_>| {
             let answers = ("answers", Json::Num(answers as f64));
             let extra = std::iter::once(answers).chain(extra);
-            row("repeated_query_workload", engine, [size, queries, repeats], t, extra)
+            row(
+                "repeated_query_workload",
+                engine,
+                [size, queries, repeats],
+                t,
+                extra,
+            )
         };
-        results.push(e10("ppl_cached", suite.len(), cfg.repeats, cached_t, cached_answers, vec![
-            ("cache_hits", Json::Num(stats.hits as f64)),
-            ("cache_misses", Json::Num(stats.misses as f64)),
-        ]));
+        results.push(e10(
+            "ppl_cached",
+            suite.len(),
+            cfg.repeats,
+            cached_t,
+            cached_answers,
+            vec![
+                ("cache_hits", Json::Num(stats.hits as f64)),
+                ("cache_misses", Json::Num(stats.misses as f64)),
+            ],
+        ));
 
         // ppl_cold — per-query recompilation, same workload.
         let (cold_t, cold_answers) = time_median(cfg.runs, || {
             answer_all(&Session::from_tree(tree.clone()), &cold_workload)
         });
-        agree(&mut Some(cached_answers), cold_answers, format_args!("ppl_cold at |t|={size}"));
-        results.push(e10("ppl_cold", suite.len(), cfg.repeats, cold_t, cold_answers, vec![]));
+        agree(
+            &mut Some(cached_answers),
+            cold_answers,
+            format_args!("ppl_cold at |t|={size}"),
+        );
+        results.push(e10(
+            "ppl_cold",
+            suite.len(),
+            cfg.repeats,
+            cold_t,
+            cold_answers,
+            vec![],
+        ));
         summary = Some((size, us(cold_t), us(cached_t)));
 
         // acq — Yannakakis over the ACQ image, union-free queries only,
@@ -774,7 +863,14 @@ pub fn run_regression(cfg: &RegressConfig, kernels: &KernelConfig, serve: &Serve
                 })
                 .sum::<usize>()
         });
-        results.push(e10("acq", union_free.len(), cfg.repeats, acq_t, acq_answers, vec![]));
+        results.push(e10(
+            "acq",
+            union_free.len(),
+            cfg.repeats,
+            acq_t,
+            acq_answers,
+            vec![],
+        ));
 
         // naive — exponential baseline, one workload pass, small trees only.
         if size <= cfg.naive_max_size {
@@ -791,7 +887,11 @@ pub fn run_regression(cfg: &RegressConfig, kernels: &KernelConfig, serve: &Serve
                     .sum::<usize>()
             });
             let naive_total = naive_answers * cfg.repeats;
-            agree(&mut Some(cold_answers), naive_total, format_args!("naive at |t|={size}"));
+            agree(
+                &mut Some(cold_answers),
+                naive_total,
+                format_args!("naive at |t|={size}"),
+            );
             results.push(e10("naive", suite.len(), 1, naive_t, naive_answers, vec![]));
         }
     }
@@ -801,7 +901,10 @@ pub fn run_regression(cfg: &RegressConfig, kernels: &KernelConfig, serve: &Serve
         ("largest_tree_size", Json::Num(largest as f64)),
         ("cold_median_us", Json::Num(cold_us)),
         ("cached_median_us", Json::Num(cached_us)),
-        ("cached_speedup", Json::Num(round2(cold_us / cached_us.max(0.1)))),
+        (
+            "cached_speedup",
+            Json::Num(round2(cold_us / cached_us.max(0.1))),
+        ),
     ];
     for (rows, summary) in [run_kernel_ablation(kernels), run_planner_concurrency(serve)] {
         results.extend(rows);
@@ -847,7 +950,9 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
         let mut answers = 0usize;
         for _ in 0..cfg.repeats {
             for (source, vars) in &specs {
-                let docs = corpus.answer_all(source, vars).expect("suite queries answer");
+                let docs = corpus
+                    .answer_all(source, vars)
+                    .expect("suite queries answer");
                 for doc in docs {
                     answers += doc.answers.len();
                 }
@@ -861,18 +966,28 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
     let reference_answers = run_workload(&warm);
     let working_set = warm.stats().pool_bytes.max(1);
 
-    let corpus_row = |engine: &str, t: Duration, answers: usize, stats: xpath_corpus::CorpusStats| {
-        row("corpus_serving", engine, [total_nodes, specs.len(), cfg.repeats], t, [
-            ("docs", Json::Num(cfg.docs as f64)),
-            ("threads", Json::Num(cfg.threads as f64)),
-            ("answers", Json::Num(answers as f64)),
-            ("pool_bytes", Json::Num(stats.pool_bytes as f64)),
-            ("cache_evictions", Json::Num(stats.cache_evictions as f64)),
-            ("session_evictions", Json::Num(stats.session_evictions as f64)),
-            ("rebuilds", Json::Num(stats.rebuilds as f64)),
-            ("plan_hits", Json::Num(stats.plan_hits as f64)),
-        ])
-    };
+    let corpus_row =
+        |engine: &str, t: Duration, answers: usize, stats: xpath_corpus::CorpusStats| {
+            row(
+                "corpus_serving",
+                engine,
+                [total_nodes, specs.len(), cfg.repeats],
+                t,
+                [
+                    ("docs", Json::Num(cfg.docs as f64)),
+                    ("threads", Json::Num(cfg.threads as f64)),
+                    ("answers", Json::Num(answers as f64)),
+                    ("pool_bytes", Json::Num(stats.pool_bytes as f64)),
+                    ("cache_evictions", Json::Num(stats.cache_evictions as f64)),
+                    (
+                        "session_evictions",
+                        Json::Num(stats.session_evictions as f64),
+                    ),
+                    ("rebuilds", Json::Num(stats.rebuilds as f64)),
+                    ("plan_hits", Json::Num(stats.plan_hits as f64)),
+                ],
+            )
+        };
 
     let mut rows: Vec<Json> = Vec::new();
     let mut pool_us = 0.0f64;
@@ -925,7 +1040,12 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
         answers
     });
     agree(&mut Some(reference_answers), cold_answers, "cold_rebuild");
-    rows.push(corpus_row("cold_rebuild", cold_t, cold_answers, Default::default()));
+    rows.push(corpus_row(
+        "cold_rebuild",
+        cold_t,
+        cold_answers,
+        Default::default(),
+    ));
 
     let summary = [
         ("corpus_docs", Json::Num(cfg.docs as f64)),
@@ -935,9 +1055,15 @@ pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Json {
         ("corpus_cold_us", Json::Num(us(cold_t))),
         // The headline, a committed claim: pooled sessions vs per-request
         // rebuild on the same workload and engine.
-        ("corpus_speedup", Json::Num(round2(us(cold_t) / pool_us.max(0.1)))),
+        (
+            "corpus_speedup",
+            Json::Num(round2(us(cold_t) / pool_us.max(0.1))),
+        ),
     ];
-    let summary = summary.map(|(k, v)| (k.to_string(), v)).into_iter().chain(budget_summary);
+    let summary = summary
+        .map(|(k, v)| (k.to_string(), v))
+        .into_iter()
+        .chain(budget_summary);
     let header = [
         ("corpus_docs", Json::Num(cfg.docs as f64)),
         ("suite_queries", Json::Num(specs.len() as f64)),
@@ -983,7 +1109,11 @@ pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
                 session.set_kernel_mode(mode);
                 answer_all(&session, &plans)
             });
-            agree(&mut reference, answers, format_args!("{name} at |t|={size}"));
+            agree(
+                &mut reference,
+                answers,
+                format_args!("{name} at |t|={size}"),
+            );
             assert!(answers > 0, "dblp suite selected nothing at |t|={size}");
             size_us[i] = Some(us(t));
 
@@ -999,11 +1129,17 @@ pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
                 worst_bytes_per_node = worst_bytes_per_node.max(bytes_per_node);
                 largest_lazy = Some((size, us(t)));
             }
-            rows.push(row("lazy_large_documents", name, [size, specs.len(), 1], t, [
-                ("answers", Json::Num(answers as f64)),
-                ("store_bytes", Json::Num(bytes as f64)),
-                ("bytes_per_node", Json::Num(round2(bytes_per_node))),
-            ]));
+            rows.push(row(
+                "lazy_large_documents",
+                name,
+                [size, specs.len(), 1],
+                t,
+                [
+                    ("answers", Json::Num(answers as f64)),
+                    ("store_bytes", Json::Num(bytes as f64)),
+                    ("bytes_per_node", Json::Num(round2(bytes_per_node))),
+                ],
+            ));
         }
         if size <= cfg.eager_max_size {
             if let [Some(lazy_us), Some(eager_us)] = size_us {
@@ -1016,16 +1152,26 @@ pub fn run_lazy_bench(cfg: &LazyBenchConfig) -> Json {
         pin.expect("at least one size within the eager comparison band");
     let (largest, lazy_largest_us) = largest_lazy.expect("at least one lazy row");
     let header = sweep_header(&cfg.tree_sizes, specs.len(), 1, cfg.runs);
-    document(header, rows, [
-        ("lazy_largest_tree_size", Json::Num(largest as f64)),
-        ("lazy_largest_us", Json::Num(lazy_largest_us)),
-        ("lazy_pin_tree_size", Json::Num(pin_size as f64)),
-        ("lazy_pin_us", Json::Num(lazy_pin_us)),
-        ("eager_pin_us", Json::Num(eager_pin_us)),
-        // The two headline claims of BENCH_6.json.
-        ("lazy_speedup", Json::Num(round2(eager_pin_us / lazy_pin_us.max(0.1)))),
-        ("lazy_bytes_per_node", Json::Num(round2(worst_bytes_per_node))),
-    ])
+    document(
+        header,
+        rows,
+        [
+            ("lazy_largest_tree_size", Json::Num(largest as f64)),
+            ("lazy_largest_us", Json::Num(lazy_largest_us)),
+            ("lazy_pin_tree_size", Json::Num(pin_size as f64)),
+            ("lazy_pin_us", Json::Num(lazy_pin_us)),
+            ("eager_pin_us", Json::Num(eager_pin_us)),
+            // The two headline claims of BENCH_6.json.
+            (
+                "lazy_speedup",
+                Json::Num(round2(eager_pin_us / lazy_pin_us.max(0.1))),
+            ),
+            (
+                "lazy_bytes_per_node",
+                Json::Num(round2(worst_bytes_per_node)),
+            ),
+        ],
+    )
 }
 
 /// Run the E17 relabel sweep: a warm session absorbs a single-node
@@ -1081,11 +1227,17 @@ pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
         warm.set_kernel_mode(mode);
         answer_all(&warm, &plans_for(&warm));
         let warmed = warm.cache_stats();
-        assert!(warmed.compiled + warmed.sets > 0, "base session must be warm");
+        assert!(
+            warmed.compiled + warmed.sets > 0,
+            "base session must be warm"
+        );
 
         // Edit-maintenance stats, measured once outside the timers.
         let (_, stats) = warm.fork_edited(Arc::clone(&edited), &delta);
-        assert!(stats.rows_total > 0, "the warm cache must be carried through the edit");
+        assert!(
+            stats.rows_total > 0,
+            "the warm cache must be carried through the edit"
+        );
 
         let mut answers_reference: Option<usize> = None;
         let mut arm_us = [0.0f64; 2];
@@ -1100,10 +1252,18 @@ pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
                 };
                 answer_all(&session, &plans)
             });
-            agree(&mut answers_reference, answers, format_args!("{name} at |t|={size}"));
+            agree(
+                &mut answers_reference,
+                answers,
+                format_args!("{name} at |t|={size}"),
+            );
             assert!(answers > 0, "dblp suite selected nothing at |t|={size}");
             arm_us[arm] = us(t);
-            let kernel = if mode == KernelMode::Lazy { "lazy" } else { "adaptive_threaded" };
+            let kernel = if mode == KernelMode::Lazy {
+                "lazy"
+            } else {
+                "adaptive_threaded"
+            };
             let mut extra = vec![
                 ("answers", Json::Num(answers as f64)),
                 ("edits", Json::Num(1.0)),
@@ -1113,9 +1273,21 @@ pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
                 extra.push(("rows_invalidated", Json::Num(stats.rows_invalidated as f64)));
                 extra.push(("rows_total", Json::Num(stats.rows_total as f64)));
             }
-            rows.push(row("incr_maintenance", name, [size, specs.len(), 1], t, extra));
+            rows.push(row(
+                "incr_maintenance",
+                name,
+                [size, specs.len(), 1],
+                t,
+                extra,
+            ));
         }
-        cells.push((size, arm_us[0], arm_us[1], stats.rows_invalidated, stats.rows_total));
+        cells.push((
+            size,
+            arm_us[0],
+            arm_us[1],
+            stats.rows_invalidated,
+            stats.rows_total,
+        ));
     }
 
     let &(pin_size, incr_pin_us, full_pin_us, invalidated, total) =
@@ -1124,18 +1296,28 @@ pub fn run_incr_bench(cfg: &IncrBenchConfig) -> Json {
         cells.last().expect("at least one swept size");
     let header = sweep_header(&cfg.tree_sizes, specs.len(), 1, cfg.runs);
     let fraction = invalidated as f64 / (total as f64).max(1.0);
-    document(header, rows, [
-        ("incr_pin_tree_size", Json::Num(pin_size as f64)),
-        ("incr_pin_us", Json::Num(incr_pin_us)),
-        ("full_pin_us", Json::Num(full_pin_us)),
-        ("incr_speedup", Json::Num(round2(full_pin_us / incr_pin_us.max(0.1)))),
-        ("incr_rows_invalidated", Json::Num(invalidated as f64)),
-        ("incr_rows_total", Json::Num(total as f64)),
-        ("incr_rows_fraction", Json::Num(round4(fraction))),
-        ("incr_largest_tree_size", Json::Num(largest as f64)),
-        ("incr_largest_us", Json::Num(incr_largest_us)),
-        ("incr_largest_speedup", Json::Num(round2(full_largest_us / incr_largest_us.max(0.1)))),
-    ])
+    document(
+        header,
+        rows,
+        [
+            ("incr_pin_tree_size", Json::Num(pin_size as f64)),
+            ("incr_pin_us", Json::Num(incr_pin_us)),
+            ("full_pin_us", Json::Num(full_pin_us)),
+            (
+                "incr_speedup",
+                Json::Num(round2(full_pin_us / incr_pin_us.max(0.1))),
+            ),
+            ("incr_rows_invalidated", Json::Num(invalidated as f64)),
+            ("incr_rows_total", Json::Num(total as f64)),
+            ("incr_rows_fraction", Json::Num(round4(fraction))),
+            ("incr_largest_tree_size", Json::Num(largest as f64)),
+            ("incr_largest_us", Json::Num(incr_largest_us)),
+            (
+                "incr_largest_speedup",
+                Json::Num(round2(full_largest_us / incr_largest_us.max(0.1))),
+            ),
+        ],
+    )
 }
 
 /// Run the E16 sharded-router sweep: the same pipelined QUERY traffic is
@@ -1166,10 +1348,8 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
     let doc_shape = format!("r({})", vec!["a(b,b,c(b))"; 72].join(","));
     const DOC_NODES: usize = 361;
     let docs = cfg.docs.max(1);
-    let request_line = move |i: usize| format!(
-        "QUERY bench_d{} descendant::b[. is $x] -> x",
-        i % docs
-    );
+    let request_line =
+        move |i: usize| format!("QUERY bench_d{} descendant::b[. is $x] -> x", i % docs);
 
     let read_response = |reader: &mut BufReader<TcpStream>| -> bool {
         let mut status = String::new();
@@ -1194,9 +1374,8 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
 
     let spawn_backend = || {
         let (listener, addr) = bind("127.0.0.1:0").expect("bench backend binds");
-        let handle = std::thread::spawn(move || {
-            serve(listener, &Corpus::new(), &ServeOptions::default())
-        });
+        let handle =
+            std::thread::spawn(move || serve(listener, &Corpus::new(), &ServeOptions::default()));
         (addr, handle)
     };
 
@@ -1209,13 +1388,17 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
         for line in lines {
             writeln!(writer, "{line}").unwrap();
             writer.flush().unwrap();
-            assert!(read_response(&mut reader), "control request {line:?} failed");
+            assert!(
+                read_response(&mut reader),
+                "control request {line:?} failed"
+            );
         }
     };
     let shutdown = |addr| control(addr, &["SHUTDOWN".to_string()]);
     let preload = |addr| {
-        let loads: Vec<String> =
-            (0..docs).map(|k| format!("LOADTERMS bench_d{k} {doc_shape}")).collect();
+        let loads: Vec<String> = (0..docs)
+            .map(|k| format!("LOADTERMS bench_d{k} {doc_shape}"))
+            .collect();
         control(addr, &loads)
     };
 
@@ -1274,9 +1457,8 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
         }));
         let (listener, addr) = bind("127.0.0.1:0").expect("bench router binds");
         let serving = Arc::clone(&router);
-        let handle = std::thread::spawn(move || {
-            serve(listener, &serving, &ServeOptions::default())
-        });
+        let handle =
+            std::thread::spawn(move || serve(listener, &serving, &ServeOptions::default()));
         (backends, router, addr, handle)
     };
     let teardown_fleet =
@@ -1351,9 +1533,10 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
         }
         [failed, failed_after, after]
     });
-    let [kill_failed, kill_failed_after, kill_after_recovery] = counts
-        .iter()
-        .fold([0; 3], |sum, c| [sum[0] + c[0], sum[1] + c[1], sum[2] + c[2]]);
+    let [kill_failed, kill_failed_after, kill_after_recovery] =
+        counts.iter().fold([0; 3], |sum, c| {
+            [sum[0] + c[0], sum[1] + c[1], sum[2] + c[2]]
+        });
     assert!(
         kill_after_recovery > 0,
         "the kill phase must issue requests after the recovery gate"
@@ -1367,7 +1550,10 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
 
     let kill_accounting = [
         ("failed_requests", Json::Num(kill_failed as f64)),
-        ("requests_after_recovery", Json::Num(kill_after_recovery as f64)),
+        (
+            "requests_after_recovery",
+            Json::Num(kill_after_recovery as f64),
+        ),
         ("failed_after_recovery", Json::Num(kill_failed_after as f64)),
         ("failure_rate", Json::Num(round4(failure_rate))),
     ];
@@ -1387,7 +1573,13 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
         if engine == "router_kill" {
             extra.extend(kill_accounting.clone());
         }
-        row("router_serving", engine, [DOC_NODES, total, window], t, extra)
+        row(
+            "router_serving",
+            engine,
+            [DOC_NODES, total, window],
+            t,
+            extra,
+        )
     });
     let header = [
         ("shards", Json::Num(cfg.shards as f64)),
@@ -1396,18 +1588,25 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Json {
         ("pipeline", Json::Num(cfg.pipeline as f64)),
         ("runs_per_cell", Json::Num(cfg.runs as f64)),
     ];
-    document(header, results.into(), [
-        ("router_shards", Json::Num(cfg.shards as f64)),
-        ("router_qps", Json::Num(round2(router_qps))),
-        ("single_daemon_qps", Json::Num(round2(single_qps))),
-        // Headline claim 1: the fleet keeps a bounded fraction of
-        // single-daemon throughput despite the extra hop.
-        ("router_efficiency", Json::Num(round4(router_qps / single_qps.max(1e-9)))),
-        // Headline claim 2: almost no failures once the router has had a
-        // probe interval to absorb the shard kill.
-        ("router_kill_failure_rate", Json::Num(round4(failure_rate))),
-        ("router_kill_failed_total", Json::Num(kill_failed as f64)),
-    ])
+    document(
+        header,
+        results.into(),
+        [
+            ("router_shards", Json::Num(cfg.shards as f64)),
+            ("router_qps", Json::Num(round2(router_qps))),
+            ("single_daemon_qps", Json::Num(round2(single_qps))),
+            // Headline claim 1: the fleet keeps a bounded fraction of
+            // single-daemon throughput despite the extra hop.
+            (
+                "router_efficiency",
+                Json::Num(round4(router_qps / single_qps.max(1e-9))),
+            ),
+            // Headline claim 2: almost no failures once the router has had a
+            // probe interval to absorb the shard kill.
+            ("router_kill_failure_rate", Json::Num(round4(failure_rate))),
+            ("router_kill_failed_total", Json::Num(kill_failed as f64)),
+        ],
+    )
 }
 
 /// One client connection of the E16 load generator.
@@ -1435,7 +1634,10 @@ fn drive_clients<T: Send>(
                         .map(|_| {
                             let stream = TcpStream::connect(addr).expect("bench client connects");
                             stream.set_nodelay(true).unwrap();
-                            (BufReader::new(stream.try_clone().unwrap()), BufWriter::new(stream))
+                            (
+                                BufReader::new(stream.try_clone().unwrap()),
+                                BufWriter::new(stream),
+                            )
                         })
                         .collect();
                     barrier.wait();
@@ -1445,7 +1647,9 @@ fn drive_clients<T: Send>(
             .collect();
         barrier.wait();
         let start = std::time::Instant::now();
-        let results = clients.into_iter().map(|c| c.join().expect("bench client must not panic"));
+        let results = clients
+            .into_iter()
+            .map(|c| c.join().expect("bench client must not panic"));
         (results.collect(), start.elapsed())
     })
 }
@@ -1463,11 +1667,31 @@ pub struct Sweep {
 /// E11 and E12 in it (the `BENCH_4.json` shape).  E15 is retired: its
 /// committed `BENCH_7.json` stays in [`EXPERIMENTS`] and [`CLAIMS`].
 pub const SWEEPS: [Sweep; 5] = [
-    Sweep { id: "E10", out: "BENCH_4.json", run: |s| run_regression(&pick(s), &pick(s), &pick(s)) },
-    Sweep { id: "E13", out: "BENCH_5.json", run: |s| run_corpus_bench(&pick(s)) },
-    Sweep { id: "E14", out: "BENCH_6.json", run: |s| run_lazy_bench(&pick(s)) },
-    Sweep { id: "E16", out: "BENCH_8.json", run: |s| run_router_bench(&pick(s)) },
-    Sweep { id: "E17", out: "BENCH_9.json", run: |s| run_incr_bench(&pick(s)) },
+    Sweep {
+        id: "E10",
+        out: "BENCH_4.json",
+        run: |s| run_regression(&pick(s), &pick(s), &pick(s)),
+    },
+    Sweep {
+        id: "E13",
+        out: "BENCH_5.json",
+        run: |s| run_corpus_bench(&pick(s)),
+    },
+    Sweep {
+        id: "E14",
+        out: "BENCH_6.json",
+        run: |s| run_lazy_bench(&pick(s)),
+    },
+    Sweep {
+        id: "E16",
+        out: "BENCH_8.json",
+        run: |s| run_router_bench(&pick(s)),
+    },
+    Sweep {
+        id: "E17",
+        out: "BENCH_9.json",
+        run: |s| run_incr_bench(&pick(s)),
+    },
 ];
 
 /// How the table judges one row or summary value.
@@ -1523,11 +1747,19 @@ pub struct RowKey {
 }
 
 const fn every(key: &'static str, val: Val) -> RowKey {
-    RowKey { engine: None, key, val }
+    RowKey {
+        engine: None,
+        key,
+        val,
+    }
 }
 
 const fn only(engine: &'static str, key: &'static str, val: Val) -> RowKey {
-    RowKey { engine: Some(engine), key, val }
+    RowKey {
+        engine: Some(engine),
+        key,
+        val,
+    }
 }
 
 /// Keys every result row carries, whatever its experiment.
@@ -1583,7 +1815,11 @@ pub const EXPERIMENTS: [Experiment; 9] = {
         Experiment {
             id: "E11",
             tag: "kernel_ablation",
-            engines: &["kernel_dense", "kernel_adaptive", "kernel_adaptive_threaded"],
+            engines: &[
+                "kernel_dense",
+                "kernel_adaptive",
+                "kernel_adaptive_threaded",
+            ],
             row_keys: &[every("answers", Num)],
             summary_keys: &[
                 ("kernel_largest_tree_size", Pos),
@@ -1599,7 +1835,10 @@ pub const EXPERIMENTS: [Experiment; 9] = {
             id: "E12",
             tag: "planner",
             engines: &["planner_auto", "planner_ppl", "planner_acq", "planner_hcl"],
-            row_keys: &[every("answers", Num), only("planner_auto", "chosen_engines", Str)],
+            row_keys: &[
+                every("answers", Num),
+                only("planner_auto", "chosen_engines", Str),
+            ],
             summary_keys: &[
                 ("planner_tree_size", Pos),
                 ("planner_auto_us", Num),
@@ -1678,7 +1917,11 @@ pub const EXPERIMENTS: [Experiment; 9] = {
             id: "E15",
             tag: "daemon_serving",
             engines: &["daemon_epoll", "daemon_threads"],
-            row_keys: &[every("connections", Pos), every("workers", Pos), every("qps", Pos)],
+            row_keys: &[
+                every("connections", Pos),
+                every("workers", Pos),
+                every("qps", Pos),
+            ],
             summary_keys: &[
                 ("daemon_pin_conns", Pos),
                 ("daemon_epoll_pin_qps", Pos),
@@ -1697,7 +1940,11 @@ pub const EXPERIMENTS: [Experiment; 9] = {
                 every("qps", Pos),
                 only("router_kill", "failed_requests", Num),
                 only("router_kill", "requests_after_recovery", Pos),
-                only("router_kill", "failed_after_recovery", AtMost("requests_after_recovery")),
+                only(
+                    "router_kill",
+                    "failed_after_recovery",
+                    AtMost("requests_after_recovery"),
+                ),
                 only("router_kill", "failure_rate", Num),
             ],
             summary_keys: &[
@@ -1777,7 +2024,12 @@ pub struct Claim {
 }
 
 const fn claim(file: &'static str, key: &'static str, op: Op, bound: f64) -> Claim {
-    Claim { file, key, op, bound }
+    Claim {
+        file,
+        key,
+        op,
+        bound,
+    }
 }
 
 /// The committed claims, keyed by file: a number in one `BENCH_*.json` says
@@ -1797,8 +2049,18 @@ pub const CLAIMS: [Claim; 25] = {
         claim("BENCH_6.json", "lazy_bytes_per_node", Le, 512.0),
         claim("BENCH_6.json", "lazy_largest_tree_size", Ge, 100_000.0),
         claim("BENCH_6.json", "lazy_pin_tree_size", Ge, 10_000.0),
-        claim("BENCH_6.json", "results[engine=kernel_lazy,tree_size=10000]", Ge, 1.0),
-        claim("BENCH_6.json", "results[engine=kernel_lazy,tree_size=100000]", Ge, 1.0),
+        claim(
+            "BENCH_6.json",
+            "results[engine=kernel_lazy,tree_size=10000]",
+            Ge,
+            1.0,
+        ),
+        claim(
+            "BENCH_6.json",
+            "results[engine=kernel_lazy,tree_size=100000]",
+            Ge,
+            1.0,
+        ),
         claim("BENCH_7.json", "daemon_pin_conns", Ge, 64.0),
         claim("BENCH_7.json", "daemon_speedup", Ge, 1.5),
         claim("BENCH_7.json", "results[engine=daemon_epoll]", Ge, 1.0),
@@ -1806,7 +2068,12 @@ pub const CLAIMS: [Claim; 25] = {
         claim("BENCH_8.json", "router_shards", Ge, 4.0),
         claim("BENCH_8.json", "router_efficiency", Ge, 0.6),
         claim("BENCH_8.json", "router_kill_failure_rate", Lt, 0.01),
-        claim("BENCH_8.json", "results[engine=router_kill].requests_after_recovery", Gt, 0.0),
+        claim(
+            "BENCH_8.json",
+            "results[engine=router_kill].requests_after_recovery",
+            Gt,
+            0.0,
+        ),
         claim("BENCH_9.json", "incr_pin_tree_size", Ge, 10_000.0),
         claim("BENCH_9.json", "incr_speedup", Ge, 2.0),
         claim("BENCH_9.json", "incr_rows_fraction", Gt, 0.0),
@@ -1831,7 +2098,11 @@ fn claim_value(doc: &Json, key: &str) -> Option<f64> {
         return doc.get("summary")?.get(key)?.as_f64();
     };
     let (selector, field) = rest.split_once(']')?;
-    let rows = doc.get("results")?.as_arr()?.iter().filter(|r| row_matches(r, selector));
+    let rows = doc
+        .get("results")?
+        .as_arr()?
+        .iter()
+        .filter(|r| row_matches(r, selector));
     match field.strip_prefix('.') {
         None => Some(rows.count() as f64),
         Some(field) => rows.filter_map(|r| r.get(field)?.as_f64()).reduce(f64::min),
@@ -1877,7 +2148,10 @@ fn table_violations(doc: &Json) -> Vec<String> {
     }
     let summary = doc.get("summary");
     for exp in present {
-        let tagged: Vec<&Json> = rows.iter().filter(|r| text(r, "experiment") == exp.tag).collect();
+        let tagged: Vec<&Json> = rows
+            .iter()
+            .filter(|r| text(r, "experiment") == exp.tag)
+            .collect();
         for engine in exp.engines {
             if !tagged.iter().any(|r| text(r, "engine") == *engine) {
                 errors.push(format!("{} rows present but no {engine:?} rows", exp.tag));
@@ -2017,7 +2291,10 @@ mod tests {
             assert!(engines.contains(&required), "missing engine {required}");
         }
         // Cached rows expose the cache counters.
-        let cached_row = results(&parsed).iter().find(|r| engine(r) == "ppl_cached").unwrap();
+        let cached_row = results(&parsed)
+            .iter()
+            .find(|r| engine(r) == "ppl_cached")
+            .unwrap();
         assert!(cached_row.get("cache_hits").and_then(Json::as_f64).unwrap() > 0.0);
     }
 
@@ -2042,7 +2319,11 @@ mod tests {
         assert!(k.step_sparse > 0, "{k:?}");
         assert!(k.product_sparse + k.product_interval > 0, "{k:?}");
         let kd = dense.kernel_stats();
-        assert_eq!(kd.step_identity + kd.step_interval + kd.step_sparse, 0, "{kd:?}");
+        assert_eq!(
+            kd.step_identity + kd.step_interval + kd.step_sparse,
+            0,
+            "{kd:?}"
+        );
     }
 
     #[test]
@@ -2057,7 +2338,13 @@ mod tests {
             assert!(engines.contains(&name), "missing {name} rows");
         }
         let summary = parsed.get("summary").unwrap();
-        assert!(summary.get("adaptive_speedup").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(
+            summary
+                .get("adaptive_speedup")
+                .and_then(Json::as_f64)
+                .unwrap()
+                > 0.0
+        );
     }
 
     #[test]
@@ -2065,13 +2352,14 @@ mod tests {
         let parsed = smoke_regression();
         let rows = results(&parsed);
         for (_, name) in PLANNER_MODES {
-            assert!(rows.iter().any(|r| engine(r) == name), "missing {name} rows");
+            assert!(
+                rows.iter().any(|r| engine(r) == name),
+                "missing {name} rows"
+            );
         }
         let serving: Vec<_> = rows
             .iter()
-            .filter(|r| {
-                r.get("experiment").and_then(Json::as_str) == Some("concurrent_serving")
-            })
+            .filter(|r| r.get("experiment").and_then(Json::as_str) == Some("concurrent_serving"))
             .collect();
         // shared + isolated at every swept thread count.
         assert_eq!(serving.len(), 2 * ServeConfig::smoke().threads.len());
@@ -2082,9 +2370,24 @@ mod tests {
             .collect();
         assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
         let summary = parsed.get("summary").unwrap();
-        assert!(summary.get("shared_vs_isolated_speedup").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(summary.get("thread_scaling").and_then(Json::as_f64).unwrap() > 0.0);
-        let choices = summary.get("planner_auto_choices").and_then(Json::as_str).unwrap();
+        assert!(
+            summary
+                .get("shared_vs_isolated_speedup")
+                .and_then(Json::as_f64)
+                .unwrap()
+                > 0.0
+        );
+        assert!(
+            summary
+                .get("thread_scaling")
+                .and_then(Json::as_f64)
+                .unwrap()
+                > 0.0
+        );
+        let choices = summary
+            .get("planner_auto_choices")
+            .and_then(Json::as_str)
+            .unwrap();
         assert!(!choices.is_empty());
     }
 
@@ -2093,23 +2396,51 @@ mod tests {
         let parsed = validated(run_corpus_bench(&CorpusBenchConfig::smoke()));
         let rows = results(&parsed);
         for (_, name) in CORPUS_MODES {
-            assert!(rows.iter().any(|r| engine(r) == name), "missing {name} rows");
+            assert!(
+                rows.iter().any(|r| engine(r) == name),
+                "missing {name} rows"
+            );
         }
         // All serving modes agree on the answer total.
         let answers: Vec<f64> = rows
             .iter()
             .filter_map(|r| r.get("answers").and_then(Json::as_f64))
             .collect();
-        assert_eq!(answers.len(), CORPUS_MODES.len() + 1, "corpus modes + cold_rebuild");
+        assert_eq!(
+            answers.len(),
+            CORPUS_MODES.len() + 1,
+            "corpus modes + cold_rebuild"
+        );
         assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
         // Budgeted rows must actually evict.
-        let quarter = rows.iter().find(|r| engine(r) == "corpus_budget_quarter").unwrap();
-        let evictions = quarter.get("cache_evictions").and_then(Json::as_f64).unwrap()
-            + quarter.get("session_evictions").and_then(Json::as_f64).unwrap();
+        let quarter = rows
+            .iter()
+            .find(|r| engine(r) == "corpus_budget_quarter")
+            .unwrap();
+        let evictions = quarter
+            .get("cache_evictions")
+            .and_then(Json::as_f64)
+            .unwrap()
+            + quarter
+                .get("session_evictions")
+                .and_then(Json::as_f64)
+                .unwrap();
         assert!(evictions > 0.0, "a quarter budget must evict");
         let summary = parsed.get("summary").unwrap();
-        assert!(summary.get("corpus_speedup").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(summary.get("corpus_working_set_bytes").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(
+            summary
+                .get("corpus_speedup")
+                .and_then(Json::as_f64)
+                .unwrap()
+                > 0.0
+        );
+        assert!(
+            summary
+                .get("corpus_working_set_bytes")
+                .and_then(Json::as_f64)
+                .unwrap()
+                > 0.0
+        );
     }
 
     #[test]
@@ -2129,7 +2460,12 @@ mod tests {
         // Lazy at both sizes, eager only at the pin size.
         let engine_sizes: Vec<(&str, f64)> = rows
             .iter()
-            .map(|r| (engine(r), r.get("tree_size").and_then(Json::as_f64).unwrap()))
+            .map(|r| {
+                (
+                    engine(r),
+                    r.get("tree_size").and_then(Json::as_f64).unwrap(),
+                )
+            })
             .collect();
         assert!(engine_sizes.contains(&("kernel_lazy", 300.0)));
         assert!(engine_sizes.contains(&("kernel_lazy", 600.0)));
@@ -2145,9 +2481,18 @@ mod tests {
             summary.get("lazy_largest_tree_size").and_then(Json::as_f64),
             Some(600.0)
         );
-        assert_eq!(summary.get("lazy_pin_tree_size").and_then(Json::as_f64), Some(300.0));
+        assert_eq!(
+            summary.get("lazy_pin_tree_size").and_then(Json::as_f64),
+            Some(300.0)
+        );
         assert!(summary.get("lazy_speedup").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(summary.get("lazy_bytes_per_node").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(
+            summary
+                .get("lazy_bytes_per_node")
+                .and_then(Json::as_f64)
+                .unwrap()
+                > 0.0
+        );
     }
 
     #[test]
@@ -2177,9 +2522,15 @@ mod tests {
         assert!(invalidated < total, "{invalidated} of {total} rows dirty");
         assert!(rows[1].get("rows_total").is_none());
         let summary = parsed.get("summary").unwrap();
-        assert_eq!(summary.get("incr_pin_tree_size").and_then(Json::as_f64), Some(300.0));
+        assert_eq!(
+            summary.get("incr_pin_tree_size").and_then(Json::as_f64),
+            Some(300.0)
+        );
         assert!(summary.get("incr_speedup").and_then(Json::as_f64).unwrap() > 0.0);
-        let fraction = summary.get("incr_rows_fraction").and_then(Json::as_f64).unwrap();
+        let fraction = summary
+            .get("incr_rows_fraction")
+            .and_then(Json::as_f64)
+            .unwrap();
         assert!((0.0..1.0).contains(&fraction), "{fraction}");
     }
 
@@ -2190,33 +2541,59 @@ mod tests {
         let modes = experiment("router_serving").engines;
         assert_eq!(rows.len(), modes.len());
         for name in modes {
-            assert!(rows.iter().any(|r| engine(r) == *name), "missing {name} row");
+            assert!(
+                rows.iter().any(|r| engine(r) == *name),
+                "missing {name} row"
+            );
         }
         for row in rows {
             assert!(row.get("qps").and_then(Json::as_f64).unwrap() > 0.0);
             assert!(row.get("shards").and_then(Json::as_f64).unwrap() >= 1.0);
         }
         let kill = rows.iter().find(|r| engine(r) == "router_kill").unwrap();
-        assert!(kill.get("requests_after_recovery").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(
+            kill.get("requests_after_recovery")
+                .and_then(Json::as_f64)
+                .unwrap()
+                > 0.0
+        );
         let summary = parsed.get("summary").unwrap();
-        assert!(summary.get("router_efficiency").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(summary.get("router_kill_failure_rate").and_then(Json::as_f64).unwrap() >= 0.0);
+        assert!(
+            summary
+                .get("router_efficiency")
+                .and_then(Json::as_f64)
+                .unwrap()
+                > 0.0
+        );
+        assert!(
+            summary
+                .get("router_kill_failure_rate")
+                .and_then(Json::as_f64)
+                .unwrap()
+                >= 0.0
+        );
     }
 
     /// Replace (`Some`) or drop (`None`) member `key` of an object.
     fn set(obj: &mut Json, key: &str, value: Option<Json>) {
-        let Json::Obj(members) = obj else { panic!("not an object") };
+        let Json::Obj(members) = obj else {
+            panic!("not an object")
+        };
         members.retain(|(k, _)| k != key);
         members.extend(value.map(|v| (key.to_string(), v)));
     }
 
     fn member<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
-        let Json::Obj(members) = obj else { panic!("not an object") };
+        let Json::Obj(members) = obj else {
+            panic!("not an object")
+        };
         &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
     }
 
     fn rows(doc: &mut Json) -> &mut Vec<Json> {
-        let Json::Arr(rows) = member(doc, "results") else { panic!("no results") };
+        let Json::Arr(rows) = member(doc, "results") else {
+            panic!("no results")
+        };
         rows
     }
 
@@ -2262,7 +2639,10 @@ mod tests {
                 row
             })
             .collect();
-        let summary = exp.summary_keys.iter().filter_map(|&(k, v)| Some((k, sample(v)?)));
+        let summary = exp
+            .summary_keys
+            .iter()
+            .filter_map(|&(k, v)| Some((k, sample(v)?)));
         document([], rows, summary)
     }
 
@@ -2287,7 +2667,9 @@ mod tests {
         rows(&mut doc).push(stray);
         rejects(&doc, "\"bogus\" is not");
         for rk in exp.row_keys {
-            let index = rk.engine.map_or(0, |e| exp.engines.iter().position(|&x| x == e).unwrap());
+            let index = rk
+                .engine
+                .map_or(0, |e| exp.engines.iter().position(|&x| x == e).unwrap());
             if rk.val != Val::Absent {
                 let mut doc = valid.clone();
                 set(&mut rows(&mut doc)[index], rk.key, None);
@@ -2307,7 +2689,11 @@ mod tests {
         }
         if exp.answers_agree {
             let mut doc = valid.clone();
-            set(rows(&mut doc).last_mut().unwrap(), "answers", Some(Json::Num(2.0)));
+            set(
+                rows(&mut doc).last_mut().unwrap(),
+                "answers",
+                Some(Json::Num(2.0)),
+            );
             rejects(&doc, "disagree on answers");
         }
     }
@@ -2355,12 +2741,10 @@ mod tests {
         assert!(validate_bench_json("not json").is_err());
         assert!(validate_bench_json("{}").is_err());
         assert!(
-            validate_bench_json(&format!("{{\"schema\": \"{SCHEMA}\", \"results\": []}}"))
-                .is_err()
+            validate_bench_json(&format!("{{\"schema\": \"{SCHEMA}\", \"results\": []}}")).is_err()
         );
-        let missing_key = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"results\": [{{\"engine\": \"ppl_cached\"}}]}}"
-        );
+        let missing_key =
+            format!("{{\"schema\": \"{SCHEMA}\", \"results\": [{{\"engine\": \"ppl_cached\"}}]}}");
         let err = validate_bench_json(&missing_key).unwrap_err();
         assert!(err.contains("unknown experiment"), "{err}");
         // Every key of ROW_KEYS is required on every row.
@@ -2373,7 +2757,9 @@ mod tests {
             assert!(err.contains(&format!(".{} is missing", rk.key)), "{err}");
         }
         set(&mut valid, "schema", Some(Json::Str("other/v0".into())));
-        assert!(validate_bench_json(&valid.render()).unwrap_err().contains("schema"));
+        assert!(validate_bench_json(&valid.render())
+            .unwrap_err()
+            .contains("schema"));
     }
 
     fn repo_root() -> std::path::PathBuf {
@@ -2405,12 +2791,19 @@ mod tests {
                 Op::Le => c.bound + margin,
                 Op::Gt | Op::Lt => c.bound,
             };
-            match c.key.strip_prefix("results[").and_then(|k| k.split_once(']')) {
+            match c
+                .key
+                .strip_prefix("results[")
+                .and_then(|k| k.split_once(']'))
+            {
                 None => set(member(&mut doc, "summary"), c.key, Some(Json::Num(past))),
                 // A row count: drop the rows it counts.
                 Some((selector, "")) => rows(&mut doc).retain(|r| !row_matches(r, selector)),
                 Some((selector, field)) => {
-                    for row in rows(&mut doc).iter_mut().filter(|r| row_matches(r, selector)) {
+                    for row in rows(&mut doc)
+                        .iter_mut()
+                        .filter(|r| row_matches(r, selector))
+                    {
                         set(row, &field[1..], Some(Json::Num(past)));
                     }
                 }

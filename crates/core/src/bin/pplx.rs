@@ -244,7 +244,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| format!("--timeout expects seconds, got '{secs}'"))?;
                 if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!("--timeout expects a non-negative number, got '{secs}'"));
+                    return Err(format!(
+                        "--timeout expects a non-negative number, got '{secs}'"
+                    ));
                 }
                 timeout = if secs == 0.0 {
                     None
@@ -266,9 +268,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse::<usize>()
                     .map_err(|_| format!("--threads expects an integer, got '{n}'"))?;
                 if threads == 0 {
-                    warnings.push(
-                        "--threads 0 makes no sense for serving; clamped to 1".to_string(),
-                    );
+                    warnings
+                        .push("--threads 0 makes no sense for serving; clamped to 1".to_string());
                     threads = 1;
                 }
             }
@@ -319,7 +320,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             ("--explain", explain),
             // (--terms with --load falls through to the clearer
             // "--load needs --file or --stdin" rejection below.)
-            ("--terms", load.is_none() && matches!(source, Some(Source::Terms(_)))),
+            (
+                "--terms",
+                load.is_none() && matches!(source, Some(Source::Terms(_))),
+            ),
         ] {
             if present {
                 return Err(format!(
@@ -384,7 +388,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
         match (query, batch) {
             (Some(_), Some(_)) => {
-                return Err(format!("--query and --batch are mutually exclusive\n{USAGE}"))
+                return Err(format!(
+                    "--query and --batch are mutually exclusive\n{USAGE}"
+                ))
             }
             (Some(q), None) => {
                 if threads != 1 {
@@ -397,7 +403,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
     };
     if matches!(mode, Mode::Single(_) | Mode::Batch(_)) && source.is_none() {
-        return Err(format!("one of --file/--terms/--stdin is required\n{USAGE}"));
+        return Err(format!(
+            "one of --file/--terms/--stdin is required\n{USAGE}"
+        ));
     }
     // A parallel batch already runs one plan per core; threaded kernels on
     // top oversubscribe them, and a split product waits for its slower
@@ -491,7 +499,11 @@ fn render_answers(
             Format::Table => out.push_str(&format!("satisfiable: {}\n", !answers.is_empty())),
             Format::Csv => {
                 out.push_str("satisfiable\n");
-                out.push_str(if answers.is_empty() { "false\n" } else { "true\n" });
+                out.push_str(if answers.is_empty() {
+                    "false\n"
+                } else {
+                    "true\n"
+                });
             }
         }
         return;
@@ -578,7 +590,11 @@ fn run_batch(options: &Options, session: &Session, path: &str) -> Result<String,
             out.push_str(&format!(
                 "# plan: {} engine ({})\n",
                 plans[i].engine().name(),
-                if plans[i].is_forced() { "forced" } else { "auto" },
+                if plans[i].is_forced() {
+                    "forced"
+                } else {
+                    "auto"
+                },
             ));
         }
         render_answers(&mut out, session, answer, vars, options.format);
@@ -755,9 +771,11 @@ mod tests {
     #[test]
     fn parse_engine_flag_accepts_all_five_choices() {
         let engine_of = |name: &str| {
-            parse_args(&args(&["--query", "child::a", "--terms", "r(a)", "--engine", name]))
-                .unwrap()
-                .engine
+            parse_args(&args(&[
+                "--query", "child::a", "--terms", "r(a)", "--engine", name,
+            ]))
+            .unwrap()
+            .engine
         };
         assert_eq!(engine_of("ppl"), Some(Engine::Ppl));
         assert_eq!(engine_of("acq"), Some(Engine::Acq));
@@ -776,19 +794,34 @@ mod tests {
     #[test]
     fn parse_kernel_mode_flag() {
         let opts = parse_args(&args(&[
-            "--query", "child::a", "--terms", "r(a)", "--kernels", "dense",
+            "--query",
+            "child::a",
+            "--terms",
+            "r(a)",
+            "--kernels",
+            "dense",
         ]))
         .unwrap();
         assert_eq!(opts.kernels, KernelMode::Dense);
         let lazy = parse_args(&args(&[
-            "--query", "child::a", "--terms", "r(a)", "--kernels", "lazy",
+            "--query",
+            "child::a",
+            "--terms",
+            "r(a)",
+            "--kernels",
+            "lazy",
         ]))
         .unwrap();
         assert_eq!(lazy.kernels, KernelMode::Lazy);
         let default = parse_args(&args(&["--query", "child::a", "--terms", "r(a)"])).unwrap();
         assert_eq!(default.kernels, KernelMode::AdaptiveThreaded);
         assert!(parse_args(&args(&[
-            "--query", "child::a", "--terms", "r(a)", "--kernels", "zippy",
+            "--query",
+            "child::a",
+            "--terms",
+            "r(a)",
+            "--kernels",
+            "zippy",
         ]))
         .unwrap_err()
         .contains("unknown kernel mode"));
@@ -797,7 +830,13 @@ mod tests {
     #[test]
     fn parse_batch_and_threads_arguments() {
         let opts = parse_args(&args(&[
-            "--batch", "queries.txt", "--terms", "r(a)", "--stats", "--threads", "8",
+            "--batch",
+            "queries.txt",
+            "--terms",
+            "r(a)",
+            "--stats",
+            "--threads",
+            "8",
         ]))
         .unwrap();
         assert_eq!(opts.mode, Mode::Batch("queries.txt".into()));
@@ -808,7 +847,14 @@ mod tests {
         // --kernels, or a one-worker batch, keeps its own mode.
         assert_eq!(opts.kernels, KernelMode::Adaptive);
         let explicit = parse_args(&args(&[
-            "--batch", "q.txt", "--terms", "r", "--threads", "8", "--kernels", "adaptive_threaded",
+            "--batch",
+            "q.txt",
+            "--terms",
+            "r",
+            "--threads",
+            "8",
+            "--kernels",
+            "adaptive_threaded",
         ]))
         .unwrap();
         assert_eq!(explicit.kernels, KernelMode::AdaptiveThreaded);
@@ -821,21 +867,40 @@ mod tests {
         .contains("mutually exclusive"));
         // --threads 0 is clamped to 1 with a warning instead of erroring.
         let clamped = parse_args(&args(&[
-            "--batch", "q.txt", "--terms", "r", "--threads", "0",
+            "--batch",
+            "q.txt",
+            "--terms",
+            "r",
+            "--threads",
+            "0",
         ]))
         .unwrap();
         assert_eq!(clamped.threads, 1);
         assert_eq!(clamped.warnings.len(), 1);
-        assert!(clamped.warnings[0].contains("clamped to 1"), "{:?}", clamped.warnings);
+        assert!(
+            clamped.warnings[0].contains("clamped to 1"),
+            "{:?}",
+            clamped.warnings
+        );
         assert!(parse_args(&args(&[
-            "--batch", "q.txt", "--terms", "r", "--threads", "zero",
+            "--batch",
+            "q.txt",
+            "--terms",
+            "r",
+            "--threads",
+            "zero",
         ]))
         .unwrap_err()
         .contains("integer"));
         // --threads is a batch-serving knob; silently ignoring it on a
         // single query would fake multi-threaded measurements.
         assert!(parse_args(&args(&[
-            "--query", "child::a", "--terms", "r(a)", "--threads", "8",
+            "--query",
+            "child::a",
+            "--terms",
+            "r(a)",
+            "--threads",
+            "8",
         ]))
         .unwrap_err()
         .contains("--batch"));
@@ -844,8 +909,14 @@ mod tests {
     #[test]
     fn parse_connect_mode_arguments() {
         let opts = parse_args(&args(&[
-            "--connect", "127.0.0.1:7878", "--query", "descendant::a[. is $x]",
-            "--vars", "x", "--doc", "bib",
+            "--connect",
+            "127.0.0.1:7878",
+            "--query",
+            "descendant::a[. is $x]",
+            "--vars",
+            "x",
+            "--doc",
+            "bib",
         ]))
         .unwrap();
         match &opts.mode {
@@ -853,7 +924,10 @@ mod tests {
                 assert_eq!(remote.addr, "127.0.0.1:7878");
                 assert_eq!(
                     remote.query,
-                    Some((Some("bib".to_string()), "descendant::a[. is $x]".to_string()))
+                    Some((
+                        Some("bib".to_string()),
+                        "descendant::a[. is $x]".to_string()
+                    ))
                 );
                 assert!(!remote.stats && !remote.shutdown);
                 assert!(remote.load.is_none() && remote.evict.is_none());
@@ -862,7 +936,13 @@ mod tests {
         }
         // No --doc → QUERYALL; --stats / --evict / --shutdown compose.
         let opts = parse_args(&args(&[
-            "--connect", "h:1", "--query", "child::a", "--stats", "--evict", "bib",
+            "--connect",
+            "h:1",
+            "--query",
+            "child::a",
+            "--stats",
+            "--evict",
+            "bib",
             "--shutdown",
         ]))
         .unwrap();
@@ -875,35 +955,63 @@ mod tests {
             other => panic!("expected remote mode, got {other:?}"),
         }
         // --load needs XML from --file or --stdin, not --terms.
-        let opts =
-            parse_args(&args(&["--connect", "h:1", "--load", "bib", "--file", "d.xml"])).unwrap();
+        let opts = parse_args(&args(&[
+            "--connect",
+            "h:1",
+            "--load",
+            "bib",
+            "--file",
+            "d.xml",
+        ]))
+        .unwrap();
         assert!(matches!(opts.mode, Mode::Remote(_)));
-        assert!(parse_args(&args(&["--connect", "h:1", "--load", "bib", "--terms", "r(a)"]))
-            .unwrap_err()
-            .contains("--file or --stdin"));
+        assert!(parse_args(&args(&[
+            "--connect",
+            "h:1",
+            "--load",
+            "bib",
+            "--terms",
+            "r(a)"
+        ]))
+        .unwrap_err()
+        .contains("--file or --stdin"));
         // Remote flags are rejected without --connect; an action is required.
         assert!(parse_args(&args(&["--load", "bib", "--file", "d.xml"]))
             .unwrap_err()
             .contains("--connect"));
-        assert!(parse_args(&args(&["--shutdown", "--terms", "r", "--query", "child::a"]))
-            .unwrap_err()
-            .contains("--connect"));
+        assert!(parse_args(&args(&[
+            "--shutdown",
+            "--terms",
+            "r",
+            "--query",
+            "child::a"
+        ]))
+        .unwrap_err()
+        .contains("--connect"));
         assert!(parse_args(&args(&["--connect", "h:1"]))
             .unwrap_err()
             .contains("at least one"));
         assert!(parse_args(&args(&["--connect", "h:1", "--batch", "q.txt"]))
             .unwrap_err()
             .contains("local mode"));
-        assert!(parse_args(&args(&["--connect", "h:1", "--doc", "bib", "--stats"]))
-            .unwrap_err()
-            .contains("--query"));
+        assert!(
+            parse_args(&args(&["--connect", "h:1", "--doc", "bib", "--stats"]))
+                .unwrap_err()
+                .contains("--query")
+        );
         // Edit flags compose with --doc, keep CLI order, and build MUTATE
         // request lines; without --doc they are rejected.
         let opts = parse_args(&args(&[
-            "--connect", "h:1", "--doc", "bib",
-            "--insert", "0 2 book(author,title)",
-            "--relabel", "3 subtitle",
-            "--delete", "4",
+            "--connect",
+            "h:1",
+            "--doc",
+            "bib",
+            "--insert",
+            "0 2 book(author,title)",
+            "--relabel",
+            "3 subtitle",
+            "--delete",
+            "4",
         ]))
         .unwrap();
         match &opts.mode {
@@ -939,9 +1047,11 @@ mod tests {
             let err = parse_args(&args(&argv)).unwrap_err();
             assert!(err.contains("local-only"), "{argv:?}: {err}");
         }
-        assert!(parse_args(&args(&["--connect", "h:1", "--stats", "--file", "d.xml"]))
-            .unwrap_err()
-            .contains("--load"));
+        assert!(
+            parse_args(&args(&["--connect", "h:1", "--stats", "--file", "d.xml"]))
+                .unwrap_err()
+                .contains("--load")
+        );
     }
 
     #[test]
@@ -956,16 +1066,27 @@ mod tests {
         let opts = parse_args(&args(&["--connect", "h:1", "--stats", "--timeout", "0"])).unwrap();
         assert_eq!(opts.timeout, None);
         // Garbage and negatives are usage errors.
-        assert!(parse_args(&args(&["--connect", "h:1", "--stats", "--timeout", "soon"]))
-            .unwrap_err()
-            .contains("seconds"));
-        assert!(parse_args(&args(&["--connect", "h:1", "--stats", "--timeout", "-1"]))
-            .unwrap_err()
-            .contains("non-negative"));
+        assert!(
+            parse_args(&args(&["--connect", "h:1", "--stats", "--timeout", "soon"]))
+                .unwrap_err()
+                .contains("seconds")
+        );
+        assert!(
+            parse_args(&args(&["--connect", "h:1", "--stats", "--timeout", "-1"]))
+                .unwrap_err()
+                .contains("non-negative")
+        );
         // --timeout is a remote knob: local modes reject it.
-        assert!(parse_args(&args(&["--query", "child::a", "--terms", "r(a)", "--timeout", "2"]))
-            .unwrap_err()
-            .contains("--connect"));
+        assert!(parse_args(&args(&[
+            "--query",
+            "child::a",
+            "--terms",
+            "r(a)",
+            "--timeout",
+            "2"
+        ]))
+        .unwrap_err()
+        .contains("--connect"));
     }
 
     /// A daemon that accepts but never answers must cost `--timeout`, not
@@ -981,10 +1102,7 @@ mod tests {
             let _ = done_rx.recv(); // hold the connection open, silent
             drop(stream);
         });
-        let opts = parse_args(&args(&[
-            "--connect", &addr, "--stats", "--timeout", "0.3",
-        ]))
-        .unwrap();
+        let opts = parse_args(&args(&["--connect", &addr, "--stats", "--timeout", "0.3"])).unwrap();
         let start = std::time::Instant::now();
         let err = run(&opts).unwrap_err();
         assert!(matches!(err, CliError::Io(_)), "{err:?}");
@@ -1006,10 +1124,7 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let opts = parse_args(&args(&[
-            "--connect", &addr, "--stats", "--timeout", "0.5",
-        ]))
-        .unwrap();
+        let opts = parse_args(&args(&["--connect", &addr, "--stats", "--timeout", "0.5"])).unwrap();
         let start = std::time::Instant::now();
         let err = run(&opts).unwrap_err();
         assert!(matches!(err, CliError::Io(_)), "{err:?}");
@@ -1034,7 +1149,10 @@ mod tests {
     fn error_classification_per_failure_kind() {
         // Missing file → I/O.
         let opts = parse_args(&args(&[
-            "--query", "child::a", "--file", "/nonexistent/q.xml",
+            "--query",
+            "child::a",
+            "--file",
+            "/nonexistent/q.xml",
         ]))
         .unwrap();
         assert!(matches!(run(&opts).unwrap_err(), CliError::Io(_)));
@@ -1042,7 +1160,10 @@ mod tests {
         let tmp = std::env::temp_dir().join("pplx_exit_code_broken.xml");
         std::fs::write(&tmp, "<a><b></a>").unwrap();
         let opts = parse_args(&args(&[
-            "--query", "child::a", "--file", tmp.to_str().unwrap(),
+            "--query",
+            "child::a",
+            "--file",
+            tmp.to_str().unwrap(),
         ]))
         .unwrap();
         assert!(matches!(run(&opts).unwrap_err(), CliError::Parse(_)));
@@ -1054,7 +1175,10 @@ mod tests {
         let deep = format!("{}child::a{}", "(".repeat(10_000), ")".repeat(10_000));
         let opts = parse_args(&args(&["--query", &deep, "--terms", "r(a)"])).unwrap();
         let err = run(&opts).unwrap_err();
-        assert!(matches!(&err, CliError::Parse(m) if m.contains("query too deep")), "{err:?}");
+        assert!(
+            matches!(&err, CliError::Parse(m) if m.contains("query too deep")),
+            "{err:?}"
+        );
         // Well-formed query failing at execution (acq disjunct budget) → query.
         let mut union = String::from("descendant::a[. is $x]");
         for _ in 0..9 {
@@ -1079,7 +1203,10 @@ mod tests {
         );
         assert_eq!(
             parse_batch_line("child::a -> x, y", &defaults),
-            ("child::a".to_string(), vec!["x".to_string(), "y".to_string()])
+            (
+                "child::a".to_string(),
+                vec!["x".to_string(), "y".to_string()]
+            )
         );
         assert_eq!(
             parse_batch_line("child::a", &defaults),
@@ -1089,12 +1216,18 @@ mod tests {
 
     #[test]
     fn missing_required_arguments_are_reported() {
-        assert!(parse_args(&args(&["--terms", "a"])).unwrap_err().contains("--query"));
+        assert!(parse_args(&args(&["--terms", "a"]))
+            .unwrap_err()
+            .contains("--query"));
         assert!(parse_args(&args(&["--query", "child::a"]))
             .unwrap_err()
             .contains("--file/--terms/--stdin"));
-        assert!(parse_args(&args(&["--bogus"])).unwrap_err().contains("unknown argument"));
-        assert!(parse_args(&args(&["--engine"])).unwrap_err().contains("missing value"));
+        assert!(parse_args(&args(&["--bogus"]))
+            .unwrap_err()
+            .contains("unknown argument"));
+        assert!(parse_args(&args(&["--engine"]))
+            .unwrap_err()
+            .contains("missing value"));
     }
 
     #[test]
@@ -1169,7 +1302,10 @@ mod tests {
         .unwrap();
         let err = run(&opts).unwrap_err();
         assert!(err.message().contains("NVS(/)"), "{err:?}");
-        assert!(matches!(err, CliError::Parse(_)), "fragment violations are parse errors");
+        assert!(
+            matches!(err, CliError::Parse(_)),
+            "fragment violations are parse errors"
+        );
     }
 
     #[test]
@@ -1177,15 +1313,19 @@ mod tests {
         use xpath_corpus::server::{bind, serve, ServeOptions};
         use xpath_corpus::Corpus;
         let (listener, addr) = bind("127.0.0.1:0").unwrap();
-        let server = std::thread::spawn(move || {
-            serve(listener, &Corpus::new(), &ServeOptions::default())
-        });
+        let server =
+            std::thread::spawn(move || serve(listener, &Corpus::new(), &ServeOptions::default()));
         let addr = addr.to_string();
 
         let tmp = std::env::temp_dir().join("pplx_connect_test_doc.xml");
         std::fs::write(&tmp, "<bib>\n  <book><author/><title/></book>\n</bib>\n").unwrap();
         let out = run(&parse_args(&args(&[
-            "--connect", &addr, "--load", "bib", "--file", tmp.to_str().unwrap(),
+            "--connect",
+            &addr,
+            "--load",
+            "bib",
+            "--file",
+            tmp.to_str().unwrap(),
         ]))
         .unwrap())
         .unwrap();
@@ -1193,8 +1333,14 @@ mod tests {
         assert!(out.contains("loaded bib nodes=4"), "{out}");
 
         let out = run(&parse_args(&args(&[
-            "--connect", &addr, "--doc", "bib",
-            "--query", "descendant::author[. is $a]", "--vars", "a",
+            "--connect",
+            &addr,
+            "--doc",
+            "bib",
+            "--query",
+            "descendant::author[. is $a]",
+            "--vars",
+            "a",
         ]))
         .unwrap())
         .unwrap();
@@ -1203,7 +1349,12 @@ mod tests {
 
         // No --doc → QUERYALL across the corpus; --stats appends counters.
         let out = run(&parse_args(&args(&[
-            "--connect", &addr, "--query", "descendant::title[. is $t]", "--vars", "t",
+            "--connect",
+            &addr,
+            "--query",
+            "descendant::title[. is $t]",
+            "--vars",
+            "t",
             "--stats",
         ]))
         .unwrap())
@@ -1214,16 +1365,33 @@ mod tests {
         // Live edits: insert a second author, query through the same
         // invocation — the edit lands before the query.
         let out = run(&parse_args(&args(&[
-            "--connect", &addr, "--doc", "bib",
-            "--insert", "1 2 author",
-            "--query", "descendant::author[. is $a]", "--vars", "a",
+            "--connect",
+            &addr,
+            "--doc",
+            "bib",
+            "--insert",
+            "1 2 author",
+            "--query",
+            "descendant::author[. is $a]",
+            "--vars",
+            "a",
         ]))
         .unwrap())
         .unwrap();
-        assert!(out.contains("mutated bib kind=insert nodes=5 epoch=1"), "{out}");
+        assert!(
+            out.contains("mutated bib kind=insert nodes=5 epoch=1"),
+            "{out}"
+        );
         assert!(out.contains("vars=a tuples=2"), "{out}");
         let out = run(&parse_args(&args(&[
-            "--connect", &addr, "--doc", "bib", "--delete", "4", "--relabel", "3 subtitle",
+            "--connect",
+            &addr,
+            "--doc",
+            "bib",
+            "--delete",
+            "4",
+            "--relabel",
+            "3 subtitle",
         ]))
         .unwrap())
         .unwrap();
@@ -1232,7 +1400,12 @@ mod tests {
 
         // A malformed edit is a daemon ERR: query error, exit 4.
         let err = run(&parse_args(&args(&[
-            "--connect", &addr, "--doc", "bib", "--delete", "99",
+            "--connect",
+            &addr,
+            "--doc",
+            "bib",
+            "--delete",
+            "99",
         ]))
         .unwrap())
         .unwrap_err();
@@ -1240,7 +1413,12 @@ mod tests {
         assert_eq!(err.exit_code(), 4);
         assert!(err.message().contains("cannot edit document"), "{err:?}");
         let err = run(&parse_args(&args(&[
-            "--connect", &addr, "--doc", "bib", "--insert", "0 0 a((",
+            "--connect",
+            &addr,
+            "--doc",
+            "bib",
+            "--insert",
+            "0 0 a((",
         ]))
         .unwrap())
         .unwrap_err();
@@ -1249,18 +1427,21 @@ mod tests {
 
         // A daemon-side failure surfaces as a query error (exit 4).
         let err = run(&parse_args(&args(&[
-            "--connect", &addr, "--doc", "missing", "--query", "child::a",
+            "--connect",
+            &addr,
+            "--doc",
+            "missing",
+            "--query",
+            "child::a",
         ]))
         .unwrap())
         .unwrap_err();
         assert!(matches!(err, CliError::Query(_)), "{err:?}");
         assert!(err.message().contains("unknown document"), "{err:?}");
 
-        let out = run(&parse_args(&args(&[
-            "--connect", &addr, "--evict", "bib", "--shutdown",
-        ]))
-        .unwrap())
-        .unwrap();
+        let out =
+            run(&parse_args(&args(&["--connect", &addr, "--evict", "bib", "--shutdown"])).unwrap())
+                .unwrap();
         assert!(out.contains("evicted=true"), "{out}");
         server.join().unwrap().unwrap();
     }
@@ -1284,10 +1465,15 @@ mod tests {
         let out = run(&opts).unwrap();
         assert!(out.starts_with("3 answer tuple(s) over (a)"), "{out}");
         assert!(
-            out.contains("# cache: 0 hits, 1 misses, 0 matrices, 1 node sets for 1 queries on 1 thread(s)"),
+            out.contains(
+                "# cache: 0 hits, 1 misses, 0 matrices, 1 node sets for 1 queries on 1 thread(s)"
+            ),
             "{out}"
         );
-        assert!(out.contains("# kernels: steps id/iv/sp/dn 0/0/0/0"), "{out}");
+        assert!(
+            out.contains("# kernels: steps id/iv/sp/dn 0/0/0/0"),
+            "{out}"
+        );
         // A union of steps is outside the class: it compiles.
         let opts = parse_args(&args(&[
             "--query",
@@ -1334,7 +1520,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert!(out.contains("# [1] descendant::book[child::author"));
         assert!(out.contains("3 answer tuple(s) over (y, z)"));
-        assert!(out.contains("# [2] descendant::book[child::author]/child::author"), "{out}");
+        assert!(
+            out.contains("# [2] descendant::book[child::author]/child::author"),
+            "{out}"
+        );
         assert!(out.contains("3 answer tuple(s) over (a)"));
         // The third line is a boolean (arity-0) query: normalised rendering.
         assert!(out.contains("# [3] "));

@@ -117,10 +117,8 @@ mod tests {
     #[test]
     fn engines_agree_on_ppl_queries() {
         let d = doc();
-        let q = parse_path(
-            "descendant::book[child::author[. is $y] and child::title[. is $z]]",
-        )
-        .unwrap();
+        let q = parse_path("descendant::book[child::author[. is $y] and child::title[. is $z]]")
+            .unwrap();
         let output = [Var::new("y"), Var::new("z")];
         let fast = Engine::Ppl.answer(&d, &q, &output).unwrap();
         let slow = Engine::NaiveEnumeration.answer(&d, &q, &output).unwrap();
@@ -134,10 +132,9 @@ mod tests {
     #[test]
     fn naive_engine_accepts_for_loops_that_ppl_rejects() {
         let d = doc();
-        let q = parse_path(
-            "for $x in child::book return child::book[. is $x]/child::title[. is $t]",
-        )
-        .unwrap();
+        let q =
+            parse_path("for $x in child::book return child::book[. is $x]/child::title[. is $t]")
+                .unwrap();
         let output = [Var::new("t")];
         assert!(Engine::Ppl.answer(&d, &q, &output).is_err());
         assert!(Engine::Hcl.answer(&d, &q, &output).is_err());
@@ -153,10 +150,9 @@ mod tests {
         // outside PPL" from "evaluation failed".
         use crate::query::{CompileError, QueryError};
         let d = doc();
-        let q = parse_path(
-            "for $x in child::book return child::book[. is $x]/child::title[. is $t]",
-        )
-        .unwrap();
+        let q =
+            parse_path("for $x in child::book return child::book[. is $x]/child::title[. is $t]")
+                .unwrap();
         let err = Engine::Ppl.answer(&d, &q, &[Var::new("t")]).unwrap_err();
         match &err {
             QueryError::Ppl(CompileError::NotPpl(violations)) => {
@@ -183,7 +179,10 @@ mod tests {
             assert!(!engine.describe().is_empty());
             assert_eq!(format!("{engine}"), engine.name());
         }
-        assert_eq!(Engine::parse("naive_enumeration"), Some(Engine::NaiveEnumeration));
+        assert_eq!(
+            Engine::parse("naive_enumeration"),
+            Some(Engine::NaiveEnumeration)
+        );
         assert_eq!(Engine::parse("auto"), None);
         assert_eq!(Engine::parse("zippy"), None);
     }

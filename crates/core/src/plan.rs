@@ -379,14 +379,19 @@ mod tests {
     #[test]
     fn dense_atoms_plan_onto_ppl_and_warm_sessions_stay_ppl() {
         let s = big_session();
-        let src = "descendant::book[not((descendant::* except child::author)/child::title)][. is $x]";
+        let src =
+            "descendant::book[not((descendant::* except child::author)/child::title)][. is $x]";
         let plan = s.plan(src, &["x"]).unwrap();
         assert_eq!(plan.engine(), Engine::Ppl, "{}", plan.explain());
         // Execute once; the warm session plans exactly as the cold one did.
         // The atom is a step between diagonals: the warm store holds its
         // node sets, not a matrix.
         s.execute(&plan).unwrap();
-        assert!(plan.explain().contains("  [filtered view]"), "{}", plan.explain());
+        assert!(
+            plan.explain().contains("  [filtered view]"),
+            "{}",
+            plan.explain()
+        );
         assert!(s.cache_stats().sets > 0);
         let replanned = s.plan(src, &["x"]).unwrap();
         assert_eq!(replanned.engine(), Engine::Ppl);
@@ -402,13 +407,21 @@ mod tests {
                    /descendant-or-self::*[. is $c][. is $d]";
         let vars = ["a", "b", "c", "d"];
         let err = s.plan(src, &vars).unwrap_err();
-        let CompileError::Refused { cost, ceiling, violations } = &err else {
+        let CompileError::Refused {
+            cost,
+            ceiling,
+            violations,
+        } = &err
+        else {
             panic!("expected a refusal, got {err:?}");
         };
         assert!(cost > ceiling);
         assert_eq!(*ceiling, NAIVE_COST_CEILING);
         assert!(!violations.is_empty());
-        assert!(err.to_string().starts_with("outside PPL: estimated cost"), "{err}");
+        assert!(
+            err.to_string().starts_with("outside PPL: estimated cost"),
+            "{err}"
+        );
         let forced = Planner::default()
             .plan_with(
                 &s,
@@ -446,8 +459,14 @@ mod tests {
         }
         assert!(report.contains("chosen"));
         assert!(report.contains("PPLbin atoms"));
-        assert!(report.contains("b0 = descendant::author  [view]"), "{report}");
+        assert!(
+            report.contains("b0 = descendant::author  [view]"),
+            "{report}"
+        );
         assert!(report.contains(&format!("|t|={}", s.len())));
-        assert_eq!(format!("{plan}"), format!("{} via {}", plan.source(), plan.engine().name()));
+        assert_eq!(
+            format!("{plan}"),
+            format!("{} via {}", plan.source(), plan.engine().name())
+        );
     }
 }

@@ -480,10 +480,14 @@ mod tests {
             .unwrap();
         let answers = s.execute(&plan).unwrap();
         assert_eq!(answers.len(), 3);
-        assert_eq!(s.answer(
-            "descendant::book[child::author[. is $y] and child::title[. is $z]]",
-            &["y", "z"],
-        ).unwrap(), answers);
+        assert_eq!(
+            s.answer(
+                "descendant::book[child::author[. is $y] and child::title[. is $z]]",
+                &["y", "z"],
+            )
+            .unwrap(),
+            answers
+        );
     }
 
     #[test]
@@ -717,9 +721,21 @@ mod tests {
     fn answer_batch_matches_per_query_answers_and_shares_matrices() {
         let s = session();
         let plans = [
-            ppl_plan(&s, "descendant::book[child::title][child::author[. is $a]]", &["a"]),
-            ppl_plan(&s, "descendant::book[child::title][child::title[. is $t]]", &["t"]),
-            ppl_plan(&s, "descendant::book[child::title][child::author[. is $a]]", &["a"]),
+            ppl_plan(
+                &s,
+                "descendant::book[child::title][child::author[. is $a]]",
+                &["a"],
+            ),
+            ppl_plan(
+                &s,
+                "descendant::book[child::title][child::title[. is $t]]",
+                &["t"],
+            ),
+            ppl_plan(
+                &s,
+                "descendant::book[child::title][child::author[. is $a]]",
+                &["a"],
+            ),
         ];
         let batch = s.answer_batch(&plans).unwrap();
         assert_eq!(batch.len(), 3);
@@ -816,7 +832,10 @@ mod tests {
 
         // The fork answers over the edited document (one more author)…
         let forked_plan = ppl_plan(&forked, COMPOSITE, &["a"]);
-        assert_eq!(forked.execute(&forked_plan).unwrap().len(), before.len() + 1);
+        assert_eq!(
+            forked.execute(&forked_plan).unwrap().len(),
+            before.len() + 1
+        );
         // …while the original snapshot is untouched.
         assert_eq!(s.execute(&plan).unwrap(), before);
     }

@@ -77,8 +77,9 @@ fn run_script(shape: TreeShape, seed: u64, edits: usize) {
         "suite must warm the cache for the fuzz to mean anything"
     );
     let mut tree = start;
-    for (step, (edit, expected_tree)) in
-        random_edit_script(&tree, edits, 3, seed ^ 0x9E3779B9).iter().enumerate()
+    for (step, (edit, expected_tree)) in random_edit_script(&tree, edits, 3, seed ^ 0x9E3779B9)
+        .iter()
+        .enumerate()
     {
         let (next, delta) = edit.apply(&tree).unwrap();
         assert_eq!(next.to_terms(), expected_tree.to_terms());

@@ -170,9 +170,8 @@ fn larger_document_smoke_test() {
     assert_eq!(answers11.arity(), 11);
 
     // Cross-check a sample of the unary projection with the binary engine.
-    let names =
-        from_variable_free_path(&parse_path("descendant::restaurant/child::name").unwrap())
-            .unwrap();
+    let names = from_variable_free_path(&parse_path("descendant::restaurant/child::name").unwrap())
+        .unwrap();
     let name_nodes: BTreeSet<NodeId> = session
         .store()
         .eval(&names)

@@ -24,8 +24,12 @@ const SHAPES: &[(&str, Shape)] = &[
     }),
     ("slash chain", |n| vec!["child::a"; n].join("/")),
     ("union chain", |n| vec!["child::a"; n].join(" union ")),
-    ("except chain", |n| vec!["descendant::*"; n].join(" except ")),
-    ("intersect chain", |n| vec!["descendant::*"; n].join(" intersect ")),
+    ("except chain", |n| {
+        vec!["descendant::*"; n].join(" except ")
+    }),
+    ("intersect chain", |n| {
+        vec!["descendant::*"; n].join(" intersect ")
+    }),
     ("and chain", |n| {
         format!("self::*[{}]", vec!["child::a"; n].join(" and "))
     }),

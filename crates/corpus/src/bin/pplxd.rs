@@ -244,7 +244,9 @@ fn main() -> ExitCode {
             }
         }
     }
-    bind_and_serve(&corpus, &options, |local| format!("pplxd listening on {local}"))
+    bind_and_serve(&corpus, &options, |local| {
+        format!("pplxd listening on {local}")
+    })
 }
 
 #[cfg(test)]
@@ -267,8 +269,20 @@ mod tests {
         assert_eq!(defaults.max_line, DEFAULT_MAX_LINE);
 
         let options = parse_args(&args(&[
-            "--bind", "0.0.0.0", "--port", "0", "--budget", "1048576", "--threads", "0",
-            "--engine", "ppl", "--preload", "/tmp/docs", "--max-line", "4096",
+            "--bind",
+            "0.0.0.0",
+            "--port",
+            "0",
+            "--budget",
+            "1048576",
+            "--threads",
+            "0",
+            "--engine",
+            "ppl",
+            "--preload",
+            "/tmp/docs",
+            "--max-line",
+            "4096",
         ]))
         .unwrap();
         assert_eq!(options.max_line, 4096);
@@ -288,9 +302,15 @@ mod tests {
             1,
             "--max-line 0 clamps to 1"
         );
-        assert!(parse_args(&args(&["--engine", "zzz"])).unwrap_err().contains("unknown engine"));
-        assert!(parse_args(&args(&["--wat"])).unwrap_err().contains("unknown argument"));
-        assert!(parse_args(&args(&["--io", "threads"])).unwrap_err().contains("unknown argument"));
+        assert!(parse_args(&args(&["--engine", "zzz"]))
+            .unwrap_err()
+            .contains("unknown engine"));
+        assert!(parse_args(&args(&["--wat"]))
+            .unwrap_err()
+            .contains("unknown argument"));
+        assert!(parse_args(&args(&["--io", "threads"]))
+            .unwrap_err()
+            .contains("unknown argument"));
     }
 
     #[test]
@@ -302,10 +322,16 @@ mod tests {
         );
         assert!(defaults.route.is_none());
         assert_eq!(defaults.replicas, 2);
-        assert_eq!(defaults.shard_timeout, std::time::Duration::from_millis(5000));
+        assert_eq!(
+            defaults.shard_timeout,
+            std::time::Duration::from_millis(5000)
+        );
 
         let options = parse_args(&args(&["--idle-timeout", "7"])).unwrap();
-        assert_eq!(options.idle_timeout, Some(std::time::Duration::from_secs(7)));
+        assert_eq!(
+            options.idle_timeout,
+            Some(std::time::Duration::from_secs(7))
+        );
         let options = parse_args(&args(&["--idle-timeout", "0"])).unwrap();
         assert_eq!(options.idle_timeout, None, "--idle-timeout 0 disables");
         assert!(parse_args(&args(&["--idle-timeout", "soon"])).is_err());
@@ -321,8 +347,13 @@ mod tests {
         .unwrap();
         assert_eq!(
             options.route.as_deref(),
-            Some(&["127.0.0.1:7001".to_string(), "127.0.0.1:7002".to_string(),
-                   "127.0.0.1:7003".to_string()][..])
+            Some(
+                &[
+                    "127.0.0.1:7001".to_string(),
+                    "127.0.0.1:7002".to_string(),
+                    "127.0.0.1:7003".to_string()
+                ][..]
+            )
         );
         assert_eq!(options.replicas, 3);
         assert_eq!(options.shard_timeout, std::time::Duration::from_millis(250));
@@ -330,7 +361,9 @@ mod tests {
         assert!(parse_args(&args(&["--route", " , "])).is_err());
         assert_eq!(parse_args(&args(&["--replicas", "0"])).unwrap().replicas, 1);
         assert_eq!(
-            parse_args(&args(&["--shard-timeout", "0"])).unwrap().shard_timeout,
+            parse_args(&args(&["--shard-timeout", "0"]))
+                .unwrap()
+                .shard_timeout,
             std::time::Duration::from_millis(1),
             "--shard-timeout 0 clamps to 1ms"
         );

@@ -70,10 +70,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-use xpath_sync::atomic::{AtomicU64, Ordering};
-use xpath_sync::{Mutex, MutexGuard};
 use xpath_ast::{parse_path, Var};
 use xpath_pplbin::{EditApplyStats, KernelMode};
+use xpath_sync::atomic::{AtomicU64, Ordering};
+use xpath_sync::{Mutex, MutexGuard};
 use xpath_tree::{EditKind, NodeId, Tree, TreeError};
 use xpath_xml::{parse_with, ParseOptions};
 
@@ -376,10 +376,7 @@ fn pooled_session(tree: &Arc<Tree>) -> Session {
 /// storage.  Deliberately coarse — the budget it feeds is approximate by
 /// contract.
 fn approx_tree_bytes(tree: &Tree) -> usize {
-    let labels: usize = tree
-        .nodes()
-        .map(|n| tree.label_str(n).len())
-        .sum();
+    let labels: usize = tree.nodes().map(|n| tree.label_str(n).len()).sum();
     tree.len() * 32 + labels
 }
 
@@ -420,7 +417,9 @@ impl Corpus {
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.inner
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     // -- ingestion -----------------------------------------------------------
@@ -428,12 +427,11 @@ impl Corpus {
     /// Ingest an XML document under `name` (replacing any previous document
     /// of that name).  Returns the node count.
     pub fn insert_xml(&self, name: &str, xml: &str) -> Result<usize, CorpusError> {
-        let tree = parse_with(xml, &self.config.parse_options).map_err(|e| {
-            CorpusError::Document {
+        let tree =
+            parse_with(xml, &self.config.parse_options).map_err(|e| CorpusError::Document {
                 name: name.to_string(),
                 source: DocumentError::Xml(e),
-            }
-        })?;
+            })?;
         Ok(self.insert_tree(name, tree))
     }
 
@@ -518,8 +516,7 @@ impl Corpus {
                             path.display()
                         )));
                     }
-                    let xml =
-                        std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
+                    let xml = std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
                     self.insert_xml(&name, &xml)?;
                     names.push(name);
                 }
@@ -676,9 +673,11 @@ impl Corpus {
                 (Arc::clone(&entry.tree), entry.session.clone())
             };
             let (new_tree, delta) = match edit {
-                DocEdit::Insert { parent, index, subtree } => {
-                    tree.insert_subtree(NodeId(*parent), *index, subtree)
-                }
+                DocEdit::Insert {
+                    parent,
+                    index,
+                    subtree,
+                } => tree.insert_subtree(NodeId(*parent), *index, subtree),
                 DocEdit::Delete { node } => tree.delete_subtree(NodeId(*node)),
                 DocEdit::Relabel { node, label } => tree.relabel(NodeId(*node), label),
             }
@@ -774,9 +773,7 @@ impl Corpus {
             let victim = inner
                 .docs
                 .iter()
-                .filter(|(name, entry)| {
-                    entry.session.is_some() && Some(name.as_str()) != protect
-                })
+                .filter(|(name, entry)| entry.session.is_some() && Some(name.as_str()) != protect)
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(name, _)| name.clone());
             match victim {
@@ -798,7 +795,11 @@ impl Corpus {
                     let Some(entry) = protect.and_then(|name| inner.docs.get_mut(name)) else {
                         return evicted;
                     };
-                    if entry.session.as_ref().is_none_or(|s| s.store().approx_bytes() == 0) {
+                    if entry
+                        .session
+                        .as_ref()
+                        .is_none_or(|s| s.store().approx_bytes() == 0)
+                    {
                         return evicted;
                     }
                     evicted.extend(entry.session.replace(pooled_session(&entry.tree)));
@@ -948,20 +949,18 @@ impl Corpus {
                         // document must surface as a per-document error,
                         // not unwind the worker (which would poison shared
                         // locks and re-panic the whole scope).
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || {
-                                #[cfg(test)]
-                                if self
-                                    .panic_docs
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                    .contains(&names[i])
-                                {
-                                    panic!("injected job panic");
-                                }
-                                self.answer_tagged(&names[i], query, vars)
-                            },
-                        ))
+                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            #[cfg(test)]
+                            if self
+                                .panic_docs
+                                .lock()
+                                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                                .contains(&names[i])
+                            {
+                                panic!("injected job panic");
+                            }
+                            self.answer_tagged(&names[i], query, vars)
+                        }))
                         .unwrap_or_else(|payload| {
                             Err(CorpusError::Panicked {
                                 name: names[i].clone(),
@@ -1022,11 +1021,7 @@ mod tests {
     #[test]
     fn panicked_job_does_not_kill_the_pool() {
         let corpus = two_doc_corpus();
-        corpus
-            .panic_docs
-            .lock()
-            .unwrap()
-            .insert("bib1".to_string());
+        corpus.panic_docs.lock().unwrap().insert("bib1".to_string());
         // The injected panic must come back as a per-document error — not
         // unwind through the worker, the scope, or the caller.
         let err = corpus
@@ -1035,7 +1030,10 @@ mod tests {
         match &err {
             CorpusError::Panicked { name, message } => {
                 assert_eq!(name, "bib1");
-                assert!(message.contains("injected"), "unexpected payload: {message}");
+                assert!(
+                    message.contains("injected"),
+                    "unexpected payload: {message}"
+                );
             }
             other => panic!("expected a Panicked error, got: {other}"),
         }
@@ -1082,7 +1080,8 @@ mod tests {
         let a2 = corpus.answer("bib2", query, &["y", "z"]).unwrap();
         assert_eq!(a1.len(), 1);
         assert_eq!(a2.len(), 3);
-        let fresh = Session::from_terms("bib(book(author,title),book(author,author,title))").unwrap();
+        let fresh =
+            Session::from_terms("bib(book(author,title),book(author,author,title))").unwrap();
         assert_eq!(fresh.answer(query, &["y", "z"]).unwrap(), a2);
         let err = corpus.answer("nope", query, &["y", "z"]).unwrap_err();
         assert!(matches!(err, CorpusError::UnknownDocument(_)));
@@ -1114,7 +1113,9 @@ mod tests {
             .insert_terms("bib2", "bib(book(author,title),book(author,author,title))")
             .unwrap();
         assert_eq!(
-            single.answer_all("descendant::author[. is $a]", &["a"]).unwrap(),
+            single
+                .answer_all("descendant::author[. is $a]", &["a"])
+                .unwrap(),
             per_doc
         );
     }
@@ -1125,18 +1126,32 @@ mod tests {
         // snapshot must stay valid even after a concurrent LOAD replaces
         // the document with a smaller one.
         let corpus = Corpus::new();
-        corpus.insert_terms("d", "bib(book(author,title),book(author))").unwrap();
-        let tagged = corpus.answer("d", "descendant::author[. is $a]", &["a"]).unwrap();
-        let doc = corpus.answer_tagged("d", "descendant::author[. is $a]", &["a"]).unwrap();
+        corpus
+            .insert_terms("d", "bib(book(author,title),book(author))")
+            .unwrap();
+        let tagged = corpus
+            .answer("d", "descendant::author[. is $a]", &["a"])
+            .unwrap();
+        let doc = corpus
+            .answer_tagged("d", "descendant::author[. is $a]", &["a"])
+            .unwrap();
         assert_eq!(doc.answers, tagged);
         assert_eq!(doc.tree.len(), 6);
         corpus.insert_terms("d", "r(a)").unwrap(); // replacement shrinks the doc
         for tuple in doc.answers.tuples() {
             for &node in tuple {
-                assert_eq!(doc.tree.label_str(node), "author", "snapshot stays indexable");
+                assert_eq!(
+                    doc.tree.label_str(node),
+                    "author",
+                    "snapshot stays indexable"
+                );
             }
         }
-        assert_eq!(corpus.tree("d").unwrap().len(), 2, "corpus serves the new doc");
+        assert_eq!(
+            corpus.tree("d").unwrap().len(),
+            2,
+            "corpus serves the new doc"
+        );
     }
 
     #[test]
@@ -1204,18 +1219,28 @@ mod tests {
         let corpus = Corpus::new();
         // Two documents in the same power-of-two size band (5 and 7 nodes)
         // share one planner decision; the third (64 nodes) derives its own.
-        corpus.insert_terms("d1", "bib(book(author,title),book)").unwrap();
+        corpus
+            .insert_terms("d1", "bib(book(author,title),book)")
+            .unwrap();
         corpus
             .insert_terms("d2", "bib(book(author,title),book(author,title))")
             .unwrap();
-        corpus.answer("d1", "descendant::author[. is $a]", &["a"]).unwrap();
-        corpus.answer("d2", "descendant::author[. is $a]", &["a"]).unwrap();
-        corpus.answer("d1", "descendant::author[. is $a]", &["a"]).unwrap();
+        corpus
+            .answer("d1", "descendant::author[. is $a]", &["a"])
+            .unwrap();
+        corpus
+            .answer("d2", "descendant::author[. is $a]", &["a"])
+            .unwrap();
+        corpus
+            .answer("d1", "descendant::author[. is $a]", &["a"])
+            .unwrap();
         let stats = corpus.stats();
         assert_eq!(stats.plan_misses, 1, "{stats:?}");
         assert_eq!(stats.plan_hits, 2, "{stats:?}");
         // A different variable list is a different plan.
-        corpus.answer("d1", "descendant::author[. is $a]", &[]).unwrap();
+        corpus
+            .answer("d1", "descendant::author[. is $a]", &[])
+            .unwrap();
         assert_eq!(corpus.stats().plan_misses, 2);
         // Documents in a *different* band derive their own decision.
         let mut big = String::from("bib(");
@@ -1227,10 +1252,14 @@ mod tests {
         }
         big.push(')');
         corpus.insert_terms("big", &big).unwrap();
-        corpus.answer("big", "descendant::author[. is $a]", &["a"]).unwrap();
+        corpus
+            .answer("big", "descendant::author[. is $a]", &["a"])
+            .unwrap();
         assert_eq!(corpus.stats().plan_misses, 3);
         corpus.clear_plan_cache();
-        corpus.answer("d1", "descendant::author[. is $a]", &["a"]).unwrap();
+        corpus
+            .answer("d1", "descendant::author[. is $a]", &["a"])
+            .unwrap();
         assert_eq!(corpus.stats().plan_misses, 4);
     }
 
@@ -1258,7 +1287,9 @@ mod tests {
     fn explicit_eviction_drops_sessions_and_rebuild_is_counted() {
         let corpus = ppl_corpus(None);
         corpus.insert_terms("d", "r(a,b)").unwrap();
-        corpus.answer("d", "descendant::a[. is $x]", &["x"]).unwrap();
+        corpus
+            .answer("d", "descendant::a[. is $x]", &["x"])
+            .unwrap();
         assert!(corpus.stats().pool_bytes > 0);
         assert!(corpus.evict("d"));
         assert!(!corpus.evict("d"), "already evicted");
@@ -1267,7 +1298,9 @@ mod tests {
         assert_eq!(stats.live_sessions, 0);
         assert_eq!(stats.pool_bytes, 0, "evicted sessions must not be charged");
         // The next answer rebuilds the session and is still correct.
-        let again = corpus.answer("d", "descendant::a[. is $x]", &["x"]).unwrap();
+        let again = corpus
+            .answer("d", "descendant::a[. is $x]", &["x"])
+            .unwrap();
         assert_eq!(again.len(), 1);
         let stats = corpus.stats();
         assert_eq!(stats.admissions, 2);
@@ -1304,7 +1337,11 @@ mod tests {
                         Some(Engine::Ppl),
                     )
                     .unwrap();
-                assert_eq!(got, cold.execute(&plan).unwrap(), "round {round} doc {name}");
+                assert_eq!(
+                    got,
+                    cold.execute(&plan).unwrap(),
+                    "round {round} doc {name}"
+                );
             }
         }
         let stats = corpus.stats();
@@ -1312,7 +1349,10 @@ mod tests {
             stats.cache_evictions + stats.session_evictions > 0,
             "a 512-byte budget must evict: {stats:?}"
         );
-        assert!(stats.rebuilds > 0, "thrash must rebuild sessions: {stats:?}");
+        assert!(
+            stats.rebuilds > 0,
+            "thrash must rebuild sessions: {stats:?}"
+        );
         if let Some(budget) = corpus.config().memory_budget {
             assert!(
                 stats.pool_bytes <= budget + 4 * 512,
@@ -1355,8 +1395,14 @@ mod tests {
         let names = corpus.load_dir(&dir).unwrap();
         assert_eq!(names, vec!["one", "sub/one", "sub/two"]);
         assert_eq!(corpus.len(), 3);
-        assert!(!corpus.answer("sub/two", "child::a", &[]).unwrap().is_empty());
-        assert!(!corpus.answer("sub/one", "child::b", &[]).unwrap().is_empty());
+        assert!(!corpus
+            .answer("sub/two", "child::a", &[])
+            .unwrap()
+            .is_empty());
+        assert!(!corpus
+            .answer("sub/one", "child::b", &[])
+            .unwrap()
+            .is_empty());
         assert!(!corpus.answer("one", "child::a", &[]).unwrap().is_empty());
         let err = corpus.load_file(&dir.join("missing.xml")).unwrap_err();
         assert!(matches!(err, CorpusError::Io(_)));
@@ -1419,12 +1465,18 @@ mod tests {
         assert!(stats.pool_bytes > 0 && bytes > 0, "{stats:?}");
         assert_eq!(answer, expected, "same tree, same answers");
         let after = corpus.stats();
-        assert_eq!(after.cache_evictions, 1, "b's request swapped out a's store: {after:?}");
+        assert_eq!(
+            after.cache_evictions, 1,
+            "b's request swapped out a's store: {after:?}"
+        );
         assert_eq!(after.live_sessions, 2, "{after:?}");
         assert!(after.pool_bytes <= budget, "{after:?}");
         // The request that held the old store still answers from it, and the
         // pool's fresh store for `a` answers the same.
-        assert_eq!(held.execute(&held.plan(query, &["x"]).unwrap()).unwrap(), expected);
+        assert_eq!(
+            held.execute(&held.plan(query, &["x"]).unwrap()).unwrap(),
+            expected
+        );
         assert_eq!(corpus.answer("a", query, &["x"]).unwrap(), expected);
     }
 
@@ -1432,7 +1484,9 @@ mod tests {
     fn concurrent_answering_over_a_shared_corpus() {
         let corpus = Arc::new(ppl_corpus(Some(4096)));
         for i in 0..4 {
-            corpus.insert_terms(&format!("d{i}"), "l0(l1(l0,l2),l1(l2))").unwrap();
+            corpus
+                .insert_terms(&format!("d{i}"), "l0(l1(l0,l2),l1(l2))")
+                .unwrap();
         }
         let expected = corpus
             .answer("d0", "descendant::l1[. is $x]", &["x"])
@@ -1474,7 +1528,10 @@ mod tests {
         cold.insert_tree(name, (*tree).clone());
         let got = corpus.answer(name, query, &["x"]).unwrap();
         let want = cold.answer(name, query, &["x"]).unwrap();
-        assert_eq!(got, want, "warm-mutated answers diverge from cold for {query}");
+        assert_eq!(
+            got, want,
+            "warm-mutated answers diverge from cold for {query}"
+        );
     }
 
     #[test]
@@ -1492,7 +1549,14 @@ mod tests {
         corpus.answer("bib", composite, &["x"]).unwrap();
         let subtree = Tree::from_terms("book(author,title)").unwrap();
         let outcome = corpus
-            .mutate("bib", &DocEdit::Insert { parent: 0, index: 2, subtree })
+            .mutate(
+                "bib",
+                &DocEdit::Insert {
+                    parent: 0,
+                    index: 2,
+                    subtree,
+                },
+            )
             .unwrap();
         assert_eq!(outcome.kind, EditKind::Insert);
         assert!(outcome.incremental, "a warm document must fork its session");
@@ -1516,9 +1580,7 @@ mod tests {
     fn mutate_on_a_cold_document_counts_as_a_full_rebuild() {
         let corpus = ppl_corpus(None);
         corpus.insert_terms("d", "r(a(b),a(b,b))").unwrap();
-        let outcome = corpus
-            .mutate("d", &DocEdit::Delete { node: 1 })
-            .unwrap();
+        let outcome = corpus.mutate("d", &DocEdit::Delete { node: 1 }).unwrap();
         assert!(!outcome.incremental, "no session existed to fork");
         assert_eq!(outcome.stats, EditApplyStats::default());
         let stats = corpus.stats();
@@ -1540,7 +1602,10 @@ mod tests {
         let outcome = corpus
             .mutate(
                 "bib",
-                &DocEdit::Relabel { node: 3, label: "subtitle".to_string() },
+                &DocEdit::Relabel {
+                    node: 3,
+                    label: "subtitle".to_string(),
+                },
             )
             .unwrap();
         assert_eq!(outcome.kind, EditKind::Relabel);
@@ -1565,7 +1630,9 @@ mod tests {
             other => panic!("expected an Edit error, got: {other}"),
         }
         // Deleting the root is an edit error, not a corpus panic.
-        let err = corpus.mutate("d", &DocEdit::Delete { node: 0 }).unwrap_err();
+        let err = corpus
+            .mutate("d", &DocEdit::Delete { node: 0 })
+            .unwrap_err();
         assert!(matches!(err, CorpusError::Edit { .. }), "got: {err}");
         let err = corpus
             .mutate("nope", &DocEdit::Delete { node: 1 })
@@ -1592,7 +1659,11 @@ mod tests {
                         corpus
                             .mutate(
                                 "bib",
-                                &DocEdit::Insert { parent: 0, index: 2 + i, subtree },
+                                &DocEdit::Insert {
+                                    parent: 0,
+                                    index: 2 + i,
+                                    subtree,
+                                },
                             )
                             .unwrap();
                     }

@@ -218,8 +218,10 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             let spec = match op.to_ascii_uppercase().as_str() {
                 "INSERT" => {
                     let (parent, rest) = args.split_once(char::is_whitespace).ok_or_else(usage)?;
-                    let (index, terms) =
-                        rest.trim().split_once(char::is_whitespace).ok_or_else(usage)?;
+                    let (index, terms) = rest
+                        .trim()
+                        .split_once(char::is_whitespace)
+                        .ok_or_else(usage)?;
                     let terms = terms.trim();
                     if terms.is_empty() {
                         return Err(usage());
@@ -236,7 +238,9 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                     if args.is_empty() || args.contains(char::is_whitespace) {
                         return Err(usage());
                     }
-                    MutateSpec::Delete { node: parse_id(&args)? }
+                    MutateSpec::Delete {
+                        node: parse_id(&args)?,
+                    }
                 }
                 "RELABEL" => {
                     let (node, label) = args.split_once(char::is_whitespace).ok_or_else(usage)?;
@@ -311,7 +315,9 @@ pub fn execute_command(corpus: &Corpus, command: &Command) -> Result<Vec<String>
             )])
         }
         Command::LoadTerms { name, terms } => {
-            let nodes = corpus.insert_terms(name, terms).map_err(|e| corpus_err(&e))?;
+            let nodes = corpus
+                .insert_terms(name, terms)
+                .map_err(|e| corpus_err(&e))?;
             Ok(vec![format!(
                 "loaded {name} nodes={nodes} documents={}",
                 corpus.len()
@@ -356,7 +362,11 @@ pub fn execute_command(corpus: &Corpus, command: &Command) -> Result<Vec<String>
         }
         Command::Mutate { name, spec } => {
             let edit = match spec {
-                MutateSpec::Insert { parent, index, terms } => DocEdit::Insert {
+                MutateSpec::Insert {
+                    parent,
+                    index,
+                    terms,
+                } => DocEdit::Insert {
                     parent: *parent,
                     index: *index,
                     subtree: Tree::from_terms(terms).map_err(|e| e.to_string())?,
@@ -378,7 +388,11 @@ pub fn execute_command(corpus: &Corpus, command: &Command) -> Result<Vec<String>
                 outcome.nodes,
                 outcome.epoch,
                 outcome.stats.rows_invalidated,
-                if outcome.incremental { "incremental" } else { "full" },
+                if outcome.incremental {
+                    "incremental"
+                } else {
+                    "full"
+                },
             )])
         }
         Command::Stats => {
@@ -648,7 +662,10 @@ mod tests {
         // The plain form.
         assert_eq!(
             split_vars("descendant::author[. is $a] -> a"),
-            ("descendant::author[. is $a]".to_string(), vec!["a".to_string()])
+            (
+                "descendant::author[. is $a]".to_string(),
+                vec!["a".to_string()]
+            )
         );
         // `->` embedded in the query text is not a separator (the old
         // rsplit_once dropped `b[. is $x]` into the vars list here).
@@ -660,7 +677,10 @@ mod tests {
         // whitespace-delimited arrow splits.
         assert_eq!(
             split_vars("descendant::a->b[. is $x] -> x"),
-            ("descendant::a->b[. is $x]".to_string(), vec!["x".to_string()])
+            (
+                "descendant::a->b[. is $x]".to_string(),
+                vec!["x".to_string()]
+            )
         );
         // Multiple delimited arrows: the last one wins.
         assert_eq!(
@@ -673,10 +693,16 @@ mod tests {
         // Variable lists still strip `$`, spaces and empty entries.
         assert_eq!(
             split_vars("child::b -> $x, ,y"),
-            ("child::b".to_string(), vec!["x".to_string(), "y".to_string()])
+            (
+                "child::b".to_string(),
+                vec!["x".to_string(), "y".to_string()]
+            )
         );
         // A trailing delimited arrow with no vars is an empty suffix.
-        assert_eq!(split_vars("child::b ->"), ("child::b".to_string(), Vec::new()));
+        assert_eq!(
+            split_vars("child::b ->"),
+            ("child::b".to_string(), Vec::new())
+        );
     }
 
     #[test]
@@ -710,7 +736,10 @@ mod tests {
             assert_eq!(seqs, vec![0, 1], "split at {split}");
             assert!(matches!(
                 &events[0],
-                ConnEvent::Execute { command: Command::Stats, .. }
+                ConnEvent::Execute {
+                    command: Command::Stats,
+                    ..
+                }
             ));
         }
         let events = conn.feed(wire);
@@ -878,7 +907,10 @@ mod tests {
         assert_eq!(exec_seqs(&events), vec![0]);
         assert!(matches!(
             &events[0],
-            ConnEvent::Execute { command: Command::Stats, .. }
+            ConnEvent::Execute {
+                command: Command::Stats,
+                ..
+            }
         ));
 
         // CR without LF: nothing parses yet, nothing is answered.
@@ -986,13 +1018,19 @@ mod tests {
         );
         assert_eq!(
             parse_command("mutate bib delete 4").unwrap(),
-            Command::Mutate { name: "bib".into(), spec: MutateSpec::Delete { node: 4 } }
+            Command::Mutate {
+                name: "bib".into(),
+                spec: MutateSpec::Delete { node: 4 }
+            }
         );
         assert_eq!(
             parse_command("MUTATE bib RELABEL 3 subtitle").unwrap(),
             Command::Mutate {
                 name: "bib".into(),
-                spec: MutateSpec::Relabel { node: 3, label: "subtitle".into() }
+                spec: MutateSpec::Relabel {
+                    node: 3,
+                    label: "subtitle".into()
+                }
             }
         );
         for bad in [
@@ -1019,18 +1057,28 @@ mod tests {
             parse_command(&mutate_insert_line("bib", 0, 2, "book(author)")).unwrap(),
             Command::Mutate {
                 name: "bib".into(),
-                spec: MutateSpec::Insert { parent: 0, index: 2, terms: "book(author)".into() }
+                spec: MutateSpec::Insert {
+                    parent: 0,
+                    index: 2,
+                    terms: "book(author)".into()
+                }
             }
         );
         assert_eq!(
             parse_command(&mutate_delete_line("bib", 4)).unwrap(),
-            Command::Mutate { name: "bib".into(), spec: MutateSpec::Delete { node: 4 } }
+            Command::Mutate {
+                name: "bib".into(),
+                spec: MutateSpec::Delete { node: 4 }
+            }
         );
         assert_eq!(
             parse_command(&mutate_relabel_line("bib", 3, "subtitle")).unwrap(),
             Command::Mutate {
                 name: "bib".into(),
-                spec: MutateSpec::Relabel { node: 3, label: "subtitle".into() }
+                spec: MutateSpec::Relabel {
+                    node: 3,
+                    label: "subtitle".into()
+                }
             }
         );
     }
@@ -1061,15 +1109,18 @@ mod tests {
         assert_eq!(lines[0], "vars=x tuples=3");
 
         // A structurally invalid edit is an ERR, not a protocol failure…
-        let err = execute_command(&corpus, &parse_command("MUTATE bib DELETE 99").unwrap())
-            .unwrap_err();
+        let err =
+            execute_command(&corpus, &parse_command("MUTATE bib DELETE 99").unwrap()).unwrap_err();
         assert!(err.contains("cannot edit document 'bib'"), "{err}");
         // …and so is a subtree that does not parse.
-        let err = execute_command(&corpus, &parse_command("MUTATE bib INSERT 0 0 a((").unwrap())
-            .unwrap_err();
+        let err = execute_command(
+            &corpus,
+            &parse_command("MUTATE bib INSERT 0 0 a((").unwrap(),
+        )
+        .unwrap_err();
         assert!(err.contains("syntax"), "{err}");
-        let err = execute_command(&corpus, &parse_command("MUTATE nope DELETE 1").unwrap())
-            .unwrap_err();
+        let err =
+            execute_command(&corpus, &parse_command("MUTATE nope DELETE 1").unwrap()).unwrap_err();
         assert!(err.contains("unknown document"), "{err}");
     }
 
@@ -1082,7 +1133,10 @@ mod tests {
         assert_eq!(lines.len(), 14, "STATS must report 14 counters: {lines:?}");
         assert!(lines.contains(&"edits=1".to_string()), "{lines:?}");
         assert!(lines.contains(&"edits_full=1".to_string()), "{lines:?}");
-        assert!(lines.contains(&"edits_incremental=0".to_string()), "{lines:?}");
+        assert!(
+            lines.contains(&"edits_incremental=0".to_string()),
+            "{lines:?}"
+        );
         assert!(
             lines.contains(&"edit_rows_invalidated=0".to_string()),
             "{lines:?}"
@@ -1094,11 +1148,8 @@ mod tests {
         let corpus = Corpus::new();
         corpus.insert_terms("d1", "r(a)").unwrap();
         corpus.insert_terms("d2", "r(b)").unwrap();
-        let lines = execute_command(
-            &corpus,
-            &parse_command("QUERYALL child::(").unwrap(),
-        )
-        .expect("fan-out must not fail as a whole");
+        let lines = execute_command(&corpus, &parse_command("QUERYALL child::(").unwrap())
+            .expect("fan-out must not fail as a whole");
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("doc=d1 error="), "{:?}", lines[0]);
         assert!(lines[1].starts_with("doc=d2 error="), "{:?}", lines[1]);

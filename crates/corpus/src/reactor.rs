@@ -87,8 +87,7 @@ mod sys {
     extern "C" {
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32)
-            -> i32;
+        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         pub fn eventfd(initval: u32, flags: i32) -> i32;
         pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
@@ -113,7 +112,10 @@ impl Epoll {
     }
 
     fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        let mut ev = sys::EpollEvent { events, data: token };
+        let mut ev = sys::EpollEvent {
+            events,
+            data: token,
+        };
         // SAFETY: `ev` is a live, properly initialised EpollEvent for the
         // duration of the call; the kernel only reads it.  `self.fd` is the
         // epoll fd this struct owns (valid until Drop).
@@ -144,7 +146,12 @@ impl Epoll {
             // `events` slice, which outlives the call; the kernel writes at
             // most `events.len()` entries.  `self.fd` is owned and open.
             let n = unsafe {
-                sys::epoll_wait(self.fd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
+                sys::epoll_wait(
+                    self.fd,
+                    events.as_mut_ptr(),
+                    events.len() as i32,
+                    timeout_ms,
+                )
             };
             if n >= 0 {
                 return Ok(n as usize);
@@ -394,9 +401,7 @@ pub(crate) fn serve_epoll<S: Service>(
                     let now = Instant::now();
                     let nearest = clients
                         .values()
-                        .map(|c| {
-                            (c.last_activity + idle).saturating_duration_since(now)
-                        })
+                        .map(|c| (c.last_activity + idle).saturating_duration_since(now))
                         .min()
                         .unwrap_or_default();
                     // +1 rounds up so a wakeup lands past the deadline, and
@@ -604,9 +609,7 @@ pub(crate) fn serve_epoll<S: Service>(
                 }
                 let desired = client.desired_interest();
                 if desired != client.interest
-                    && epoll
-                        .modify(client.stream.as_raw_fd(), desired, id)
-                        .is_ok()
+                    && epoll.modify(client.stream.as_raw_fd(), desired, id).is_ok()
                 {
                     client.interest = desired;
                 }
@@ -639,15 +642,17 @@ mod tests {
     fn spawn_epoll(
         max_line: usize,
         idle_timeout: Option<Duration>,
-    ) -> (std::net::SocketAddr, std::thread::JoinHandle<io::Result<()>>) {
+    ) -> (
+        std::net::SocketAddr,
+        std::thread::JoinHandle<io::Result<()>>,
+    ) {
         let (listener, addr) = bind("127.0.0.1:0").unwrap();
         let options = ServeOptions {
             max_line,
             workers: 2,
             idle_timeout,
         };
-        let handle =
-            std::thread::spawn(move || serve_epoll(listener, &Corpus::new(), &options));
+        let handle = std::thread::spawn(move || serve_epoll(listener, &Corpus::new(), &options));
         (addr, handle)
     }
 

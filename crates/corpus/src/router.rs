@@ -167,7 +167,10 @@ impl Ring {
         let mut points = Vec::with_capacity(shards * VIRTUAL_NODES);
         for shard in 0..shards {
             for v in 0..VIRTUAL_NODES {
-                points.push((ring_hash(format!("shard-{shard}-vnode-{v}").as_bytes()), shard));
+                points.push((
+                    ring_hash(format!("shard-{shard}-vnode-{v}").as_bytes()),
+                    shard,
+                ));
             }
         }
         points.sort_unstable();
@@ -212,7 +215,10 @@ impl Router {
     /// A router over `config.backends`.  Panics if no backends are given —
     /// a router with nothing behind it cannot answer anything.
     pub fn new(mut config: RouterConfig) -> Router {
-        assert!(!config.backends.is_empty(), "router needs at least one backend");
+        assert!(
+            !config.backends.is_empty(),
+            "router needs at least one backend"
+        );
         config.replication = config.replication.clamp(1, config.backends.len());
         let ring = Ring::new(config.backends.len());
         let health = config
@@ -449,7 +455,10 @@ impl RouterConn {
     /// `LOAD`/`LOADTERMS`: write to every replica; success is at least one
     /// acknowledgement, recorded in the catalog.
     fn route_load(&mut self, name: &str, line: &str, command: &Command) -> Response {
-        let targets = self.router.ring.replicas(name, self.router.config.replication);
+        let targets = self
+            .router
+            .ring
+            .replicas(name, self.router.config.replication);
         let total = targets.len();
         let mut placed = Vec::new();
         let mut last_error: Option<String> = None;
@@ -464,8 +473,7 @@ impl RouterConn {
                 // replica would refuse identically, so report it directly.
                 Ok(Err(message)) => return Err(message),
                 Err(e) => {
-                    last_error =
-                        Some(format!("shard {}: {e}", self.router.config.backends[shard]))
+                    last_error = Some(format!("shard {}: {e}", self.router.config.backends[shard]))
                 }
             }
         }
@@ -493,8 +501,7 @@ impl RouterConn {
             match routed(&self.router, &mut self.clients[shard], shard, line, command) {
                 Ok(response) => return response,
                 Err(e) => {
-                    last_error =
-                        Some(format!("shard {}: {e}", self.router.config.backends[shard]))
+                    last_error = Some(format!("shard {}: {e}", self.router.config.backends[shard]))
                 }
             }
         }
@@ -573,8 +580,7 @@ impl RouterConn {
                 }
                 Ok(Err(message)) => return Err(message),
                 Err(e) => {
-                    last_error =
-                        Some(format!("shard {}: {e}", self.router.config.backends[shard]))
+                    last_error = Some(format!("shard {}: {e}", self.router.config.backends[shard]))
                 }
             }
         }
@@ -659,7 +665,9 @@ impl RouterConn {
                         match merged.get_mut(&name) {
                             // First replica wins unless it reported an
                             // error and this one answered.
-                            Some(existing) if is_error_block(existing) && !is_error_block(&block) => {
+                            Some(existing)
+                                if is_error_block(existing) && !is_error_block(&block) =>
+                            {
                                 *existing = block
                             }
                             Some(_) => {}
@@ -791,9 +799,8 @@ mod tests {
 
     fn spawn_backend() -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
         let (listener, addr) = bind("127.0.0.1:0").unwrap();
-        let handle = std::thread::spawn(move || {
-            serve(listener, &Corpus::new(), &ServeOptions::default())
-        });
+        let handle =
+            std::thread::spawn(move || serve(listener, &Corpus::new(), &ServeOptions::default()));
         (addr.to_string(), handle)
     }
 
@@ -801,20 +808,29 @@ mod tests {
     fn spawn_router(
         router: &Arc<Router>,
         workers: usize,
-    ) -> (std::net::SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
+    ) -> (
+        std::net::SocketAddr,
+        std::thread::JoinHandle<std::io::Result<()>>,
+    ) {
         let (listener, addr) = bind("127.0.0.1:0").unwrap();
         let router = Arc::clone(router);
         let options = ServeOptions {
             workers,
             ..ServeOptions::default()
         };
-        (addr, std::thread::spawn(move || serve(listener, &router, &options)))
+        (
+            addr,
+            std::thread::spawn(move || serve(listener, &router, &options)),
+        )
     }
 
     /// A client connection: its reader and writer halves.
     fn connect(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, BufWriter<TcpStream>) {
         let stream = TcpStream::connect(addr).unwrap();
-        (BufReader::new(stream.try_clone().unwrap()), BufWriter::new(stream))
+        (
+            BufReader::new(stream.try_clone().unwrap()),
+            BufWriter::new(stream),
+        )
     }
 
     fn read_response(reader: &mut BufReader<TcpStream>) -> (String, Vec<String>) {
@@ -905,9 +921,10 @@ mod tests {
         assert!(err.contains("unknown document"), "{err}");
 
         // QUERYALL merges replicas: each document appears exactly once.
-        let payload = conn.handle_line("QUERYALL descendant::b[. is $x] -> x").unwrap();
-        let headers: Vec<&String> =
-            payload.iter().filter(|l| l.starts_with("doc=")).collect();
+        let payload = conn
+            .handle_line("QUERYALL descendant::b[. is $x] -> x")
+            .unwrap();
+        let headers: Vec<&String> = payload.iter().filter(|l| l.starts_with("doc=")).collect();
         assert_eq!(headers.len(), 6, "{payload:?}");
 
         // STATS aggregates and reports per-shard health.
@@ -923,7 +940,10 @@ mod tests {
         );
 
         // EVICT one document: replicas agree it held a session.
-        assert_eq!(conn.handle_line("EVICT d0"), Ok(vec!["evicted=true".into()]));
+        assert_eq!(
+            conn.handle_line("EVICT d0"),
+            Ok(vec!["evicted=true".into()])
+        );
         // EVICT all: counts sum across shards (d1..=d5 on 2 shards each,
         // d0's sessions were just dropped).
         let payload = conn.handle_line("EVICT").unwrap();
@@ -945,7 +965,9 @@ mod tests {
 
         conn.handle_line("LOADTERMS bib bib(book(author),book(author))")
             .unwrap();
-        let payload = conn.handle_line("MUTATE bib INSERT 0 2 book(author)").unwrap();
+        let payload = conn
+            .handle_line("MUTATE bib INSERT 0 2 book(author)")
+            .unwrap();
         assert_eq!(payload[0], "mutated bib replicas=2/2");
         assert_eq!(
             payload
@@ -1024,7 +1046,8 @@ mod tests {
         let mut by_shard: Vec<Vec<String>> = vec![Vec::new(), Vec::new()];
         for i in 0..32 {
             let name = format!("d{i}");
-            conn.handle_line(&format!("LOADTERMS {name} r(a(b))")).unwrap();
+            conn.handle_line(&format!("LOADTERMS {name} r(a(b))"))
+                .unwrap();
             by_shard[router.replicas_for(&name)[0]].push(name);
             if by_shard.iter().all(|v| !v.is_empty()) && i >= 3 {
                 break;
@@ -1035,7 +1058,9 @@ mod tests {
         kill_backend(&addrs[0]);
         backends.remove(0).1.join().unwrap().unwrap();
 
-        let payload = conn.handle_line("QUERYALL descendant::b[. is $x] -> x").unwrap();
+        let payload = conn
+            .handle_line("QUERYALL descendant::b[. is $x] -> x")
+            .unwrap();
         for name in &by_shard[1] {
             assert!(
                 payload.iter().any(|l| l == &format!("doc={name} tuples=1")),
@@ -1078,9 +1103,8 @@ mod tests {
 
         // The backend comes back on the same port…
         let listener = TcpListener::bind(addr).unwrap();
-        let backend = std::thread::spawn(move || {
-            serve(listener, &Corpus::new(), &ServeOptions::default())
-        });
+        let backend =
+            std::thread::spawn(move || serve(listener, &Corpus::new(), &ServeOptions::default()));
         // …and after the probe interval one request goes through as the
         // probe and flips the shard UP.
         std::thread::sleep(Duration::from_millis(120));
@@ -1224,7 +1248,9 @@ mod tests {
         assert_eq!(status, "OK 3", "{payload:?}");
         assert_eq!(payload[0], "mutated d replicas=2/2");
         assert_eq!(read_response(&mut reader).1[0], "vars=x tuples=2");
-        assert!(read_response(&mut reader).0.starts_with("ERR unknown command"));
+        assert!(read_response(&mut reader)
+            .0
+            .starts_with("ERR unknown command"));
         assert_eq!(read_response(&mut reader).1, vec!["evicted=true"]);
         assert_eq!(read_response(&mut reader).1, vec!["bye"]);
         server.join().unwrap().unwrap();
@@ -1244,11 +1270,17 @@ mod tests {
             Command::Query { name, .. } if name == "slow" => FaultAction::Delay(DELAY),
             _ => FaultAction::None,
         }));
-        assert!(DELAY < router.config().shard_timeout, "a delay, not a timeout");
+        assert!(
+            DELAY < router.config().shard_timeout,
+            "a delay, not a timeout"
+        );
         let (addr, server) = spawn_router(&router, 2);
         let (mut slow_reader, mut slow_writer) = connect(addr);
         let (mut fast_reader, mut fast_writer) = connect(addr);
-        send(&mut fast_writer, &["LOADTERMS slow r(a)", "LOADTERMS fast r(b)"]);
+        send(
+            &mut fast_writer,
+            &["LOADTERMS slow r(a)", "LOADTERMS fast r(b)"],
+        );
         read_response(&mut fast_reader);
         read_response(&mut fast_reader);
 

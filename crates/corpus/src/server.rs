@@ -221,13 +221,20 @@ mod tests {
             }
         );
         assert_eq!(parse_command("stats").unwrap(), Command::Stats);
-        assert_eq!(parse_command("EVICT bib").unwrap(), Command::Evict(Some("bib".into())));
+        assert_eq!(
+            parse_command("EVICT bib").unwrap(),
+            Command::Evict(Some("bib".into()))
+        );
         assert_eq!(parse_command("EVICT").unwrap(), Command::Evict(None));
         assert_eq!(parse_command("QUIT").unwrap(), Command::Quit);
         assert_eq!(parse_command("SHUTDOWN").unwrap(), Command::Shutdown);
-        assert!(parse_command("LOAD onlyname").unwrap_err().contains("usage"));
+        assert!(parse_command("LOAD onlyname")
+            .unwrap_err()
+            .contains("usage"));
         assert!(parse_command("QUERYALL").unwrap_err().contains("usage"));
-        assert!(parse_command("FROBNICATE x").unwrap_err().contains("unknown command"));
+        assert!(parse_command("FROBNICATE x")
+            .unwrap_err()
+            .contains("unknown command"));
     }
 
     #[test]
@@ -237,8 +244,7 @@ mod tests {
         let lines = execute_command(&corpus, &load).unwrap();
         assert_eq!(lines, vec!["loaded bib nodes=4 documents=1"]);
 
-        let query =
-            parse_command("QUERY bib descendant::author[. is $a] -> a").unwrap();
+        let query = parse_command("QUERY bib descendant::author[. is $a] -> a").unwrap();
         let lines = execute_command(&corpus, &query).unwrap();
         assert_eq!(lines[0], "vars=a tuples=1");
         assert_eq!(lines[1], "author#2");
@@ -251,8 +257,14 @@ mod tests {
 
         let stats = execute_command(&corpus, &Command::Stats).unwrap();
         assert!(stats.iter().any(|l| l == "documents=1"), "{stats:?}");
-        assert!(stats.iter().any(|l| l.starts_with("pool_bytes=")), "{stats:?}");
-        assert!(stats.iter().any(|l| l == "memory_budget=unbounded"), "{stats:?}");
+        assert!(
+            stats.iter().any(|l| l.starts_with("pool_bytes=")),
+            "{stats:?}"
+        );
+        assert!(
+            stats.iter().any(|l| l == "memory_budget=unbounded"),
+            "{stats:?}"
+        );
 
         let evict = execute_command(&corpus, &Command::Evict(Some("bib".into()))).unwrap();
         assert_eq!(evict, vec!["evicted=true"]);
@@ -260,34 +272,21 @@ mod tests {
         assert_eq!(evict_all, vec!["evicted=0"]);
 
         // Errors: unknown doc, malformed query, malformed XML.
-        let err = execute_command(
-            &corpus,
-            &parse_command("QUERY nope child::a").unwrap(),
-        )
-        .unwrap_err();
+        let err =
+            execute_command(&corpus, &parse_command("QUERY nope child::a").unwrap()).unwrap_err();
         assert!(err.contains("unknown document"), "{err}");
-        let err = execute_command(
-            &corpus,
-            &parse_command("QUERY bib child::(").unwrap(),
-        )
-        .unwrap_err();
+        let err =
+            execute_command(&corpus, &parse_command("QUERY bib child::(").unwrap()).unwrap_err();
         assert!(err.contains("compile"), "{err}");
-        let err = execute_command(
-            &corpus,
-            &parse_command("LOAD broken <a><b></a>").unwrap(),
-        )
-        .unwrap_err();
+        let err = execute_command(&corpus, &parse_command("LOAD broken <a><b></a>").unwrap())
+            .unwrap_err();
         assert!(err.contains("broken"), "{err}");
     }
 
     #[test]
     fn execute_queryall_tags_documents() {
         let corpus = Corpus::new();
-        execute_command(
-            &corpus,
-            &parse_command("LOADTERMS d1 r(a(b))").unwrap(),
-        )
-        .unwrap();
+        execute_command(&corpus, &parse_command("LOADTERMS d1 r(a(b))").unwrap()).unwrap();
         execute_command(
             &corpus,
             &parse_command("LOADTERMS d2 r(a(b),a(b))").unwrap(),
@@ -304,18 +303,18 @@ mod tests {
         assert_eq!(lines.len(), 5);
         // Arity-0 fan-out renders one satisfiable= line per document, never
         // blank tuple lines.
-        let lines = execute_command(
-            &corpus,
-            &parse_command("QUERYALL descendant::b").unwrap(),
-        )
-        .unwrap();
-        assert_eq!(lines, vec!["doc=d1 satisfiable=true", "doc=d2 satisfiable=true"]);
-        let lines = execute_command(
-            &corpus,
-            &parse_command("QUERYALL descendant::zzz").unwrap(),
-        )
-        .unwrap();
-        assert_eq!(lines, vec!["doc=d1 satisfiable=false", "doc=d2 satisfiable=false"]);
+        let lines =
+            execute_command(&corpus, &parse_command("QUERYALL descendant::b").unwrap()).unwrap();
+        assert_eq!(
+            lines,
+            vec!["doc=d1 satisfiable=true", "doc=d2 satisfiable=true"]
+        );
+        let lines =
+            execute_command(&corpus, &parse_command("QUERYALL descendant::zzz").unwrap()).unwrap();
+        assert_eq!(
+            lines,
+            vec!["doc=d1 satisfiable=false", "doc=d2 satisfiable=false"]
+        );
     }
 
     /// An overlong request line answers `ERR line too long` and the same
@@ -328,8 +327,7 @@ mod tests {
             max_line: 64,
             ..ServeOptions::default()
         };
-        let server =
-            std::thread::spawn(move || serve(listener, &Corpus::new(), &options));
+        let server = std::thread::spawn(move || serve(listener, &Corpus::new(), &options));
 
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -373,9 +371,7 @@ mod tests {
             memory_budget: Some(1 << 20),
             ..crate::CorpusConfig::default()
         });
-        let server = std::thread::spawn(move || {
-            serve(listener, &corpus, &ServeOptions::default())
-        });
+        let server = std::thread::spawn(move || serve(listener, &corpus, &ServeOptions::default()));
 
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -399,8 +395,7 @@ mod tests {
             (status, payload)
         };
 
-        let (status, payload) =
-            request("LOAD bib <bib><book><author/><title/></book></bib>");
+        let (status, payload) = request("LOAD bib <bib><book><author/><title/></book></bib>");
         assert_eq!(status, "OK 1");
         assert_eq!(payload[0], "loaded bib nodes=4 documents=1");
 

@@ -73,7 +73,10 @@ fn read_response<R: BufRead>(reader: &mut R) -> (String, Vec<String>) {
     let mut payload = Vec::with_capacity(n);
     for _ in 0..n {
         let mut line = String::new();
-        assert!(reader.read_line(&mut line).unwrap() > 0, "truncated payload");
+        assert!(
+            reader.read_line(&mut line).unwrap() > 0,
+            "truncated payload"
+        );
         payload.push(line.trim_end().to_string());
     }
     (status, payload)
@@ -114,8 +117,7 @@ fn run_client(addr: SocketAddr, client: usize, barrier: Arc<Barrier>) {
                         continue; // counters are global; the line count check suffices
                     }
                     let got: Vec<String> = payload.iter().map(|l| normalize(l)).collect();
-                    let want: Vec<String> =
-                        expected_lines.iter().map(|l| normalize(l)).collect();
+                    let want: Vec<String> = expected_lines.iter().map(|l| normalize(l)).collect();
                     assert_eq!(got, want, "client {client}: bad payload for {line:?}");
                 }
                 Err(message) => {
@@ -140,9 +142,8 @@ fn run_client(addr: SocketAddr, client: usize, barrier: Arc<Barrier>) {
 #[test]
 fn hammer_epoll_mode() {
     let (listener, addr) = bind("127.0.0.1:0").unwrap();
-    let server = std::thread::spawn(move || {
-        serve(listener, &Corpus::new(), &ServeOptions::default())
-    });
+    let server =
+        std::thread::spawn(move || serve(listener, &Corpus::new(), &ServeOptions::default()));
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let clients: Vec<_> = (0..CLIENTS)

@@ -8,10 +8,10 @@
 //! replayable within the same process run) but not stable across runs.
 #![cfg(model_check)]
 
+use ppl_xpath::{Engine, Session};
 use std::sync::Arc;
 use xpath_corpus::protocol::{Conn, ConnEvent};
 use xpath_corpus::queue::BoundedQueue;
-use ppl_xpath::{Engine, Session};
 use xpath_corpus::{Corpus, CorpusConfig};
 use xpath_sync::model;
 
@@ -61,12 +61,16 @@ fn real_conn_releases_responses_in_request_order() {
             let (front, back) = (seqs.clone(), seqs.clone());
             let w1 = scope.spawn(move || {
                 for &seq in front.iter().rev().take(2) {
-                    conn.lock().unwrap().complete(seq, Ok(vec![format!("r{seq}")]));
+                    conn.lock()
+                        .unwrap()
+                        .complete(seq, Ok(vec![format!("r{seq}")]));
                 }
             });
             let w2 = scope.spawn(move || {
                 for &seq in back.iter().take(2) {
-                    conn.lock().unwrap().complete(seq, Ok(vec![format!("r{seq}")]));
+                    conn.lock()
+                        .unwrap()
+                        .complete(seq, Ok(vec![format!("r{seq}")]));
                 }
             });
             w1.join().unwrap();
@@ -76,7 +80,10 @@ fn real_conn_releases_responses_in_request_order() {
         let out = String::from_utf8_lossy(c.pending_output()).to_string();
         let positions: Vec<usize> = seqs
             .iter()
-            .map(|seq| out.find(&format!("r{seq}")).expect("every response rendered"))
+            .map(|seq| {
+                out.find(&format!("r{seq}"))
+                    .expect("every response rendered")
+            })
             .collect();
         assert!(
             positions.windows(2).all(|w| w[0] < w[1]),
@@ -120,10 +127,18 @@ fn real_corpus_fanout_answers_under_model_schedules() {
 #[test]
 fn budget_eviction_swaps_stores_under_in_flight_queries() {
     let query = "descendant::l1[not(descendant::* except child::l0)][. is $x]";
-    let docs = [("a", "l0(l1(l0,l2),l1(l2),l0(l1))"), ("b", "l0(l1(l2),l1(l0,l1(l0)))")];
+    let docs = [
+        ("a", "l0(l1(l0,l2),l1(l2),l0(l1))"),
+        ("b", "l0(l1(l2),l1(l0,l1(l0)))"),
+    ];
     let cold: Vec<_> = docs
         .iter()
-        .map(|(_, terms)| Session::from_terms(terms).unwrap().answer(query, &["x"]).unwrap())
+        .map(|(_, terms)| {
+            Session::from_terms(terms)
+                .unwrap()
+                .answer(query, &["x"])
+                .unwrap()
+        })
         .collect();
     let failure = model::explore(48, || {
         let corpus = Corpus::with_config(CorpusConfig {

@@ -164,7 +164,10 @@ fn router_fuzz_always_answers_under_injected_faults() {
                     ..ClientConfig::default()
                 },
             );
-            assert_eq!(killer.request("SHUTDOWN").unwrap(), Ok(vec!["bye".to_string()]));
+            assert_eq!(
+                killer.request("SHUTDOWN").unwrap(),
+                Ok(vec!["bye".to_string()])
+            );
         }
 
         let k = rng.below(DOCS as u64) as usize;
@@ -175,7 +178,10 @@ fn router_fuzz_always_answers_under_injected_faults() {
                 "QUERY {doc} {}",
                 queries[rng.below(queries.len() as u64) as usize]
             ),
-            7 => format!("QUERYALL {}", queries[rng.below(queries.len() as u64) as usize]),
+            7 => format!(
+                "QUERYALL {}",
+                queries[rng.below(queries.len() as u64) as usize]
+            ),
             8 => "STATS".to_string(),
             _ => format!("EVICT {doc}"),
         };
@@ -259,7 +265,10 @@ fn router_fuzz_always_answers_under_injected_faults() {
     // The script must have really exercised the load path, and the router
     // must still be answering at the end — with the dead shard degraded,
     // not wedging the fleet.
-    assert!(loads >= 10, "only {loads} successful loads ({load_failures} failed)");
+    assert!(
+        loads >= 10,
+        "only {loads} successful loads ({load_failures} failed)"
+    );
     let stats = conn.handle_line("STATS").expect("STATS must answer");
     assert_eq!(stats[0], format!("shards={BACKENDS}"));
 
@@ -267,7 +276,10 @@ fn router_fuzz_always_answers_under_injected_faults() {
     // fan-out is best effort, so the faults stop first — an injected kill
     // of a SHUTDOWN request would leave that backend running.
     router.set_fault_hook(Arc::new(|_, _| FaultAction::None));
-    assert_eq!(conn.handle_line("SHUTDOWN").unwrap(), vec!["bye".to_string()]);
+    assert_eq!(
+        conn.handle_line("SHUTDOWN").unwrap(),
+        vec!["bye".to_string()]
+    );
     drop(conn);
     for (addr, handle) in backends {
         handle

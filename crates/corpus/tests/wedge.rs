@@ -145,10 +145,17 @@ fn queries_nested_past_the_depth_bound_get_err_and_the_daemon_survives() {
         ),
         (
             "10^6 nested filters",
-            format!("{}child::a{}", "child::a[".repeat(1_000_000), "]".repeat(1_000_000)),
+            format!(
+                "{}child::a{}",
+                "child::a[".repeat(1_000_000),
+                "]".repeat(1_000_000)
+            ),
         ),
         ("a 10^5-step / chain", vec!["child::a"; 100_000].join("/")),
-        ("a 10^5-term union chain", vec!["child::a"; 100_000].join(" union ")),
+        (
+            "a 10^5-term union chain",
+            vec!["child::a"; 100_000].join(" union "),
+        ),
     ];
     for (what, query) in &deep {
         writeln!(conn, "QUERY d {query}").unwrap();

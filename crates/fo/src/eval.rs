@@ -100,13 +100,41 @@ mod tests {
         let book2 = t.nodes_with_label_str("book")[1];
         let author = t.nodes_with_label_str("author")[0];
 
-        assert!(fo_satisfies(&t, &Formula::ch_star("x", "y"), &assign(&[("x", root), ("y", author)])));
-        assert!(fo_satisfies(&t, &Formula::ch_star("x", "y"), &assign(&[("x", root), ("y", root)])));
-        assert!(!fo_satisfies(&t, &Formula::ch_star("x", "y"), &assign(&[("x", author), ("y", root)])));
-        assert!(fo_satisfies(&t, &Formula::ns_star("x", "y"), &assign(&[("x", book1), ("y", book2)])));
-        assert!(!fo_satisfies(&t, &Formula::ns_star("x", "y"), &assign(&[("x", book2), ("y", book1)])));
-        assert!(fo_satisfies(&t, &Formula::label("book", "x"), &assign(&[("x", book1)])));
-        assert!(!fo_satisfies(&t, &Formula::label("book", "x"), &assign(&[("x", author)])));
+        assert!(fo_satisfies(
+            &t,
+            &Formula::ch_star("x", "y"),
+            &assign(&[("x", root), ("y", author)])
+        ));
+        assert!(fo_satisfies(
+            &t,
+            &Formula::ch_star("x", "y"),
+            &assign(&[("x", root), ("y", root)])
+        ));
+        assert!(!fo_satisfies(
+            &t,
+            &Formula::ch_star("x", "y"),
+            &assign(&[("x", author), ("y", root)])
+        ));
+        assert!(fo_satisfies(
+            &t,
+            &Formula::ns_star("x", "y"),
+            &assign(&[("x", book1), ("y", book2)])
+        ));
+        assert!(!fo_satisfies(
+            &t,
+            &Formula::ns_star("x", "y"),
+            &assign(&[("x", book2), ("y", book1)])
+        ));
+        assert!(fo_satisfies(
+            &t,
+            &Formula::label("book", "x"),
+            &assign(&[("x", book1)])
+        ));
+        assert!(!fo_satisfies(
+            &t,
+            &Formula::label("book", "x"),
+            &assign(&[("x", author)])
+        ));
     }
 
     #[test]
@@ -134,8 +162,16 @@ mod tests {
         let t = tree();
         let book1 = t.nodes_with_label_str("book")[0];
         let book2 = t.nodes_with_label_str("book")[1];
-        assert!(fo_satisfies(&t, &Formula::eq("x", "y"), &assign(&[("x", book1), ("y", book1)])));
-        assert!(!fo_satisfies(&t, &Formula::eq("x", "y"), &assign(&[("x", book1), ("y", book2)])));
+        assert!(fo_satisfies(
+            &t,
+            &Formula::eq("x", "y"),
+            &assign(&[("x", book1), ("y", book1)])
+        ));
+        assert!(!fo_satisfies(
+            &t,
+            &Formula::eq("x", "y"),
+            &assign(&[("x", book1), ("y", book2)])
+        ));
     }
 
     #[test]

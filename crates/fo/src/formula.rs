@@ -166,8 +166,15 @@ mod tests {
 
     #[test]
     fn free_variables_and_binding() {
-        let phi = Formula::exists("z", Formula::ch_star("x", "z").and(Formula::ns_star("z", "y")));
-        let free: Vec<_> = phi.free_vars().iter().map(|v| v.name().to_string()).collect();
+        let phi = Formula::exists(
+            "z",
+            Formula::ch_star("x", "z").and(Formula::ns_star("z", "y")),
+        );
+        let free: Vec<_> = phi
+            .free_vars()
+            .iter()
+            .map(|v| v.name().to_string())
+            .collect();
         assert_eq!(free, vec!["x", "y"]);
         assert_eq!(phi.quantifier_rank(), 1);
         assert!(!phi.is_quantifier_free());
@@ -176,7 +183,9 @@ mod tests {
 
     #[test]
     fn size_counts_nodes() {
-        let phi = Formula::label("a", "x").and(Formula::ch_star("x", "y")).negate();
+        let phi = Formula::label("a", "x")
+            .and(Formula::ch_star("x", "y"))
+            .negate();
         assert_eq!(phi.size(), 4);
     }
 
@@ -194,7 +203,10 @@ mod tests {
 
     #[test]
     fn display_is_readable() {
-        let phi = Formula::exists("x", Formula::label("book", "x").and(Formula::ch_star("x", "y")));
+        let phi = Formula::exists(
+            "x",
+            Formula::label("book", "x").and(Formula::ch_star("x", "y")),
+        );
         let s = phi.to_string();
         assert!(s.contains("exists x."));
         assert!(s.contains("lab(book, x)"));

@@ -29,7 +29,11 @@ pub struct FoParseError {
 
 impl fmt::Display for FoParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FO parse error at byte {}: {}", self.position, self.message)
+        write!(
+            f,
+            "FO parse error at byte {}: {}",
+            self.position, self.message
+        )
     }
 }
 
@@ -80,7 +84,11 @@ impl<'a> P<'a> {
         if end == start {
             None
         } else {
-            Some(std::str::from_utf8(&self.bytes[start..end]).unwrap().to_string())
+            Some(
+                std::str::from_utf8(&self.bytes[start..end])
+                    .unwrap()
+                    .to_string(),
+            )
         }
     }
 
@@ -212,7 +220,10 @@ mod tests {
     #[test]
     fn parse_atoms_and_connectives() {
         let f = parse_formula("chstar(x, y) and lab(book, x)").unwrap();
-        assert_eq!(f, Formula::ch_star("x", "y").and(Formula::label("book", "x")));
+        assert_eq!(
+            f,
+            Formula::ch_star("x", "y").and(Formula::label("book", "x"))
+        );
         let g = parse_formula("nsstar(a,b) or not lab(t, a)").unwrap();
         assert_eq!(g.free_vars().len(), 2);
     }

@@ -37,7 +37,10 @@ pub fn fo_to_xpath(phi: &Formula) -> PathExpr {
         Formula::ChStar(x, y) => axis_literal(Axis::Descendant, x, y),
         Formula::Label(label, x) => PathExpr::Seq(
             Box::new(PathExpr::NodeRef(NodeRef::Var(x.clone()))),
-            Box::new(PathExpr::Step(Axis::SelfAxis, NameTest::Name(label.clone()))),
+            Box::new(PathExpr::Step(
+                Axis::SelfAxis,
+                NameTest::Name(label.clone()),
+            )),
         ),
     }
 }
@@ -179,7 +182,9 @@ mod tests {
     fn quantifier_free_formulas_translate_without_for_loops() {
         // Lemma 2 direction: the image of a quantifier-free formula has no
         // for loops (and hence stays in the for-free fragment).
-        let phi = Formula::label("a", "x").and(Formula::ch_star("x", "y")).negate();
+        let phi = Formula::label("a", "x")
+            .and(Formula::ch_star("x", "y"))
+            .negate();
         let xpath = fo_to_xpath(&phi);
         assert!(!xpath.has_for());
         let quantified = Formula::exists("x", Formula::label("a", "x"));

@@ -744,7 +744,9 @@ mod tests {
         assert_eq!(ans.len(), tree.len());
         // Unsatisfiable query: empty answer despite the free variable.
         let none: Hcl<BinExpr> = Hcl::Atom(bin("child::zzz"));
-        assert!(answer_hcl_pplbin(&tree, &none, &[v("free")]).unwrap().is_empty());
+        assert!(answer_hcl_pplbin(&tree, &none, &[v("free")])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -844,12 +846,18 @@ mod tests {
         let stream = stream_hcl_pplbin(&tree, &hcl, &output).unwrap();
         assert_eq!(stream.variables(), &output);
         let streamed: Vec<Tuple> = stream.collect();
-        assert_eq!(streamed.len(), expected.len(), "no duplicates in the stream");
+        assert_eq!(
+            streamed.len(),
+            expected.len(),
+            "no duplicates in the stream"
+        );
         let as_set: BTreeSet<Tuple> = streamed.into_iter().collect();
         assert_eq!(as_set, expected);
         // A truncated stream yields a subset.
-        let prefix: BTreeSet<Tuple> =
-            stream_hcl_pplbin(&tree, &hcl, &output).unwrap().take(2).collect();
+        let prefix: BTreeSet<Tuple> = stream_hcl_pplbin(&tree, &hcl, &output)
+            .unwrap()
+            .take(2)
+            .collect();
         assert_eq!(prefix.len(), 2);
         assert!(prefix.is_subset(&expected));
     }

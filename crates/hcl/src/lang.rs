@@ -160,11 +160,7 @@ fn hcl_prec<B>(c: &Hcl<B>) -> u8 {
     }
 }
 
-fn fmt_hcl<B: fmt::Display>(
-    c: &Hcl<B>,
-    min_prec: u8,
-    f: &mut fmt::Formatter<'_>,
-) -> fmt::Result {
+fn fmt_hcl<B: fmt::Display>(c: &Hcl<B>, min_prec: u8, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let prec = hcl_prec(c);
     let parens = prec < min_prec;
     if parens {
@@ -215,16 +211,24 @@ mod tests {
 
     #[test]
     fn size_counts_hcl_nodes_not_atom_sizes() {
-        let c = atom("a-very-long-binary-query").then(var("x")).or(atom("b"));
+        let c = atom("a-very-long-binary-query")
+            .then(var("x"))
+            .or(atom("b"));
         // union(seq(atom, var), atom) = 5
         assert_eq!(c.size(), 5);
     }
 
     #[test]
     fn vars_and_atoms_collection() {
-        let c = atom("ch").then(var("x")).or(atom("desc").then(var("y"))).filter();
+        let c = atom("ch")
+            .then(var("x"))
+            .or(atom("desc").then(var("y")))
+            .filter();
         assert_eq!(
-            c.vars().iter().map(|v| v.name().to_string()).collect::<Vec<_>>(),
+            c.vars()
+                .iter()
+                .map(|v| v.name().to_string())
+                .collect::<Vec<_>>(),
             vec!["x", "y"]
         );
         assert_eq!(c.atoms().len(), 2);
@@ -234,7 +238,10 @@ mod tests {
     fn nvs_check_detects_sharing_only_in_compositions() {
         let shared_comp = var("x").then(atom("ch")).then(var("x"));
         assert!(!shared_comp.is_hcl_minus());
-        assert_eq!(shared_comp.check_no_sharing().unwrap_err(), vec![Var::new("x")]);
+        assert_eq!(
+            shared_comp.check_no_sharing().unwrap_err(),
+            vec![Var::new("x")]
+        );
 
         let shared_union = var("x").then(atom("a")).or(var("x").then(atom("b")));
         assert!(shared_union.is_hcl_minus());
@@ -247,7 +254,10 @@ mod tests {
     fn union_freedom() {
         assert!(atom("a").then(var("x")).is_union_free());
         assert!(!atom("a").or(atom("b")).is_union_free());
-        assert!(!atom("a").then(atom("b").or(atom("c"))).filter().is_union_free());
+        assert!(!atom("a")
+            .then(atom("b").or(atom("c")))
+            .filter()
+            .is_union_free());
     }
 
     #[test]

@@ -101,10 +101,7 @@ mod tests {
         from_variable_free_path(&parse_path(src).unwrap()).unwrap()
     }
 
-    fn setup(
-        tree: &Tree,
-        hcl: &Hcl<xpath_ast::BinExpr>,
-    ) -> (EquationSystem, CompiledAtoms) {
+    fn setup(tree: &Tree, hcl: &Hcl<xpath_ast::BinExpr>) -> (EquationSystem, CompiledAtoms) {
         let (interned, atoms) = intern_atoms(hcl);
         let compiled = PplBinAtoms::compile(tree, &atoms);
         let eq = EquationSystem::from_hcl(&interned);
@@ -140,8 +137,8 @@ mod tests {
     fn filters_conjoin_and_unions_disjoin() {
         let t = Tree::from_terms("r(a(x),b(y),c)").unwrap();
         // [child::x]/child::* — nodes with an x child that also have some child.
-        let hcl = Hcl::Filter(Box::new(Hcl::Atom(bin("child::x"))))
-            .then(Hcl::Atom(bin("child::*")));
+        let hcl =
+            Hcl::Filter(Box::new(Hcl::Atom(bin("child::x")))).then(Hcl::Atom(bin("child::*")));
         let (eq, compiled) = setup(&t, &hcl);
         let mc = McTable::compute(&eq, &compiled);
         let sat: Vec<_> = mc.satisfying(eq.root()).iter().collect();
@@ -154,7 +151,10 @@ mod tests {
         let sat2: Vec<_> = mc2.satisfying(eq2.root()).iter().collect();
         assert_eq!(
             sat2,
-            vec![t.nodes_with_label_str("a")[0], t.nodes_with_label_str("b")[0]]
+            vec![
+                t.nodes_with_label_str("a")[0],
+                t.nodes_with_label_str("b")[0]
+            ]
         );
     }
 

@@ -73,10 +73,7 @@ impl CompiledAtoms {
     /// Build a table from already-shared per-atom successor lists (each
     /// `lists[atom][node]` sorted in document order), e.g. straight out of a
     /// [`SharedMatrixStore`].
-    pub fn from_successor_lists(
-        domain: usize,
-        atoms: Vec<Arc<Vec<Vec<NodeId>>>>,
-    ) -> CompiledAtoms {
+    pub fn from_successor_lists(domain: usize, atoms: Vec<Arc<Vec<Vec<NodeId>>>>) -> CompiledAtoms {
         debug_assert!(atoms.iter().all(|per_node| per_node.len() == domain));
         CompiledAtoms {
             succ: atoms.into_iter().map(SuccessorSource::Eager).collect(),
@@ -87,7 +84,10 @@ impl CompiledAtoms {
     /// Build a table from per-atom row sources (eager or lazy).
     pub fn from_sources(domain: usize, atoms: Vec<SuccessorSource>) -> CompiledAtoms {
         debug_assert!(atoms.iter().all(|src| src.len() == domain));
-        CompiledAtoms { succ: atoms, domain }
+        CompiledAtoms {
+            succ: atoms,
+            domain,
+        }
     }
 
     /// Number of nodes of the underlying tree.
@@ -248,7 +248,14 @@ mod tests {
         let (interned, atoms) = intern_atoms(&c);
         assert_eq!(atoms, vec!["ch".to_string(), "desc".to_string()]);
         assert_eq!(interned.atoms().len(), 3);
-        assert_eq!(interned.atoms().iter().filter(|a| ***a == AtomId(0)).count(), 2);
+        assert_eq!(
+            interned
+                .atoms()
+                .iter()
+                .filter(|a| ***a == AtomId(0))
+                .count(),
+            2
+        );
     }
 
     #[test]
@@ -263,8 +270,14 @@ mod tests {
             let m = answer_binary(&t, b);
             for u in t.nodes() {
                 let expected: Vec<NodeId> = m.successors(u).collect();
-                assert_eq!(compiled.successors(AtomId(i as u32), u), expected.as_slice());
-                assert_eq!(compiled.has_successor(AtomId(i as u32), u), !expected.is_empty());
+                assert_eq!(
+                    compiled.successors(AtomId(i as u32), u),
+                    expected.as_slice()
+                );
+                assert_eq!(
+                    compiled.has_successor(AtomId(i as u32), u),
+                    !expected.is_empty()
+                );
             }
         }
         assert!(compiled.pair_count() > 0);
@@ -333,7 +346,10 @@ mod tests {
                 (NodeId(0), NodeId(2)),
             ]],
         );
-        assert_eq!(compiled.successors(AtomId(0), NodeId(0)), &[NodeId(1), NodeId(2)]);
+        assert_eq!(
+            compiled.successors(AtomId(0), NodeId(0)),
+            &[NodeId(1), NodeId(2)]
+        );
         assert_eq!(compiled.pair_count(), 2);
         assert!(compiled.successors(AtomId(0), NodeId(1)).is_empty());
     }

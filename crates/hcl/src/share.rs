@@ -75,7 +75,10 @@ impl EquationSystem {
     /// Normalise an HCL expression (with interned atoms) into a sharing
     /// expression — Lemma 3.
     pub fn from_hcl(hcl: &Hcl<AtomId>) -> EquationSystem {
-        let mut builder = Builder { nodes: Vec::new(), vars: Vec::new() };
+        let mut builder = Builder {
+            nodes: Vec::new(),
+            vars: Vec::new(),
+        };
         let end = builder.push(ShareNode::SelfEnd);
         let root = builder.normalise(hcl, end);
         EquationSystem {
@@ -234,7 +237,10 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(
-            eq.vars(eq.root()).iter().map(|v| v.name().to_string()).collect::<Vec<_>>(),
+            eq.vars(eq.root())
+                .iter()
+                .map(|v| v.name().to_string())
+                .collect::<Vec<_>>(),
             vec!["x"]
         );
     }

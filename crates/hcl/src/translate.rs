@@ -53,8 +53,7 @@ pub fn ppl_to_hcl(p: &PathExpr) -> Result<Hcl<BinExpr>, TranslateError> {
 
 fn variable_free_atom(p: &PathExpr) -> Hcl<BinExpr> {
     Hcl::Atom(
-        from_variable_free_path(p)
-            .expect("caller checked that the subexpression is variable-free"),
+        from_variable_free_path(p).expect("caller checked that the subexpression is variable-free"),
     )
 }
 
@@ -93,8 +92,7 @@ fn translate_test(t: &TestExpr) -> Hcl<BinExpr> {
     let variable_free = t.free_vars().is_empty() && !t.has_for();
     if variable_free {
         return Hcl::Atom(
-            from_variable_free_test(t, true)
-                .expect("variable-free test translates to PPLbin"),
+            from_variable_free_test(t, true).expect("variable-free test translates to PPLbin"),
         );
     }
     match t {
@@ -199,20 +197,29 @@ mod tests {
         let hcl = ppl_to_hcl(&ppl).unwrap();
         assert!(hcl.is_hcl_minus(), "Fig. 7 must produce HCL⁻: {src}");
         let got = answer_hcl_pplbin(tree, &hcl, &out_vars).unwrap();
-        let expected: BTreeSet<Vec<NodeId>> =
-            answer_nary(tree, &ppl, &out_vars).unwrap().into_iter().collect();
-        assert_eq!(got, expected, "pipeline disagrees with the specification on {src}");
+        let expected: BTreeSet<Vec<NodeId>> = answer_nary(tree, &ppl, &out_vars)
+            .unwrap()
+            .into_iter()
+            .collect();
+        assert_eq!(
+            got, expected,
+            "pipeline disagrees with the specification on {src}"
+        );
 
         // Round trip: HCL → PPL must also agree.
         let back = hcl_to_ppl(&hcl);
-        let back_ans: BTreeSet<Vec<NodeId>> =
-            answer_nary(tree, &back, &out_vars).unwrap().into_iter().collect();
-        assert_eq!(back_ans, expected, "hcl_to_ppl changed the answers of {src}");
+        let back_ans: BTreeSet<Vec<NodeId>> = answer_nary(tree, &back, &out_vars)
+            .unwrap()
+            .into_iter()
+            .collect();
+        assert_eq!(
+            back_ans, expected,
+            "hcl_to_ppl changed the answers of {src}"
+        );
     }
 
     fn bib() -> Tree {
-        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))")
-            .unwrap()
+        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))").unwrap()
     }
 
     #[test]
@@ -229,7 +236,11 @@ mod tests {
     fn unary_and_binary_queries() {
         let t = bib();
         check_pipeline(&t, "descendant::author[. is $a]", &["a"]);
-        check_pipeline(&t, "descendant::book[. is $b]/child::title[. is $t]", &["b", "t"]);
+        check_pipeline(
+            &t,
+            "descendant::book[. is $b]/child::title[. is $t]",
+            &["b", "t"],
+        );
         check_pipeline(&t, "child::*[. is $x]/child::*[. is $y]", &["x", "y"]);
     }
 

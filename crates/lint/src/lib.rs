@@ -49,7 +49,11 @@ pub struct Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 
@@ -225,7 +229,11 @@ fn lex(source: &str) -> Lexed {
                 }
                 i += 1;
             }
-            toks.push(Tok { kind: TokKind::Literal, text: String::new(), line: tok_line });
+            toks.push(Tok {
+                kind: TokKind::Literal,
+                text: String::new(),
+                line: tok_line,
+            });
             continue;
         }
         // Plain (and byte) strings.
@@ -249,7 +257,11 @@ fn lex(source: &str) -> Lexed {
                     _ => i += 1,
                 }
             }
-            toks.push(Tok { kind: TokKind::Literal, text: String::new(), line: tok_line });
+            toks.push(Tok {
+                kind: TokKind::Literal,
+                text: String::new(),
+                line: tok_line,
+            });
             continue;
         }
         // Char literal vs lifetime: 'x' is a literal; 'x followed by
@@ -273,9 +285,17 @@ fn lex(source: &str) -> Lexed {
                         _ => i += 1,
                     }
                 }
-                toks.push(Tok { kind: TokKind::Literal, text: String::new(), line: tok_line });
+                toks.push(Tok {
+                    kind: TokKind::Literal,
+                    text: String::new(),
+                    line: tok_line,
+                });
             } else {
-                toks.push(Tok { kind: TokKind::Punct('\''), text: String::new(), line });
+                toks.push(Tok {
+                    kind: TokKind::Punct('\''),
+                    text: String::new(),
+                    line,
+                });
                 i += 1;
             }
             continue;
@@ -298,10 +318,18 @@ fn lex(source: &str) -> Lexed {
             while i < n && is_ident_cont(bytes[i]) {
                 i += 1;
             }
-            toks.push(Tok { kind: TokKind::Literal, text: String::new(), line });
+            toks.push(Tok {
+                kind: TokKind::Literal,
+                text: String::new(),
+                line,
+            });
             continue;
         }
-        toks.push(Tok { kind: TokKind::Punct(c), text: String::new(), line });
+        toks.push(Tok {
+            kind: TokKind::Punct(c),
+            text: String::new(),
+            line,
+        });
         i += 1;
     }
 
@@ -462,7 +490,9 @@ fn rule_lock_unwrap(
         if in_ranges(tests, t.line) {
             continue;
         }
-        let Some(recv) = receiver_method(toks, i - 1) else { continue };
+        let Some(recv) = receiver_method(toks, i - 1) else {
+            continue;
+        };
         if RISKY_RECEIVERS.contains(&recv.as_str()) {
             findings.push(Finding {
                 rule: "lock-unwrap",
@@ -511,12 +541,7 @@ fn receiver_method(toks: &[Tok], dot: usize) -> Option<String> {
 
 /// `std::thread::spawn` (or bare `thread::spawn`) outside sanctioned
 /// modules and tests.
-fn rule_raw_spawn(
-    path: &str,
-    toks: &[Tok],
-    tests: &[(usize, usize)],
-    findings: &mut Vec<Finding>,
-) {
+fn rule_raw_spawn(path: &str, toks: &[Tok], tests: &[(usize, usize)], findings: &mut Vec<Finding>) {
     for i in 0..toks.len() {
         if toks[i].text != "spawn" || in_ranges(tests, toks[i].line) {
             continue;
@@ -554,12 +579,7 @@ fn rule_raw_spawn(
 }
 
 /// Unbounded read methods on daemon request paths.
-fn rule_wire_read(
-    path: &str,
-    toks: &[Tok],
-    tests: &[(usize, usize)],
-    findings: &mut Vec<Finding>,
-) {
+fn rule_wire_read(path: &str, toks: &[Tok], tests: &[(usize, usize)], findings: &mut Vec<Finding>) {
     for i in 1..toks.len() {
         let t = &toks[i];
         if t.kind != TokKind::Ident || !UNBOUNDED_READS.contains(&t.text.as_str()) {
@@ -593,15 +613,8 @@ fn rule_wire_read(
 /// segments (and `use`-tree braces) following each `std::sync` occurrence,
 /// so `Arc<Mutex<..>>` with `Mutex` imported from `xpath_sync` is never a
 /// false positive.
-fn rule_std_sync(
-    path: &str,
-    toks: &[Tok],
-    tests: &[(usize, usize)],
-    findings: &mut Vec<Finding>,
-) {
-    let punct = |idx: usize, c: char| {
-        matches!(toks.get(idx).map(|t| &t.kind), Some(TokKind::Punct(p)) if *p == c)
-    };
+fn rule_std_sync(path: &str, toks: &[Tok], tests: &[(usize, usize)], findings: &mut Vec<Finding>) {
+    let punct = |idx: usize, c: char| matches!(toks.get(idx).map(|t| &t.kind), Some(TokKind::Punct(p)) if *p == c);
     let check = |tok: &Tok, findings: &mut Vec<Finding>| {
         if BANNED_SYNC_IDENTS.contains(&tok.text.as_str()) {
             findings.push(Finding {
@@ -618,7 +631,10 @@ fn rule_std_sync(
     };
     let mut i = 0usize;
     while i + 3 < toks.len() {
-        if !(toks[i].text == "std" && punct(i + 1, ':') && punct(i + 2, ':') && toks[i + 3].text == "sync")
+        if !(toks[i].text == "std"
+            && punct(i + 1, ':')
+            && punct(i + 2, ':')
+            && toks[i + 3].text == "sync")
             || in_ranges(tests, toks[i].line)
         {
             i += 1;
@@ -680,7 +696,11 @@ pub fn parse_allowlist(text: &str) -> Vec<(String, String)> {
 pub fn filter_allowed(findings: Vec<Finding>, allow: &[(String, String)]) -> Vec<Finding> {
     findings
         .into_iter()
-        .filter(|f| !allow.iter().any(|(rule, path)| rule == f.rule && path == &f.file))
+        .filter(|f| {
+            !allow
+                .iter()
+                .any(|(rule, path)| rule == f.rule && path == &f.file)
+        })
         .collect()
 }
 
@@ -894,7 +914,11 @@ fn f<'a>(x: &'a str) -> usize {
         assert!(
             findings.is_empty(),
             "lint violations:\n{}",
-            findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
+            findings
+                .iter()
+                .map(|f| f.to_string())
+                .collect::<Vec<_>>()
+                .join("\n")
         );
         let allow_text = std::fs::read_to_string(root.join("lint.allow")).unwrap_or_default();
         for (_, path) in parse_allowlist(&allow_text) {

@@ -114,10 +114,7 @@ mod tests {
 
     #[test]
     fn display_lists_bindings() {
-        let a = Assignment::from_pairs([
-            (Var::new("x"), NodeId(1)),
-            (Var::new("y"), NodeId(2)),
-        ]);
+        let a = Assignment::from_pairs([(Var::new("x"), NodeId(1)), (Var::new("y"), NodeId(2))]);
         let s = a.to_string();
         assert!(s.contains("$x ↦ n1"));
         assert!(s.contains("$y ↦ n2"));

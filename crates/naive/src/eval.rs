@@ -42,9 +42,7 @@ fn lookup(alpha: &Assignment, v: &Var) -> Result<NodeId, EvalError> {
 pub fn eval_path(tree: &Tree, p: &PathExpr, alpha: &Assignment) -> Result<PairSet, EvalError> {
     match p {
         PathExpr::Step(axis, test) => Ok(eval_step(tree, *axis, test)),
-        PathExpr::NodeRef(NodeRef::Dot) => {
-            Ok(tree.nodes().map(|v| (v, v)).collect())
-        }
+        PathExpr::NodeRef(NodeRef::Dot) => Ok(tree.nodes().map(|v| (v, v)).collect()),
         PathExpr::NodeRef(NodeRef::Var(x)) => {
             let target = lookup(alpha, x)?;
             Ok(tree.nodes().map(|v| (v, target)).collect())

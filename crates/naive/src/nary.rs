@@ -98,10 +98,8 @@ mod tests {
     #[test]
     fn intro_example_selects_author_title_pairs_per_book() {
         let tree = bib();
-        let q = parse_path(
-            "descendant::book[child::author[. is $y] and child::title[. is $z]]",
-        )
-        .unwrap();
+        let q = parse_path("descendant::book[child::author[. is $y] and child::title[. is $z]]")
+            .unwrap();
         let ans = answer_nary(&tree, &q, &[Var::new("y"), Var::new("z")]).unwrap();
         // book1 has 1 author × 1 title, book2 has 2 authors × 1 title.
         assert_eq!(ans.len(), 3);
@@ -122,8 +120,8 @@ mod tests {
         // The query is satisfiable, so $w can be any of the 3 nodes.
         assert_eq!(ans.len(), 3);
         // An unsatisfiable query yields the empty answer regardless.
-        let empty = answer_nary(&tree, &parse_path("child::zzz").unwrap(), &[Var::new("w")])
-            .unwrap();
+        let empty =
+            answer_nary(&tree, &parse_path("child::zzz").unwrap(), &[Var::new("w")]).unwrap();
         assert!(empty.is_empty());
     }
 
@@ -135,9 +133,7 @@ mod tests {
         let q = parse_path("descendant::book/child::author[. is $y]").unwrap();
         let ans = answer_nary(&tree, &q, &[Var::new("y")]).unwrap();
         assert_eq!(ans.len(), 3);
-        assert!(ans
-            .iter()
-            .all(|tuple| tree.label_str(tuple[0]) == "author"));
+        assert!(ans.iter().all(|tuple| tree.label_str(tuple[0]) == "author"));
     }
 
     #[test]
@@ -157,19 +153,16 @@ mod tests {
         // Every proper ancestor of an author is a valid start node: the root
         // reaches all 3 authors and each book reaches its own author(s).
         assert_eq!(pairs.len(), 6);
-        assert!(pairs.iter().all(|&(v1, v2)| {
-            tree.label_str(v2) == "author" && tree.is_ancestor(v2, v1)
-        }));
+        assert!(pairs
+            .iter()
+            .all(|&(v1, v2)| { tree.label_str(v2) == "author" && tree.is_ancestor(v2, v1) }));
     }
 
     #[test]
     fn for_loop_queries_are_supported_by_the_baseline() {
         let tree = bib();
         // All pairs (book, its title) via an explicit for loop over titles.
-        let q = parse_path(
-            "descendant::book[. is $b]/child::title[. is $t]",
-        )
-        .unwrap();
+        let q = parse_path("descendant::book[. is $b]/child::title[. is $t]").unwrap();
         let ans = answer_nary(&tree, &q, &[Var::new("b"), Var::new("t")]).unwrap();
         assert_eq!(ans.len(), 2);
         for tuple in &ans {

@@ -279,8 +279,7 @@ mod tests {
     use xpath_tree::Tree;
 
     fn tree() -> Tree {
-        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))")
-            .unwrap()
+        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))").unwrap()
     }
 
     fn bin(src: &str) -> BinExpr {
@@ -361,9 +360,7 @@ mod tests {
     fn pre_of_named_steps_checks_the_target_label() {
         let t = tree();
         let e = bin("child::title");
-        let pre = |set: &NodeSet| {
-            pre_set(&t, &e, set, &mut |_, _| Err::<NodeSet, ()>(())).unwrap()
-        };
+        let pre = |set: &NodeSet| pre_set(&t, &e, set, &mut |_, _| Err::<NodeSet, ()>(())).unwrap();
         // The pre-image of the title set is exactly the titles' parents.
         let titles = set_of(&t, t.nodes_with_label_str("title"));
         let parents = pre(&titles);
@@ -391,6 +388,9 @@ mod tests {
         let e = bin("first-child::author");
         let got = has_successor_set(&t, &e).unwrap();
         assert_eq!(got, answer_binary(&t, &e).nonempty_rows());
-        assert_eq!(got.iter().map(|u| t.label_str(u)).collect::<Vec<_>>(), ["b"]);
+        assert_eq!(
+            got.iter().map(|u| t.label_str(u)).collect::<Vec<_>>(),
+            ["b"]
+        );
     }
 }

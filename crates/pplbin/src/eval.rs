@@ -148,7 +148,13 @@ pub fn eval_relation(
 /// Evaluate a PPLbin expression to its Boolean matrix (adaptive kernels,
 /// materialised at the boundary).
 pub fn eval_binexpr(tree: &Tree, expr: &BinExpr) -> NodeMatrix {
-    eval_relation(tree, expr, KernelMode::default(), &mut KernelStats::default()).to_matrix()
+    eval_relation(
+        tree,
+        expr,
+        KernelMode::default(),
+        &mut KernelStats::default(),
+    )
+    .to_matrix()
 }
 
 /// Answer the binary query `q^bin_P(t)` of a PPLbin expression: the full
@@ -173,8 +179,7 @@ mod tests {
     use xpath_tree::Tree;
 
     fn tree() -> Tree {
-        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))")
-            .unwrap()
+        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))").unwrap()
     }
 
     fn check_against_naive(t: &Tree, src: &str) {
@@ -261,8 +266,8 @@ mod tests {
     #[test]
     fn unary_answers() {
         let t = tree();
-        let bin = from_variable_free_path(&parse_path("child::book/child::author").unwrap())
-            .unwrap();
+        let bin =
+            from_variable_free_path(&parse_path("child::book/child::author").unwrap()).unwrap();
         let from_root = answer_unary_from(&t, &bin, t.root());
         assert_eq!(from_root.len(), 3);
         assert!(from_root.iter().all(|&v| t.label_str(v) == "author"));
@@ -299,10 +304,8 @@ mod tests {
             "a(b(c(d,e),f),b(g),a(b),c)",
         ] {
             let t = Tree::from_terms(terms).unwrap();
-            let labels: std::collections::BTreeSet<String> = t
-                .nodes()
-                .map(|n| t.label_str(n).to_string())
-                .collect();
+            let labels: std::collections::BTreeSet<String> =
+                t.nodes().map(|n| t.label_str(n).to_string()).collect();
             for axis in xpath_tree::axes::ALL_AXES {
                 for label in &labels {
                     let named = step_matrix(&t, axis, &NameTest::name(label));
@@ -348,7 +351,10 @@ mod tests {
         assert!(wide.len() > 64, "two words per row");
         let anc = step_relation(&wide, Axis::Ancestor, &NameTest::Wildcard);
         assert_eq!(anc.variant_name(), "sparse");
-        assert_eq!(anc.to_matrix(), step_matrix(&wide, Axis::Ancestor, &NameTest::Wildcard));
+        assert_eq!(
+            anc.to_matrix(),
+            step_matrix(&wide, Axis::Ancestor, &NameTest::Wildcard)
+        );
     }
 
     #[test]

@@ -192,9 +192,7 @@ impl LazyRel {
         match self {
             LazyRel::Eager(_) | LazyRel::DiagonalFilter(_) => false,
             LazyRel::Complement(_) => true,
-            LazyRel::Union(a, b) | LazyRel::Product(a, b) => {
-                a.row_is_wide() || b.row_is_wide()
-            }
+            LazyRel::Union(a, b) | LazyRel::Product(a, b) => a.row_is_wide() || b.row_is_wide(),
             LazyRel::Intersect(a, b) => a.row_is_wide() && b.row_is_wide(),
         }
     }
@@ -226,7 +224,10 @@ impl LazyRel {
                     // Walk the compact side, probe the wide one: the row of
                     // `compact ∩ ¬compact` filters in O(|compact row|).
                     let (walk, probe) = if a.row_is_wide() { (b, a) } else { (a, b) };
-                    walk.row(u).into_iter().filter(|&v| probe.get(u, v)).collect()
+                    walk.row(u)
+                        .into_iter()
+                        .filter(|&v| probe.get(u, v))
+                        .collect()
                 } else {
                     intersect_ids(&a.row(u), &b.row(u))
                 }
@@ -332,13 +333,16 @@ impl LazyRel {
             LazyRel::Eager(r) => Ok(r.clone()),
             LazyRel::Complement(a) => a.force(mode, stats)?.try_complement(mode, stats),
             LazyRel::Union(a, b) => {
-                a.force(mode, stats)?.try_union(&b.force(mode, stats)?, mode, stats)
+                a.force(mode, stats)?
+                    .try_union(&b.force(mode, stats)?, mode, stats)
             }
             LazyRel::Intersect(a, b) => {
-                a.force(mode, stats)?.try_intersect(&b.force(mode, stats)?, mode, stats)
+                a.force(mode, stats)?
+                    .try_intersect(&b.force(mode, stats)?, mode, stats)
             }
             LazyRel::Product(a, b) => {
-                a.force(mode, stats)?.try_product(&b.force(mode, stats)?, mode, stats)
+                a.force(mode, stats)?
+                    .try_product(&b.force(mode, stats)?, mode, stats)
             }
             LazyRel::DiagonalFilter(a) => Ok(a.force(mode, stats)?.diagonal_filter(mode, stats)),
         }
@@ -585,7 +589,11 @@ mod tests {
             let got = lazy.row(id);
             let expect: Vec<NodeId> = want.successors(id).collect();
             assert_eq!(got, expect, "{label}: row {u}");
-            assert_eq!(lazy.row_nonempty(id), !expect.is_empty(), "{label}: nonempty {u}");
+            assert_eq!(
+                lazy.row_nonempty(id),
+                !expect.is_empty(),
+                "{label}: nonempty {u}"
+            );
         }
     }
 
@@ -767,9 +775,17 @@ mod tests {
         assert_eq!(owner.load(Ordering::Relaxed), materialised);
         rows.detach();
         rows.detach();
-        assert_eq!(owner.load(Ordering::Relaxed), 0, "detach takes the charge back once");
+        assert_eq!(
+            owner.load(Ordering::Relaxed),
+            0,
+            "detach takes the charge back once"
+        );
         rows.row(NodeId(9));
-        assert_eq!(owner.load(Ordering::Relaxed), 0, "a detached cache charges nothing");
+        assert_eq!(
+            owner.load(Ordering::Relaxed),
+            0,
+            "a detached cache charges nothing"
+        );
         assert!(rows.cached_bytes() - rows.table_bytes() > materialised);
     }
 

@@ -609,7 +609,10 @@ mod tests {
         assert!(a.get(NodeId(0), NodeId(69)));
         assert!(!a.get(NodeId(69), NodeId(69)));
         assert_eq!(a.count_pairs(), 2);
-        assert_eq!(a.pairs(), vec![(NodeId(0), NodeId(69)), (NodeId(69), NodeId(0))]);
+        assert_eq!(
+            a.pairs(),
+            vec![(NodeId(0), NodeId(69)), (NodeId(69), NodeId(0))]
+        );
     }
 
     #[test]
@@ -658,7 +661,10 @@ mod tests {
         let a = m(5, &[(0, 1), (1, 2)]);
         let b = m(5, &[(1, 3), (2, 4)]);
         let c = a.product(&b);
-        assert_eq!(c.pairs(), vec![(NodeId(0), NodeId(3)), (NodeId(1), NodeId(4))]);
+        assert_eq!(
+            c.pairs(),
+            vec![(NodeId(0), NodeId(3)), (NodeId(1), NodeId(4))]
+        );
         // Identity is neutral.
         assert_eq!(a.product(&NodeMatrix::identity(5)), a);
         assert_eq!(NodeMatrix::identity(5).product(&a), a);
@@ -668,8 +674,14 @@ mod tests {
     fn diagonal_filter_selects_rows_with_successors() {
         let a = m(4, &[(0, 3), (2, 1)]);
         let d = a.diagonal_filter();
-        assert_eq!(d.pairs(), vec![(NodeId(0), NodeId(0)), (NodeId(2), NodeId(2))]);
-        assert_eq!(d.nonempty_rows().iter().collect::<Vec<_>>(), vec![NodeId(0), NodeId(2)]);
+        assert_eq!(
+            d.pairs(),
+            vec![(NodeId(0), NodeId(0)), (NodeId(2), NodeId(2))]
+        );
+        assert_eq!(
+            d.nonempty_rows().iter().collect::<Vec<_>>(),
+            vec![NodeId(0), NodeId(2)]
+        );
     }
 
     #[test]
@@ -690,7 +702,10 @@ mod tests {
     fn transpose_inverts_pairs() {
         let a = m(4, &[(0, 1), (2, 3)]);
         let t = a.transpose();
-        assert_eq!(t.pairs(), vec![(NodeId(1), NodeId(0)), (NodeId(3), NodeId(2))]);
+        assert_eq!(
+            t.pairs(),
+            vec![(NodeId(1), NodeId(0)), (NodeId(3), NodeId(2))]
+        );
         assert_eq!(t.transpose(), a);
     }
 
@@ -737,7 +752,9 @@ mod tests {
             assert_eq!(a.product_blocked(&b), a.product_naive(&b), "n={n}");
         }
         assert_eq!(
-            NodeMatrix::empty(0).product_blocked(&NodeMatrix::empty(0)).len(),
+            NodeMatrix::empty(0)
+                .product_blocked(&NodeMatrix::empty(0))
+                .len(),
             0
         );
     }
@@ -866,12 +883,7 @@ mod tests {
         // The tail mask is what separates `count_pairs` from over-counting:
         // at n=63 one spare bit per row, at n=64 none, at n=65 63 spare bits
         // in the second word of each row.
-        for (n, last_word_mask) in [
-            (1usize, 1u64),
-            (63, u64::MAX >> 1),
-            (64, u64::MAX),
-            (65, 1),
-        ] {
+        for (n, last_word_mask) in [(1usize, 1u64), (63, u64::MAX >> 1), (64, u64::MAX), (65, 1)] {
             let f = NodeMatrix::full(n);
             assert_eq!(f.count_pairs(), n * n, "n={n}");
             for u in 0..n {
@@ -905,11 +917,7 @@ mod tests {
             assert_eq!(id.product(&a), a, "I·A, n={n}");
             let f = NodeMatrix::full(n);
             let af = a.product(&f);
-            assert_eq!(
-                af.count_pairs(),
-                a.nonempty_rows().len() * n,
-                "A·F, n={n}"
-            );
+            assert_eq!(af.count_pairs(), a.nonempty_rows().len() * n, "A·F, n={n}");
             assert_eq!(a.product(&a), a.product_naive(&a), "A·A, n={n}");
         }
     }
@@ -927,10 +935,7 @@ mod tests {
             assert!(t.get(NodeId(n as u32 - 1), NodeId(0)), "n={n}");
             // Full and identity are symmetric; transposition fixes them.
             assert_eq!(NodeMatrix::full(n).transpose(), NodeMatrix::full(n));
-            assert_eq!(
-                NodeMatrix::identity(n).transpose(),
-                NodeMatrix::identity(n)
-            );
+            assert_eq!(NodeMatrix::identity(n).transpose(), NodeMatrix::identity(n));
             // (A·B)ᵀ = Bᵀ·Aᵀ.
             let b = NodeMatrix::full(n);
             assert_eq!(

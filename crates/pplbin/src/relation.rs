@@ -553,8 +553,7 @@ impl Relation {
                 let mut nnz = 0usize;
                 for u in 0..n {
                     let words = m.row_words(NodeId(u as u32));
-                    let popcount: usize =
-                        words.iter().map(|w| w.count_ones() as usize).sum();
+                    let popcount: usize = words.iter().map(|w| w.count_ones() as usize).sum();
                     nnz += popcount;
                     if !intervals_ok {
                         continue;
@@ -578,7 +577,9 @@ impl Relation {
                 }
                 if nnz <= sparse_limit(n) {
                     let rows = (0..n).map(|u| {
-                        m.successors(NodeId(u as u32)).map(|v| v.0).collect::<Vec<u32>>()
+                        m.successors(NodeId(u as u32))
+                            .map(|v| v.0)
+                            .collect::<Vec<u32>>()
                     });
                     return Relation::Sparse(SparseRows::from_rows(n, rows));
                 }
@@ -600,9 +601,7 @@ impl Relation {
     fn interval_rows(&self) -> Option<std::borrow::Cow<'_, [(u32, u32)]>> {
         use std::borrow::Cow;
         match self {
-            Relation::Identity(n) => {
-                Some(Cow::Owned((0..*n as u32).map(|u| (u, u + 1)).collect()))
-            }
+            Relation::Identity(n) => Some(Cow::Owned((0..*n as u32).map(|u| (u, u + 1)).collect())),
             Relation::Full(n) => Some(Cow::Owned(vec![(0, *n as u32); *n])),
             Relation::Interval { rows, .. } => Some(Cow::Borrowed(rows)),
             _ => None,
@@ -841,10 +840,8 @@ impl Relation {
                 }
                 _ => {}
             }
-            if let (
-                Relation::Interval { rows: a, .. },
-                Relation::Interval { rows: b, .. },
-            ) = (self, other)
+            if let (Relation::Interval { rows: a, .. }, Relation::Interval { rows: b, .. }) =
+                (self, other)
             {
                 stats.intersect_structured += 1;
                 let rows = a
@@ -871,7 +868,11 @@ impl Relation {
                 stats.intersect_structured += 1;
                 let rows = (0..n).map(|u| {
                     let (lo, hi) = b[u];
-                    a.row(u).iter().copied().filter(|c| (lo..hi).contains(c)).collect()
+                    a.row(u)
+                        .iter()
+                        .copied()
+                        .filter(|c| (lo..hi).contains(c))
+                        .collect()
                 });
                 return Ok(Relation::Sparse(SparseRows::from_rows(n, rows)).compact());
             }
@@ -879,7 +880,11 @@ impl Relation {
                 stats.intersect_structured += 1;
                 let rows = (0..n).map(|u| {
                     let (lo, hi) = a[u];
-                    b.row(u).iter().copied().filter(|c| (lo..hi).contains(c)).collect()
+                    b.row(u)
+                        .iter()
+                        .copied()
+                        .filter(|c| (lo..hi).contains(c))
+                        .collect()
                 });
                 return Ok(Relation::Sparse(SparseRows::from_rows(n, rows)).compact());
             }
@@ -995,11 +1000,7 @@ impl Relation {
                         next[v as usize] += 1;
                     }
                 }
-                Relation::Sparse(SparseRows {
-                    n,
-                    offsets,
-                    cols,
-                })
+                Relation::Sparse(SparseRows { n, offsets, cols })
             }
             Relation::Dense(m) => Relation::Dense(m.transpose()).compact(),
         })
@@ -1042,10 +1043,7 @@ fn full_times(n: usize, b: &Relation) -> Result<Relation, CapacityError> {
         let lo = first_word * 64 + support[first_word].trailing_zeros() as usize;
         let hi = last_word * 64 + 63 - support[last_word].leading_zeros() as usize + 1;
         if hi - lo == popcount {
-            return Ok(interval_or_simpler(
-                n,
-                vec![(lo as u32, hi as u32); n],
-            ));
+            return Ok(interval_or_simpler(n, vec![(lo as u32, hi as u32); n]));
         }
     }
     dense_guard(n)?;
@@ -1346,7 +1344,13 @@ mod tests {
         let interval = Relation::Interval {
             n,
             rows: (0..n as u32)
-                .map(|u| if u % 3 == 0 { (u, (u + 5).min(n as u32)) } else { (0, 0) })
+                .map(|u| {
+                    if u % 3 == 0 {
+                        (u, (u + 5).min(n as u32))
+                    } else {
+                        (0, 0)
+                    }
+                })
                 .collect(),
         };
         let sparse = sparse_of(n, &[(0, 1), (1, 64), (5, 5), (64, 3), (69, 69), (69, 0)]);
@@ -1366,12 +1370,16 @@ mod tests {
         let mut s = stats();
         for a in variants {
             for b in variants {
-                for mode in [KernelMode::Dense, KernelMode::Adaptive, KernelMode::AdaptiveThreaded]
-                {
+                for mode in [
+                    KernelMode::Dense,
+                    KernelMode::Adaptive,
+                    KernelMode::AdaptiveThreaded,
+                ] {
                     let got = a.product(b, mode, &mut s).to_matrix();
                     let want = a.to_matrix().product_naive(&b.to_matrix());
                     assert_eq!(
-                        got, want,
+                        got,
+                        want,
                         "{} · {} under {:?}",
                         a.variant_name(),
                         b.variant_name(),
@@ -1450,7 +1458,11 @@ mod tests {
 
     #[test]
     fn kernel_mode_names_round_trip() {
-        for mode in [KernelMode::Dense, KernelMode::Adaptive, KernelMode::AdaptiveThreaded] {
+        for mode in [
+            KernelMode::Dense,
+            KernelMode::Adaptive,
+            KernelMode::AdaptiveThreaded,
+        ] {
             assert_eq!(KernelMode::parse(mode.name()), Some(mode));
         }
         assert_eq!(KernelMode::parse("bogus"), None);

@@ -47,8 +47,8 @@ use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use xpath_sync::{Mutex, MutexGuard};
 use xpath_ast::{BinExpr, NameTest};
+use xpath_sync::{Mutex, MutexGuard};
 use xpath_tree::{Axis, EditDelta, EditKind, NodeId, NodeSet, Tree};
 
 /// Where a consumer of Prop. 10 successor rows pulls them from: an eagerly
@@ -404,7 +404,11 @@ impl MatrixStore {
             .flatten()
             .map(|r| r.approx_bytes())
             .sum();
-        let lists: usize = self.successors.values().map(|(lists, _)| table_bytes(lists)).sum();
+        let lists: usize = self
+            .successors
+            .values()
+            .map(|(lists, _)| table_bytes(lists))
+            .sum();
         let lazy: usize = self.lazy_rows.values().map(|r| r.cached_bytes()).sum();
         let sets: usize = self.filters.values().map(|f| f.bytes(self.domain)).sum();
         relations + lists + lazy + sets
@@ -567,7 +571,9 @@ impl MatrixStore {
         self.check_tree(tree);
         let id = self.intern(expr);
         self.try_ensure(tree, id)?;
-        Ok(Arc::clone(self.relations[id.index()].as_ref().expect("ensured")))
+        Ok(Arc::clone(
+            self.relations[id.index()].as_ref().expect("ensured"),
+        ))
     }
 
     /// The Prop. 10 oracle lists for `expr`: `lists[u] = {u' | (u,u') ∈
@@ -594,9 +600,7 @@ impl MatrixStore {
             return Ok(Arc::clone(lists));
         }
         let r = self.relations[id.index()].as_ref().expect("ensured");
-        let lists: Vec<Vec<NodeId>> = (0..self.domain)
-            .map(|u| r.row(NodeId(u as u32)))
-            .collect();
+        let lists: Vec<Vec<NodeId>> = (0..self.domain).map(|u| r.row(NodeId(u as u32))).collect();
         let bytes = table_bytes(&lists);
         let rc = Arc::new(lists);
         self.bytes += bytes;
@@ -615,7 +619,9 @@ impl MatrixStore {
         expr: &BinExpr,
     ) -> Result<SuccessorSource, CapacityError> {
         if !matches!(self.mode, KernelMode::Lazy) {
-            return Ok(SuccessorSource::Eager(self.try_successor_lists(tree, expr)?));
+            return Ok(SuccessorSource::Eager(
+                self.try_successor_lists(tree, expr)?,
+            ));
         }
         self.check_tree(tree);
         let id = self.intern(expr);
@@ -651,7 +657,8 @@ impl MatrixStore {
             let rel = self.try_eval_lazy(tree, sub)?;
             Ok(NodeSet::from_iter(
                 tree.len(),
-                tree.nodes().filter(|&u| rel.row_any(u, &mut |v| set.contains(v))),
+                tree.nodes()
+                    .filter(|&u| rel.row_any(u, &mut |v| set.contains(v))),
             ))
         })?;
         let sets = FilterSets {
@@ -672,7 +679,11 @@ impl MatrixStore {
     /// Structural edits shift ids and have no counterpart here:
     /// [`SharedMatrixStore::fork_edited`] answers them with an empty store.
     pub fn apply_relabel(&mut self, delta: &EditDelta) -> EditApplyStats {
-        assert_eq!(delta.kind, EditKind::Relabel, "apply_relabel: not a relabel");
+        assert_eq!(
+            delta.kind,
+            EditKind::Relabel,
+            "apply_relabel: not a relabel"
+        );
         assert_eq!(
             delta.old_len, self.domain,
             "apply_relabel: delta starts from a {}-node tree, store holds {}",
@@ -1076,8 +1087,7 @@ mod tests {
     use xpath_ast::parse_path;
 
     fn tree() -> Tree {
-        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))")
-            .unwrap()
+        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))").unwrap()
     }
 
     fn bin(src: &str) -> BinExpr {
@@ -1154,7 +1164,10 @@ mod tests {
             assert_eq!(lists[u.index()], expected);
         }
         let again = store.successor_lists(&t, &b);
-        assert!(Arc::ptr_eq(&lists, &again), "lists must be shared, not rebuilt");
+        assert!(
+            Arc::ptr_eq(&lists, &again),
+            "lists must be shared, not rebuilt"
+        );
     }
 
     #[test]
@@ -1182,7 +1195,10 @@ mod tests {
             }
         });
         let stats = store.stats();
-        assert!(stats.hits > 0, "threads must share compiled atoms: {stats:?}");
+        assert!(
+            stats.hits > 0,
+            "threads must share compiled atoms: {stats:?}"
+        );
         assert!(stats.compiled > 0);
         store.clear();
         assert_eq!(store.stats().lookups(), 0);
@@ -1206,7 +1222,11 @@ mod tests {
         }));
         assert!(caught.is_err());
         // First touch after the poison recovers the shard: cache cleared.
-        assert_eq!(store.stats().lookups(), 0, "clear-on-poison drops the cache");
+        assert_eq!(
+            store.stats().lookups(),
+            0,
+            "clear-on-poison drops the cache"
+        );
         // And the store keeps answering, recompiling from scratch.
         assert_eq!(store.eval(&b), answer_binary(&t, &b));
         assert_eq!(store.eval(&b), answer_binary(&t, &b));
@@ -1245,7 +1265,11 @@ mod tests {
             "successor lists must add occupancy"
         );
         store.clear();
-        assert_eq!(store.approx_bytes(), 0, "clear() must release the accounting");
+        assert_eq!(
+            store.approx_bytes(),
+            0,
+            "clear() must release the accounting"
+        );
     }
 
     /// The running occupancy count must equal the walking recount after
@@ -1344,15 +1368,24 @@ mod tests {
                     }
                 }
                 let ctx = format!("{mode:?} step {step} op {op}");
-                assert_eq!(single.approx_bytes(), single.recount_bytes(), "{ctx}: single");
+                assert_eq!(
+                    single.approx_bytes(),
+                    single.recount_bytes(),
+                    "{ctx}: single"
+                );
                 // Recount first: it recovers a poisoned shard, which
                 // republishes its (now empty) count.
                 let want = shared.recount_bytes();
                 assert_eq!(shared.approx_bytes(), want, "{ctx}: shared");
             }
-            assert!(inserts > 0 && deletes > 0, "{mode:?}: both structural forks ran");
             assert!(
-                handles.iter().any(|h| matches!(h, SuccessorSource::Lazy(_)))
+                inserts > 0 && deletes > 0,
+                "{mode:?}: both structural forks ran"
+            );
+            assert!(
+                handles
+                    .iter()
+                    .any(|h| matches!(h, SuccessorSource::Lazy(_)))
                     == (mode == KernelMode::Lazy),
                 "{mode:?}: lazy handles only under the lazy mode"
             );
@@ -1420,7 +1453,11 @@ mod tests {
             assert_eq!(source.row_vec(u), lists[u.index()], "row {u}");
         }
         let stats = store.stats();
-        assert_eq!((stats.compiled, stats.sets, stats.misses), (0, 1, 1), "{stats:?}");
+        assert_eq!(
+            (stats.compiled, stats.sets, stats.misses),
+            (0, 1, 1),
+            "{stats:?}"
+        );
         assert_eq!(store.approx_bytes(), t.len().div_ceil(64) * 8);
         store.successor_source(&atom).unwrap();
         assert_eq!(store.stats().hits, 1);
@@ -1428,19 +1465,31 @@ mod tests {
         let paper = t.nodes_with_label_str("paper")[0];
         let (t1, delta) = t.relabel(paper, "thesis").unwrap();
         let (kept, stats) = store.fork_edited(Arc::new(t1), &delta);
-        assert_eq!((stats.entries_kept, stats.entries_dropped), (1, 0), "{stats:?}");
+        assert_eq!(
+            (stats.entries_kept, stats.entries_dropped),
+            (1, 0),
+            "{stats:?}"
+        );
         assert_eq!(kept.stats().sets, 1);
 
         let author = t.nodes_with_label_str("author")[0];
         let (t2, delta) = t.relabel(author, "editor").unwrap();
         let t2 = Arc::new(t2);
         let (dropped, stats) = store.fork_edited(Arc::clone(&t2), &delta);
-        assert_eq!((stats.entries_kept, stats.entries_dropped), (0, 1), "{stats:?}");
+        assert_eq!(
+            (stats.entries_kept, stats.entries_dropped),
+            (0, 1),
+            "{stats:?}"
+        );
         assert_eq!((dropped.stats().sets, dropped.approx_bytes()), (0, 0));
         let fresh = MatrixStore::new(t2.len()).successor_lists(&t2, &atom);
         let source = dropped.successor_source(&atom).unwrap();
         for u in t2.nodes() {
-            assert_eq!(source.row_vec(u), fresh[u.index()], "row {u} after the relabel");
+            assert_eq!(
+                source.row_vec(u),
+                fresh[u.index()],
+                "row {u} after the relabel"
+            );
         }
     }
 
@@ -1536,10 +1585,18 @@ mod tests {
                 stats.entries_kept > 0 && stats.entries_dropped > 0,
                 "{mode:?}: a relabel keeps exactly the entries outside its footprint: {stats:?}"
             );
-            assert_eq!(fork.stats().compiled, stats.entries_kept, "{mode:?} relabel");
+            assert_eq!(
+                fork.stats().compiled,
+                stats.entries_kept,
+                "{mode:?} relabel"
+            );
             let misses = fork.stats().misses;
             fork.eval(&bin("child::book/child::author"));
-            assert_eq!(fork.stats().misses, misses, "{mode:?}: kept entry recompiled");
+            assert_eq!(
+                fork.stats().misses,
+                misses,
+                "{mode:?}: kept entry recompiled"
+            );
             assert_store_matches_cold(&fork, &format!("{mode:?} relabel"));
             let store = fork;
 

@@ -43,7 +43,11 @@ fn count_by_get(m: &NodeMatrix) -> usize {
 /// a tail bit leaked, one of the three comparisons below must diverge.
 fn assert_tails_clear(m: &NodeMatrix, context: &str) {
     let n = m.len();
-    assert_eq!(m.count_pairs(), count_by_get(m), "{context}: popcount vs get");
+    assert_eq!(
+        m.count_pairs(),
+        count_by_get(m),
+        "{context}: popcount vs get"
+    );
     for u in 0..n {
         let row: Vec<NodeId> = m.successors(NodeId(u as u32)).collect();
         assert!(

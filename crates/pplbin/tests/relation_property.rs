@@ -91,7 +91,11 @@ fn assert_faithful(r: &Relation, context: &str) {
         let list = r.successor_list(id);
         let expected: Vec<NodeId> = m.successors(id).collect();
         assert_eq!(list, expected, "{context}: successors of {u}");
-        assert_eq!(r.row_nonempty(id), !expected.is_empty(), "{context}: row {u}");
+        assert_eq!(
+            r.row_nonempty(id),
+            !expected.is_empty(),
+            "{context}: row {u}"
+        );
         for v in 0..n {
             assert_eq!(
                 r.get(id, NodeId(v as u32)),

@@ -38,7 +38,9 @@ impl<T> Mutex<T> {
             },
             MutexImp::Model(m) => match m.lock() {
                 Ok(g) => Ok(MutexGuard(GuardImp::Model(g))),
-                Err(p) => Err(PoisonError::new(MutexGuard(GuardImp::Model(p.into_inner())))),
+                Err(p) => Err(PoisonError::new(MutexGuard(GuardImp::Model(
+                    p.into_inner(),
+                )))),
             },
         }
     }
@@ -131,7 +133,9 @@ impl Condvar {
             },
             (CondvarImp::Model(cv), GuardImp::Model(g)) => match cv.wait(g) {
                 Ok(g) => Ok(MutexGuard(GuardImp::Model(g))),
-                Err(p) => Err(PoisonError::new(MutexGuard(GuardImp::Model(p.into_inner())))),
+                Err(p) => Err(PoisonError::new(MutexGuard(GuardImp::Model(
+                    p.into_inner(),
+                )))),
             },
             _ => panic!("{MIXED}"),
         }
@@ -257,14 +261,29 @@ pub mod atomic {
     }
 
     mod bool_imp {
-        facade_atomic!(AtomicBool, super::sa::AtomicBool, super::model::AtomicBool, bool);
+        facade_atomic!(
+            AtomicBool,
+            super::sa::AtomicBool,
+            super::model::AtomicBool,
+            bool
+        );
     }
     mod usize_imp {
-        facade_atomic!(AtomicUsize, super::sa::AtomicUsize, super::model::AtomicUsize, usize);
+        facade_atomic!(
+            AtomicUsize,
+            super::sa::AtomicUsize,
+            super::model::AtomicUsize,
+            usize
+        );
         facade_atomic_arith!(AtomicUsize, usize);
     }
     mod u64_imp {
-        facade_atomic!(AtomicU64, super::sa::AtomicU64, super::model::AtomicU64, u64);
+        facade_atomic!(
+            AtomicU64,
+            super::sa::AtomicU64,
+            super::model::AtomicU64,
+            u64
+        );
         facade_atomic_arith!(AtomicU64, u64);
     }
 

@@ -51,8 +51,8 @@ use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{
-    Arc, Condvar as StdCondvar, LockResult, Mutex as StdMutex, MutexGuard as StdMutexGuard,
-    Once, PoisonError,
+    Arc, Condvar as StdCondvar, LockResult, Mutex as StdMutex, MutexGuard as StdMutexGuard, Once,
+    PoisonError,
 };
 
 /// Default per-run step budget before the kernel declares [`FailureKind::StepLimit`].
@@ -91,7 +91,10 @@ impl Default for Config {
 impl Config {
     /// A default config with an explicit seed.
     pub fn with_seed(seed: u64) -> Config {
-        Config { seed, ..Config::default() }
+        Config {
+            seed,
+            ..Config::default()
+        }
     }
 }
 
@@ -209,7 +212,11 @@ enum Status {
     /// Blocked acquiring a lock; runnable once the lock is free.
     BlockedLock(usize),
     /// Parked on a condvar; runnable once notified *and* the lock is free.
-    Waiting { cv: usize, lock: usize, notified: bool },
+    Waiting {
+        cv: usize,
+        lock: usize,
+        notified: bool,
+    },
     /// Blocked joining the listed threads; runnable once all are finished.
     Joining(Vec<usize>),
     Finished,
@@ -350,7 +357,11 @@ impl Kernel {
     fn fail(s: &mut Sched, kind: FailureKind, thread: Option<usize>, detail: String) {
         if s.failure.is_none() {
             Self::trace(s, format!("!! {kind:?}: {detail}"));
-            s.failure = Some(Failure { kind, detail, thread });
+            s.failure = Some(Failure {
+                kind,
+                detail,
+                thread,
+            });
         }
         s.aborting = true;
     }
@@ -360,15 +371,27 @@ impl Kernel {
     fn register_lock(&self, name: &str) -> usize {
         let mut s = self.locked();
         let id = s.locks.len();
-        let name = if name.is_empty() { format!("lock#{id}") } else { name.to_string() };
-        s.locks.push(LockState { owner: None, poisoned: false, name });
+        let name = if name.is_empty() {
+            format!("lock#{id}")
+        } else {
+            name.to_string()
+        };
+        s.locks.push(LockState {
+            owner: None,
+            poisoned: false,
+            name,
+        });
         id
     }
 
     fn register_cv(&self, name: &str) -> usize {
         let mut s = self.locked();
         let id = s.cv_names.len();
-        let name = if name.is_empty() { format!("cv#{id}") } else { name.to_string() };
+        let name = if name.is_empty() {
+            format!("cv#{id}")
+        } else {
+            name.to_string()
+        };
         s.cv_names.push(name);
         id
     }
@@ -446,7 +469,11 @@ impl Kernel {
     fn grant(s: &mut Sched, tid: usize) {
         let granted_lock = match &s.threads[tid].status {
             Status::BlockedLock(l) => Some(*l),
-            Status::Waiting { lock, notified: true, .. } => Some(*lock),
+            Status::Waiting {
+                lock,
+                notified: true,
+                ..
+            } => Some(*lock),
             _ => None,
         };
         if let Some(l) = granted_lock {
@@ -470,7 +497,13 @@ impl Kernel {
         if s.cfg.spurious_wakeups {
             let parked: Vec<usize> = (0..s.threads.len())
                 .filter(|&t| {
-                    matches!(s.threads[t].status, Status::Waiting { notified: false, .. })
+                    matches!(
+                        s.threads[t].status,
+                        Status::Waiting {
+                            notified: false,
+                            ..
+                        }
+                    )
                 })
                 .collect();
             if !parked.is_empty() && s.rng.one_in(8) {
@@ -481,8 +514,9 @@ impl Kernel {
                 Self::trace(s, format!("t{t} wakes spuriously"));
             }
         }
-        let runnable: Vec<usize> =
-            (0..s.threads.len()).filter(|&t| Self::runnable(s, t)).collect();
+        let runnable: Vec<usize> = (0..s.threads.len())
+            .filter(|&t| Self::runnable(s, t))
+            .collect();
         if runnable.is_empty() {
             return None;
         }
@@ -564,11 +598,23 @@ impl Kernel {
                         s.lock_name(*l)
                     ));
                 }
-                Status::Waiting { cv, notified: false, .. } => {
-                    parts.push(format!("t{t} parked on '{}' with no notify coming — lost wakeup?", s.cv_names[*cv]));
+                Status::Waiting {
+                    cv,
+                    notified: false,
+                    ..
+                } => {
+                    parts.push(format!(
+                        "t{t} parked on '{}' with no notify coming — lost wakeup?",
+                        s.cv_names[*cv]
+                    ));
                 }
-                Status::Waiting { cv, notified: true, .. } => {
-                    parts.push(format!("t{t} notified on '{}' but cannot reacquire", s.cv_names[*cv]));
+                Status::Waiting {
+                    cv, notified: true, ..
+                } => {
+                    parts.push(format!(
+                        "t{t} notified on '{}' but cannot reacquire",
+                        s.cv_names[*cv]
+                    ));
                 }
                 Status::Joining(tids) => {
                     parts.push(format!("t{t} joining {tids:?}"));
@@ -639,9 +685,16 @@ impl Kernel {
         debug_assert_eq!(s.locks[lock].owner, Some(me), "cv wait without the lock");
         s.locks[lock].owner = None;
         s.threads[me].held.retain(|&l| l != lock);
-        s.threads[me].status = Status::Waiting { cv, lock, notified: false };
+        s.threads[me].status = Status::Waiting {
+            cv,
+            lock,
+            notified: false,
+        };
         let (cv_name, lock_name) = (s.cv_names[cv].clone(), s.lock_name(lock).to_string());
-        Self::trace(&mut s, format!("t{me} waits on {cv_name} (releases {lock_name})"));
+        Self::trace(
+            &mut s,
+            format!("t{me} waits on {cv_name} (releases {lock_name})"),
+        );
         self.reschedule(me, s, false);
         self.locked().locks[lock].poisoned
     }
@@ -660,7 +713,10 @@ impl Kernel {
                     *notified = true;
                 }
             }
-            Self::trace(&mut s, format!("t{me} notify_all {cv_name} wakes {parked:?}"));
+            Self::trace(
+                &mut s,
+                format!("t{me} notify_all {cv_name} wakes {parked:?}"),
+            );
         } else {
             let t = parked[s.rng.below(parked.len())];
             if let Status::Waiting { notified, .. } = &mut s.threads[t].status {
@@ -855,7 +911,11 @@ impl<T> Mutex<T> {
     pub fn named(name: &str, value: T) -> Mutex<T> {
         let (kernel, _) = require_current("model::Mutex::new");
         let id = kernel.register_lock(name);
-        Mutex { kernel, id, storage: StdMutex::new(value) }
+        Mutex {
+            kernel,
+            id,
+            storage: StdMutex::new(value),
+        }
     }
 
     pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
@@ -869,7 +929,11 @@ impl<T> Mutex<T> {
         // always free here; it exists to hold T and mirror std's aliasing
         // guarantees without unsafe code.
         let inner = self.storage.lock().unwrap_or_else(|p| p.into_inner());
-        let guard = MutexGuard { lock: self, inner: Some(inner), me };
+        let guard = MutexGuard {
+            lock: self,
+            inner: Some(inner),
+            me,
+        };
         if poisoned {
             Err(PoisonError::new(guard))
         } else {
@@ -895,7 +959,9 @@ impl<T> Mutex<T> {
 
 impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("model::Mutex").field("id", &self.id).finish_non_exhaustive()
+        f.debug_struct("model::Mutex")
+            .field("id", &self.id)
+            .finish_non_exhaustive()
     }
 }
 
@@ -912,13 +978,17 @@ pub struct MutexGuard<'a, T> {
 impl<T> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("model MutexGuard already dismantled")
+        self.inner
+            .as_ref()
+            .expect("model MutexGuard already dismantled")
     }
 }
 
 impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("model MutexGuard already dismantled")
+        self.inner
+            .as_mut()
+            .expect("model MutexGuard already dismantled")
     }
 }
 
@@ -966,7 +1036,11 @@ impl Condvar {
         );
         let poisoned = self.kernel.cv_wait(me, self.id, lock.id);
         let inner = lock.storage.lock().unwrap_or_else(|p| p.into_inner());
-        let guard = MutexGuard { lock, inner: Some(inner), me };
+        let guard = MutexGuard {
+            lock,
+            inner: Some(inner),
+            me,
+        };
         if poisoned {
             Err(PoisonError::new(guard))
         } else {
@@ -993,7 +1067,9 @@ impl Default for Condvar {
 
 impl fmt::Debug for Condvar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("model::Condvar").field("id", &self.id).finish()
+        f.debug_struct("model::Condvar")
+            .field("id", &self.id)
+            .finish()
     }
 }
 
@@ -1015,7 +1091,11 @@ macro_rules! model_atomic {
             pub fn new(v: $prim) -> $name {
                 let (kernel, _) = require_current(concat!("model::", stringify!($name), "::new"));
                 let id = kernel.register_atomic();
-                $name { kernel, id, v: <$std>::new(v) }
+                $name {
+                    kernel,
+                    id,
+                    v: <$std>::new(v),
+                }
             }
 
             fn point(&self, op: &str) {
@@ -1158,7 +1238,11 @@ pub mod thread {
                 out
             });
             self.kernel.yield_point(self.me, "yields after spawn");
-            ScopedJoinHandle { kernel: Arc::clone(&self.kernel), tid, std: std_handle }
+            ScopedJoinHandle {
+                kernel: Arc::clone(&self.kernel),
+                tid,
+                std: std_handle,
+            }
         }
     }
 

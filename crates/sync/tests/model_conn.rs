@@ -21,7 +21,10 @@ struct SlotQueue<const ORDERED: bool> {
 
 impl<const ORDERED: bool> SlotQueue<ORDERED> {
     fn new() -> Self {
-        SlotQueue { slots: VecDeque::new(), released: Vec::new() }
+        SlotQueue {
+            slots: VecDeque::new(),
+            released: Vec::new(),
+        }
     }
 
     fn begin(&mut self, seq: u64) {
@@ -112,7 +115,10 @@ fn reordering_mutant_is_flagged() {
 fn conn_reorder_seed_replays() {
     let report = model::replay(CONN_REORDER_SEED, drive_slot_queue::<false>);
     assert_eq!(
-        report.failure.expect("committed seed reproduces the reorder").kind,
+        report
+            .failure
+            .expect("committed seed reproduces the reorder")
+            .kind,
         FailureKind::Panic
     );
 }
@@ -130,7 +136,8 @@ fn conn_reorder_seed_replays() {
 ///   pick up commands 0 and 1 of the same connection and execute them in
 ///   either order.
 fn drive_dispatch<const BATCHED: bool>() {
-    let jobs: model::Mutex<VecDeque<(u32, u64)>> = model::Mutex::named("reactor.jobs", VecDeque::new());
+    let jobs: model::Mutex<VecDeque<(u32, u64)>> =
+        model::Mutex::named("reactor.jobs", VecDeque::new());
     let executed: model::Mutex<Vec<(u32, u64)>> = model::Mutex::named("conn.executed", Vec::new());
     {
         let mut j = jobs.lock().unwrap();
@@ -146,17 +153,15 @@ fn drive_dispatch<const BATCHED: bool>() {
     model::thread::scope(|scope| {
         let mut workers = Vec::new();
         for _ in 0..2 {
-            workers.push(scope.spawn(|| {
-                loop {
-                    let job = jobs.lock().unwrap().pop_front();
-                    match job {
-                        Some((conn, u64::MAX)) => {
-                            executed.lock().unwrap().push((conn, 0));
-                            executed.lock().unwrap().push((conn, 1));
-                        }
-                        Some((conn, seq)) => executed.lock().unwrap().push((conn, seq)),
-                        None => break,
+            workers.push(scope.spawn(|| loop {
+                let job = jobs.lock().unwrap().pop_front();
+                match job {
+                    Some((conn, u64::MAX)) => {
+                        executed.lock().unwrap().push((conn, 0));
+                        executed.lock().unwrap().push((conn, 1));
                     }
+                    Some((conn, seq)) => executed.lock().unwrap().push((conn, seq)),
+                    None => break,
                 }
             }));
         }
@@ -165,7 +170,11 @@ fn drive_dispatch<const BATCHED: bool>() {
         }
     });
     let log = executed.lock().unwrap();
-    let conn0: Vec<u64> = log.iter().filter(|(c, _)| *c == 0).map(|(_, s)| *s).collect();
+    let conn0: Vec<u64> = log
+        .iter()
+        .filter(|(c, _)| *c == 0)
+        .map(|(_, s)| *s)
+        .collect();
     assert_eq!(
         conn0,
         vec![0, 1],

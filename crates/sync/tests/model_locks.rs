@@ -79,7 +79,9 @@ fn poisoned_shard_clears_cache_and_keeps_serving() {
                 store.eval(2); // same shard as the crasher (2 % 2 == 0)
             });
             crasher.join().expect("crash is contained");
-            healthy.join().expect("healthy worker must survive the poisoned shard");
+            healthy
+                .join()
+                .expect("healthy worker must survive the poisoned shard");
         });
         // After recovery the poisoned shard serves fresh state: no
         // half-built 999 entry survives if the recovery path ran.
@@ -152,10 +154,16 @@ fn inverted_nesting_mutant_is_flagged() {
         .expect("the model checker must flag the ABBA nesting");
     let failure = report.failure.as_ref().unwrap();
     assert!(
-        matches!(failure.kind, FailureKind::LockOrderInversion | FailureKind::Deadlock),
+        matches!(
+            failure.kind,
+            FailureKind::LockOrderInversion | FailureKind::Deadlock
+        ),
         "unexpected failure kind: {failure}"
     );
-    assert_eq!(report.seed, 0, "first failing seed moved — update the doc comment");
+    assert_eq!(
+        report.seed, 0,
+        "first failing seed moved — update the doc comment"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -172,12 +180,16 @@ struct WedgeQueue<const RECOVERS: bool> {
 
 impl<const RECOVERS: bool> WedgeQueue<RECOVERS> {
     fn new() -> Self {
-        WedgeQueue { state: model::Mutex::named("queue.state", VecDeque::new()) }
+        WedgeQueue {
+            state: model::Mutex::named("queue.state", VecDeque::new()),
+        }
     }
 
     fn lock_state(&self) -> model::MutexGuard<'_, VecDeque<u32>> {
         if RECOVERS {
-            self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+            self.state
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
         } else {
             // The PR 6 bug: poison propagates as a panic into whichever
             // innocent worker touches the queue next.
@@ -211,8 +223,12 @@ fn drive_wedge<const RECOVERS: bool>() {
             let _ = q.pop();
             let _ = q.pop();
         });
-        faulty.join().expect("fault is contained to the faulty worker");
-        innocent.join().expect("innocent worker wedged by queue poison");
+        faulty
+            .join()
+            .expect("fault is contained to the faulty worker");
+        innocent
+            .join()
+            .expect("innocent worker wedged by queue poison");
     });
 }
 

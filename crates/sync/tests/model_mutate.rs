@@ -144,7 +144,10 @@ fn unguarded_swap_mutant_loses_an_update() {
 fn lost_update_seed_replays() {
     let report = model::replay(LOST_UPDATE_SEED, drive_swap_store::<false>);
     assert_eq!(
-        report.failure.expect("committed seed reproduces the lost update").kind,
+        report
+            .failure
+            .expect("committed seed reproduces the lost update")
+            .kind,
         FailureKind::Panic
     );
 }
@@ -197,7 +200,10 @@ fn in_place_edit_mutant_tears_reads() {
 fn torn_read_seed_replays() {
     let report = model::replay(TORN_READ_SEED, drive_in_place_mutant);
     assert_eq!(
-        report.failure.expect("committed seed reproduces the tear").kind,
+        report
+            .failure
+            .expect("committed seed reproduces the tear")
+            .kind,
         FailureKind::Panic
     );
 }

@@ -30,7 +30,13 @@ struct State {
 impl<const DROP_NOTIFY_ON_PUSH: bool> ModelQueue<DROP_NOTIFY_ON_PUSH> {
     fn new(capacity: usize) -> Self {
         ModelQueue {
-            state: model::Mutex::named("queue.state", State { items: VecDeque::new(), closed: false }),
+            state: model::Mutex::named(
+                "queue.state",
+                State {
+                    items: VecDeque::new(),
+                    closed: false,
+                },
+            ),
             not_full: model::Condvar::named("queue.not_full"),
             not_empty: model::Condvar::named("queue.not_empty"),
             capacity,
@@ -38,7 +44,9 @@ impl<const DROP_NOTIFY_ON_PUSH: bool> ModelQueue<DROP_NOTIFY_ON_PUSH> {
     }
 
     fn lock_state(&self) -> model::MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     fn push(&self, item: u32) {
@@ -181,7 +189,9 @@ fn lost_wakeup_seed_replays() {
             q.close();
         });
     });
-    let failure = report.failure.expect("committed seed reproduces the lost wakeup");
+    let failure = report
+        .failure
+        .expect("committed seed reproduces the lost wakeup");
     assert_eq!(failure.kind, FailureKind::Deadlock);
     assert!(
         failure.detail.contains("lost wakeup"),
@@ -194,7 +204,10 @@ fn lost_wakeup_seed_replays() {
 /// spuriously woken consumer re-checks its predicate and goes back to sleep.
 #[test]
 fn wait_loops_survive_spurious_wakeups() {
-    let cfg = Config { spurious_wakeups: true, ..Config::default() };
+    let cfg = Config {
+        spurious_wakeups: true,
+        ..Config::default()
+    };
     let failure = model::explore_with(cfg, 64, || {
         let q = Queue::new(1);
         model::thread::scope(|scope| {

@@ -463,7 +463,10 @@ mod tests {
             assert_eq!(Axis::parse(axis.name()), Some(axis), "{axis:?}");
         }
         assert_eq!(Axis::parse("bogus"), None);
-        assert_eq!(Axis::parse("following-sibling"), Some(Axis::FollowingSibling));
+        assert_eq!(
+            Axis::parse("following-sibling"),
+            Some(Axis::FollowingSibling)
+        );
     }
 
     #[test]
@@ -515,12 +518,18 @@ mod tests {
         let t = sample();
         let d = by_label(&t, "d");
         let e = by_label(&t, "e");
-        assert_eq!(labels(&t, &t.axis_nodes(Axis::FollowingSibling, d)), vec!["e"]);
+        assert_eq!(
+            labels(&t, &t.axis_nodes(Axis::FollowingSibling, d)),
+            vec!["e"]
+        );
         assert_eq!(
             labels(&t, &t.axis_nodes(Axis::FollowingSiblingOrSelf, d)),
             vec!["d", "e"]
         );
-        assert_eq!(labels(&t, &t.axis_nodes(Axis::PrecedingSibling, e)), vec!["d"]);
+        assert_eq!(
+            labels(&t, &t.axis_nodes(Axis::PrecedingSibling, e)),
+            vec!["d"]
+        );
         assert_eq!(
             labels(&t, &t.axis_nodes(Axis::PrecedingSiblingOrSelf, e)),
             vec!["e", "d"]
@@ -535,8 +544,7 @@ mod tests {
         let t = sample();
         for axis in ALL_AXES {
             for u in t.nodes() {
-                let targets: std::collections::HashSet<_> =
-                    t.axis_iter(axis, u).collect();
+                let targets: std::collections::HashSet<_> = t.axis_iter(axis, u).collect();
                 for v in t.nodes() {
                     assert_eq!(
                         axis.relates(&t, u, v),

@@ -98,7 +98,12 @@ impl TreeBuilder {
         if roots != 1 || self.parents[0] != u32::MAX {
             return Err(TreeError::UnbalancedBuilder);
         }
-        Tree::from_builder_parts(self.parents, self.labels_per_node, self.labels, self.label_ids)
+        Tree::from_builder_parts(
+            self.parents,
+            self.labels_per_node,
+            self.labels,
+            self.label_ids,
+        )
     }
 }
 

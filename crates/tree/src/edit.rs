@@ -87,8 +87,7 @@ fn copy_tree(
                 stack.push(Ev::Close);
                 // Children (and a possible splice) push in reverse so they
                 // pop in document order.
-                let children: Vec<NodeId> =
-                    tree.children(n).filter(|c| Some(*c) != skip).collect();
+                let children: Vec<NodeId> = tree.children(n).filter(|c| Some(*c) != skip).collect();
                 let splice_here = splice.filter(|s| s.parent == n);
                 let end = children.len();
                 let insert_index = splice_here.map(|s| s.index.min(end));
@@ -106,7 +105,9 @@ fn copy_tree(
                 }
             }
             Ev::OpenForeign(n) => {
-                let sub = splice.expect("foreign events only exist while splicing").subtree;
+                let sub = splice
+                    .expect("foreign events only exist while splicing")
+                    .subtree;
                 let id = b.open(sub.label_str(n));
                 if n == sub.root() {
                     spliced_at = Some(id.0);
@@ -147,7 +148,11 @@ impl Tree {
         if !self.contains(parent) {
             return Err(TreeError::InvalidNode(parent.0));
         }
-        let splice = Splice { subtree, parent, index };
+        let splice = Splice {
+            subtree,
+            parent,
+            index,
+        };
         let mut b = TreeBuilder::new();
         let pos = copy_tree(self, &mut b, None, None, Some(&splice))
             .expect("splice parent exists, so the subtree is always copied");
@@ -301,7 +306,13 @@ mod tests {
             base.insert_subtree(bogus, 0, &base),
             Err(TreeError::InvalidNode(99))
         ));
-        assert!(matches!(base.delete_subtree(bogus), Err(TreeError::InvalidNode(99))));
-        assert!(matches!(base.relabel(bogus, "x"), Err(TreeError::InvalidNode(99))));
+        assert!(matches!(
+            base.delete_subtree(bogus),
+            Err(TreeError::InvalidNode(99))
+        ));
+        assert!(matches!(
+            base.relabel(bogus, "x"),
+            Err(TreeError::InvalidNode(99))
+        ));
     }
 }

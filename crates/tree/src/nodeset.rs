@@ -178,7 +178,10 @@ impl NodeSet {
     /// Is `self ⊆ other`?
     pub fn is_subset(&self, other: &NodeSet) -> bool {
         debug_assert_eq!(self.domain, other.domain);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(a, b)| a & !b == 0)
     }
 
     /// Remove every element.

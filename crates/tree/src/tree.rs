@@ -7,7 +7,7 @@
 //! `following-sibling*`, …) be decided in O(1) per node pair, which the
 //! evaluation algorithms in the sibling crates rely on.
 
-use crate::{TreeError, TreeBuilder};
+use crate::{TreeBuilder, TreeError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -481,7 +481,11 @@ impl Tree {
 
     /// Maximum depth of any node (height of the tree).
     pub fn height(&self) -> usize {
-        self.nodes.iter().map(|r| r.depth as usize).max().unwrap_or(0)
+        self.nodes
+            .iter()
+            .map(|r| r.depth as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Check internal structural invariants; used by tests and debug builds.

@@ -165,7 +165,11 @@ fn iterators_relates_and_successor_sets_agree_on_fixture() {
             start.insert(u);
             let succ = t.axis_successors(axis, &start);
             for v in t.nodes() {
-                assert_eq!(axis.relates(&t, u, v), member.contains(&v), "{axis} ({u},{v})");
+                assert_eq!(
+                    axis.relates(&t, u, v),
+                    member.contains(&v),
+                    "{axis} ({u},{v})"
+                );
                 assert_eq!(succ.contains(v), member.contains(&v), "{axis} S({u})∋{v}");
             }
         }

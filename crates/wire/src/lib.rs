@@ -385,9 +385,12 @@ fn connection_is_stale(conn: &mut BufReader<TcpStream>) -> bool {
 }
 
 fn resolve(addr: &str) -> io::Result<SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, format!("cannot resolve {addr}")))
+    addr.to_socket_addrs()?.next().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("cannot resolve {addr}"),
+        )
+    })
 }
 
 /// Read one response line with the remaining slice of `deadline` as the
@@ -447,7 +450,10 @@ mod tests {
 
         assert_eq!(parse_status("OK 2"), Ok(Ok(2)));
         assert_eq!(parse_status("OK 0\r\n"), Ok(Ok(0)));
-        assert_eq!(parse_status("ERR boom | bang"), Ok(Err("boom | bang".into())));
+        assert_eq!(
+            parse_status("ERR boom | bang"),
+            Ok(Err("boom | bang".into()))
+        );
         assert!(parse_status("OK nope").is_err());
         assert!(parse_status("HTTP/1.1 200 OK").is_err());
         assert!(parse_status("").is_err());
@@ -458,7 +464,9 @@ mod tests {
 
     /// A scripted peer: accepts one connection per script entry and writes
     /// the scripted bytes in response to each received line.
-    fn scripted_server(scripts: Vec<Vec<&'static [u8]>>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    fn scripted_server(
+        scripts: Vec<Vec<&'static [u8]>>,
+    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
@@ -529,8 +537,7 @@ mod tests {
     #[test]
     fn truncated_payload_is_an_error_never_a_partial_response() {
         // Promises 3 payload lines, delivers 1, then closes.
-        let (addr, server) =
-            scripted_server(vec![vec![b"OK 3\nonly-one\n" as &[u8]]]);
+        let (addr, server) = scripted_server(vec![vec![b"OK 3\nonly-one\n" as &[u8]]]);
         let mut client = ShardClient::new(addr.to_string(), fast_config());
         let err = client.request("STATS").unwrap_err();
         assert!(
@@ -588,7 +595,10 @@ mod tests {
             stream.write_all(b"OK 1\nfresh\n").unwrap();
         });
         let mut client = ShardClient::new(addr.to_string(), fast_config());
-        assert!(matches!(client.request("STATS").unwrap_err(), WireError::Timeout));
+        assert!(matches!(
+            client.request("STATS").unwrap_err(),
+            WireError::Timeout
+        ));
         // Wait out the stale bytes; a resynced client never sees them.
         std::thread::sleep(Duration::from_millis(600));
         assert_eq!(

@@ -51,9 +51,11 @@ impl ScriptEdit {
     /// its delta, the input is untouched).
     pub fn apply(&self, tree: &Tree) -> Result<(Tree, EditDelta), TreeError> {
         match self {
-            ScriptEdit::Insert { parent, index, subtree } => {
-                tree.insert_subtree(NodeId(*parent), *index, subtree)
-            }
+            ScriptEdit::Insert {
+                parent,
+                index,
+                subtree,
+            } => tree.insert_subtree(NodeId(*parent), *index, subtree),
             ScriptEdit::Delete { node } => tree.delete_subtree(NodeId(*node)),
             ScriptEdit::Relabel { node, label } => tree.relabel(NodeId(*node), label),
         }
@@ -100,8 +102,13 @@ pub fn random_edit(tree: &Tree, alphabet: usize, rng: &mut StdRng) -> ScriptEdit
                 subtree,
             }
         }
-        2 => ScriptEdit::Delete { node: rng.gen_range(1..n) },
-        _ => ScriptEdit::Relabel { node: rng.gen_range(0..n), label: label(rng) },
+        2 => ScriptEdit::Delete {
+            node: rng.gen_range(1..n),
+        },
+        _ => ScriptEdit::Relabel {
+            node: rng.gen_range(0..n),
+            label: label(rng),
+        },
     }
 }
 
@@ -137,7 +144,11 @@ mod tests {
     /// through a `HashMap`, so it is not order-stable).
     fn edit_key(e: &ScriptEdit) -> String {
         match e {
-            ScriptEdit::Insert { parent, index, subtree } => {
+            ScriptEdit::Insert {
+                parent,
+                index,
+                subtree,
+            } => {
                 format!("I {parent} {index} {}", subtree.to_terms())
             }
             ScriptEdit::Delete { node } => format!("D {node}"),

@@ -54,11 +54,9 @@ pub struct SatInstance {
 impl SatInstance {
     /// Evaluate the instance under an assignment (indexed by variable).
     pub fn evaluate(&self, assignment: &[bool]) -> bool {
-        self.clauses.iter().all(|clause| {
-            clause
-                .iter()
-                .any(|lit| assignment[lit.var] == lit.positive)
-        })
+        self.clauses
+            .iter()
+            .all(|clause| clause.iter().any(|lit| assignment[lit.var] == lit.positive))
     }
 
     /// Brute-force satisfiability test (exponential; for validation only).
@@ -174,12 +172,24 @@ mod tests {
             num_vars: 2,
             clauses: vec![
                 vec![
-                    Literal { var: 0, positive: true },
-                    Literal { var: 1, positive: false },
+                    Literal {
+                        var: 0,
+                        positive: true,
+                    },
+                    Literal {
+                        var: 1,
+                        positive: false,
+                    },
                 ],
                 vec![
-                    Literal { var: 0, positive: false },
-                    Literal { var: 1, positive: true },
+                    Literal {
+                        var: 0,
+                        positive: false,
+                    },
+                    Literal {
+                        var: 1,
+                        positive: true,
+                    },
                 ],
             ],
         };
@@ -191,8 +201,14 @@ mod tests {
         let unsat = SatInstance {
             num_vars: 1,
             clauses: vec![
-                vec![Literal { var: 0, positive: true }],
-                vec![Literal { var: 0, positive: false }],
+                vec![Literal {
+                    var: 0,
+                    positive: true,
+                }],
+                vec![Literal {
+                    var: 0,
+                    positive: false,
+                }],
             ],
         };
         assert!(!unsat.brute_force_satisfiable());
@@ -255,8 +271,14 @@ mod tests {
         let unsat = SatInstance {
             num_vars: 2,
             clauses: vec![
-                vec![Literal { var: 0, positive: true }],
-                vec![Literal { var: 0, positive: false }],
+                vec![Literal {
+                    var: 0,
+                    positive: true,
+                }],
+                vec![Literal {
+                    var: 0,
+                    positive: false,
+                }],
             ],
         };
         let tree = encode_sat_tree(&unsat);
@@ -271,8 +293,14 @@ mod tests {
         let inst = SatInstance {
             num_vars: 2,
             clauses: vec![vec![
-                Literal { var: 0, positive: true },
-                Literal { var: 1, positive: true },
+                Literal {
+                    var: 0,
+                    positive: true,
+                },
+                Literal {
+                    var: 1,
+                    positive: true,
+                },
             ]],
         };
         let tree = encode_sat_tree(&inst);

@@ -37,9 +37,10 @@ pub fn record_attributes_query(record: &str, attributes: &[&str]) -> (PathExpr, 
     let vars: Vec<Var> = (0..attributes.len())
         .map(|i| Var::new(&format!("v{i}")))
         .collect();
-    let tests = attributes.iter().zip(&vars).map(|(attr, var)| {
-        has(step_child(attr).filter(is_var(var.name())))
-    });
+    let tests = attributes
+        .iter()
+        .zip(&vars)
+        .map(|(attr, var)| has(step_child(attr).filter(is_var(var.name()))));
     let query = step_desc(record).filter(and_all(tests));
     (query, vars)
 }
@@ -120,10 +121,7 @@ pub fn planner_mix_suite() -> Vec<(String, Vec<String>)> {
             "descendant::l0[child::l1[. is $x]]/child::l2[. is $y]".to_string(),
             vec!["x".into(), "y".into()],
         ),
-        (
-            "descendant::l1[. is $x]".to_string(),
-            vec!["x".into()],
-        ),
+        ("descendant::l1[. is $x]".to_string(), vec!["x".into()]),
         (
             "descendant::l0[child::l1][child::l2[. is $z]]".to_string(),
             vec!["z".into()],
@@ -143,10 +141,7 @@ pub fn planner_mix_suite() -> Vec<(String, Vec<String>)> {
             vec!["x".into()],
         ),
         // satisfiability (arity 0).
-        (
-            "descendant::l0[child::l1]".to_string(),
-            vec![],
-        ),
+        ("descendant::l0[child::l1]".to_string(), vec![]),
     ]
 }
 
@@ -220,7 +215,7 @@ pub fn corpus_documents(docs: usize, base_size: usize, seed: u64) -> Vec<(String
 /// Convenience re-export of the document generators most benches need.
 pub mod documents {
     pub use xpath_tree::generate::{
-        bibliography, dblp, restaurants, random_tree, TreeGenConfig, TreeShape,
+        bibliography, dblp, random_tree, restaurants, TreeGenConfig, TreeShape,
         RESTAURANT_ATTRIBUTES,
     };
 }
@@ -234,7 +229,10 @@ mod tests {
     #[test]
     fn tree_sweep_produces_requested_sizes() {
         let trees = tree_sweep(&[10, 50, 100], TreeShape::RandomAttachment, 3);
-        assert_eq!(trees.iter().map(Tree::len).collect::<Vec<_>>(), vec![10, 50, 100]);
+        assert_eq!(
+            trees.iter().map(Tree::len).collect::<Vec<_>>(),
+            vec![10, 50, 100]
+        );
     }
 
     #[test]

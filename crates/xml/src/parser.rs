@@ -238,7 +238,9 @@ impl<'a> Parser<'a> {
                 self.skip_doctype()?;
             } else if self.starts_with("<") {
                 if self.seen_root {
-                    return Err(XmlError::TrailingContent { location: self.location() });
+                    return Err(XmlError::TrailingContent {
+                        location: self.location(),
+                    });
                 }
                 self.element()?;
                 self.seen_root = true;
@@ -246,7 +248,9 @@ impl<'a> Parser<'a> {
                 // Character data outside the root element: only whitespace is
                 // allowed, and whitespace was already skipped.
                 return Err(if self.seen_root {
-                    XmlError::TrailingContent { location: self.location() }
+                    XmlError::TrailingContent {
+                        location: self.location(),
+                    }
                 } else {
                     self.syntax("character data before the root element")
                 });
@@ -303,14 +307,20 @@ impl<'a> Parser<'a> {
                         self.builder.leaf(&format!("@{attr}"));
                     }
                 }
-                None => return Err(XmlError::UnexpectedEof { context: "start tag" }),
+                None => {
+                    return Err(XmlError::UnexpectedEof {
+                        context: "start tag",
+                    })
+                }
             }
         }
 
         // Content.
         loop {
             if self.eof() {
-                return Err(XmlError::UnexpectedEof { context: "element content" });
+                return Err(XmlError::UnexpectedEof {
+                    context: "element content",
+                });
             }
             if self.starts_with("</") {
                 self.advance(2);
@@ -396,7 +406,9 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         if self.eof() {
-            return Err(XmlError::UnexpectedEof { context: "entity reference" });
+            return Err(XmlError::UnexpectedEof {
+                context: "entity reference",
+            });
         }
         let body = std::str::from_utf8(&self.input[start..self.pos])
             .map_err(|_| self.syntax("entity is not valid UTF-8"))?
@@ -444,7 +456,9 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         if self.eof() {
-            return Err(XmlError::UnexpectedEof { context: "attribute value" });
+            return Err(XmlError::UnexpectedEof {
+                context: "attribute value",
+            });
         }
         let value = std::str::from_utf8(&self.input[start..self.pos])
             .map_err(|_| self.syntax("attribute value is not valid UTF-8"))?
@@ -572,7 +586,10 @@ mod tests {
             parse("<a attr=unquoted/>"),
             Err(XmlError::Syntax { .. })
         ));
-        assert!(matches!(parse("<a>&bogus;</a>"), Err(XmlError::Syntax { .. })));
+        assert!(matches!(
+            parse("<a>&bogus;</a>"),
+            Err(XmlError::Syntax { .. })
+        ));
     }
 
     #[test]
@@ -586,12 +603,54 @@ mod tests {
     #[test]
     fn locate_reports_one_based_lines_and_columns() {
         let src = "ab\ncde\n\nf";
-        assert_eq!(locate(src, 0), Location { line: 1, column: 1, position: 0 });
-        assert_eq!(locate(src, 2), Location { line: 1, column: 3, position: 2 });
-        assert_eq!(locate(src, 3), Location { line: 2, column: 1, position: 3 });
-        assert_eq!(locate(src, 6), Location { line: 2, column: 4, position: 6 });
-        assert_eq!(locate(src, 7), Location { line: 3, column: 1, position: 7 });
-        assert_eq!(locate(src, 8), Location { line: 4, column: 1, position: 8 });
+        assert_eq!(
+            locate(src, 0),
+            Location {
+                line: 1,
+                column: 1,
+                position: 0
+            }
+        );
+        assert_eq!(
+            locate(src, 2),
+            Location {
+                line: 1,
+                column: 3,
+                position: 2
+            }
+        );
+        assert_eq!(
+            locate(src, 3),
+            Location {
+                line: 2,
+                column: 1,
+                position: 3
+            }
+        );
+        assert_eq!(
+            locate(src, 6),
+            Location {
+                line: 2,
+                column: 4,
+                position: 6
+            }
+        );
+        assert_eq!(
+            locate(src, 7),
+            Location {
+                line: 3,
+                column: 1,
+                position: 7
+            }
+        );
+        assert_eq!(
+            locate(src, 8),
+            Location {
+                line: 4,
+                column: 1,
+                position: 8
+            }
+        );
         // Past-the-end offsets clamp to the final location.
         assert_eq!(locate(src, 999).line, 4);
         assert_eq!(format!("{}", locate(src, 3)), "2:1");

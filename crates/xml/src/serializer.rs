@@ -257,14 +257,20 @@ mod tests {
         let xml = to_xml_with_text(&t);
         assert!(xml.contains("T &amp; A &lt; B &gt; C"), "{xml}");
         assert!(xml.contains("<elem/>"), "{xml}");
-        assert!(xml.contains("&#xE9;"), "non-ASCII must use numeric refs: {xml}");
+        assert!(
+            xml.contains("&#xE9;"),
+            "non-ASCII must use numeric refs: {xml}"
+        );
         assert!(xml.contains("&#x2764;"), "{xml}");
         let opts = ParseOptions {
             text_labels: true,
             ..Default::default()
         };
         let back = parse_with(&xml, &opts).unwrap();
-        let labels: Vec<&str> = back.children(back.root()).map(|c| back.label_str(c)).collect();
+        let labels: Vec<&str> = back
+            .children(back.root())
+            .map(|c| back.label_str(c))
+            .collect();
         assert_eq!(labels, vec!["T & A < B > C", "elem", "héllo ❤"]);
     }
 
@@ -278,7 +284,10 @@ mod tests {
         b.close();
         let t = b.finish().unwrap();
         let xml = to_xml_with_text(&t);
-        assert!(xml.contains("<!--|-->"), "a separator must split the run: {xml}");
+        assert!(
+            xml.contains("<!--|-->"),
+            "a separator must split the run: {xml}"
+        );
         let back = parse_with(
             &xml,
             &ParseOptions {
@@ -287,7 +296,10 @@ mod tests {
             },
         )
         .unwrap();
-        let labels: Vec<&str> = back.children(back.root()).map(|c| back.label_str(c)).collect();
+        let labels: Vec<&str> = back
+            .children(back.root())
+            .map(|c| back.label_str(c))
+            .collect();
         assert_eq!(labels, vec!["first text", "second text"]);
     }
 
@@ -315,7 +327,10 @@ mod tests {
         let xml = to_xml_with_text(&t);
         assert!(xml.contains("&#xA;"), "{xml}");
         assert!(xml.contains("&#x9;"), "{xml}");
-        assert!(!xml.contains('\n'), "escaped output must stay one line: {xml}");
+        assert!(
+            !xml.contains('\n'),
+            "escaped output must stay one line: {xml}"
+        );
         let back = parse_with(
             &xml,
             &ParseOptions {

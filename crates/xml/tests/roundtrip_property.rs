@@ -16,19 +16,15 @@ enum GenNode {
 
 /// Strategy for valid element names (ASCII letter head, name tail).
 fn name_strategy() -> impl Strategy<Value = String> {
-    (
-        0usize..26,
-        prop::collection::vec(0usize..39, 0..6),
-    )
-        .prop_map(|(head, tail)| {
-            const TAIL: &[u8; 39] = b"abcdefghijklmnopqrstuvwxyz0123456789_-.";
-            let mut name = String::new();
-            name.push((b'a' + head as u8) as char);
-            for i in tail {
-                name.push(TAIL[i] as char);
-            }
-            name
-        })
+    (0usize..26, prop::collection::vec(0usize..39, 0..6)).prop_map(|(head, tail)| {
+        const TAIL: &[u8; 39] = b"abcdefghijklmnopqrstuvwxyz0123456789_-.";
+        let mut name = String::new();
+        name.push((b'a' + head as u8) as char);
+        for i in tail {
+            name.push(TAIL[i] as char);
+        }
+        name
+    })
 }
 
 /// Strategy for text content: first character non-whitespace (whitespace-only
@@ -79,7 +75,10 @@ fn node_strategy() -> BoxedStrategy<GenNode> {
 
 /// Strategy for whole documents: the root must be an element.
 fn doc_strategy() -> impl Strategy<Value = GenNode> {
-    (name_strategy(), prop::collection::vec(node_strategy(), 0..4))
+    (
+        name_strategy(),
+        prop::collection::vec(node_strategy(), 0..4),
+    )
         .prop_map(|(name, children)| GenNode::Element(name, children))
 }
 

@@ -42,14 +42,21 @@ fn main() {
             "lab(book, x) and not (exists a. lab(author, a) and chstar(x, a) and not (x = a))",
             vec!["x"],
         ),
-        ("lab(book, x) and nsstar(x, y) and lab(article, y)", vec!["x", "y"]),
+        (
+            "lab(book, x) and nsstar(x, y) and lab(article, y)",
+            vec!["x", "y"],
+        ),
     ];
 
     for (src, outputs) in formulas {
         let phi = parse_formula(src).expect("formula parses");
         let vars: Vec<Var> = outputs.iter().map(|n| Var::new(n)).collect();
         println!("FO  φ = {phi}");
-        println!("    size {} | quantifier rank {}", phi.size(), phi.quantifier_rank());
+        println!(
+            "    size {} | quantifier rank {}",
+            phi.size(),
+            phi.quantifier_rank()
+        );
 
         // FO side: Tarskian evaluation.
         let fo_answers = fo_answer_nary(session.tree(), &phi, &vars);
@@ -57,7 +64,9 @@ fn main() {
         // XPath side: Lemma 1 translation, naive Core XPath 2.0 evaluation.
         let xpath = fo_to_xpath(&phi);
         println!("    ⟦φ⟧ = {xpath}");
-        let xp_answers = Engine::NaiveEnumeration.answer(&session, &xpath, &vars).unwrap();
+        let xp_answers = Engine::NaiveEnumeration
+            .answer(&session, &xpath, &vars)
+            .unwrap();
 
         let xp_set: std::collections::BTreeSet<Vec<_>> =
             xp_answers.tuples().iter().cloned().collect();

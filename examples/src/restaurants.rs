@@ -51,7 +51,9 @@ fn main() {
 
         let naive_cell = if width <= 2 {
             let started = Instant::now();
-            let naive = Engine::NaiveEnumeration.answer(&small, &query, &vars).unwrap();
+            let naive = Engine::NaiveEnumeration
+                .answer(&small, &query, &vars)
+                .unwrap();
             let ppl_small = Engine::Ppl.answer(&small, &query, &vars).unwrap();
             assert_eq!(naive.len(), ppl_small.len());
             format!("{:?}", started.elapsed())

@@ -319,14 +319,11 @@ impl QueryGen {
                 )
             }
             // `$a is $b` — both sides must denote the same node.
-            4 if vars.len() == 2 => TestExpr::Comp(
-                NodeRef::Var(vars[0].clone()),
-                NodeRef::Var(vars[1].clone()),
-            ),
-            // `. is $v` for a single variable.
-            5 if vars.len() == 1 => {
-                TestExpr::Comp(NodeRef::Dot, NodeRef::Var(vars[0].clone()))
+            4 if vars.len() == 2 => {
+                TestExpr::Comp(NodeRef::Var(vars[0].clone()), NodeRef::Var(vars[1].clone()))
             }
+            // `. is $v` for a single variable.
+            5 if vars.len() == 1 => TestExpr::Comp(NodeRef::Dot, NodeRef::Var(vars[0].clone())),
             // A path test whose navigation binds the variables.
             _ => TestExpr::Path(self.gen_path(depth - 1, vars)),
         }
@@ -484,8 +481,8 @@ pub fn check_case(tree: &Tree, query: &PathExpr, outputs: &[Var]) -> (usize, boo
     // 4. The ACQ/Yannakakis path (Props. 7/8/9). Union-free images map to a
     //    single conjunctive query; unions are distributed under a budget.
     let acq_checked = if hcl.is_union_free() {
-        let (cq, db) =
-            hcl_to_acq(tree, &hcl, outputs).unwrap_or_else(|e| panic!("{e}\n{}", ctx("hcl_to_acq")));
+        let (cq, db) = hcl_to_acq(tree, &hcl, outputs)
+            .unwrap_or_else(|e| panic!("{e}\n{}", ctx("hcl_to_acq")));
         let via_acq = answer_acq(&cq, &db).unwrap_or_else(|e| panic!("{e}\n{}", ctx("answer_acq")));
         assert_eq!(
             via_acq,
@@ -614,12 +611,18 @@ pub fn run_batch_fuzz(cfg: &FuzzConfig, queries_per_tree: usize) -> BatchFuzzRep
             let arity = rng.gen_range(0..=cfg.max_vars.min(2));
             let (query, outputs) = gen.gen_query(arity);
             let naive = answer_nary(&tree, &query, &outputs).unwrap_or_else(|e| {
-                panic!("naive failed: {e}\n  query: {query}\n  tree: {}", tree.to_terms())
+                panic!(
+                    "naive failed: {e}\n  query: {query}\n  tree: {}",
+                    tree.to_terms()
+                )
             });
             expected.push(naive);
             compiled.push(
                 forced_plan(&session, &query, &outputs, Engine::Ppl).unwrap_or_else(|e| {
-                    panic!("compile failed: {e}\n  query: {query}\n  tree: {}", tree.to_terms())
+                    panic!(
+                        "compile failed: {e}\n  query: {query}\n  tree: {}",
+                        tree.to_terms()
+                    )
                 }),
             );
         }
@@ -648,7 +651,8 @@ pub fn run_batch_fuzz(cfg: &FuzzConfig, queries_per_tree: usize) -> BatchFuzzRep
                 .answer(&cold_session, compiled[i].source(), compiled[i].output())
                 .unwrap_or_else(|e| panic!("cold answering failed: {e}\n{}", ctx()));
             assert_eq!(
-                cold, batch[i],
+                cold,
+                batch[i],
                 "answer_batch[{i}] disagrees with cold per-query answering\n{}",
                 ctx()
             );
@@ -810,7 +814,12 @@ pub fn run_planner_fuzz(cfg: &FuzzConfig) -> PlannerFuzzReport {
             .answers_stream(&plan)
             .unwrap_or_else(|e| panic!("streaming failed: {e}\n{}", ctx()))
             .collect();
-        assert_eq!(streamed.len(), naive.len(), "stream duplicated tuples\n{}", ctx());
+        assert_eq!(
+            streamed.len(),
+            naive.len(),
+            "stream duplicated tuples\n{}",
+            ctx()
+        );
         let streamed_set: BTreeSet<Vec<NodeId>> = streamed.into_iter().collect();
         assert_eq!(streamed_set, naive, "stream disagrees\n{}", ctx());
         if !naive.is_empty() {
@@ -937,7 +946,12 @@ pub fn run_corpus_fuzz(cfg: &FuzzConfig, docs: usize, queries: usize) -> CorpusF
 /// matrices.  Returns the total number of pairs checked.
 ///
 /// [`KernelMode`]: xpath_pplbin::KernelMode
-pub fn run_kernel_mode_fuzz(seed: u64, cases: usize, max_tree_size: usize, alphabet: usize) -> usize {
+pub fn run_kernel_mode_fuzz(
+    seed: u64,
+    cases: usize,
+    max_tree_size: usize,
+    alphabet: usize,
+) -> usize {
     use xpath_ast::binexpr::from_variable_free_path;
     use xpath_pplbin::{eval_relation, KernelMode, KernelStats};
 
@@ -1000,11 +1014,16 @@ pub struct LazyFuzzReport {
 ///
 /// [`MatrixStore`]: xpath_pplbin::MatrixStore
 /// [`SuccessorSource`]: xpath_pplbin::SuccessorSource
-pub fn run_lazy_fuzz(seed: u64, cases: usize, max_tree_size: usize, alphabet: usize) -> LazyFuzzReport {
+pub fn run_lazy_fuzz(
+    seed: u64,
+    cases: usize,
+    max_tree_size: usize,
+    alphabet: usize,
+) -> LazyFuzzReport {
+    use std::sync::Arc;
     use xpath_ast::binexpr::from_variable_free_path;
     use xpath_hcl::stream_hcl_pplbin_shared;
     use xpath_pplbin::{eval_relation, KernelMode, KernelStats, MatrixStore, SharedMatrixStore};
-    use std::sync::Arc;
 
     let mut gen = QueryGen::new(seed, alphabet);
     let mut arity_rng = StdRng::seed_from_u64(seed ^ 0x1A2);
@@ -1027,7 +1046,12 @@ pub fn run_lazy_fuzz(seed: u64, cases: usize, max_tree_size: usize, alphabet: us
             .try_eval_relation(&tree, &bin)
             .unwrap_or_else(|e| panic!("lazy force failed: {e}\n{}", ctx()))
             .to_matrix();
-        assert_eq!(forced, dense, "forced lazy relation disagrees with dense\n{}", ctx());
+        assert_eq!(
+            forced,
+            dense,
+            "forced lazy relation disagrees with dense\n{}",
+            ctx()
+        );
 
         let source = store
             .successor_source(&tree, &bin)
@@ -1078,14 +1102,18 @@ pub fn run_lazy_fuzz(seed: u64, cases: usize, max_tree_size: usize, alphabet: us
         let shared = Arc::new(tree.clone());
         let answer_with = |mode: KernelMode, what: &str| {
             let store = SharedMatrixStore::with_shards_and_mode(Arc::clone(&shared), 1, mode);
-            let tuples: BTreeSet<Vec<NodeId>> =
-                stream_hcl_pplbin_shared(&hcl, &outputs, &store)
-                    .unwrap_or_else(|e| panic!("{what} store answering failed: {e}\n{}", qctx()))
-                    .collect();
+            let tuples: BTreeSet<Vec<NodeId>> = stream_hcl_pplbin_shared(&hcl, &outputs, &store)
+                .unwrap_or_else(|e| panic!("{what} store answering failed: {e}\n{}", qctx()))
+                .collect();
             (tuples, store)
         };
         let (lazy, lazy_store) = answer_with(KernelMode::Lazy, "lazy");
-        assert_eq!(lazy, naive, "lazy store disagrees with the naive engine\n{}", qctx());
+        assert_eq!(
+            lazy,
+            naive,
+            "lazy store disagrees with the naive engine\n{}",
+            qctx()
+        );
 
         let (eager, _) = answer_with(KernelMode::Adaptive, "eager");
         assert_eq!(lazy, eager, "lazy and eager stores disagree\n{}", qctx());
@@ -1144,10 +1172,8 @@ mod tests {
     #[test]
     fn check_case_accepts_known_good_queries() {
         let tree = Tree::from_terms("l0(l1(l0,l2),l1(l2))").unwrap();
-        let q = xpath_ast::parse_path(
-            "descendant::l1[child::l0[. is $v0] or child::l2[. is $v0]]",
-        )
-        .unwrap();
+        let q = xpath_ast::parse_path("descendant::l1[child::l0[. is $v0] or child::l2[. is $v0]]")
+            .unwrap();
         let (tuples, acq) = check_case(&tree, &q, &[Var::new("v0")]);
         assert!(tuples > 0);
         assert!(acq);

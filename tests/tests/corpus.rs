@@ -31,8 +31,14 @@ fn fuzz_eviction_thrashing_corpus_matches_cold_sessions() {
         report.cache_evictions + report.session_evictions > 10,
         "the 384-byte budget must thrash: {report:?}"
     );
-    assert!(report.rebuilds > 0, "evicted sessions must rebuild: {report:?}");
-    assert!(report.plan_hits > 0, "plans must be shared across documents: {report:?}");
+    assert!(
+        report.rebuilds > 0,
+        "evicted sessions must rebuild: {report:?}"
+    );
+    assert!(
+        report.plan_hits > 0,
+        "plans must be shared across documents: {report:?}"
+    );
 }
 
 #[test]
@@ -63,8 +69,7 @@ fn daemon_round_trip_over_tcp() {
         memory_budget: Some(1 << 16),
         ..CorpusConfig::default()
     });
-    let server =
-        std::thread::spawn(move || serve(listener, &corpus, &ServeOptions::default()));
+    let server = std::thread::spawn(move || serve(listener, &corpus, &ServeOptions::default()));
 
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -110,7 +115,9 @@ fn daemon_round_trip_over_tcp() {
     let stats = request("STATS");
     assert!(stats.contains(&"documents=2".to_string()), "{stats:?}");
     assert!(
-        stats.iter().any(|l| l.starts_with("session_evictions=") && !l.ends_with("=0")),
+        stats
+            .iter()
+            .any(|l| l.starts_with("session_evictions=") && !l.ends_with("=0")),
         "{stats:?}"
     );
 

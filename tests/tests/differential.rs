@@ -28,8 +28,14 @@ fn fuzz_all_engines_agree_on_200_random_cases() {
         "too many empty answer sets: {report:?}"
     );
     assert!(report.total_tuples > 200, "too few tuples: {report:?}");
-    assert!(report.union_queries > 10, "unions under-exercised: {report:?}");
-    assert!(report.max_arity >= 3, "wide tuples never generated: {report:?}");
+    assert!(
+        report.union_queries > 10,
+        "unions under-exercised: {report:?}"
+    );
+    assert!(
+        report.max_arity >= 3,
+        "wide tuples never generated: {report:?}"
+    );
     assert!(
         report.acq_checked > report.cases * 3 / 4,
         "ACQ path skipped too often: {report:?}"
@@ -82,7 +88,10 @@ fn fuzz_batch_api_agrees_with_cold_and_naive_answers() {
     );
     assert_eq!(report.trees, 40);
     assert_eq!(report.queries, 160);
-    assert!(report.total_tuples > 100, "batches vacuously empty: {report:?}");
+    assert!(
+        report.total_tuples > 100,
+        "batches vacuously empty: {report:?}"
+    );
     // Plain step atoms are tree views and never reach the cache, so only
     // batches with a composite atom can share matrices.
     assert!(
@@ -145,8 +154,14 @@ fn fuzz_lazy_algebra_agrees_with_eager_kernels() {
     let report = run_lazy_fuzz(0x1A2_F7ED, 80, 32, 3);
     assert_eq!(report.relation_cases, 80);
     assert_eq!(report.query_cases, 80);
-    assert!(report.total_pairs > 1_000, "relation fuzz vacuously empty: {report:?}");
-    assert!(report.total_tuples > 50, "query fuzz vacuously empty: {report:?}");
+    assert!(
+        report.total_pairs > 1_000,
+        "relation fuzz vacuously empty: {report:?}"
+    );
+    assert!(
+        report.total_tuples > 50,
+        "query fuzz vacuously empty: {report:?}"
+    );
     assert!(
         report.deferred_complements > 10,
         "the symbolic complement path was barely exercised: {report:?}"

@@ -18,10 +18,7 @@ use xpath_tree::NodeId;
 
 /// Compile `src` (a variable-free path) through a lazy store over `tree`
 /// and return the store and the successor source.
-fn lazy_source(
-    tree: &xpath_tree::Tree,
-    src: &str,
-) -> (MatrixStore, xpath_pplbin::SuccessorSource) {
+fn lazy_source(tree: &xpath_tree::Tree, src: &str) -> (MatrixStore, xpath_pplbin::SuccessorSource) {
     let path = parse_path(src).unwrap();
     let bin = from_variable_free_path(&path).unwrap();
     let mut store = MatrixStore::with_mode(tree.len(), KernelMode::Lazy);

@@ -35,7 +35,10 @@ fn plan_suite(session: &Session) -> Vec<QueryPlan> {
             "descendant::l0[not((descendant::* except child::l1)/child::l2)][. is $x]",
             vec!["x"],
         ),
-        ("descendant::l2[. is $x] union descendant::l1[. is $x]", vec!["x"]),
+        (
+            "descendant::l2[. is $x] union descendant::l1[. is $x]",
+            vec!["x"],
+        ),
         ("descendant::l0[child::l1]", vec![]),
     ];
     let planner = Planner::default();
@@ -94,7 +97,10 @@ fn eight_threads_hammering_one_session_agree_with_sequential_answers() {
     // The threads shared compiled matrices rather than re-compiling: far
     // more lookups hit than missed.
     let stats = session.cache_stats();
-    assert!(stats.hits > stats.misses, "no sharing across threads: {stats:?}");
+    assert!(
+        stats.hits > stats.misses,
+        "no sharing across threads: {stats:?}"
+    );
 }
 
 #[test]

@@ -21,8 +21,7 @@ use xpath_workload::{encode_sat_query, encode_sat_tree, random_3sat};
 fn sample_trees() -> Vec<Tree> {
     vec![
         Tree::from_terms("a").unwrap(),
-        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))")
-            .unwrap(),
+        Tree::from_terms("bib(book(author,title),book(author,author,title),paper(title))").unwrap(),
         bibliography(6, 3),
         random_tree(&TreeGenConfig {
             size: 20,
@@ -74,7 +73,10 @@ fn theorem1_ppl_pipeline_is_correct() {
             vec!["x"],
         ),
         ("$s/child::*[. is $e]", vec!["s", "e"]),
-        ("(descendant::* except descendant::author)[. is $n]", vec!["n"]),
+        (
+            "(descendant::* except descendant::author)[. is $n]",
+            vec!["n"],
+        ),
         ("descendant::*[not(child::*)][. is $leaf]", vec!["leaf"]),
     ];
     for tree in sample_trees() {
@@ -111,7 +113,10 @@ fn proposition5_translation_round_trips() {
             let ppl = parse_path(src).unwrap();
             let vars: Vec<Var> = ppl.free_vars().into_iter().collect();
             let hcl = ppl_to_hcl(&ppl).unwrap();
-            assert!(hcl.is_hcl_minus(), "Fig. 7 image must satisfy NVS(/): {src}");
+            assert!(
+                hcl.is_hcl_minus(),
+                "Fig. 7 image must satisfy NVS(/): {src}"
+            );
             let via_hcl = answer_hcl_pplbin(&tree, &hcl, &vars).unwrap();
             let via_naive = answer_nary(&tree, &ppl, &vars).unwrap();
             assert_eq!(via_hcl, via_naive, "forward direction broken for {src}");
@@ -129,10 +134,22 @@ fn proposition5_translation_round_trips() {
 #[test]
 fn lemma1_fo_translation_preserves_answers() {
     let formulas: Vec<(&str, Vec<&str>)> = vec![
-        ("lab(book, x) and lab(title, y) and chstar(x, y)", vec!["x", "y"]),
-        ("exists b. lab(book, b) and chstar(b, x) and lab(author, x)", vec!["x"]),
-        ("lab(book, x) and nsstar(x, y) and lab(paper, y)", vec!["x", "y"]),
-        ("not (exists a. lab(author, a) and chstar(x, a)) and lab(book, x)", vec!["x"]),
+        (
+            "lab(book, x) and lab(title, y) and chstar(x, y)",
+            vec!["x", "y"],
+        ),
+        (
+            "exists b. lab(book, b) and chstar(b, x) and lab(author, x)",
+            vec!["x"],
+        ),
+        (
+            "lab(book, x) and nsstar(x, y) and lab(paper, y)",
+            vec!["x", "y"],
+        ),
+        (
+            "not (exists a. lab(author, a) and chstar(x, a)) and lab(book, x)",
+            vec!["x"],
+        ),
     ];
     for tree in sample_trees().into_iter().take(3) {
         for (src, outputs) in &formulas {
@@ -154,7 +171,10 @@ fn proposition3_sat_reduction_is_faithful_and_rejected() {
         let instance = random_3sat(3, 5, seed);
         let tree = encode_sat_tree(&instance);
         let (query, vars) = encode_sat_query(&instance);
-        assert!(check_ppl(&query).is_err(), "the encoding must share variables");
+        assert!(
+            check_ppl(&query).is_err(),
+            "the encoding must share variables"
+        );
         let session = Session::from_tree(tree);
         let nonempty = !Engine::NaiveEnumeration
             .answer(&session, &query, &[])
@@ -163,12 +183,11 @@ fn proposition3_sat_reduction_is_faithful_and_rejected() {
         assert_eq!(nonempty, instance.brute_force_satisfiable(), "seed {seed}");
         // Every answer over the assignment variables is a satisfying
         // assignment.
-        let answers = Engine::NaiveEnumeration.answer(&session, &query, &vars).unwrap();
+        let answers = Engine::NaiveEnumeration
+            .answer(&session, &query, &vars)
+            .unwrap();
         for tuple in answers.tuples() {
-            let assignment: Vec<bool> = tuple
-                .iter()
-                .map(|&n| session.label(n) == "true")
-                .collect();
+            let assignment: Vec<bool> = tuple.iter().map(|&n| session.label(n) == "true").collect();
             assert!(instance.evaluate(&assignment));
         }
     }
@@ -199,7 +218,10 @@ fn propositions7_8_yannakakis_matches_hcl() {
     for (hcl, output) in queries {
         let via_hcl = answer_hcl_pplbin(&tree, &hcl, &output).unwrap();
         let (cq, db) = hcl_to_acq(&tree, &hcl, &output).unwrap();
-        assert!(gyo_join_forest(&cq).is_some(), "HCL⁻ images must be acyclic");
+        assert!(
+            gyo_join_forest(&cq).is_some(),
+            "HCL⁻ images must be acyclic"
+        );
         let via_acq = answer_acq(&cq, &db).unwrap();
         let via_brute = brute_force_answer(&cq, &db);
         assert_eq!(via_acq, via_brute);
@@ -249,9 +271,6 @@ fn end_to_end_xml_pipeline() {
     // Model checking under an explicit assignment, through the naive
     // evaluator, agrees with membership in the answer set.
     let first = answers.tuples()[0].clone();
-    let alpha = Assignment::from_pairs([
-        (Var::new("a"), first[0]),
-        (Var::new("t"), first[1]),
-    ]);
+    let alpha = Assignment::from_pairs([(Var::new("a"), first[0]), (Var::new("t"), first[1])]);
     assert!(xpath_naive::boolean_query(session.tree(), q.source(), &alpha).unwrap());
 }
