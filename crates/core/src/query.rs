@@ -3,7 +3,6 @@
 //! ([`QueryError`]) it.
 
 use crate::session::Session;
-use std::collections::BTreeSet;
 use std::fmt;
 use xpath_ast::ppl::PplViolation;
 use xpath_ast::{ParseError, Var};
@@ -122,11 +121,11 @@ pub struct AnswerSet {
 }
 
 impl AnswerSet {
-    pub(crate) fn new(variables: Vec<Var>, tuples: BTreeSet<Vec<NodeId>>) -> AnswerSet {
-        AnswerSet {
-            variables,
-            tuples: tuples.into_iter().collect(),
-        }
+    /// The answer set of `tuples`, which hold no duplicate, in any order.
+    pub(crate) fn new(variables: Vec<Var>, mut tuples: Vec<Vec<NodeId>>) -> AnswerSet {
+        tuples.sort_unstable();
+        debug_assert!(tuples.windows(2).all(|w| w[0] != w[1]), "duplicate tuple");
+        AnswerSet { variables, tuples }
     }
 
     /// The output variables, in tuple order.

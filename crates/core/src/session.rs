@@ -225,11 +225,13 @@ impl Session {
         Ok(tuples)
     }
 
-    /// Execute a prepared plan on its chosen engine.
+    /// Execute a prepared plan on its chosen engine.  A Fig. 8 stream never
+    /// yields a tuple twice, so its tuples are collected as they come and
+    /// sorted once.
     pub fn execute(&self, plan: &QueryPlan) -> Result<AnswerSet, QueryError> {
         let tuples = match self.run(plan)? {
             Tuples::Stream(stream) => stream.collect(),
-            Tuples::Set(set) => set,
+            Tuples::Set(set) => set.into_iter().collect(),
         };
         Ok(AnswerSet::new(plan.output().to_vec(), tuples))
     }

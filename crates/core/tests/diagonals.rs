@@ -8,6 +8,11 @@
 //!   for random node sets `S`;
 //! * every filtered-view subterm served by a `SharedMatrixStore` has the
 //!   rows of `MatrixStore::successor_lists`, in all four kernel modes;
+//! * every source the store serves (step and filtered views, first-child
+//!   steps included, and compiled rows) has the pre-image of its own row
+//!   sweep and of the matrix engine, in all four kernel modes, a view has
+//!   the image its rows give, and Fig. 8's `MC` table over the store
+//!   equals the one over cold matrices;
 //! * the served suites (`dblp_suite`, `planner_mix_suite`) on documents
 //!   built the way the serving benchmark builds them compile no matrix.
 
@@ -16,12 +21,15 @@ use proptest::prelude::*;
 use std::convert::Infallible;
 use std::sync::Arc;
 use xpath_ast::binexpr::from_variable_free_path;
-use xpath_ast::{parse_path, BinExpr, Var};
+use xpath_ast::{parse_path, BinExpr, NameTest, PathExpr, TestExpr, Var};
+use xpath_hcl::mc::McTable;
+use xpath_hcl::oracle::intern_atoms;
+use xpath_hcl::{EquationSystem, Hcl, PplBinAtoms};
 use xpath_pplbin::{
     answer_binary, diagonal_set, is_diagonal, pre_set, AtomClass, KernelMode, MatrixStore,
     SharedMatrixStore, SuccessorSource,
 };
-use xpath_tree::{NodeId, NodeSet, Tree};
+use xpath_tree::{Axis, NodeId, NodeSet, Tree};
 
 mod common;
 use common::{arb_tree, arb_variable_free};
@@ -66,6 +74,45 @@ fn node_set(tree: &Tree, bits: u64) -> NodeSet {
         tree.len(),
         tree.nodes().filter(|u| bits.rotate_left(u.0) & 1 == 1),
     )
+}
+
+/// Every axis, first-child and the one-step sibling axes included.
+const AXES: [Axis; 14] = [
+    Axis::SelfAxis,
+    Axis::Child,
+    Axis::Parent,
+    Axis::Descendant,
+    Axis::DescendantOrSelf,
+    Axis::Ancestor,
+    Axis::AncestorOrSelf,
+    Axis::FollowingSibling,
+    Axis::FollowingSiblingOrSelf,
+    Axis::PrecedingSibling,
+    Axis::PrecedingSiblingOrSelf,
+    Axis::NextSibling,
+    Axis::PrevSibling,
+    Axis::FirstChild,
+];
+
+/// `axis::l<name>` (`*` for `name` 3) and the filtered views around it:
+/// `self::*[d1]/step` (a `D₁` only), `step[d2]` (a `D₂` only) and
+/// `self::*[d1]/step[d2]` (both).
+fn step_atoms(axis: Axis, name: usize, d1: &PathExpr, d2: &PathExpr) -> [PathExpr; 4] {
+    let test = match name {
+        3 => NameTest::Wildcard,
+        l => NameTest::name(&format!("l{l}")),
+    };
+    let filter = |p: PathExpr, d: &PathExpr| {
+        PathExpr::Filter(Box::new(p), Box::new(TestExpr::Path(d.clone())))
+    };
+    let step = PathExpr::Step(axis, test);
+    let sourced = filter(PathExpr::Step(Axis::SelfAxis, NameTest::Wildcard), d1);
+    [
+        step.clone(),
+        PathExpr::Seq(Box::new(sourced.clone()), Box::new(step.clone())),
+        filter(step.clone(), d2),
+        PathExpr::Seq(Box::new(sourced), Box::new(filter(step, d2))),
+    ]
 }
 
 proptest! {
@@ -134,6 +181,94 @@ proptest! {
                     let last = want.last().copied();
                     prop_assert_eq!(source.row_any(u, |v| Some(v) == last), last.is_some());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pre_images_of_served_sources_match_their_row_sweep_in_every_mode(
+        tree in arb_tree(18, 3),
+        expr in arb_variable_free(3),
+        axis in 0usize..AXES.len(),
+        name in 0usize..4,
+        d1 in arb_variable_free(2),
+        d2 in arb_variable_free(2),
+        bits in any::<u64>(),
+    ) {
+        let tree = Arc::new(tree);
+        let set = node_set(&tree, bits);
+        let views: Vec<BinExpr> = step_atoms(AXES[axis], name, &d1, &d2)
+            .iter()
+            .map(|p| from_variable_free_path(p).unwrap())
+            .collect();
+        prop_assert_eq!(AtomClass::of(&views[0]), AtomClass::View);
+        for view in &views[1..] {
+            prop_assert_eq!(AtomClass::of(view), AtomClass::FilteredView, "{}", view);
+        }
+        let bin = from_variable_free_path(&expr).unwrap();
+        let atoms: Vec<&BinExpr> = views.iter().chain(subterms(&bin)).collect();
+        for mode in MODES {
+            let store = SharedMatrixStore::with_mode(Arc::clone(&tree), mode);
+            for atom in &atoms {
+                let source = store.successor_source(atom).unwrap();
+                let sweep = NodeSet::from_iter(
+                    tree.len(),
+                    tree.nodes().filter(|&u| source.row_any(u, |v| set.contains(v))),
+                );
+                let got = source.pre_image(&set);
+                prop_assert_eq!(&got, &sweep, "{:?} {} over {}", mode, atom, tree.to_terms());
+                prop_assert_eq!(got, matrix_pre(&tree, atom, &set), "{:?} {}", mode, atom);
+                let image = match &source {
+                    SuccessorSource::Step(view) => view.image(&set),
+                    SuccessorSource::Filtered(view) => view.image(&set),
+                    SuccessorSource::Eager(_) | SuccessorSource::Lazy(_) => continue,
+                };
+                let rows = NodeSet::from_iter(tree.len(), set.iter().flat_map(|u| source.row_vec(u)));
+                prop_assert_eq!(image, rows, "image of {:?} {}", mode, atom);
+            }
+        }
+    }
+
+    #[test]
+    fn mc_over_the_store_equals_mc_over_cold_matrices(
+        tree in arb_tree(18, 3),
+        exprs in prop::collection::vec(arb_variable_free(2), 3..4),
+        axis in 0usize..AXES.len(),
+        name in 0usize..4,
+        d1 in arb_variable_free(2),
+        d2 in arb_variable_free(2),
+    ) {
+        let tree = Arc::new(tree);
+        let atom = |p: &PathExpr| Hcl::Atom(from_variable_free_path(p).unwrap());
+        let var = |x: &str| Hcl::Var(Var::new(x));
+        let [step, sourced, targeted, both] = step_atoms(AXES[axis], name, &d1, &d2);
+        // b₀/x/[b₁/y]/b₂ ∪ sourced/z/[targeted]/both ∪ step/b₀, over the
+        // generated atoms and the step views.
+        let hcl = atom(&exprs[0])
+            .then(var("x"))
+            .then(Hcl::Filter(Box::new(atom(&exprs[1]).then(var("y")))))
+            .then(atom(&exprs[2]))
+            .or(atom(&sourced)
+                .then(var("z"))
+                .then(Hcl::Filter(Box::new(atom(&targeted))))
+                .then(atom(&both)))
+            .or(atom(&step).then(atom(&exprs[0])));
+        let (interned, atoms) = intern_atoms(&hcl);
+        let eq = EquationSystem::from_hcl(&interned);
+        let cold = McTable::compute(&eq, &PplBinAtoms::compile(&tree, &atoms));
+        for mode in MODES {
+            let store = SharedMatrixStore::with_mode(Arc::clone(&tree), mode);
+            let warm = PplBinAtoms::try_compile_with_shared(&tree, &atoms, &store).unwrap();
+            let mc = McTable::compute(&eq, &warm);
+            for (d, _) in eq.iter() {
+                prop_assert_eq!(
+                    mc.satisfying(d),
+                    cold.satisfying(d),
+                    "{:?} node {:?} over {}",
+                    mode,
+                    d,
+                    tree.to_terms()
+                );
             }
         }
     }

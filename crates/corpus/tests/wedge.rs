@@ -18,6 +18,10 @@
 //! twice (as a test, then again as a path), doubling the parse per level,
 //! so a 1 KB line of 40 levels the depth bound admits held the worker for
 //! days.  It is now read once.
+//!
+//! The document replay: XML or term syntax nested 10⁶ deep used to
+//! overflow the worker's stack in the recursive parsers.  Both parsers now
+//! keep their open elements on a heap stack.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -190,5 +194,47 @@ fn a_deep_parenthesised_filter_parses_at_once_and_stats_still_answers() {
     std::thread::sleep(Duration::from_millis(500));
     let mut probe = assert_stats_answer_at_once(&addr);
     assert_eq!(response(&mut replies), ["OK 1", "satisfiable=false"]);
+    shut_down(daemon, stdout, &mut probe);
+}
+
+#[test]
+fn documents_nested_a_million_deep_load_and_the_daemon_survives() {
+    let (daemon, stdout, addr) = spawn_daemon();
+    let (mut conn, mut replies) = connect(&addr);
+    writeln!(conn, "LOADTERMS d r(a(b),a)").unwrap();
+    let loaded = response(&mut replies);
+    assert!(loaded[1].starts_with("loaded d nodes=4"), "{loaded:?}");
+
+    let depth = 1_000_000;
+    let deep = [
+        (
+            "LOAD of XML nested 10^6 deep",
+            format!("LOAD x {}{}", "<a>".repeat(depth), "</a>".repeat(depth)),
+        ),
+        (
+            "LOADTERMS nested 10^6 deep",
+            format!(
+                "LOADTERMS t {}a{}",
+                "a(".repeat(depth - 1),
+                ")".repeat(depth - 1)
+            ),
+        ),
+    ];
+    for (what, line) in &deep {
+        writeln!(conn, "{line}").unwrap();
+        let reply = response(&mut replies);
+        assert!(
+            reply[0].starts_with("OK ") || reply[0].starts_with("ERR "),
+            "{what}: {reply:?}"
+        );
+    }
+
+    let mut probe = assert_stats_answer_at_once(&addr);
+    writeln!(conn, "QUERY d child::a/child::b[. is $x] -> x").unwrap();
+    assert_eq!(
+        response(&mut replies),
+        ["OK 2", "vars=x tuples=1", "b#2"],
+        "the document loaded before is gone"
+    );
     shut_down(daemon, stdout, &mut probe);
 }

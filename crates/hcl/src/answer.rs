@@ -38,10 +38,10 @@ use crate::lang::Hcl;
 use crate::mc::McTable;
 use crate::oracle::{intern_atoms, AtomId, CompiledAtoms, PplBinAtoms};
 use crate::share::{EquationSystem, ShareId, ShareNode};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 use xpath_ast::{BinExpr, Var};
-use xpath_pplbin::{CapacityError, SharedMatrixStore};
+use xpath_pplbin::{CapacityError, SharedMatrixStore, SuccessorSource};
 use xpath_tree::{NodeId, NodeSet, Tree};
 
 /// An answer tuple: one node per output variable, in the order of the output
@@ -339,6 +339,137 @@ fn extend_row(
     }
 }
 
+/// A set of `u32` rows of one width, kept flat in insertion order: an
+/// open-addressing table of row indices, hashed by a multiplicative hash of
+/// the row's slots.  Inserting a row copies its slots once; nothing is
+/// boxed per row.
+#[derive(Debug)]
+struct RowSet {
+    width: usize,
+    /// The rows, `width` slots each, in insertion order.
+    rows: Vec<u32>,
+    /// Per slot of the table, the index of a row plus one (0: empty).  A
+    /// power of two long and at most half full; allocated by the first
+    /// insert (most streams never hold a partial row).
+    table: Vec<u32>,
+}
+
+impl RowSet {
+    fn new(width: usize) -> RowSet {
+        debug_assert!(width > 0);
+        RowSet {
+            width,
+            rows: Vec::new(),
+            table: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len() / self.width
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.rows[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The table slot at which to start probing for `row`: the top bits of
+    /// a multiplicative hash.
+    fn home(&self, row: &[u32]) -> usize {
+        let mut h = 0u64;
+        for &x in row {
+            h = (h.rotate_left(5) ^ u64::from(x)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+        (h >> (64 - self.table.len().trailing_zeros())) as usize
+    }
+
+    /// Insert `row`; false if it was already in the set.
+    fn insert(&mut self, row: &[u32]) -> bool {
+        debug_assert_eq!(row.len(), self.width);
+        if 2 * (self.len() + 1) > self.table.len() {
+            self.grow();
+        }
+        let mask = self.table.len() - 1;
+        let mut at = self.home(row);
+        loop {
+            match self.table[at] {
+                0 => break,
+                k if self.row(k as usize - 1) == row => return false,
+                _ => at = (at + 1) & mask,
+            }
+        }
+        self.rows.extend_from_slice(row);
+        self.table[at] = self.len() as u32;
+        true
+    }
+
+    /// Double the table (16 slots at first) and re-place every row.
+    fn grow(&mut self) {
+        self.table = vec![0; (2 * self.table.len()).max(16)];
+        let mask = self.table.len() - 1;
+        for i in 0..self.len() {
+            let mut at = self.home(self.row(i));
+            while self.table[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.table[at] = i as u32 + 1;
+        }
+    }
+}
+
+/// The distinct total rows a stream has found, in discovery order: the
+/// tuples yielded so far followed by the tuples pending.
+#[derive(Debug)]
+enum Found {
+    /// Arity 0: whether the empty tuple was found.
+    Empty(bool),
+    /// Arity 1: the nodes found, as a set and in discovery order.
+    Nodes(NodeSet, Vec<u32>),
+    /// Arity 2 and above.
+    Rows(RowSet),
+}
+
+impl Found {
+    fn new(arity: usize, domain: usize) -> Found {
+        match arity {
+            0 => Found::Empty(false),
+            1 => Found::Nodes(NodeSet::empty(domain), Vec::new()),
+            n => Found::Rows(RowSet::new(n)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Found::Empty(found) => usize::from(*found),
+            Found::Nodes(_, order) => order.len(),
+            Found::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// Add the total row `row` unless it was found before.
+    fn insert(&mut self, row: &[u32]) {
+        match self {
+            Found::Empty(found) => *found = true,
+            Found::Nodes(set, order) => {
+                if set.insert(NodeId(row[0])) {
+                    order.push(row[0]);
+                }
+            }
+            Found::Rows(rows) => {
+                rows.insert(row);
+            }
+        }
+    }
+
+    /// The `i`-th tuple found.
+    fn tuple(&self, i: usize) -> Tuple {
+        match self {
+            Found::Empty(_) => Vec::new(),
+            Found::Nodes(_, order) => vec![NodeId(order[i])],
+            Found::Rows(rows) => rows.row(i).iter().map(|&v| NodeId(v)).collect(),
+        }
+    }
+}
+
 /// One sharing node with its output positions resolved by
 /// [`AnswerStream::new`].
 #[derive(Debug, Clone, Copy)]
@@ -418,11 +549,24 @@ fn top_level_leaves(eq: &EquationSystem) -> Vec<Leaf> {
 /// node: a `descendant::…`-headed query builds `O(|t|)` sets, not
 /// `O(|t|·depth)`.  Any other leaf is explored at the start nodes where `MC`
 /// holds.  Each explored set's rows are extended to total valuations and
-/// yielded at once, deduplicated against everything yielded before; a row
-/// already extended is skipped before anything is allocated.  Consuming
-/// only a prefix therefore skips the unexplored image and start nodes, and
-/// the memo table guarantees that a full drain does no more work than the
-/// materialising algorithm.
+/// yielded at once, deduplicated against everything found before.
+/// Consuming only a prefix therefore skips the unexplored image and start
+/// nodes, and the memo table guarantees that a full drain does no more
+/// work than the materialising algorithm.
+///
+/// **Deduplication.**  The stream never yields a tuple twice, and checks a
+/// row without allocating for it:
+///
+/// * a total row (every output slot bound) is looked up in the set of
+///   tuples found so far: a flag for arity 0, a [`NodeSet`] for arity 1,
+///   and for wider rows a hash set of flat `u32` rows (one arena, an
+///   open-addressing table of row indices, a multiplicative hash);
+/// * a partial row (an output slot unbound) goes into a row set of its own
+///   first, so each one is extended to every way of binding its free slots
+///   only once;
+/// * found tuples stay flat rows in discovery order; `next` builds the one
+///   `Vec<NodeId>` it returns, so a consumer that stops after `k` tuples
+///   allocates `k` of them.
 ///
 /// Tuples are yielded in *discovery* order (by leaf, then image or start
 /// node, then row order), not in the lexicographic order of `AnswerSet`;
@@ -457,12 +601,15 @@ pub struct AnswerStream {
     image_rest: Option<ShareId>,
     /// Image nodes already queued for `image_rest`.
     queued: NodeSet,
-    /// Nodes of `MC(image_rest)` not queued yet; at zero the row scan stops.
+    /// Image nodes of the current leaf not queued yet; at zero the row
+    /// scan stops.
     image_left: usize,
-    /// Partial rows already extended and total rows already yielded.
-    seen: HashSet<Box<[u32]>>,
-    /// Tuples derived from the current node, pending yield.
-    pending: VecDeque<Tuple>,
+    /// Partial rows (an output slot unbound) already extended.
+    extended: RowSet,
+    /// Every distinct tuple found so far, in discovery order.
+    found: Found,
+    /// How many of `found` have been yielded.
+    yielded: usize,
 }
 
 impl AnswerStream {
@@ -501,8 +648,9 @@ impl AnswerStream {
             image_rest: None,
             queued: NodeSet::empty(domain),
             image_left: 0,
-            seen: HashSet::new(),
-            pending: VecDeque::new(),
+            extended: RowSet::new(output.len().max(1)),
+            found: Found::new(output.len(), domain),
+            yielded: 0,
             atoms,
             mc,
             output,
@@ -599,6 +747,27 @@ impl AnswerStream {
         }
     }
 
+    /// Start the image of leaf `node = atom/rest`: the number of its image
+    /// nodes not queued yet.  A view gives the image in one axis pass, so
+    /// the row scan stops at the last row that adds to it (on a chain, the
+    /// first `descendant` row holds the whole image); compiled rows are
+    /// bounded by `MC(rest)`.
+    fn image_size(&mut self, node: ShareId, atom: AtomId, rest: ShareId) -> usize {
+        if self.image_rest != Some(rest) {
+            self.image_rest = Some(rest);
+            self.queued.clear();
+        }
+        let (sources, rest_set) = (self.mc.satisfying(node), self.mc.satisfying(rest));
+        let mut image = match self.atoms.source(atom) {
+            SuccessorSource::Step(view) => view.image(sources),
+            SuccessorSource::Filtered(view) => view.image(sources),
+            SuccessorSource::Eager(_) | SuccessorSource::Lazy(_) => rest_set.clone(),
+        };
+        image.intersect_with(rest_set);
+        image.difference_with(&self.queued);
+        image.len()
+    }
+
     /// The next `(node, start)` pair of the top-level exploration.
     fn next_start(&mut self) -> Option<(ShareId, NodeId)> {
         while let Some(&leaf) = self.leaves.get(self.leaf) {
@@ -613,10 +782,8 @@ impl AnswerStream {
                     }
                 }
                 Leaf::Image { node, atom, rest } => {
-                    if self.image_rest != Some(rest) {
-                        self.image_rest = Some(rest);
-                        self.queued.clear();
-                        self.image_left = self.mc.satisfying(rest).len();
+                    if self.cursor == 0 {
+                        self.image_left = self.image_size(node, atom, rest);
                     }
                     loop {
                         if let Some(v) = self.frontier.pop() {
@@ -649,28 +816,18 @@ impl AnswerStream {
         None
     }
 
-    /// Extend every new row of `block` to total valuations and queue the
-    /// tuples not yielded before.
+    /// Extend every new row of `block` to total valuations and add the
+    /// tuples not found before.
     fn emit(&mut self, block: BlockId) {
         let n = self.output.len();
-        let (seen, pending) = (&mut self.seen, &mut self.pending);
+        let (extended, found) = (&mut self.extended, &mut self.found);
         for row in self.blocks.rows(block).chunks_exact(self.blocks.width) {
-            if seen.contains(row) {
-                continue;
-            }
-            seen.insert(row.into());
             let row = &row[..n];
             if !row.contains(&UNBOUND) {
-                // A total row is its own key, inserted just above.
-                pending.push_back(row.iter().map(|&v| NodeId(v)).collect());
-                continue;
+                found.insert(row);
+            } else if extended.insert(row) {
+                extend_row(row, 0..n, self.domain, |full| found.insert(full));
             }
-            extend_row(row, 0..n, self.domain, |full| {
-                if !seen.contains(full) {
-                    seen.insert(full.into());
-                    pending.push_back(full.iter().map(|&v| NodeId(v)).collect());
-                }
-            });
         }
     }
 }
@@ -680,8 +837,9 @@ impl Iterator for AnswerStream {
 
     fn next(&mut self) -> Option<Tuple> {
         loop {
-            if let Some(tuple) = self.pending.pop_front() {
-                return Some(tuple);
+            if self.yielded < self.found.len() {
+                self.yielded += 1;
+                return Some(self.found.tuple(self.yielded - 1));
             }
             let (d, u) = self.next_start()?;
             let block = self.vals(d, u);
@@ -904,8 +1062,8 @@ mod tests {
 
     /// Answer the PPL query `src` through Fig. 7 and the stream, over cold
     /// atoms and over a lazy-kernel store, and check both against the naive
-    /// evaluator: a full drain without duplicates, and a `take(2)` prefix
-    /// that is a subset.  Returns the top-level leaves of the query.
+    /// evaluator: a full drain without duplicates, and `take(k)` prefixes
+    /// that are subsets.  Returns the top-level leaves of the query.
     fn check_against_naive(terms: &str, src: &str, output: &[Var]) -> Vec<Leaf> {
         let hcl = crate::translate::ppl_to_hcl(&parse_path(src).unwrap()).unwrap();
         check_hcl_against_naive(terms, &hcl, output)
@@ -933,12 +1091,14 @@ mod tests {
             assert_eq!(set.len(), drained.len(), "duplicates for {src}");
             assert_eq!(set, expected, "answers for {src}");
         }
-        let prefix: BTreeSet<Tuple> = stream_hcl_pplbin_shared(hcl, output, &lazy)
-            .unwrap()
-            .take(2)
-            .collect();
-        assert_eq!(prefix.len(), expected.len().min(2));
-        assert!(prefix.is_subset(&expected));
+        for k in [1, 2, expected.len() / 2 + 1] {
+            let prefix: BTreeSet<Tuple> = stream_hcl_pplbin_shared(hcl, output, &lazy)
+                .unwrap()
+                .take(k)
+                .collect();
+            assert_eq!(prefix.len(), expected.len().min(k), "take({k}) for {src}");
+            assert!(prefix.is_subset(&expected), "take({k}) for {src}");
+        }
         let (interned, _) = intern_atoms(hcl);
         top_level_leaves(&EquationSystem::from_hcl(&interned))
     }
@@ -1027,6 +1187,61 @@ mod tests {
             "descendant::a[. is $x] union child::b",
             &[v("x"), v("free")],
         );
+    }
+
+    #[test]
+    fn streams_of_every_arity_match_naive_without_duplicates() {
+        // Arity 0 (a flag), 1 (a node set), 2 and 3 (the row table); each
+        // query derives some tuples from several image or start nodes.
+        check_against_naive(DEEP, "descendant::*/child::c", &[]);
+        check_against_naive(DEEP, "descendant::*[child::c[. is $x]]", &[v("x")]);
+        check_against_naive(
+            DEEP,
+            "descendant::a[. is $x]/descendant::*/child::c[. is $y]",
+            &[v("x"), v("y")],
+        );
+        check_against_naive(
+            DEEP,
+            "descendant::*[. is $x]/child::*[. is $y]/descendant-or-self::*[. is $z]",
+            &[v("x"), v("y"), v("z")],
+        );
+        check_against_naive(
+            DEEP,
+            "descendant::*[child::*[. is $x] and descendant::c[. is $y]]/child::b[. is $z]",
+            &[v("z"), v("x"), v("y")],
+        );
+    }
+
+    #[test]
+    fn a_union_leaving_an_output_variable_unbound_extends_each_row_once() {
+        // The right branch never binds `y`: its rows are partial, extended
+        // to every node, and overlap the left branch's total rows.
+        check_against_naive(
+            DEEP,
+            "descendant::a[. is $x]/child::b[. is $y] union descendant::b[. is $x]",
+            &[v("x"), v("y")],
+        );
+        check_against_naive(
+            DEEP,
+            "child::*[. is $x]/descendant::c[. is $z] union descendant::b[. is $y]/child::c[. is $z]",
+            &[v("x"), v("y"), v("z")],
+        );
+    }
+
+    #[test]
+    fn row_sets_keep_one_copy_of_each_row_in_insertion_order() {
+        let mut set = RowSet::new(3);
+        for round in 0..2 {
+            for i in 0..1000u32 {
+                let fresh = set.insert(&[i % 7, i, UNBOUND - i]);
+                assert_eq!(fresh, round == 0, "row {i} in round {round}");
+            }
+        }
+        assert_eq!(set.len(), 1000);
+        assert!(set.table.len().is_power_of_two() && set.table.len() >= 2000);
+        for i in 0..1000u32 {
+            assert_eq!(set.row(i as usize), [i % 7, i, UNBOUND - i]);
+        }
     }
 
     #[test]

@@ -21,8 +21,20 @@
 //! ```
 //!
 //! The table is computed by one bottom-up sweep over the arena (children
-//! have smaller ids than parents), in time `O(|t|²·(|D|+|∆|))` after the
-//! oracle precompilation — the bound of Prop. 10.
+//! have smaller ids than parents), one node set per sharing node.  The
+//! atom case is a pre-image, set-at-a-time as in Section 4:
+//!
+//! ```text
+//! MC(b/D) = pre(b, MC(D)) = { u | ∃u' ∈ MC(D). (u, u') ∈ q_b(t) }
+//! ```
+//!
+//! Every atom the store serves as a view (a plain step, or a step between
+//! diagonals) answers that in one `O(|t|)` pass over the tree (see
+//! [`xpath_pplbin::SuccessorSource::pre_image`]).  Only atoms compiled to
+//! matrices still sweep their rows, node by node with an early exit per
+//! row, so the whole table takes `O(|t|·(|D|+|∆|))` for view atoms and
+//! stays within Prop. 10's `O(|t|²·(|D|+|∆|))` after the oracle
+//! precompilation otherwise.
 
 use crate::oracle::CompiledAtoms;
 use crate::share::{EquationSystem, ShareId, ShareNode};
@@ -56,20 +68,7 @@ impl McTable {
                     s.intersect_with(&sets[rest.index()]);
                     s
                 }
-                ShareNode::StepAtom(atom, rest) => {
-                    let rest_set = &sets[rest.index()];
-                    let mut s = NodeSet::empty(n);
-                    for u in 0..n {
-                        let uid = NodeId(u as u32);
-                        // Early-exit row predicate: lazy atom sources answer
-                        // without materialising the row, so the sweep stays
-                        // `O(pairs touched)` over deferred complements.
-                        if atoms.row_any(*atom, uid, |v| rest_set.contains(v)) {
-                            s.insert(uid);
-                        }
-                    }
-                    s
-                }
+                ShareNode::StepAtom(atom, rest) => atoms.pre_image(*atom, &sets[rest.index()]),
             };
             sets.push(set);
         }

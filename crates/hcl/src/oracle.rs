@@ -23,7 +23,7 @@ use xpath_pplbin::{
     eval_relation, CapacityError, KernelMode, KernelStats, SharedMatrixStore, StepView,
     SuccessorSource,
 };
-use xpath_tree::{Axis, NodeId, Tree};
+use xpath_tree::{Axis, NodeId, NodeSet, Tree};
 
 /// Identifier of an interned atom inside a [`CompiledAtoms`] table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -113,13 +113,11 @@ impl CompiledAtoms {
         self.succ[atom.index()].row_vec(u)
     }
 
-    /// Does row `u` of `atom` contain a node satisfying `pred`?  Early-exits
-    /// on the first hit; lazy sources answer without materialising the row,
-    /// in time proportional to what the symbolic form touches — this is what
-    /// keeps the `MC` sweep of Prop. 10 subquadratic over deferred
-    /// complements.
-    pub fn row_any(&self, atom: AtomId, u: NodeId, pred: impl FnMut(NodeId) -> bool) -> bool {
-        self.succ[atom.index()].row_any(u, pred)
+    /// The nodes whose row under `atom` meets `set` (see
+    /// [`SuccessorSource::pre_image`]): one axis pass for a view atom, a
+    /// row sweep for a compiled one.
+    pub fn pre_image(&self, atom: AtomId, set: &NodeSet) -> NodeSet {
+        self.succ[atom.index()].pre_image(set)
     }
 
     /// Does `u` have any successor under `atom`?

@@ -46,16 +46,12 @@ impl fmt::Display for NotCoreXPath1 {
 
 impl std::error::Error for NotCoreXPath1 {}
 
-fn restrict_by_label(tree: &Tree, mut set: NodeSet, test: &NameTest) -> NodeSet {
+/// The nodes passing `test`.
+fn label_set(tree: &Tree, test: &NameTest) -> NodeSet {
     match test {
-        NameTest::Wildcard => set,
+        NameTest::Wildcard => NodeSet::full(tree.len()),
         NameTest::Name(name) => {
-            let mut labelled = NodeSet::empty(tree.len());
-            for &v in tree.nodes_with_label_str(name) {
-                labelled.insert(v);
-            }
-            set.intersect_with(&labelled);
-            set
+            NodeSet::from_iter(tree.len(), tree.nodes_with_label_str(name).iter().copied())
         }
     }
 }
@@ -64,10 +60,7 @@ fn restrict_by_label(tree: &Tree, mut set: NodeSet, test: &NameTest) -> NodeSet 
 /// expression, computed in time `O(|P| · |t|)`.
 pub fn succ_set(tree: &Tree, expr: &BinExpr, set: &NodeSet) -> Result<NodeSet, NotCoreXPath1> {
     match expr {
-        BinExpr::Step(axis, test) => {
-            let moved = tree.axis_successors(*axis, set);
-            Ok(restrict_by_label(tree, moved, test))
-        }
+        BinExpr::Step(axis, test) => Ok(Step::resolve(tree, *axis, test).image(tree, set)),
         BinExpr::Seq(a, b) => {
             let mid = succ_set(tree, a, set)?;
             succ_set(tree, b, &mid)
@@ -177,9 +170,7 @@ pub fn diagonal_set<E>(
     fallback: &mut dyn FnMut(&BinExpr, &NodeSet) -> Result<NodeSet, E>,
 ) -> Result<NodeSet, E> {
     Ok(match expr {
-        BinExpr::Step(axis, test) if axis.is_reflexive() => {
-            restrict_by_label(tree, NodeSet::full(tree.len()), test)
-        }
+        BinExpr::Step(axis, test) if axis.is_reflexive() => label_set(tree, test),
         BinExpr::Step(..) => NodeSet::empty(tree.len()),
         BinExpr::Test(p) => pre_set(tree, p, &NodeSet::full(tree.len()), fallback)?,
         BinExpr::Seq(a, b) => {
@@ -206,7 +197,9 @@ pub fn diagonal_set<E>(
 /// The pre-image `pre(P, S) = {u | ∃v ∈ S. (u, v) ∈ ⟦P⟧}`, set-at-a-time.
 ///
 /// * a step moves `S` (restricted to the name test) back along the
-///   inverse axis, in `O(|t|)` — the `succ_set` trick run backwards;
+///   inverse axis, in `O(|t|)` — the `succ_set` trick run backwards, and
+///   the same pass that fills Fig. 8's `MC` table for view atoms
+///   ([`crate::SuccessorSource::pre_image`]);
 /// * `/` and `union` recurse, a diagonal `D` gives `diagonal_set(D) ∩ S`;
 /// * a difference of two steps `A except B` scans the rows of `A` from the
 ///   nodes of `pre(A, S)`, stopping at the first target in `S` that `B`
@@ -226,7 +219,7 @@ pub fn pre_set<E>(
         return Ok(out);
     }
     match expr {
-        BinExpr::Step(axis, test) => Ok(step_pre(tree, *axis, test, set)),
+        BinExpr::Step(axis, test) => Ok(Step::resolve(tree, *axis, test).pre_image(tree, set)),
         BinExpr::Seq(a, b) => {
             let mid = pre_set(tree, b, set, fallback)?;
             pre_set(tree, a, &mid, fallback)
@@ -241,7 +234,7 @@ pub fn pre_set<E>(
                 let a = Step::resolve(tree, *a_axis, a_test);
                 let b = Step::resolve(tree, *b_axis, b_test);
                 let mut out = NodeSet::empty(tree.len());
-                for u in step_pre(tree, *a_axis, a_test, set).iter() {
+                for u in a.pre_image(tree, set).iter() {
                     if a.row_any(tree, u, |v| set.contains(v) && !b.relates(tree, u, v)) {
                         out.insert(u);
                     }
@@ -251,23 +244,6 @@ pub fn pre_set<E>(
             _ => fallback(expr, set),
         },
     }
-}
-
-/// `pre(axis::test, S)`: the nodes with an `axis`-successor in `S`
-/// passing `test`.
-fn step_pre(tree: &Tree, axis: Axis, test: &NameTest, set: &NodeSet) -> NodeSet {
-    let targets = restrict_by_label(tree, set.clone(), test);
-    if axis != Axis::FirstChild {
-        return tree.axis_successors(axis.inverse(), &targets);
-    }
-    // Not every child's parent has it as first child.
-    let mut out = NodeSet::empty(tree.len());
-    for u in tree.nodes() {
-        if tree.first_child(u).is_some_and(|c| targets.contains(c)) {
-            out.insert(u);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

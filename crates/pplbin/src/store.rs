@@ -126,6 +126,27 @@ impl SuccessorSource {
             SuccessorSource::Filtered(view) => view.row_any(u, pred),
         }
     }
+
+    /// The pre-image `pre(b, S) = {u | ∃v ∈ S. (u, v) ∈ ⟦b⟧}`: the nodes
+    /// whose row meets `set`.  Views answer set-at-a-time, in one axis pass
+    /// over the tree (Section 4), a filtered view as `D₁ ∩ pre(step, D₂ ∩
+    /// S)`; compiled rows are swept with [`SuccessorSource::row_any`], which
+    /// stops at a row's first hit and never materialises a lazy row.
+    pub fn pre_image(&self, set: &NodeSet) -> NodeSet {
+        match self {
+            SuccessorSource::Step(view) => view.pre_image(set),
+            SuccessorSource::Filtered(view) => view.pre_image(set),
+            SuccessorSource::Eager(_) | SuccessorSource::Lazy(_) => {
+                let n = self.len();
+                NodeSet::from_iter(
+                    n,
+                    (0..n as u32)
+                        .map(NodeId)
+                        .filter(|&u| self.row_any(u, |v| set.contains(v))),
+                )
+            }
+        }
+    }
 }
 
 /// Identifier of a hash-consed PPLbin subterm inside a [`MatrixStore`].

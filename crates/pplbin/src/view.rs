@@ -299,6 +299,96 @@ impl Step {
                 .any(|v| self.matches(tree, v) && pred(v)),
         }
     }
+
+    /// The pre-image `{u | ∃v ∈ S. (u, v) a pair of the step}`,
+    /// set-at-a-time (Section 4): the nodes of `S` passing the test move
+    /// back along the inverse axis.  Moves up to a parent or an ancestor
+    /// walk from each target and stop at the first node already reached,
+    /// and a move down to the children visits only the targets' children,
+    /// so those cost `O(|S| + |result|)` past the label filter; the other
+    /// axes are one `O(|t|)` pass of [`Tree::axis_successors`].
+    pub(crate) fn pre_image(&self, tree: &Tree, set: &NodeSet) -> NodeSet {
+        let n = tree.len();
+        let labelled;
+        let targets = match self.test {
+            Test::Absent => return NodeSet::empty(n),
+            Test::Any => set,
+            Test::Label(l) => {
+                labelled = NodeSet::from_iter(
+                    n,
+                    tree.nodes_with_label(l)
+                        .iter()
+                        .copied()
+                        .filter(|&v| set.contains(v)),
+                );
+                &labelled
+            }
+        };
+        let mut out = NodeSet::empty(n);
+        match self.axis {
+            Axis::Child => {
+                for v in targets.iter() {
+                    if let Some(p) = tree.parent(v) {
+                        out.insert(p);
+                    }
+                }
+            }
+            // Not every child's parent has it as first child.
+            Axis::FirstChild => {
+                for v in targets.iter() {
+                    if tree.prev_sibling(v).is_none() {
+                        if let Some(p) = tree.parent(v) {
+                            out.insert(p);
+                        }
+                    }
+                }
+            }
+            Axis::Parent => {
+                for v in targets.iter() {
+                    for c in tree.children(v) {
+                        out.insert(c);
+                    }
+                }
+            }
+            // A node already in `out` has all its ancestors there.
+            Axis::Descendant | Axis::DescendantOrSelf => {
+                for v in targets.iter() {
+                    if self.axis == Axis::DescendantOrSelf {
+                        out.insert(v);
+                    }
+                    let mut up = tree.parent(v);
+                    while let Some(p) = up {
+                        if !out.insert(p) {
+                            break;
+                        }
+                        up = tree.parent(p);
+                    }
+                }
+            }
+            axis => return tree.axis_successors(axis.inverse(), targets),
+        }
+        out
+    }
+
+    /// The image `{v | ∃u ∈ S. (u, v) a pair of the step}`: one pass of
+    /// [`Tree::axis_successors`], cut to the name test (Section 4's
+    /// `S_a(N)`, which [`crate::corexpath1::succ_set`] runs on).
+    pub(crate) fn image(&self, tree: &Tree, set: &NodeSet) -> NodeSet {
+        match self.test {
+            Test::Absent => NodeSet::empty(tree.len()),
+            Test::Any => tree.axis_successors(self.axis, set),
+            Test::Label(l) => {
+                let moved = tree.axis_successors(self.axis, set);
+                NodeSet::from_iter(
+                    tree.len(),
+                    tree.nodes_with_label(l)
+                        .iter()
+                        .copied()
+                        .filter(|&v| moved.contains(v)),
+                )
+            }
+        }
+    }
 }
 
 /// The nodes of the sorted list `nodes` with ids in `[lo, hi)`.
@@ -358,6 +448,16 @@ impl StepView {
     /// Non-emptiness of row `u`.
     pub fn row_nonempty(&self, u: NodeId) -> bool {
         self.row_any(u, |_| true)
+    }
+
+    /// The nodes whose row meets `set`, in one axis pass.
+    pub fn pre_image(&self, set: &NodeSet) -> NodeSet {
+        self.step.pre_image(&self.tree, set)
+    }
+
+    /// The nodes in the rows of `set`, in one axis pass.
+    pub fn image(&self, set: &NodeSet) -> NodeSet {
+        self.step.image(&self.tree, set)
     }
 }
 
@@ -483,6 +583,30 @@ impl FilteredStepView {
     /// Non-emptiness of row `u`.
     pub fn row_nonempty(&self, u: NodeId) -> bool {
         self.row_any(u, |_| true)
+    }
+
+    /// The nodes whose row meets `set`: `D₁ ∩ pre(axis::name, D₂ ∩ set)`.
+    pub fn pre_image(&self, set: &NodeSet) -> NodeSet {
+        let mut out = match self.targets.as_deref() {
+            Some(d2) => self.step.pre_image(&set.intersection(d2)),
+            None => self.step.pre_image(set),
+        };
+        if let Some(d1) = self.sources.as_deref() {
+            out.intersect_with(d1);
+        }
+        out
+    }
+
+    /// The nodes in the rows of `set`: `D₂ ∩ img(axis::name, D₁ ∩ set)`.
+    pub fn image(&self, set: &NodeSet) -> NodeSet {
+        let mut out = match self.sources.as_deref() {
+            Some(d1) => self.step.image(&set.intersection(d1)),
+            None => self.step.image(set),
+        };
+        if let Some(d2) = self.targets.as_deref() {
+            out.intersect_with(d2);
+        }
+        out
     }
 }
 

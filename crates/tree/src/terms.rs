@@ -65,29 +65,41 @@ impl<'a> Parser<'a> {
             .to_string())
     }
 
+    /// One term.  `open` counts the terms whose child list is still open,
+    /// so nesting depth is bounded by memory, not by the call stack.
     fn tree(&mut self, b: &mut TreeBuilder) -> Result<(), TreeError> {
-        let label = self.label()?;
-        b.open(&label);
-        self.skip_ws();
-        if self.peek() == Some(b'(') {
-            self.pos += 1;
+        let mut open = 0usize;
+        loop {
+            let label = self.label()?;
+            b.open(&label);
+            self.skip_ws();
+            if self.peek() == Some(b'(') {
+                self.pos += 1;
+                open += 1;
+                continue;
+            }
+            b.close();
+            // A term is complete: close the lists it ends, up to the next
+            // sibling term.
             loop {
-                self.tree(b)?;
+                if open == 0 {
+                    return Ok(());
+                }
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => {
                         self.pos += 1;
+                        break;
                     }
                     Some(b')') => {
                         self.pos += 1;
-                        break;
+                        b.close();
+                        open -= 1;
                     }
                     _ => return Err(self.err("expected ',' or ')'")),
                 }
             }
         }
-        b.close();
-        Ok(())
     }
 }
 
@@ -165,6 +177,20 @@ mod tests {
     fn whitespace_is_tolerated() {
         let t = parse_terms("  a ( b , c ( d ) ) ").unwrap();
         assert_eq!(to_terms(&t), "a(b,c(d))");
+    }
+
+    /// Nesting is bounded by memory, not by the stack: a chain 10⁵ deep
+    /// parses, and `subtree` copies it.
+    #[test]
+    fn chains_nested_a_hundred_thousand_deep_parse_and_copy() {
+        let depth = 100_000;
+        let src = format!("{}a{}", "a(".repeat(depth - 1), ")".repeat(depth - 1));
+        let t = parse_terms(&src).unwrap();
+        assert_eq!((t.len(), t.height()), (depth, depth - 1));
+        let sub = t.subtree(NodeId(1));
+        assert_eq!((sub.len(), sub.height()), (depth - 1, depth - 2));
+        sub.check_invariants().unwrap();
+        assert!(parse_terms(&src[..src.len() - 1]).is_err());
     }
 
     #[test]

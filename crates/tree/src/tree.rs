@@ -456,12 +456,24 @@ impl Tree {
         b.finish().expect("subtree copy is balanced")
     }
 
+    /// Copy the subtree at `id` into `b`, depth first.  The stack holds,
+    /// per open node, its next child to copy.
     fn copy_into(&self, b: &mut TreeBuilder, id: NodeId) {
         b.open(self.label_str(id));
-        for c in self.children(id) {
-            self.copy_into(b, c);
+        let mut stack = vec![self.first_child(id)];
+        while let Some(next) = stack.last_mut() {
+            match *next {
+                Some(c) => {
+                    *next = self.next_sibling(c);
+                    b.open(self.label_str(c));
+                    stack.push(self.first_child(c));
+                }
+                None => {
+                    stack.pop();
+                    b.close();
+                }
+            }
         }
-        b.close();
     }
 
     /// Descendants of `id` including `id`, in document order.

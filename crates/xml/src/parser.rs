@@ -281,42 +281,12 @@ impl<'a> Parser<'a> {
         Err(XmlError::UnexpectedEof { context: "DOCTYPE" })
     }
 
+    /// One element and its content.  Open elements live on `open_names`,
+    /// not on the call stack, so nesting depth is bounded by memory only.
     fn element(&mut self) -> Result<(), XmlError> {
-        self.expect("<", "element start tag")?;
-        let name = self.name()?;
-        self.builder.open(&name);
-        self.open_names.push(name.clone());
-
-        // Attributes.
-        loop {
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b'>') => {
-                    self.advance(1);
-                    break;
-                }
-                Some(b'/') => {
-                    self.expect("/>", "self-closing tag")?;
-                    self.builder.close();
-                    self.open_names.pop();
-                    return Ok(());
-                }
-                Some(_) => {
-                    let (attr, _value) = self.attribute()?;
-                    if self.options.attributes_as_children {
-                        self.builder.leaf(&format!("@{attr}"));
-                    }
-                }
-                None => {
-                    return Err(XmlError::UnexpectedEof {
-                        context: "start tag",
-                    })
-                }
-            }
-        }
-
-        // Content.
-        loop {
+        let outer = self.open_names.len();
+        self.start_tag()?;
+        while self.open_names.len() > outer {
             if self.eof() {
                 return Err(XmlError::UnexpectedEof {
                     context: "element content",
@@ -336,7 +306,6 @@ impl<'a> Parser<'a> {
                     });
                 }
                 self.builder.close();
-                return Ok(());
             } else if self.starts_with("<!--") {
                 self.skip_until("-->", "comment")?;
             } else if self.starts_with("<![CDATA[") {
@@ -351,10 +320,45 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<?") {
                 self.skip_until("?>", "processing instruction")?;
             } else if self.starts_with("<") {
-                self.element()?;
+                self.start_tag()?;
             } else {
                 let text = self.char_data()?;
                 self.text_node(&text);
+            }
+        }
+        Ok(())
+    }
+
+    /// A start tag and its attributes.  A self-closing element is opened
+    /// and closed at once; any other stays open on `open_names`.
+    fn start_tag(&mut self) -> Result<(), XmlError> {
+        self.expect("<", "element start tag")?;
+        let name = self.name()?;
+        self.builder.open(&name);
+        loop {
+            self.skip_whitespace();
+            match self.peek() {
+                Some(b'>') => {
+                    self.advance(1);
+                    self.open_names.push(name);
+                    return Ok(());
+                }
+                Some(b'/') => {
+                    self.expect("/>", "self-closing tag")?;
+                    self.builder.close();
+                    return Ok(());
+                }
+                Some(_) => {
+                    let (attr, _value) = self.attribute()?;
+                    if self.options.attributes_as_children {
+                        self.builder.leaf(&format!("@{attr}"));
+                    }
+                }
+                None => {
+                    return Err(XmlError::UnexpectedEof {
+                        context: "start tag",
+                    })
+                }
             }
         }
     }
@@ -736,17 +740,16 @@ mod tests {
 
     #[test]
     fn deeply_nested_document() {
-        let mut src = String::new();
-        for _ in 0..200 {
-            src.push_str("<d>");
-        }
-        src.push_str("<leaf/>");
-        for _ in 0..200 {
-            src.push_str("</d>");
-        }
+        // Deeper than any call stack allows one frame per level.
+        let depth = 100_000;
+        let src = format!("{}<leaf/>{}", "<d>".repeat(depth), "</d>".repeat(depth));
         let t = parse(&src).unwrap();
-        assert_eq!(t.len(), 201);
-        assert_eq!(t.height(), 200);
+        assert_eq!(t.len(), depth + 1);
+        assert_eq!(t.height(), depth);
+        assert!(matches!(
+            parse(&src[..src.len() - 4]),
+            Err(XmlError::UnexpectedEof { .. })
+        ));
     }
 
     #[test]

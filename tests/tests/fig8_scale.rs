@@ -82,3 +82,24 @@ fn engines_agree_on_the_random_documents() {
         check_pairs(name, tree, &planner_mix_suite());
     }
 }
+
+/// A chain 10⁵ deep: the first `descendant::a` row holds the whole image of
+/// the root leaf, so the row scan stops there instead of rereading every
+/// node's descendants (quadratic in the depth).
+#[test]
+fn a_chain_a_hundred_thousand_deep_answers_its_pairs() {
+    let depth = 100_000;
+    let xml = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    let session = Session::from_xml(&xml).unwrap();
+    let vars = ["x".to_string(), "y".to_string()];
+    let pairs = answers(
+        &session,
+        "descendant::a[. is $x]/child::a[. is $y]",
+        &vars,
+        Engine::Ppl,
+    );
+    assert_eq!(pairs.len(), depth - 2);
+    assert!(pairs
+        .iter()
+        .all(|t| session.tree().parent(t[1]) == Some(t[0])));
+}
